@@ -2,9 +2,12 @@
 // (prefetch-offset, prefetch-step) for graph search.
 //
 // The paper's grid: offset_step in {0_0 (none), 0_1, 0_2, 0_4, 0_8, 0_64,
-// 1_1, 1_2, 1_4, 1_8, 2_1, ..., 4_8}. At paper scale the dataset is far
-// out of cache and prefetching yields up to 2x; at bench scale the effect
-// shrinks with the working set (EXPERIMENTS.md discusses the delta).
+// 1_1, 1_2, 1_4, 1_8, 2_1, ..., 4_8}. The lookahead offset+step counts
+// unvisited candidates of the hop, not row positions, so 0_64 (the
+// default) has every candidate of an R <= 64 hop in flight before the
+// first distance (DESIGN.md D16). At paper scale the dataset is far out of
+// cache and prefetching yields up to 2x; at bench scale the effect shrinks
+// with the working set (EXPERIMENTS.md discusses the delta).
 #include "common.h"
 
 using namespace blinkbench;

@@ -45,8 +45,13 @@ struct SearchOptions {
   uint32_t nprobe = 8;           ///< IVF/ScaNN: partitions probed
   uint32_t reorder_k = 0;        ///< IVF/ScaNN: full-precision re-rank depth
   uint32_t nprobe_shards = 0;    ///< sharded index: shards probed (0 = all)
-  uint32_t prefetch_offset = 0;  ///< graph prefetcher lookahead offset
-  uint32_t prefetch_step = 2;    ///< graph prefetcher vectors/iteration
+  /// Graph prefetch schedule, on every graph kind (static, sharded,
+  /// dynamic): vectors are prefetched `prefetch_offset + prefetch_step`
+  /// unvisited candidates ahead of the one being scored, and (0, 0) turns
+  /// prefetching off. The default puts a whole hop (R <= 64) in flight
+  /// before its first distance; see SearchParams in graph/search.h.
+  uint32_t prefetch_offset = 0;
+  uint32_t prefetch_step = 64;
   bool use_visited_set = true;   ///< graph visited-set ablation (see search.h)
   /// Two-level re-rank depth: how many of the window's candidates are
   /// re-scored at full precision before the top-k selection. 0 = the whole

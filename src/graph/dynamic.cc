@@ -59,77 +59,14 @@ void DynamicGraphIndex<Storage>::CollectCandidates(
   const uint32_t ep = entry_point_.load(std::memory_order_relaxed);
   if (ep == kNoEntry) return;
   storage_.PrepareQuery(query, &writer_query_);
-  SearchBuffer buffer(window);
-  VisitedSet visited(capacity_);
-  visited.NextQuery();
-  buffer.Insert(storage_.Distance(writer_query_, ep), ep);
-  visited.CheckAndMark(ep);
-  long idx;
-  while ((idx = buffer.NextUnexplored()) >= 0) {
-    const uint32_t node = buffer[static_cast<size_t>(idx)].id;
-    buffer.MarkExplored(static_cast<size_t>(idx));
-    const uint32_t* nbrs = graph_.neighbors(node);
-    const uint32_t deg = graph_.degree(node);
-    for (uint32_t t = 0; t < deg; ++t) {
-      const uint32_t cand = nbrs[t];
-      if (!visited.CheckAndMark(cand)) continue;
-      buffer.Insert(storage_.Distance(writer_query_, cand), cand);
-    }
-  }
+  SearchParams params;
+  params.window = window;
+  Traverse<PlainRows>(graph_, storage_, writer_query_, ep, params,
+                      &writer_traversal_);
+  const SearchBuffer& buffer = writer_traversal_.buffer;
   out->reserve(buffer.size());
   for (size_t i = 0; i < buffer.size(); ++i) {
     out->push_back({buffer[i].dist, buffer[i].id});
-  }
-}
-
-// Reader-side traversal: adjacency is copied row-by-row through the
-// acquire/release protocol (graph.h), so it is safe against the concurrent
-// writer; the caller must hold an epoch ReadLock.
-template <typename Storage>
-void DynamicGraphIndex<Storage>::CollectIntoScratch(
-    const float* query, uint32_t window, SearchScratch* scratch,
-    const FilterView* filter, bool push_down) const {
-  // In-search push-down (DESIGN.md D15): a second sorted buffer collects
-  // predicate-passing candidates while the traversal buffer still routes
-  // through failing ones. Tombstones are handled later, at extraction.
-  const bool push = filter != nullptr && push_down;
-  scratch->buffer.Reset(window);
-  if (push) scratch->passing.Reset(window);
-  scratch->distance_computations = 0;
-  scratch->hops = 0;
-  // Acquire pairs with the entry-point release store: observing an id here
-  // implies its vector bytes are visible. kNoEntry means nothing is live
-  // (or the only live vector is still mid-publication) — return empty.
-  const uint32_t ep = entry_point_.load(std::memory_order_acquire);
-  if (ep == kNoEntry) return;
-  storage_.PrepareQuery(query, &scratch->query);
-  if (scratch->visited_capacity != capacity_) {
-    scratch->visited.Resize(capacity_);
-    scratch->visited_capacity = capacity_;
-  }
-  scratch->visited.NextQuery();
-  scratch->neighbors.resize(graph_.max_degree());
-  uint32_t* nbrs = scratch->neighbors.data();
-
-  const float d0 = storage_.Distance(scratch->query, ep);
-  scratch->buffer.Insert(d0, ep);
-  if (push && filter->Pass(ep)) scratch->passing.Insert(d0, ep);
-  scratch->visited.CheckAndMark(ep);
-  ++scratch->distance_computations;
-  long idx;
-  while ((idx = scratch->buffer.NextUnexplored()) >= 0) {
-    const uint32_t node = scratch->buffer[static_cast<size_t>(idx)].id;
-    scratch->buffer.MarkExplored(static_cast<size_t>(idx));
-    ++scratch->hops;
-    const uint32_t deg = graph_.CopyNeighborsAcquire(node, nbrs);
-    for (uint32_t t = 0; t < deg; ++t) {
-      const uint32_t cand = nbrs[t];
-      if (!scratch->visited.CheckAndMark(cand)) continue;
-      const float d = storage_.Distance(scratch->query, cand);
-      scratch->buffer.Insert(d, cand);
-      if (push && filter->Pass(cand)) scratch->passing.Insert(d, cand);
-      ++scratch->distance_computations;
-    }
   }
 }
 
@@ -386,56 +323,55 @@ void DynamicGraphIndex<Storage>::ExtractResults(const Buf& buf, size_t k,
 
 template <typename Storage>
 void DynamicGraphIndex<Storage>::Search(const float* query, size_t k,
-                                        uint32_t window, SearchResult* out,
-                                        SearchScratch* scratch, bool rerank,
-                                        uint32_t rerank_window,
-                                        const FilterView* filter,
-                                        bool push_down,
+                                        const SearchParams& params,
+                                        SearchResult* out,
+                                        SearchScratch* scratch,
                                         uint32_t widen_cap) const {
   out->ids.clear();
   out->dists.clear();
   out->distance_computations = 0;
   out->hops = 0;
   EpochGuard::ReadLock reader(&epoch_);
+  // Acquire pairs with the entry-point release store: observing an id here
+  // implies its vector bytes are visible. The read lock keeps `ep`
+  // unpurged for the whole search.
+  const uint32_t ep = entry_point_.load(std::memory_order_acquire);
   // Over-provision the window by the *navigable* tombstone count:
   // tombstones occupy candidate-buffer slots but are filtered from
   // results, so a window sized for the live case could surface fewer than
   // k live results even when k are reachable. Purged slots are unreachable
   // and do not count; ConsolidateDeletes therefore resets the slack.
   const size_t tomb = num_tombstones_.load(std::memory_order_relaxed);
+  SearchParams sp = params;
   auto run_one = [&](uint32_t base_window, SearchResult* res) {
     const size_t want = std::max<size_t>(base_window, k + tomb);
-    const uint32_t w = static_cast<uint32_t>(
+    sp.window = static_cast<uint32_t>(
         std::min<size_t>(want, std::numeric_limits<uint32_t>::max()));
-    CollectIntoScratch(query, w, scratch, filter, push_down);
+    // Readers race the writer, so rows are read through the D6 acquire
+    // protocol (graph.h). Tombstones are dropped at extraction.
+    Traverse<AcquireRows>(graph_, storage_, scratch->query, ep, sp, scratch);
     res->distance_computations = scratch->distance_computations;
     res->hops = scratch->hops;
-    if (filter == nullptr) {
-      ExtractResults(scratch->buffer, k, rerank, rerank_window, tomb, res,
-                     scratch);
+    if (params.filter == nullptr) {
+      ExtractResults(scratch->buffer, k, params.rerank, params.rerank_window,
+                     tomb, res, scratch);
       return;
     }
-    // Filtered extraction pool: the passing buffer (push-down) or the
-    // predicate-surviving prefix of the traversal buffer (post-filter).
-    scratch->survivors.clear();
-    if (push_down) {
-      for (size_t i = 0; i < scratch->passing.size(); ++i) {
-        scratch->survivors.push_back(scratch->passing[i]);
-      }
-    } else {
-      for (size_t i = 0; i < scratch->buffer.size(); ++i) {
-        if (filter->Pass(scratch->buffer[i].id)) {
-          scratch->survivors.push_back(scratch->buffer[i]);
-        }
-      }
-    }
-    ExtractResults(scratch->survivors, k, rerank, rerank_window, tomb, res,
-                   scratch);
+    CollectSurvivors(*scratch, *params.filter, params.filter_push_down,
+                     &scratch->survivors);
+    ExtractResults(scratch->survivors, k, params.rerank, params.rerank_window,
+                   tomb, res, scratch);
   };
-  if (filter == nullptr) {
-    run_one(window, out);
-  } else {
-    RunWidened(k, window, std::max(widen_cap, window), run_one, out);
+  // kNoEntry means nothing is live (or the only live vector is still
+  // mid-publication): the answer is all padding.
+  if (ep != kNoEntry) {
+    storage_.PrepareQuery(query, &scratch->query);
+    if (params.filter == nullptr) {
+      run_one(params.window, out);
+    } else {
+      RunWidened(k, params.window, std::max(widen_cap, params.window), run_one,
+                 out);
+    }
   }
   // Contract (eval/interface.h): exactly k entries on every path, invalid
   // slots padded with kInvalidId / +inf — including the empty-index case.
@@ -448,8 +384,11 @@ void DynamicGraphIndex<Storage>::Search(const float* query, size_t k,
                                         uint32_t window, SearchResult* out,
                                         SearchScratch* scratch, bool rerank,
                                         uint32_t rerank_window) const {
-  Search(query, k, window, out, scratch, rerank, rerank_window,
-         /*filter=*/nullptr, /*push_down=*/false, /*widen_cap=*/0);
+  SearchParams params;
+  params.window = window;
+  params.rerank = rerank;
+  params.rerank_window = rerank_window;
+  Search(query, k, params, out, scratch);
 }
 
 template <typename Storage>

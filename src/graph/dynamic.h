@@ -83,22 +83,16 @@ class DynamicGraphIndex {
 
   using Options = DynamicOptions;
 
-  /// Reusable per-thread search state (candidate buffer, visited epochs,
-  /// prepared query, re-rank scratch). Create one per serving thread and
+  /// Reusable per-thread search state: the traversal state (candidate
+  /// buffers, visited epochs, work counters of the last search) plus the
+  /// prepared query and re-rank scratch. Create one per serving thread and
   /// pass it to Search() to amortize per-query allocation; see
   /// serve/engine.h.
-  struct SearchScratch {
-    SearchBuffer buffer;
-    SearchBuffer passing;                    // push-down result buffer (D15)
-    VisitedSet visited;
-    size_t visited_capacity = 0;
-    std::vector<uint32_t> neighbors;         // row copy, max_degree entries
+  struct SearchScratch : TraversalState {
     typename Storage::Query query;           // prepared per-query state
     std::vector<float> decode;               // dim floats (two-level re-rank)
     std::vector<std::pair<float, uint32_t>> rerank;
     std::vector<SearchBuffer::Entry> survivors;  // filtered extraction pool
-    uint64_t distance_computations = 0;      // of the last search
-    uint64_t hops = 0;
   };
 
   /// Storage built with its default configuration for this (dim, metric).
@@ -122,27 +116,27 @@ class DynamicGraphIndex {
 
   /// k nearest *live* vectors, padded to exactly k entries per the
   /// eval/interface.h contract (kInvalidId / +inf). Safe to call from any
-  /// number of threads concurrently with writers. The scratch overload
-  /// reuses per-thread state; the plain overload allocates fresh scratch
-  /// per call. When the storage has a second level and `rerank` is set,
-  /// the top `rerank_window` candidates (all of them when 0) are re-scored
-  /// at full two-level precision before the top-k selection (Sec. 3.2).
+  /// number of threads concurrently with writers. `params` carries the
+  /// window, the prefetch schedule, the visited-set switch and the re-rank
+  /// knobs: when the storage has a second level and `params.rerank` is
+  /// set, the top `rerank_window` candidates (all of them when 0) are
+  /// re-scored at full two-level precision before the top-k selection
+  /// (Sec. 3.2). With `params.filter` set (bound to this index's metadata
+  /// store) results are restricted to matching vectors: `filter_push_down`
+  /// selects in-search predicate evaluation vs post-filtering, and both
+  /// run under the adaptive widening loop up to `widen_cap` (floored at
+  /// the window); the two-level re-rank re-scores only surviving
+  /// candidates. Tombstoned vectors are never returned.
+  void Search(const float* query, size_t k, const SearchParams& params,
+              SearchResult* out, SearchScratch* scratch,
+              uint32_t widen_cap = 0) const;
+  /// Unfiltered shorthand with the default prefetch schedule. The plain
+  /// overload allocates fresh scratch per call.
   void Search(const float* query, size_t k, uint32_t window,
               SearchResult* out, SearchScratch* scratch,
               bool rerank = true, uint32_t rerank_window = 0) const;
   void Search(const float* query, size_t k, uint32_t window,
               SearchResult* out) const;
-
-  /// Filtered search: results are restricted to vectors matching
-  /// `filter` (which must be bound to this index's metadata store).
-  /// `push_down` selects in-search predicate evaluation vs post-filtering;
-  /// both run under the adaptive widening loop up to `widen_cap` (floored
-  /// at `window`). Tombstoned vectors are excluded as usual, and the
-  /// two-level re-rank re-scores only surviving candidates.
-  void Search(const float* query, size_t k, uint32_t window,
-              SearchResult* out, SearchScratch* scratch, bool rerank,
-              uint32_t rerank_window, const FilterView* filter,
-              bool push_down, uint32_t widen_cap) const;
 
   /// Attaches (or, with null, detaches) a metadata store. The store is
   /// resized to the index capacity under the exclusive lock (readers
@@ -257,13 +251,6 @@ class DynamicGraphIndex {
   /// navigable). Prepares `writer_query_` from `query`.
   void CollectCandidates(const float* query, uint32_t window,
                          std::vector<Candidate>* out);
-  /// Scratch-based variant used by the read path; fills scratch->buffer and
-  /// the work counters instead of materializing a candidate vector. The
-  /// caller must hold an epoch ReadLock.
-  void CollectIntoScratch(const float* query, uint32_t window,
-                          SearchScratch* scratch,
-                          const FilterView* filter = nullptr,
-                          bool push_down = false) const;
   /// Shared result epilogue: tombstone-skipping top-k selection with the
   /// optional two-level re-score, over either the raw candidate buffer or
   /// a filtered survivor pool (both expose operator[](i).{id,dist}).
@@ -314,10 +301,13 @@ class DynamicGraphIndex {
   std::shared_ptr<MetadataStore> metadata_;
 
   // Writer-side scratch (guarded by write_mu_): prepared queries for the
-  // insert vector / decoded stored vectors, and the decode buffer.
+  // insert vector / decoded stored vectors, the decode buffer, and the
+  // insert-time traversal state (its visited stamps follow the graph's
+  // capacity: Traverse resizes them on the first insert after a Grow).
   typename Storage::Query writer_query_;
   typename Storage::Query prune_query_;
   std::vector<float> writer_decode_;
+  TraversalState writer_traversal_;
 
   mutable EpochGuard epoch_;            // reader registration / quiescing
   std::mutex write_mu_;                 // serializes writers

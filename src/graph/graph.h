@@ -92,18 +92,18 @@ class FlatGraph {
   // the scheme is TSan-clean.
   // -------------------------------------------------------------------------
 
-  /// Reader-side row copy: acquire-loads the degree, then copies the ids
-  /// into `out` (capacity >= max_degree). Returns the copied count.
-  uint32_t CopyNeighborsAcquire(size_t i, uint32_t* out) const {
+  /// Reader-side row walk: acquire-loads the degree (clamped to
+  /// max_degree), then calls `fn(id)` with each id acquire-loaded in row
+  /// order.
+  template <typename Fn>
+  void ForEachNeighborAcquire(size_t i, Fn&& fn) const {
     uint32_t* r = const_cast<uint32_t*>(row(i));
     const uint32_t deg = std::min(
         std::atomic_ref<uint32_t>(r[0]).load(std::memory_order_acquire),
         max_degree_);
     for (uint32_t j = 0; j < deg; ++j) {
-      out[j] = std::atomic_ref<uint32_t>(r[1 + j]).load(
-          std::memory_order_acquire);
+      fn(std::atomic_ref<uint32_t>(r[1 + j]).load(std::memory_order_acquire));
     }
-    return deg;
   }
 
   /// Writer-side full-row replacement: stores the ids, then release-stores

@@ -267,17 +267,6 @@ class VamanaIndex : public SearchIndex {
                    dists);
   }
 
-  static SearchParams ToSearchParams(const SearchOptions& p, size_t k) {
-    SearchParams sp;
-    sp.window = std::max<uint32_t>(p.window, static_cast<uint32_t>(k));
-    sp.prefetch_offset = p.prefetch_offset;
-    sp.prefetch_step = p.prefetch_step;
-    sp.use_visited_set = p.use_visited_set;
-    sp.rerank = p.rerank;
-    sp.rerank_window = p.rerank_window;
-    return sp;
-  }
-
   Storage storage_;
   VamanaBuildParams build_params_;
   BuiltGraph built_;

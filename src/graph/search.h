@@ -1,14 +1,19 @@
 // Greedy graph search (paper Algorithm 1) with the Sec. 5 optimizations:
-// sorted linear buffer, software prefetching with tunable
-// (prefetch-offset, prefetch-step), optional visited set, and a final
-// two-level re-ranking gather when the storage has compressed residuals
-// (Sec. 3.2).
+// sorted linear buffer, optional visited set, and software prefetching
+// with a tunable (prefetch-offset, prefetch-step) schedule. Once the index
+// outgrows the cache, search is bound by memory latency, so the schedule
+// matters more than the kernels: Traverse gathers each hop's unvisited
+// neighbours first and, by default, puts all of their vector fetches in
+// flight before scoring the first one (DESIGN.md D16). GreedySearcher adds
+// the final two-level re-ranking gather when the storage has compressed
+// residuals (Sec. 3.2).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "eval/interface.h"
 #include "filter/metadata.h"
 #include "graph/graph.h"
 #include "graph/reranker.h"
@@ -20,9 +25,14 @@ namespace blink {
 /// the prefetch pair reproduces Fig. 7(a); `use_visited_set` reproduces the
 /// Sec. 5 visited-set ablation.
 struct SearchParams {
-  uint32_t window = 32;          ///< W: candidate-queue capacity (>= k)
-  uint32_t prefetch_offset = 0;  ///< lookahead offset into the neighbor list
-  uint32_t prefetch_step = 2;    ///< vectors prefetched per iteration
+  uint32_t window = 32;  ///< W: candidate-queue capacity (>= k)
+  /// Prefetch schedule: the prefetch pointer runs `prefetch_offset +
+  /// prefetch_step` unvisited candidates ahead of the scoring pointer;
+  /// (0, 0) disables prefetching. The default lookahead of 64 covers every
+  /// row of a graph with R <= 64, i.e. the whole hop is in flight before
+  /// its first distance (Fig. 7(a) point 0_64).
+  uint32_t prefetch_offset = 0;
+  uint32_t prefetch_step = 64;
   /// Track visited ids (Sec. 5 ablation). The paper disables its
   /// associative visited structure for small d; our epoch-stamped array is
   /// cheap enough that keeping it on measures faster on this substrate
@@ -45,6 +55,20 @@ struct SearchParams {
   bool filter_push_down = false;
 };
 
+/// The graph-search knobs of `p` for a top-`k` query (window floored at
+/// k). The filter fields stay unset: each index binds the predicate to its
+/// own metadata store.
+inline SearchParams ToSearchParams(const SearchOptions& p, size_t k) {
+  SearchParams sp;
+  sp.window = std::max<uint32_t>(p.window, static_cast<uint32_t>(k));
+  sp.prefetch_offset = p.prefetch_offset;
+  sp.prefetch_step = p.prefetch_step;
+  sp.use_visited_set = p.use_visited_set;
+  sp.rerank = p.rerank;
+  sp.rerank_window = p.rerank_window;
+  return sp;
+}
+
 /// Disposition of one served query. Search paths always produce kOk; the
 /// serving layer uses the other values so a rejected or shutdown-raced
 /// query is distinguishable from a real zero-hit answer (which is kOk with
@@ -64,6 +88,152 @@ struct SearchResult {
   SearchOutcome outcome = SearchOutcome::kOk;
 };
 
+/// Row policy for adjacency no other thread mutates during the traversal:
+/// static graphs, the builder's frozen batch snapshot, and the dynamic
+/// index's own (serialized) writer.
+struct PlainRows {
+  template <typename Fn>
+  static void ForEach(const FlatGraph& graph, uint32_t node, Fn&& fn) {
+    const uint32_t* nbrs = graph.neighbors(node);
+    const uint32_t deg = graph.degree(node);
+    for (uint32_t t = 0; t < deg; ++t) fn(nbrs[t]);
+  }
+};
+
+/// Row policy for dynamic-index readers racing the writer: every row word
+/// is an acquire load (FlatGraph's D6 protocol), so each id read
+/// synchronizes with the writer's publication of its vector.
+struct AcquireRows {
+  template <typename Fn>
+  static void ForEach(const FlatGraph& graph, uint32_t node, Fn&& fn) {
+    graph.ForEachNeighborAcquire(node, fn);
+  }
+};
+
+/// Per-searcher state of Traverse: the candidate buffers, the visited
+/// stamps, the unvisited neighbours of the current hop, and the work
+/// counters of the last run. Reused across queries, never shared.
+struct TraversalState {
+  SearchBuffer buffer;
+  SearchBuffer passing;  ///< predicate-passing results (push-down mode)
+  VisitedSet visited;
+  std::vector<uint32_t> pending;  ///< unvisited neighbours of one hop
+  size_t distance_computations = 0;
+  size_t hops = 0;
+};
+
+/// The one greedy traversal (paper Algorithm 1) behind every graph search:
+/// static queries, the Vamana builder, and the dynamic index's writer and
+/// readers. Fills `st->buffer` (and, for a push-down filter,
+/// `st->passing`) with up to `params.window` candidates in ascending
+/// distance, and counts hops and distances. `params.window` is used as
+/// given, `params.rerank*` are ignored; `query` must be prepared for
+/// `storage` and `entry_point` must be a valid row of `graph`.
+///
+/// Each hop runs in two passes. Pass 1 reads the row through `Rows` and
+/// keeps the ids not yet visited (marking them) in `st->pending`. Pass 2
+/// scores `pending` in row order. The Sec. 5 prefetch schedule runs over
+/// `pending`: the prefetch pointer stays `prefetch_offset + prefetch_step`
+/// *unvisited candidates* ahead of the scoring pointer, and (0, 0) turns
+/// prefetching off. With a lookahead of at least the degree, as the
+/// default has, the whole hop's misses are in flight before the first
+/// distance, so they overlap instead of serializing (DESIGN.md D16).
+/// Prefetches never change what is scored or in which order, so ids and
+/// distances are the same under every schedule.
+template <typename Rows, typename Storage>
+void Traverse(const FlatGraph& graph, const Storage& storage,
+              const typename Storage::Query& query, uint32_t entry_point,
+              const SearchParams& params, TraversalState* st) {
+  SearchBuffer& buffer = st->buffer;
+  buffer.Reset(params.window);
+  // In-search push-down keeps a second sorted buffer holding only
+  // predicate-passing candidates: the traversal (buffer) still routes
+  // through failing vertices so connectivity is preserved, while the
+  // result set is drawn from passing at extraction.
+  const bool push_down = params.filter != nullptr && params.filter_push_down;
+  if (push_down) st->passing.Reset(params.window);
+  const bool use_visited = params.use_visited_set;
+  if (use_visited) {
+    if (st->visited.size() != graph.size()) st->visited.Resize(graph.size());
+    st->visited.NextQuery();
+  }
+  st->pending.resize(graph.max_degree());
+  uint32_t* pending = st->pending.data();
+  st->distance_computations = 0;
+  st->hops = 0;
+
+  auto score = [&](uint32_t id) {
+    const float d = storage.Distance(query, id);
+    ++st->distance_computations;
+    buffer.Insert(d, id);
+    if (push_down && params.filter->Pass(id)) st->passing.Insert(d, id);
+  };
+  score(entry_point);
+  if (use_visited) st->visited.CheckAndMark(entry_point);
+
+  // Safety bound: without a visited set a node can be re-expanded after
+  // buffer eviction; convergence is monotone but we cap hops anyway.
+  const size_t max_hops = 64 * static_cast<size_t>(params.window) + 256;
+  const size_t lookahead =
+      size_t{params.prefetch_offset} + params.prefetch_step;
+
+  long idx;
+  while ((idx = buffer.NextUnexplored()) >= 0 && st->hops < max_hops) {
+    const uint32_t node = buffer[static_cast<size_t>(idx)].id;
+    buffer.MarkExplored(static_cast<size_t>(idx));
+    ++st->hops;
+
+    // Next-hop prefetch: NextUnexplored() is an idempotent cursor peek,
+    // so the likely next expansion is known now — issue its adjacency
+    // row and vector fetch to overlap with this node's distance
+    // computations. On a mapped (out-of-core) index this is what turns a
+    // cold page fault into work hidden behind compute; on a resident
+    // index it is an ordinary cache-line prefetch. An Insert below can
+    // still supersede the peeked candidate — the prefetch is then merely
+    // wasted, never wrong.
+    if (lookahead > 0) {
+      const long next = buffer.NextUnexplored();
+      if (next >= 0) {
+        const uint32_t next_node = buffer[static_cast<size_t>(next)].id;
+        graph.PrefetchAdjacency(next_node);
+        storage.Prefetch(next_node);
+      }
+    }
+
+    // Pass 1: the hop's unvisited neighbours, in row order.
+    size_t np = 0;
+    Rows::ForEach(graph, node, [&](uint32_t id) {
+      if (!use_visited || st->visited.CheckAndMark(id)) pending[np++] = id;
+    });
+
+    // Pass 2: score them, keeping the prefetch pointer `lookahead`
+    // candidates ahead of the scoring pointer.
+    size_t pf = 0;
+    for (size_t t = 0; t < np; ++t) {
+      if (lookahead > 0) {
+        for (const size_t target = std::min(np, t + 1 + lookahead);
+             pf < target; ++pf) {
+          storage.Prefetch(pending[pf]);
+        }
+      }
+      score(pending[t]);
+    }
+  }
+}
+
+/// The filtered extraction pool of a finished traversal: the passing
+/// buffer (push-down: already predicate-gated) or the predicate-surviving
+/// entries of the traversal buffer (post-filter), in ascending distance.
+inline void CollectSurvivors(const TraversalState& st, const FilterView& filter,
+                             bool push_down,
+                             std::vector<SearchBuffer::Entry>* out) {
+  out->clear();
+  const SearchBuffer& from = push_down ? st.passing : st.buffer;
+  for (size_t i = 0; i < from.size(); ++i) {
+    if (push_down || filter.Pass(from[i].id)) out->push_back(from[i]);
+  }
+}
+
 /// Reusable single-query searcher over one (graph, storage) pair. Not
 /// thread-safe; create one per worker thread (batch parallelism is across
 /// queries, as in the paper).
@@ -76,150 +246,46 @@ class GreedySearcher {
   /// Runs Algorithm 1 from `entry_point`, returning the k best candidates.
   void Search(const float* query, size_t k, uint32_t entry_point,
               const SearchParams& params, SearchResult* out) {
-    const uint32_t window = std::max<uint32_t>(params.window, k);
-    buffer_.Reset(window);
-    // In-search push-down keeps a second sorted buffer holding only
-    // predicate-passing candidates: the traversal (buffer_) still routes
-    // through failing vertices so connectivity is preserved, while the
-    // result set is drawn from passing_ at extraction.
-    const bool push_down =
-        params.filter != nullptr && params.filter_push_down;
-    if (push_down) passing_.Reset(window);
+    SearchParams p = params;
+    p.window = std::max<uint32_t>(params.window, k);
     storage_->PrepareQuery(query, &query_state_);
-    if (params.use_visited_set) {
-      EnsureVisitedCapacity();
-      visited_.NextQuery();
-    }
-    out->distance_computations = 0;
-    out->hops = 0;
-
-    const float d0 = storage_->Distance(query_state_, entry_point);
-    ++out->distance_computations;
-    buffer_.Insert(d0, entry_point);
-    if (push_down && params.filter->Pass(entry_point)) {
-      passing_.Insert(d0, entry_point);
-    }
-    if (params.use_visited_set) visited_.CheckAndMark(entry_point);
-
-    // Safety bound: without a visited set a node can be re-expanded after
-    // buffer eviction; convergence is monotone but we cap hops anyway.
-    const size_t max_hops = 64 * static_cast<size_t>(window) + 256;
-
-    long idx;
-    while ((idx = buffer_.NextUnexplored()) >= 0 && out->hops < max_hops) {
-      const uint32_t node = buffer_[static_cast<size_t>(idx)].id;
-      buffer_.MarkExplored(static_cast<size_t>(idx));
-      ++out->hops;
-
-      const uint32_t* nbrs = graph_->neighbors(node);
-      const uint32_t deg = graph_->degree(node);
-
-      // Software prefetch schedule (Sec. 5): keep the prefetch pointer
-      // `offset + step` vectors ahead of the compute pointer. step==0 and
-      // offset==0 disables prefetching entirely.
-      const uint32_t lookahead = params.prefetch_offset + params.prefetch_step;
-
-      // Next-hop prefetch: NextUnexplored() is an idempotent cursor peek,
-      // so the likely next expansion is known now — issue its adjacency
-      // row and vector fetch to overlap with this node's distance
-      // computations. On a mapped (out-of-core) index this is what turns a
-      // cold page fault into work hidden behind compute; on a resident
-      // index it is an ordinary cache-line prefetch. An Insert below can
-      // still supersede the peeked candidate — the prefetch is then merely
-      // wasted, never wrong.
-      if (lookahead > 0) {
-        const long next = buffer_.NextUnexplored();
-        if (next >= 0) {
-          const uint32_t next_node = buffer_[static_cast<size_t>(next)].id;
-          graph_->PrefetchAdjacency(next_node);
-          storage_->Prefetch(next_node);
-        }
-      }
-      uint32_t pf = 0;
-      if (lookahead > 0) {
-        const uint32_t warm = std::min(deg, lookahead);
-        for (; pf < warm; ++pf) storage_->Prefetch(nbrs[pf]);
-      }
-      for (uint32_t t = 0; t < deg; ++t) {
-        if (lookahead > 0) {
-          const uint32_t target = std::min(deg, t + 1 + lookahead);
-          for (; pf < target; ++pf) storage_->Prefetch(nbrs[pf]);
-        }
-        const uint32_t cand = nbrs[t];
-        if (params.use_visited_set && !visited_.CheckAndMark(cand)) continue;
-        const float d = storage_->Distance(query_state_, cand);
-        ++out->distance_computations;
-        buffer_.Insert(d, cand);
-        if (push_down && params.filter->Pass(cand)) passing_.Insert(d, cand);
-      }
-    }
-
+    Traverse<PlainRows>(*graph_, *storage_, query_state_, entry_point, p,
+                        &st_);
+    out->distance_computations = st_.distance_computations;
+    out->hops = st_.hops;
     ExtractTopK(k, params, out);
   }
 
   /// Accumulated candidates of the last search (ids in ascending-distance
   /// order); used by the graph builder as the pruning candidate pool.
-  const SearchBuffer& buffer() const { return buffer_; }
+  const SearchBuffer& buffer() const { return st_.buffer; }
 
   const typename Storage::Query& query_state() const { return query_state_; }
 
  private:
-  void EnsureVisitedCapacity() {
-    if (visited_capacity_ != storage_->size()) {
-      visited_.Resize(storage_->size());
-      visited_capacity_ = storage_->size();
-    }
-  }
-
   /// Selects the k results. With a second level present and rerank enabled,
   /// re-scores the top `rerank_window` candidates (all W when 0) through the
-  /// shared Reranker seam (graph/reranker.h) first. The buffer is sorted by
+  /// shared Reranker seam (graph/reranker.h) first. The pool is sorted by
   /// primary distance, so a partial depth re-ranks the most promising
-  /// prefix.
+  /// prefix. Filtered searches select from the predicate survivors only, so
+  /// the re-rank never spends FullDistance gathers on failing candidates.
   void ExtractTopK(size_t k, const SearchParams& params, SearchResult* out) {
     if (params.filter != nullptr) {
-      ExtractTopKFiltered(k, params, out);
-      return;
-    }
-    const size_t m = RerankDepth(buffer_.size(), k, params.rerank_window);
-    const size_t kk = std::min(k, m);
-    if (params.rerank && storage_->has_second_level() && m > 0) {
-      RescoreCandidates(*storage_, query_state_, buffer_, m,
-                        /*sorted_prefix=*/kk, scratch_.data(), &rerank_);
-      EmitRescored(
-          rerank_, kk, [](uint32_t) { return false; }, &out->ids, &out->dists);
-      return;
-    }
-    out->ids.resize(kk);
-    out->dists.resize(kk);
-    for (size_t i = 0; i < kk; ++i) {
-      out->ids[i] = buffer_[i].id;
-      out->dists[i] = buffer_[i].dist;
+      CollectSurvivors(st_, *params.filter, params.filter_push_down,
+                       &survivors_);
+      EmitTopK(survivors_, k, params, out);
+    } else {
+      EmitTopK(st_.buffer, k, params, out);
     }
   }
 
-  /// Filtered selection. Survivors come from the passing_ buffer (push-down:
-  /// already predicate-gated) or from filtering buffer_ (post-filter), and
-  /// only those survivors enter the two-level re-score — the re-rank
-  /// epilogue never spends FullDistance gathers on failing candidates.
-  void ExtractTopKFiltered(size_t k, const SearchParams& params,
-                           SearchResult* out) {
-    survivors_.clear();
-    if (params.filter_push_down) {
-      for (size_t i = 0; i < passing_.size(); ++i) {
-        survivors_.push_back(passing_[i]);
-      }
-    } else {
-      for (size_t i = 0; i < buffer_.size(); ++i) {
-        if (params.filter->Pass(buffer_[i].id)) {
-          survivors_.push_back(buffer_[i]);
-        }
-      }
-    }
-    const size_t m = RerankDepth(survivors_.size(), k, params.rerank_window);
+  template <typename Pool>
+  void EmitTopK(const Pool& pool, size_t k, const SearchParams& params,
+                SearchResult* out) {
+    const size_t m = RerankDepth(pool.size(), k, params.rerank_window);
     const size_t kk = std::min(k, m);
     if (params.rerank && storage_->has_second_level() && m > 0) {
-      RescoreCandidates(*storage_, query_state_, survivors_, m,
+      RescoreCandidates(*storage_, query_state_, pool, m,
                         /*sorted_prefix=*/kk, scratch_.data(), &rerank_);
       EmitRescored(
           rerank_, kk, [](uint32_t) { return false; }, &out->ids, &out->dists);
@@ -228,18 +294,15 @@ class GreedySearcher {
     out->ids.resize(kk);
     out->dists.resize(kk);
     for (size_t i = 0; i < kk; ++i) {
-      out->ids[i] = survivors_[i].id;
-      out->dists[i] = survivors_[i].dist;
+      out->ids[i] = pool[i].id;
+      out->dists[i] = pool[i].dist;
     }
   }
 
   const FlatGraph* graph_;
   const Storage* storage_;
-  SearchBuffer buffer_;
-  SearchBuffer passing_;  ///< predicate-passing results (push-down mode)
+  TraversalState st_;
   typename Storage::Query query_state_;
-  VisitedSet visited_;
-  size_t visited_capacity_ = 0;
   std::vector<float> scratch_;
   std::vector<std::pair<float, uint32_t>> rerank_;
   std::vector<SearchBuffer::Entry> survivors_;  ///< filtered extraction pool

@@ -106,6 +106,7 @@ class VisitedSet {
   explicit VisitedSet(size_t n = 0) : stamps_(n, 0) {}
 
   void Resize(size_t n) { stamps_.assign(n, 0); }
+  size_t size() const { return stamps_.size(); }
 
   /// Invalidates all marks (start of a new query).
   void NextQuery() {

@@ -205,8 +205,7 @@ class DynamicPooledSearcher : public Searcher {
         res_.hops = 0;
       }
     } else {
-      index_->Search(query, k, params.window, &res_, &scratch_, params.rerank,
-                     params.rerank_window);
+      index_->Search(query, k, ToSearchParams(params, k), &res_, &scratch_);
     }
     WritePaddedRow(res_.ids.data(), res_.dists.data(), res_.ids.size(), k,
                    ids, dists);
@@ -230,8 +229,8 @@ class DynamicPooledSearcher : public Searcher {
     // churn can shift true selectivity away from a cached estimate — the
     // cost is a suboptimal strategy pick, never a wrong result — so the
     // cache also expires with the index size.
-    const uint32_t window =
-        std::max<uint32_t>(params.window, static_cast<uint32_t>(k));
+    SearchParams sp = ToSearchParams(params, k);
+    const uint32_t window = sp.window;
     const size_t live = index_->live_size();
     if (!(plan_valid_ && plan_filter_ == params.filter &&
           plan_strategy_req_ == params.filter_strategy &&
@@ -253,12 +252,12 @@ class DynamicPooledSearcher : public Searcher {
         ResolveWidenCap(params.filter_widen_cap, live, window);
     // In-search starts from the selectivity-boosted window (see
     // ResolveInSearchWindow); post-filtering widens from the caller's.
-    const uint32_t window0 =
-        plan_push_down_ ? ResolveInSearchWindow(plan_selectivity_, k, window,
-                                                cap)
-                        : window;
-    index_->Search(query, k, window0, &res_, &scratch_, params.rerank,
-                   params.rerank_window, &view, plan_push_down_, cap);
+    sp.window = plan_push_down_ ? ResolveInSearchWindow(plan_selectivity_, k,
+                                                        window, cap)
+                                : window;
+    sp.filter = &view;
+    sp.filter_push_down = plan_push_down_;
+    index_->Search(query, k, sp, &res_, &scratch_, cap);
     return true;
   }
 
@@ -278,9 +277,9 @@ class DynamicPooledSearcher : public Searcher {
 
 /// SearchIndex facade over a DynamicGraphIndex of any storage, so the
 /// engine (and the eval harness) can serve a mutating index — float32 or
-/// compressed LVQ — through the same seam. SearchOptions::window maps to
-/// the dynamic search window and SearchOptions::rerank to the two-level
-/// re-ranking pass; per-thread SearchScratch is pooled through
+/// compressed LVQ — through the same seam. SearchOptions maps through
+/// ToSearchParams like the static index's (window, prefetch schedule,
+/// visited set, re-rank knobs); per-thread SearchScratch is pooled through
 /// MakeSearcher(). Reads are safe concurrently with writers — see
 /// graph/dynamic.h.
 template <typename Storage>

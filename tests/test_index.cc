@@ -3,6 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "filter/synthetic.h"
+#include "graph/dynamic.h"
+#include "serve/engine.h"
 #include "testutil.h"
 
 namespace blink {
@@ -59,24 +68,104 @@ TEST(Index, VisitedSetDoesNotChangeAccuracy) {
   const double without = RecallOf(*idx, f, 48, true, false);
   const double with = RecallOf(*idx, f, 48, true, true);
   EXPECT_NEAR(without, with, 0.02);
+
+  // The dynamic index honors the knob too (its traversal is the same loop).
+  DynamicOptions opts;
+  opts.graph_max_degree = 24;
+  opts.build_window = 48;
+  opts.metric = f.data.metric;
+  DynamicIndex dyn(f.data.base.cols(), opts);
+  for (size_t i = 0; i < f.data.base.rows(); ++i) {
+    dyn.Insert(f.data.base.row(i));
+  }
+  const DynamicIndexView view(&dyn);
+  EXPECT_NEAR(RecallOf(view, f, 48, true, false),
+              RecallOf(view, f, 48, true, true), 0.02);
+}
+
+/// Every prefetch schedule must return bit-identical ids and distances:
+/// prefetches change when bytes arrive, never what is scored.
+void ExpectPrefetchInvariant(const SearchIndex& idx, MatrixViewF queries,
+                             std::shared_ptr<const Predicate> filter,
+                             FilterStrategy strategy, const std::string& what) {
+  const size_t k = 10;
+  const size_t n = queries.rows * k;
+  std::vector<uint32_t> ref_ids(n), ids(n);
+  std::vector<float> ref_dists(n), dists(n);
+  const std::pair<uint32_t, uint32_t> schedules[] = {
+      {0, 0}, {4, 8}, {1, 2}, {0, 64}};  // first = no prefetch
+  for (const auto& [offset, step] : schedules) {
+    RuntimeParams p;
+    p.window = 40;
+    p.prefetch_offset = offset;
+    p.prefetch_step = step;
+    p.filter = filter;
+    p.filter_strategy = strategy;
+    const bool first = offset == 0 && step == 0;
+    idx.SearchBatchEx(queries, k, p, first ? ref_ids.data() : ids.data(),
+                      first ? ref_dists.data() : dists.data(), nullptr);
+    if (first) continue;
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(ids[i], ref_ids[i]) << what << " " << offset << "_" << step
+                                    << " at " << i;
+      ASSERT_EQ(std::memcmp(&dists[i], &ref_dists[i], sizeof(float)), 0)
+          << what << " " << offset << "_" << step << " at " << i;
+    }
+  }
+}
+
+/// Unfiltered, push-down and post-filter searches of one index.
+void ExpectPrefetchInvariantAllModes(const SearchIndex& idx,
+                                     MatrixViewF queries,
+                                     const std::string& what) {
+  auto pred = std::make_shared<const Predicate>(
+      Predicate::Parse("num0<0.2").value());
+  ExpectPrefetchInvariant(idx, queries, nullptr, FilterStrategy::kAuto, what);
+  ExpectPrefetchInvariant(idx, queries, pred, FilterStrategy::kInSearch,
+                          what + " push-down");
+  ExpectPrefetchInvariant(idx, queries, pred, FilterStrategy::kPostFilter,
+                          what + " post-filter");
 }
 
 TEST(Index, PrefetchSettingsDoNotChangeResults) {
   Fixture f(MakeDeepLike(2000, 50, 25));
+  auto md = std::make_shared<MetadataStore>(
+      MakeSyntheticMetadata(f.data.base.rows(), {ColumnType::kF64}, 25));
   auto idx = BuildOgLvq(f.data.base, f.data.metric, 8, 0, f.bp);
-  const size_t k = 10;
-  RuntimeParams a, b;
-  a.window = b.window = 40;
-  a.prefetch_offset = 0;
-  a.prefetch_step = 0;  // no prefetch
-  b.prefetch_offset = 4;
-  b.prefetch_step = 8;
-  Matrix<uint32_t> ia(f.data.queries.rows(), k), ib(f.data.queries.rows(), k);
-  idx->SearchBatch(f.data.queries, k, a, ia.data());
-  idx->SearchBatch(f.data.queries, k, b, ib.data());
-  for (size_t i = 0; i < ia.size(); ++i) {
-    ASSERT_EQ(ia.data()[i], ib.data()[i]) << i;
+  ASSERT_TRUE(idx->AttachMetadata(md).ok());
+  ExpectPrefetchInvariantAllModes(*idx, f.data.queries, "static");
+}
+
+TEST(Index, PrefetchSettingsDoNotChangeDynamicResults) {
+  Fixture f(MakeDeepLike(1500, 40, 29));
+  const size_t dim = f.data.base.cols();
+  DynamicOptions opts;
+  opts.graph_max_degree = 24;
+  opts.build_window = 48;
+  opts.metric = f.data.metric;
+  DynamicLvqDataset::Options lo;
+  lo.bits1 = 8;
+  lo.mean = DynamicLvqDataset::SampleMean(f.data.base);
+  DynamicIndex f32(dim, opts);
+  DynamicLvqIndex lvq(dim, opts, DynamicLvqStorage(dim, opts.metric, lo));
+  for (size_t i = 0; i < f.data.base.rows(); ++i) {
+    f32.Insert(f.data.base.row(i));
+    lvq.Insert(f.data.base.row(i));
   }
+  for (uint32_t id = 0; id < f.data.base.rows(); id += 11) {
+    ASSERT_TRUE(f32.Delete(id).ok());
+    ASSERT_TRUE(lvq.Delete(id).ok());
+  }
+  auto md = [&] {
+    return std::make_shared<MetadataStore>(
+        MakeSyntheticMetadata(f.data.base.rows(), {ColumnType::kF64}, 29));
+  };
+  ASSERT_TRUE(f32.AttachMetadata(md()).ok());
+  ASSERT_TRUE(lvq.AttachMetadata(md()).ok());
+  ExpectPrefetchInvariantAllModes(DynamicIndexView(&f32), f.data.queries,
+                                  "dynamic-f32");
+  ExpectPrefetchInvariantAllModes(DynamicLvqIndexView(&lvq), f.data.queries,
+                                  "dynamic-lvq");
 }
 
 TEST(Index, InnerProductMetricWorks) {
