@@ -498,9 +498,8 @@ Result<Index> OpenDynamic(const std::string& path, const OpenOptions& opts) {
 
 template <typename Storage>
 Result<Index> MakeStatic(Storage storage, BuiltGraph graph, IndexSpec spec,
-                         bool self_described,
-                         std::vector<MmapFile> mappings = {},
-                         std::shared_ptr<const MetadataStore> metadata = {}) {
+                         bool self_described, std::vector<MmapFile> mappings,
+                         std::shared_ptr<const MetadataStore> metadata) {
   spec.graph.graph_max_degree = graph.graph.max_degree();
   auto idx = std::make_unique<VamanaIndex<Storage>>(
       std::move(storage), std::move(graph), spec.graph);
@@ -514,37 +513,42 @@ Result<Index> MakeStatic(Storage storage, BuiltGraph graph, IndexSpec spec,
       std::move(mappings)));
 }
 
-/// Map-mode static open: both bundle files are v3-aligned (the caller
-/// checked), so graph and vectors are served straight from read-only
-/// mappings; the flavor keeps the MmapFiles alive alongside the index.
-Result<Index> OpenStaticMapped(const std::string& prefix,
-                               const OpenOptions& opts) {
+/// Static open (DESIGN.md D12): maps `<prefix>.graph`, `.vecs` and any
+/// `.meta` sidecar once, sniffs the encoding from the mapped bytes, and
+/// runs each container's one parser. The parsers view the mapped sections
+/// in place only under kMap with both bundle files in the aligned v3
+/// layout — then the flavor keeps the mappings alive next to the index.
+/// Otherwise (kLoad, or a v1/v2 bundle under kMap) they copy into owned
+/// arenas and the mappings drop when Open returns; the spec records the
+/// mode in effect.
+Result<Index> OpenStatic(const std::string& prefix, const OpenOptions& opts) {
+  const bool map_mode = opts.load_mode == LoadMode::kMap;
   MmapFile::Options mopts;
-  mopts.random = true;  // greedy search touches pages in graph order
-  mopts.huge_pages = opts.use_huge_pages;
+  mopts.random = map_mode;  // greedy search touches pages in graph order
+  mopts.huge_pages = map_mode && opts.use_huge_pages;
   const std::string graph_path = prefix + ".graph";
   const std::string vecs_path = prefix + ".vecs";
   Result<MmapFile> gmap = MmapFile::Map(graph_path, mopts);
   if (!gmap.ok()) return gmap.status();
   Result<MmapFile> vmap = MmapFile::Map(vecs_path, mopts);
   if (!vmap.ok()) return vmap.status();
+  const Placement place{.view = map_mode && IsAlignedArtifact(gmap.value()) &&
+                                IsAlignedArtifact(vmap.value()),
+                        .use_huge_pages = opts.use_huge_pages};
 
   IndexMeta meta;
   bool has_meta = false;
   Result<BuiltGraph> graph =
-      MapGraph(gmap.value(), graph_path, &meta, &has_meta);
+      ReadGraph(gmap.value(), graph_path, place, &meta, &has_meta);
   if (!graph.ok()) return graph.status();
   IndexSpec spec;
   spec.metric = has_meta ? meta.metric : opts.fallback_metric;
   spec.graph = has_meta ? meta.params : opts.fallback_graph;
-  spec.load_mode = LoadMode::kMap;
+  spec.load_mode = place.view ? LoadMode::kMap : LoadMode::kLoad;
 
+  // The metadata sidecar follows the bundle's placement: a view's column
+  // pointers alias the mapping, which the flavor then keeps alive too.
   std::vector<MmapFile> mappings;
-  mappings.push_back(std::move(gmap).value());
-  mappings.push_back(std::move(vmap).value());
-
-  // The metadata sidecar maps too: the store's column pointers alias the
-  // mapping, which the flavor keeps alive alongside graph and vectors.
   std::shared_ptr<const MetadataStore> metadata;
   const std::string meta_path = prefix + ".meta";
   if (IsMetadataFile(meta_path)) {
@@ -552,147 +556,70 @@ Result<Index> OpenStaticMapped(const std::string& prefix,
     if (!mmeta.ok()) return mmeta.status();
     Result<MetadataStore> md = MapMetadata(mmeta.value());
     if (!md.ok()) return md.status();
-    metadata = std::make_shared<const MetadataStore>(std::move(md).value());
-    mappings.push_back(std::move(mmeta).value());
+    metadata = std::make_shared<const MetadataStore>(
+        place.view ? std::move(md).value() : md.value().OwnedCopy());
+    if (place.view) mappings.push_back(std::move(mmeta).value());
   }
-  const MmapFile& vm = mappings[1];
 
-  Result<VecsEncoding> enc = PeekVecsEncoding(vecs_path);
+  const MmapFile& vm = vmap.value();
+  Result<VecsEncoding> enc = PeekVecsEncoding(vm, vecs_path);
   if (!enc.ok()) return enc.status();
+  auto make = [&](auto storage) {
+    if (place.view) {
+      mappings.push_back(std::move(gmap).value());
+      mappings.push_back(std::move(vmap).value());
+    }
+    return MakeStatic(std::move(storage), std::move(graph).value(),
+                      std::move(spec), has_meta, std::move(mappings),
+                      std::move(metadata));
+  };
   switch (enc.value()) {
     case VecsEncoding::kLvq1: {
-      auto ds = MapLvq(vm, vecs_path);
+      auto ds = ReadLvq(vm, vecs_path, place);
       if (!ds.ok()) return ds.status();
       spec.kind = IndexKind::kStaticLvq;
       spec.bits1 = ds.value().bits();
       spec.bits2 = 0;
-      return MakeStatic(LvqStorage(std::move(ds).value(), spec.metric),
-                        std::move(graph).value(), std::move(spec), has_meta,
-                        std::move(mappings), metadata);
+      return make(LvqStorage(std::move(ds).value(), spec.metric));
     }
     case VecsEncoding::kLvq2: {
-      auto ds = MapLvq2(vm, vecs_path);
+      auto ds = ReadLvq2(vm, vecs_path, place);
       if (!ds.ok()) return ds.status();
       spec.kind = IndexKind::kStaticLvq;
       spec.bits1 = ds.value().bits1();
       spec.bits2 = ds.value().bits2();
-      return MakeStatic(LvqStorage(std::move(ds).value(), spec.metric),
-                        std::move(graph).value(), std::move(spec), has_meta,
-                        std::move(mappings), metadata);
+      return make(LvqStorage(std::move(ds).value(), spec.metric));
     }
     case VecsEncoding::kFloat32: {
-      auto st = MapFloatVecs(vm, vecs_path, spec.metric);
+      auto st = ReadFloatVecs(vm, vecs_path, spec.metric, place);
       if (!st.ok()) return st.status();
       spec.kind = IndexKind::kStaticF32;
-      return MakeStatic(std::move(st).value(), std::move(graph).value(),
-                        std::move(spec), has_meta, std::move(mappings), metadata);
+      return make(std::move(st).value());
     }
     case VecsEncoding::kFloat16: {
-      auto st = MapF16Vecs(vm, vecs_path, spec.metric);
+      auto st = ReadF16Vecs(vm, vecs_path, spec.metric, place);
       if (!st.ok()) return st.status();
       spec.kind = IndexKind::kStaticF16;
-      return MakeStatic(std::move(st).value(), std::move(graph).value(),
-                        std::move(spec), has_meta, std::move(mappings), metadata);
+      return make(std::move(st).value());
     }
     case VecsEncoding::kLeanVecF32: {
-      auto st = MapLeanVecVecs(vm, vecs_path, spec.metric);
+      auto st = ReadLeanVecVecs(vm, vecs_path, spec.metric, place);
       if (!st.ok()) return st.status();
       spec.kind = IndexKind::kStaticLeanVec;
       spec.leanvec_dim = st.value().primary_dim();
-      return MakeStatic(std::move(st).value(), std::move(graph).value(),
-                        std::move(spec), has_meta, std::move(mappings), metadata);
+      return make(std::move(st).value());
     }
     case VecsEncoding::kLeanVecLvq: {
-      auto st = MapLeanVecLvqVecs(vm, vecs_path, spec.metric);
+      auto st = ReadLeanVecLvqVecs(vm, vecs_path, spec.metric, place);
       if (!st.ok()) return st.status();
       spec.kind = IndexKind::kStaticLeanVecLvq;
       spec.leanvec_dim = st.value().primary_dim();
       spec.bits1 = st.value().primary().level1().bits();
       spec.bits2 = 0;
-      return MakeStatic(std::move(st).value(), std::move(graph).value(),
-                        std::move(spec), has_meta, std::move(mappings), metadata);
+      return make(std::move(st).value());
     }
   }
   return Status::Internal(vecs_path + ": unhandled vecs encoding");
-}
-
-Result<Index> OpenStatic(const std::string& prefix, const OpenOptions& opts) {
-  // Map mode needs both files in the aligned v3 layout; anything older
-  // heap-loads below exactly as before (spec records the fallback).
-  if (opts.load_mode == LoadMode::kMap &&
-      IsMappableArtifact(prefix + ".graph") &&
-      IsMappableArtifact(prefix + ".vecs")) {
-    return OpenStaticMapped(prefix, opts);
-  }
-  IndexMeta meta;
-  bool has_meta = false;
-  Result<BuiltGraph> graph =
-      LoadGraph(prefix + ".graph", opts.use_huge_pages, &meta, &has_meta);
-  if (!graph.ok()) return graph.status();
-  IndexSpec spec;
-  spec.metric = has_meta ? meta.metric : opts.fallback_metric;
-  spec.graph = has_meta ? meta.params : opts.fallback_graph;
-
-  auto sidecar = LoadSidecar(prefix + ".meta");
-  if (!sidecar.ok()) return sidecar.status();
-  std::shared_ptr<const MetadataStore> metadata = std::move(sidecar).value();
-
-  const std::string vecs = prefix + ".vecs";
-  Result<VecsEncoding> enc = PeekVecsEncoding(vecs);
-  if (!enc.ok()) return enc.status();
-  switch (enc.value()) {
-    case VecsEncoding::kLvq1: {
-      auto ds = LoadLvq(vecs, opts.use_huge_pages);
-      if (!ds.ok()) return ds.status();
-      spec.kind = IndexKind::kStaticLvq;
-      spec.bits1 = ds.value().bits();
-      spec.bits2 = 0;
-      return MakeStatic(LvqStorage(std::move(ds).value(), spec.metric),
-                        std::move(graph).value(), std::move(spec), has_meta, {}, metadata);
-    }
-    case VecsEncoding::kLvq2: {
-      auto ds = LoadLvq2(vecs, opts.use_huge_pages);
-      if (!ds.ok()) return ds.status();
-      spec.kind = IndexKind::kStaticLvq;
-      spec.bits1 = ds.value().bits1();
-      spec.bits2 = ds.value().bits2();
-      return MakeStatic(LvqStorage(std::move(ds).value(), spec.metric),
-                        std::move(graph).value(), std::move(spec), has_meta, {}, metadata);
-    }
-    case VecsEncoding::kFloat32: {
-      auto st = LoadFloatVecs(vecs, spec.metric, opts.use_huge_pages);
-      if (!st.ok()) return st.status();
-      spec.kind = IndexKind::kStaticF32;
-      return MakeStatic(std::move(st).value(), std::move(graph).value(),
-                        std::move(spec), has_meta, {}, metadata);
-    }
-    case VecsEncoding::kFloat16: {
-      auto st = LoadF16Vecs(vecs, spec.metric, opts.use_huge_pages);
-      if (!st.ok()) return st.status();
-      spec.kind = IndexKind::kStaticF16;
-      return MakeStatic(std::move(st).value(), std::move(graph).value(),
-                        std::move(spec), has_meta, {}, metadata);
-    }
-    case VecsEncoding::kLeanVecF32: {
-      auto st = LoadLeanVecVecs(vecs, spec.metric, opts.use_huge_pages);
-      if (!st.ok()) return st.status();
-      spec.kind = IndexKind::kStaticLeanVec;
-      spec.leanvec_dim = st.value().primary_dim();
-      return MakeStatic(std::move(st).value(), std::move(graph).value(),
-                        std::move(spec), has_meta, {}, metadata);
-    }
-    case VecsEncoding::kLeanVecLvq: {
-      auto st = LoadLeanVecLvqVecs(vecs, spec.metric, opts.use_huge_pages);
-      if (!st.ok()) return st.status();
-      spec.kind = IndexKind::kStaticLeanVecLvq;
-      spec.leanvec_dim = st.value().primary_dim();
-      spec.bits1 = st.value().primary().level1().bits();
-      spec.bits2 = 0;
-      return MakeStatic(std::move(st).value(), std::move(graph).value(),
-                        std::move(spec), has_meta, {}, metadata);
-    }
-  }
-  return Status::Internal(vecs + ": unhandled vecs encoding");
 }
 
 }  // namespace

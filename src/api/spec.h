@@ -36,14 +36,15 @@ enum class IndexKind {
 /// the tools' --kind flag both speak it.
 const char* KindName(IndexKind kind);
 
-/// How Open() materializes an artifact's payload (DESIGN.md D12).
-/// kLoad copies everything onto the heap (the pre-v3 behavior); kMap
-/// serves the static flavors straight out of a read-only file mapping —
-/// near-instant open on a warm page cache, and datasets larger than
-/// resident memory stay servable because the kernel pages vectors in and
-/// out on demand. Requesting kMap is a hint: sharded and dynamic flavors,
-/// and pre-v3 (unaligned) artifacts, silently fall back to kLoad, and the
-/// spec records the mode actually in effect.
+/// How Open() materializes an artifact's payload (DESIGN.md D12). Both
+/// modes map the file and run the same parser; they differ only in its
+/// last step. kLoad copies every section into owned (huge-page) arenas and
+/// drops the mapping; kMap serves the static flavors straight out of the
+/// read-only mapping — near-instant open on a warm page cache, and
+/// datasets larger than resident memory stay servable because the kernel
+/// pages vectors in and out on demand. Requesting kMap is a hint: sharded
+/// and dynamic flavors, and pre-v3 (unaligned) artifacts, silently fall
+/// back to kLoad, and the spec records the mode actually in effect.
 enum class LoadMode { kLoad, kMap };
 
 /// Stable lowercase name ("load" / "map") for tools and reports.

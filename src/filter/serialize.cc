@@ -26,43 +26,13 @@ bool WritePad(FILE* f, uint64_t* offset) {
   return true;
 }
 
-// Bounds-checked cursor over an in-memory image (the mmap path). The
-// equivalent reader in graph/serialize.cc is file-local, so the metadata
-// sidecar carries its own.
-struct Cursor {
-  const uint8_t* base;
-  size_t size;
-  size_t pos = 0;
-
-  template <typename T>
-  bool Read(T* out) {
-    if (size - pos < sizeof(T)) return false;
-    std::memcpy(out, base + pos, sizeof(T));
-    pos += sizeof(T);
-    return true;
-  }
-  bool Align() {
-    const size_t aligned = (pos + kSectionAlign - 1) & ~(kSectionAlign - 1);
-    if (aligned > size) return false;
-    pos = aligned;
-    return true;
-  }
-  // A 64-byte-aligned run of `bytes`, or nullptr if out of bounds.
-  const uint8_t* Section(size_t bytes) {
-    if (!Align() || size - pos < bytes) return nullptr;
-    const uint8_t* p = base + pos;
-    pos += bytes;
-    return p;
-  }
-};
-
 struct MetaHeader {
   uint64_t n = 0;
   std::vector<ColumnType> types;
 };
 
-// Parses the fixed header through a Cursor; shared by both load modes.
-Status ReadHeader(Cursor* c, MetaHeader* out) {
+// Parses the fixed header; shared by both load modes.
+Status ReadHeader(binio::ByteReader* c, MetaHeader* out) {
   uint32_t magic = 0, version = 0, num_cols = 0, reserved = 0;
   if (!c->Read(&magic) || magic != kMetaMagic)
     return Status::InvalidArgument("metadata: bad magic (not a BLMD file)");
@@ -81,6 +51,11 @@ Status ReadHeader(Cursor* c, MetaHeader* out) {
     out->types[i] = static_cast<ColumnType>(t);
   }
   return Status::OK();
+}
+
+// A 64-byte-aligned run of `bytes`, or nullptr if out of bounds.
+const uint8_t* Section(binio::ByteReader* c, size_t bytes) {
+  return c->Align(kSectionAlign) ? c->Take(bytes) : nullptr;
 }
 
 }  // namespace
@@ -117,36 +92,33 @@ Status SaveMetadata(const std::string& path, const MetadataStore& store,
 }
 
 Result<MetadataStore> LoadMetadata(const std::string& path) {
-  // Heap mode reuses the mmap parser on a transient private mapping; the
-  // Slice at the end copies every cell into owned storage.
+  // Heap mode reuses the mmap parser on a transient private mapping, then
+  // copies every cell into owned storage.
   auto map = MmapFile::Map(path);
   BLINK_RETURN_NOT_OK(map.status());
   auto view = MapMetadata(map.value());
   BLINK_RETURN_NOT_OK(view.status());
-  const MetadataStore& v = view.value();
-  std::vector<uint32_t> all(v.size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
-  return v.Slice(all);
+  return view.value().OwnedCopy();
 }
 
 Result<MetadataStore> MapMetadata(const MmapFile& map) {
-  Cursor c{map.data(), map.size()};
+  binio::ByteReader c(map.data(), map.size());
   MetaHeader h;
   BLINK_RETURN_NOT_OK(ReadHeader(&c, &h));
   if (h.n > (uint64_t{1} << 32))
     return Status::InvalidArgument("metadata: implausible row count");
   const size_t run = static_cast<size_t>(h.n) * sizeof(uint64_t);
-  const uint8_t* tags = c.Section(run);
+  const uint8_t* tags = Section(&c, run);
   if (tags == nullptr)
     return Status::InvalidArgument("metadata: truncated tags section");
   std::vector<const uint64_t*> cols(h.types.size());
   for (size_t i = 0; i < cols.size(); ++i) {
-    const uint8_t* col = c.Section(run);
+    const uint8_t* col = Section(&c, run);
     if (col == nullptr)
       return Status::InvalidArgument("metadata: truncated column section");
     cols[i] = reinterpret_cast<const uint64_t*>(col);
   }
-  if (c.pos != c.size)
+  if (c.remaining() != 0)
     return Status::InvalidArgument("metadata: trailing bytes after sections");
   return MetadataStore::FromExternal(static_cast<size_t>(h.n),
                                      std::move(h.types),

@@ -11,9 +11,7 @@ namespace blink {
 
 namespace {
 
-using binio::File;
-using binio::ReadAll;
-using binio::ReadPod;
+using binio::ByteReader;
 using binio::WriteAll;
 using binio::WritePod;
 
@@ -55,20 +53,6 @@ Status MetricFromWire(uint32_t w, Metric* out, const std::string& path) {
   return Status::OK();
 }
 
-/// Bytes between the stream position and end-of-file, so loaders can
-/// reject a corrupt header whose counts imply more payload than the file
-/// holds *before* sizing any allocation from them (cf. the manifest
-/// loader's file-size check). 0 on a non-seekable stream keeps the
-/// check permissive there (plain files are the only real input).
-uint64_t RemainingBytes(FILE* f) {
-  const long pos = std::ftell(f);
-  if (pos < 0) return 0;
-  if (std::fseek(f, 0, SEEK_END) != 0) return 0;
-  const long end = std::ftell(f);
-  std::fseek(f, pos, SEEK_SET);
-  return end > pos ? static_cast<uint64_t>(end - pos) : 0;
-}
-
 /// Zero-pads the stream to the next kSectionAlign file offset (v3 writers).
 bool WriteSectionPad(FILE* f) {
   const long pos = std::ftell(f);
@@ -79,64 +63,21 @@ bool WriteSectionPad(FILE* f) {
   return WriteAll(f, zeros, kSectionAlign - rem);
 }
 
-/// Consumes the v3 section padding on the read side.
-bool SkipSectionPad(FILE* f) {
-  const long pos = std::ftell(f);
-  if (pos < 0) return false;
-  const size_t rem = static_cast<size_t>(pos) % kSectionAlign;
-  return rem == 0 || std::fseek(f, kSectionAlign - rem, SEEK_CUR) == 0;
+/// Maps `path` for a parse whose sections are copied out and the mapping
+/// then dropped (kLoad): the copy reads front to back, so the kernel's
+/// default readahead is kept.
+Result<MmapFile> MapForCopy(const std::string& path) {
+  MmapFile::Options opts;
+  opts.random = false;
+  opts.huge_pages = false;
+  return MmapFile::Map(path, opts);
 }
 
-/// Bounds-checked cursor over a mapped artifact — the ByteReader twin of
-/// the FILE* helpers, for loaders that parse headers in place.
-class ByteReader {
- public:
-  ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  bool Read(T* v) {
-    if (sizeof(T) > size_ - off_) return false;
-    std::memcpy(v, data_ + off_, sizeof(T));
-    off_ += sizeof(T);
-    return true;
-  }
-
-  bool ReadBytes(void* out, size_t bytes) {
-    if (bytes > size_ - off_) return false;
-    std::memcpy(out, data_ + off_, bytes);
-    off_ += bytes;
-    return true;
-  }
-
-  bool Align(size_t alignment) {
-    const size_t rem = off_ % alignment;
-    if (rem == 0) return true;
-    const size_t pad = alignment - rem;
-    if (pad > size_ - off_) return false;
-    off_ += pad;
-    return true;
-  }
-
-  /// Consumes `bytes` without copying (in-place payload sections).
-  bool Advance(size_t bytes) {
-    if (bytes > size_ - off_) return false;
-    off_ += bytes;
-    return true;
-  }
-
-  const uint8_t* cursor() const { return data_ + off_; }
-  size_t remaining() const { return size_ - off_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t off_ = 0;
-};
-
-/// Lets the header-parsing templates below read from either stream kind.
-template <typename T>
-bool ReadPod(ByteReader* r, T* v) {
-  return r->Read(v);
+/// The placement step every parser ends with: a section is served from
+/// the mapping in place only when the caller asked for a view and the
+/// file has the aligned v3 layout; otherwise it is copied.
+bool Views(const Placement& place, uint32_t version) {
+  return place.view && version == kVersionAligned;
 }
 
 Status SaveLvqTo(FILE* f, const LvqDataset& ds, const std::string& path) {
@@ -154,85 +95,44 @@ Status SaveLvqTo(FILE* f, const LvqDataset& ds, const std::string& path) {
   return Status::OK();
 }
 
-/// Header fields shared by the FILE* and mapped BLAQ readers, validated
-/// identically in both.
-struct LvqHeader {
+/// The one "BLAQ" parser: whole files and the sections nested in "BLA2"
+/// and "BLLV" payloads.
+Result<LvqDataset> ParseLvq(ByteReader* r, const std::string& path,
+                            const Placement& place) {
+  uint32_t magic = 0, version = 0, bits = 0;
   uint64_t n = 0, d = 0, padding = 0;
-  uint32_t version = 0, bits = 0;
-  size_t stride = 0;
-};
-
-template <typename Reader>
-Status ReadLvqHeader(Reader* r, LvqHeader* h, const std::string& path) {
-  uint32_t magic = 0;
-  if (!ReadPod(r, &magic) || magic != kLvqMagic) {
+  if (!r->Read(&magic) || magic != kLvqMagic) {
     return Status::IOError(path + ": bad LVQ magic");
   }
-  if (!ReadPod(r, &h->version) ||
-      (h->version != kVersion && h->version != kVersionAligned)) {
+  if (!r->Read(&version) ||
+      (version != kVersion && version != kVersionAligned)) {
     return Status::IOError(path + ": unsupported LVQ version");
   }
-  if (!ReadPod(r, &h->n) || !ReadPod(r, &h->d) || !ReadPod(r, &h->bits) ||
-      !ReadPod(r, &h->padding) || h->bits < 1 || h->bits > 16 || h->d == 0 ||
-      h->d > (1u << 20) || h->padding > (1u << 20)) {
+  if (!r->Read(&n) || !r->Read(&d) || !r->Read(&bits) ||
+      !r->Read(&padding) || bits < 1 || bits > 16 || d == 0 ||
+      d > (1u << 20) || padding > (1u << 20)) {
     return Status::IOError(path + ": corrupt LVQ header");
   }
-  const size_t raw = LvqDataset::kHeaderBytes +
-                     PackedBytes(h->d, static_cast<int>(h->bits));
-  h->stride = LvqPaddedStride(raw, h->padding);
-  return Status::OK();
-}
-
-Result<LvqDataset> LoadLvqFrom(FILE* f, const std::string& path,
-                               bool use_huge_pages) {
-  LvqHeader h;
-  BLINK_RETURN_NOT_OK(ReadLvqHeader(f, &h, path));
   // The payload is d mean floats + n strided rows; a header that implies
   // more than the file holds must fail like any other corruption, not
-  // drive the allocations below into OOM.
-  const uint64_t remaining = RemainingBytes(f);
-  if (h.d * sizeof(float) > remaining || h.n > remaining) {
+  // drive the allocation below into OOM.
+  const size_t stride = LvqPaddedStride(
+      LvqDataset::kHeaderBytes + PackedBytes(d, static_cast<int>(bits)),
+      padding);
+  std::vector<float> mean(d);
+  const uint8_t* blob = nullptr;
+  if (!r->ReadBytes(mean.data(), d * sizeof(float)) ||
+      (version == kVersionAligned && !r->Align(kSectionAlign)) ||
+      n > r->remaining() / stride || (blob = r->Take(n * stride)) == nullptr) {
     return Status::IOError(path + ": LVQ header disagrees with file size");
   }
-  std::vector<float> mean(h.d);
-  if (!ReadAll(f, mean.data(), h.d * sizeof(float))) {
-    return Status::IOError(path + ": truncated LVQ mean");
+  if (Views(place, version)) {
+    return LvqDataset::FromExternal(n, d, static_cast<int>(bits), padding,
+                                    std::move(mean), blob);
   }
-  if (h.version >= kVersionAligned && !SkipSectionPad(f)) {
-    return Status::IOError(path + ": truncated LVQ section padding");
-  }
-  if (h.n * h.stride > RemainingBytes(f)) {
-    return Status::IOError(path + ": LVQ header disagrees with file size");
-  }
-  std::vector<uint8_t> blob(h.n * h.stride);
-  if (!ReadAll(f, blob.data(), blob.size())) {
-    return Status::IOError(path + ": truncated LVQ payload");
-  }
-  return LvqDataset::FromRaw(h.n, h.d, static_cast<int>(h.bits), h.padding,
-                             std::move(mean), blob.data(), blob.size(),
-                             use_huge_pages);
-}
-
-/// Mapped-path twin of LoadLvqFrom: parses the header from the reader and
-/// returns a dataset viewing the blob section in place.
-Result<LvqDataset> MapLvqFrom(ByteReader* r, const std::string& path) {
-  LvqHeader h;
-  BLINK_RETURN_NOT_OK(ReadLvqHeader(r, &h, path));
-  if (h.version < kVersionAligned) {
-    return Status::Unsupported(path +
-                               ": map mode requires a v3 aligned artifact");
-  }
-  std::vector<float> mean(h.d);
-  if (!r->ReadBytes(mean.data(), h.d * sizeof(float)) ||
-      !r->Align(kSectionAlign) || h.n * h.stride > r->remaining()) {
-    return Status::IOError(path + ": LVQ header disagrees with file size");
-  }
-  const uint8_t* blob = r->cursor();
-  if (!r->Advance(h.n * h.stride)) {
-    return Status::IOError(path + ": truncated LVQ payload");
-  }
-  return LvqDataset::FromExternal(h.n, h.d, static_cast<int>(h.bits),
-                                  h.padding, std::move(mean), blob);
+  return LvqDataset::FromRaw(n, d, static_cast<int>(bits), padding,
+                             std::move(mean), blob, n * stride,
+                             place.use_huge_pages);
 }
 
 /// Shared (n, d) header + raw row payload of the float32/float16 formats.
@@ -248,125 +148,84 @@ Status SaveRawVecs(const std::string& path, uint32_t magic, uint64_t n,
   return f.Commit();
 }
 
-Status LoadRawVecs(const std::string& path, uint32_t magic,
-                   size_t elem_bytes, uint64_t* n, uint64_t* d,
-                   std::vector<uint8_t>* payload) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
-  uint32_t got = 0, version = 0;
-  if (!ReadPod(f.get(), &got) || got != magic) {
-    return Status::IOError(path + ": bad vecs magic");
-  }
-  if (!ReadPod(f.get(), &version) ||
-      (version != kVersion && version != kVersionAligned)) {
-    return Status::IOError(path + ": unsupported vecs version");
-  }
-  if (!ReadPod(f.get(), n) || !ReadPod(f.get(), d) || *d == 0 ||
-      *d > (1u << 20) || *n > (1ull << 40)) {
-    return Status::IOError(path + ": corrupt vecs header");
-  }
-  if (version >= kVersionAligned && !SkipSectionPad(f.get())) {
-    return Status::IOError(path + ": truncated vecs section padding");
-  }
-  // Bound the allocation by what the file can actually hold (a forged
-  // header must fail with a Status, not an OOM).
-  if (*n * *d * elem_bytes > RemainingBytes(f.get())) {
-    return Status::IOError(path + ": vecs header disagrees with file size");
-  }
-  payload->resize(*n * *d * elem_bytes);
-  if (!ReadAll(f.get(), payload->data(), payload->size())) {
-    return Status::IOError(path + ": truncated vecs payload");
-  }
-  return Status::OK();
-}
+/// A parsed float32/float16 payload: its shape, the row section inside
+/// the mapping, and whether that section is to be viewed in place.
+struct RawVecs {
+  uint64_t n = 0, d = 0;
+  const uint8_t* rows = nullptr;
+  bool view = false;
+};
 
-/// Mapped-path twin of LoadRawVecs: validates the v3 header and returns
-/// the in-place row section.
-Status MapRawVecs(const MmapFile& map, const std::string& path,
-                  uint32_t magic, size_t elem_bytes, uint64_t* n,
-                  uint64_t* d, const uint8_t** rows) {
+/// The one "BLAF"/"BLAH" parser.
+Status ParseRawVecs(const MmapFile& map, const std::string& path,
+                    uint32_t magic, size_t elem_bytes, const Placement& place,
+                    RawVecs* out) {
   ByteReader r(map.data(), map.size());
   uint32_t got = 0, version = 0;
   if (!r.Read(&got) || got != magic) {
     return Status::IOError(path + ": bad vecs magic");
   }
-  if (!r.Read(&version)) {
-    return Status::IOError(path + ": truncated vecs header");
+  if (!r.Read(&version) ||
+      (version != kVersion && version != kVersionAligned)) {
+    return Status::IOError(path + ": unsupported vecs version");
   }
-  if (version < kVersionAligned) {
-    return Status::Unsupported(path +
-                               ": map mode requires a v3 aligned artifact");
-  }
-  if (version != kVersionAligned || !r.Read(n) || !r.Read(d) || *d == 0 ||
-      *d > (1u << 20) || *n > (1ull << 40)) {
+  if (!r.Read(&out->n) || !r.Read(&out->d) || out->d == 0 ||
+      out->d > (1u << 20) || out->n > (1ull << 40)) {
     return Status::IOError(path + ": corrupt vecs header");
   }
-  if (!r.Align(kSectionAlign) ||
-      *n * *d * elem_bytes > r.remaining()) {
+  // Bound the section by what the file actually holds (a forged header
+  // must fail with a Status, not an OOM).
+  if ((version == kVersionAligned && !r.Align(kSectionAlign)) ||
+      (out->rows = r.Take(out->n * out->d * elem_bytes)) == nullptr) {
     return Status::IOError(path + ": vecs header disagrees with file size");
   }
-  *rows = r.cursor();
+  out->view = Views(place, version);
   return Status::OK();
 }
 
-// Reader-polymorphic shims so the LeanVec header/model parsing below is
-// written once for the FILE* and mapped paths (cf. the ReadPod shim).
-bool ReadBlock(FILE* f, void* out, size_t bytes) {
-  return ReadAll(f, out, bytes);
-}
-bool ReadBlock(ByteReader* r, void* out, size_t bytes) {
-  return r->ReadBytes(out, bytes);
-}
-bool AlignSection(FILE* f) { return SkipSectionPad(f); }
-bool AlignSection(ByteReader* r) { return r->Align(kSectionAlign); }
-uint64_t SectionRemaining(FILE* f) { return RemainingBytes(f); }
-uint64_t SectionRemaining(ByteReader* r) { return r->remaining(); }
-
-/// Header fields shared by the FILE* and mapped BLLV readers, validated
-/// identically in both. LeanVec postdates v3, so only aligned files exist.
+/// Header fields of the "BLLV" container. LeanVec postdates v3, so only
+/// aligned files exist.
 struct LeanVecHeader {
-  uint32_t version = 0, kind = 0;
+  uint32_t kind = 0;
   uint64_t n = 0, d = 0, dp = 0;
 };
 
-template <typename Reader>
-Status ReadLeanVecHeader(Reader* r, LeanVecHeader* h,
-                         const std::string& path) {
-  uint32_t magic = 0;
-  if (!ReadPod(r, &magic) || magic != kLeanVecMagic) {
+/// The one "BLLV" header + projection-model parser. Leaves the reader
+/// aligned at the primary section. The model (mean + d x d' matrix) is
+/// always copied — it is tiny and read on every query.
+Status ParseLeanVecHead(ByteReader* r, uint32_t want_kind, LeanVecHeader* h,
+                        LeanVecModel* model, const std::string& path) {
+  uint32_t magic = 0, version = 0;
+  if (!r->Read(&magic) || magic != kLeanVecMagic) {
     return Status::IOError(path + ": bad LeanVec magic");
   }
-  if (!ReadPod(r, &h->version) || h->version != kVersionAligned) {
+  if (!r->Read(&version) || version != kVersionAligned) {
     return Status::IOError(path + ": unsupported LeanVec version");
   }
-  if (!ReadPod(r, &h->kind) || h->kind > kLeanVecKindLvq ||
-      !ReadPod(r, &h->n) || !ReadPod(r, &h->d) || !ReadPod(r, &h->dp) ||
-      h->d == 0 || h->d > (1u << 20) || h->dp == 0 || h->dp > h->d ||
-      h->n > (1ull << 40)) {
+  if (!r->Read(&h->kind) || h->kind > kLeanVecKindLvq || !r->Read(&h->n) ||
+      !r->Read(&h->d) || !r->Read(&h->dp) || h->d == 0 || h->d > (1u << 20) ||
+      h->dp == 0 || h->dp > h->d || h->n > (1ull << 40)) {
     return Status::IOError(path + ": corrupt LeanVec header");
   }
-  return Status::OK();
-}
-
-/// Reads the projection model (mean + d x d' matrix) following the header,
-/// leaving the cursor aligned at the primary section. The model is always
-/// copied — it is tiny and read on every query.
-template <typename Reader>
-Status ReadLeanVecModel(Reader* r, const LeanVecHeader& h,
-                        LeanVecModel* model, const std::string& path) {
-  // Bound the model allocation by what the stream can still hold (forged
+  if (h->kind != want_kind) {
+    return Status::InvalidArgument(
+        path + (want_kind == kLeanVecKindF32
+                    ? ": not a float32 LeanVec payload"
+                    : ": not an LVQ LeanVec payload"));
+  }
+  // Bound the model allocation by what the file can still hold (forged
   // headers fail with a Status, not an OOM).
-  if ((h.d + h.d * h.dp) * sizeof(float) > SectionRemaining(r)) {
+  if ((h->d + h->d * h->dp) * sizeof(float) > r->remaining()) {
     return Status::IOError(path + ": LeanVec header disagrees with file size");
   }
-  model->mean.resize(h.d);
-  if (!ReadBlock(r, model->mean.data(), h.d * sizeof(float)) ||
-      !AlignSection(r)) {
+  model->mean.resize(h->d);
+  if (!r->ReadBytes(model->mean.data(), h->d * sizeof(float)) ||
+      !r->Align(kSectionAlign)) {
     return Status::IOError(path + ": truncated LeanVec mean");
   }
-  model->proj = MatrixF(h.d, h.dp);
-  if (!ReadBlock(r, model->proj.data(), h.d * h.dp * sizeof(float)) ||
-      !AlignSection(r)) {
+  model->proj = MatrixF(h->d, h->dp);
+  if (!r->ReadBytes(model->proj.data(), h->d * h->dp * sizeof(float)) ||
+      !r->Align(kSectionAlign)) {
     return Status::IOError(path + ": truncated LeanVec projection");
   }
   return Status::OK();
@@ -389,22 +248,13 @@ Status WriteLeanVecHeaderAndModel(FILE* f, uint32_t kind,
   return Status::OK();
 }
 
-/// IndexMeta block reader shared by the FILE* (LoadGraph) and ByteReader
-/// (MapGraph) paths — one set of validation bounds for both.
-template <typename Reader>
-Status ReadIndexMetaT(Reader* f, IndexMeta* meta, const std::string& path) {
-  uint32_t metric = 0, two_passes = 0;
-  if (!ReadPod(f, &metric) || !ReadPod(f, &meta->params.window_size) ||
-      !ReadPod(f, &meta->params.alpha) ||
-      !ReadPod(f, &meta->params.max_candidates) ||
-      !ReadPod(f, &meta->params.seed) || !ReadPod(f, &two_passes) ||
-      two_passes > 1 || meta->params.window_size == 0 ||
-      meta->params.window_size > (1u << 20) ||
-      !(meta->params.alpha > 0.0f) || meta->params.alpha > 16.0f) {
-    return Status::IOError(path + ": corrupt metadata block");
-  }
-  meta->params.two_passes = two_passes != 0;
-  return MetricFromWire(metric, &meta->metric, path);
+/// Float32 rows (a "BLAF" payload or a LeanVec section), viewed in place
+/// or copied.
+FloatStorage PlaceRows(const uint8_t* rows, size_t n, size_t d, Metric metric,
+                       const Placement& place) {
+  const float* f = reinterpret_cast<const float*>(rows);
+  if (place.view) return FloatStorage::FromExternal(f, n, d, metric);
+  return FloatStorage(MatrixViewF(f, n, d), metric, place.use_huge_pages);
 }
 
 }  // namespace
@@ -424,74 +274,69 @@ Status WriteIndexMeta(std::FILE* f, const IndexMeta& meta,
   return Status::OK();
 }
 
-Status ReadIndexMeta(std::FILE* f, IndexMeta* meta, const std::string& path) {
-  return ReadIndexMetaT(f, meta, path);
+Status ReadIndexMeta(ByteReader* r, IndexMeta* meta, const std::string& path) {
+  uint32_t metric = 0, two_passes = 0;
+  if (!r->Read(&metric) || !r->Read(&meta->params.window_size) ||
+      !r->Read(&meta->params.alpha) ||
+      !r->Read(&meta->params.max_candidates) ||
+      !r->Read(&meta->params.seed) || !r->Read(&two_passes) ||
+      two_passes > 1 || meta->params.window_size == 0 ||
+      meta->params.window_size > (1u << 20) ||
+      !(meta->params.alpha > 0.0f) || meta->params.alpha > 16.0f) {
+    return Status::IOError(path + ": corrupt metadata block");
+  }
+  meta->params.two_passes = two_passes != 0;
+  return MetricFromWire(metric, &meta->metric, path);
 }
 
 }  // namespace detail
 
 Status SaveGraph(const std::string& path, const FlatGraph& graph,
-                 uint32_t entry_point, const IndexMeta* meta) {
+                 uint32_t entry_point, const IndexMeta& meta) {
   binio::AtomicFile f(path);
   if (!f.ok()) return Status::IOError("cannot open " + path + " for writing");
   const uint64_t n = graph.size();
   const uint32_t R = graph.max_degree();
-  // With meta the graph is written as v3: self-describing header plus
-  // fixed-stride rows a mapping serves in place. Without meta the legacy
-  // v1 byte layout is preserved (back-compat fixture generation).
-  const uint32_t version = meta != nullptr ? kVersionAligned : kVersion;
-  if (!WritePod(f.get(), kGraphMagic) || !WritePod(f.get(), version) ||
+  if (!WritePod(f.get(), kGraphMagic) || !WritePod(f.get(), kVersionAligned) ||
       !WritePod(f.get(), n) || !WritePod(f.get(), R) ||
       !WritePod(f.get(), entry_point)) {
     return Status::IOError(path + ": header write failed");
   }
-  if (meta != nullptr) {
-    BLINK_RETURN_NOT_OK(detail::WriteIndexMeta(f.get(), *meta, path));
-    if (!WriteSectionPad(f.get())) {
-      return Status::IOError(path + ": section padding write failed");
-    }
-    // Fixed-stride payload: [deg][R ids] per node, unused tail zeroed —
-    // exactly FlatGraph's in-memory row layout.
-    std::vector<uint32_t> row(1 + static_cast<size_t>(R));
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t deg = graph.degree(i);
-      row[0] = deg;
-      std::memcpy(row.data() + 1, graph.neighbors(i),
-                  deg * sizeof(uint32_t));
-      std::fill(row.begin() + 1 + deg, row.end(), 0u);
-      if (!WriteAll(f.get(), row.data(), row.size() * sizeof(uint32_t))) {
-        return Status::IOError(path + ": adjacency write failed");
-      }
-    }
-    return f.Commit();
+  BLINK_RETURN_NOT_OK(detail::WriteIndexMeta(f.get(), meta, path));
+  if (!WriteSectionPad(f.get())) {
+    return Status::IOError(path + ": section padding write failed");
   }
+  // Fixed-stride payload: [deg][R ids] per node, unused tail zeroed —
+  // exactly FlatGraph's in-memory row layout.
+  std::vector<uint32_t> row(1 + static_cast<size_t>(R));
   for (size_t i = 0; i < n; ++i) {
     const uint32_t deg = graph.degree(i);
-    if (!WritePod(f.get(), deg) ||
-        !WriteAll(f.get(), graph.neighbors(i), deg * sizeof(uint32_t))) {
+    row[0] = deg;
+    std::memcpy(row.data() + 1, graph.neighbors(i), deg * sizeof(uint32_t));
+    std::fill(row.begin() + 1 + deg, row.end(), 0u);
+    if (!WriteAll(f.get(), row.data(), row.size() * sizeof(uint32_t))) {
       return Status::IOError(path + ": adjacency write failed");
     }
   }
   return f.Commit();
 }
 
-Result<BuiltGraph> LoadGraph(const std::string& path, bool use_huge_pages,
-                             IndexMeta* meta, bool* has_meta) {
+Result<BuiltGraph> ReadGraph(const MmapFile& map, const std::string& path,
+                             const Placement& place, IndexMeta* meta,
+                             bool* has_meta) {
   if (has_meta != nullptr) *has_meta = false;
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
+  ByteReader r(map.data(), map.size());
   uint32_t magic = 0, version = 0, R = 0, entry = 0;
   uint64_t n = 0;
-  if (!ReadPod(f.get(), &magic) || magic != kGraphMagic) {
+  if (!r.Read(&magic) || magic != kGraphMagic) {
     return Status::IOError(path + ": bad graph magic");
   }
-  if (!ReadPod(f.get(), &version) ||
+  if (!r.Read(&version) ||
       (version != kVersion && version != kVersionMeta &&
        version != kVersionAligned)) {
     return Status::IOError(path + ": unsupported graph version");
   }
-  if (!ReadPod(f.get(), &n) || !ReadPod(f.get(), &R) ||
-      !ReadPod(f.get(), &entry)) {
+  if (!r.Read(&n) || !r.Read(&R) || !r.Read(&entry)) {
     return Status::IOError(path + ": corrupt graph header");
   }
   // Every adjacency row occupies at least its 4-byte degree field, so a
@@ -499,8 +344,7 @@ Result<BuiltGraph> LoadGraph(const std::string& path, bool use_huge_pages,
   // must fail before n * R sizes the FlatGraph allocation. R gets the
   // dynamic loader's degree bound for the same reason. The entry point
   // must name a stored node — greedy search starts there unchecked.
-  if (R == 0 || R > (1u << 20) ||
-      n > RemainingBytes(f.get()) / sizeof(uint32_t)) {
+  if (R == 0 || R > (1u << 20) || n > r.remaining() / sizeof(uint32_t)) {
     return Status::IOError(path + ": graph header disagrees with file size");
   }
   if (n > 0 && entry >= n) {
@@ -508,42 +352,54 @@ Result<BuiltGraph> LoadGraph(const std::string& path, bool use_huge_pages,
   }
   if (version >= kVersionMeta) {
     IndexMeta local;
-    BLINK_RETURN_NOT_OK(detail::ReadIndexMeta(f.get(), &local, path));
+    BLINK_RETURN_NOT_OK(detail::ReadIndexMeta(&r, &local, path));
     local.params.graph_max_degree = R;
     if (meta != nullptr) *meta = local;
     if (has_meta != nullptr) *has_meta = true;
   }
-  if (version >= kVersionAligned && !SkipSectionPad(f.get())) {
-    return Status::IOError(path + ": truncated graph section padding");
-  }
   BuiltGraph out;
-  out.graph = FlatGraph(n, R, use_huge_pages);
   out.entry_point = entry;
-  if (version >= kVersionAligned) {
+  if (version == kVersionAligned) {
     // Fixed-stride payload: each row is (1 + R) u32 regardless of degree.
-    std::vector<uint32_t> row(1 + static_cast<size_t>(R));
+    const size_t row_entries = 1 + static_cast<size_t>(R);
+    const uint8_t* section = nullptr;
+    if (!r.Align(kSectionAlign) ||
+        (section = r.Take(n * row_entries * sizeof(uint32_t))) == nullptr) {
+      return Status::IOError(path + ": graph header disagrees with file size");
+    }
+    const uint32_t* rows = reinterpret_cast<const uint32_t*>(section);
+    // Eager validation: adjacency ids index the vector payload unchecked at
+    // search time, and the graph is the small section — touch all of it
+    // now so a corrupt row can never become an out-of-bounds read mid-query.
     for (size_t i = 0; i < n; ++i) {
-      if (!ReadAll(f.get(), row.data(), row.size() * sizeof(uint32_t))) {
-        return Status::IOError(path + ": truncated adjacency row");
-      }
-      const uint32_t deg = row[0];
-      if (deg > R) return Status::IOError(path + ": corrupt adjacency row");
-      for (uint32_t e = 0; e < deg; ++e) {
+      const uint32_t* row = rows + i * row_entries;
+      if (row[0] > R) return Status::IOError(path + ": corrupt adjacency row");
+      for (uint32_t e = 0; e < row[0]; ++e) {
         if (row[1 + e] >= n) {
           return Status::IOError(path + ": neighbor id out of range");
         }
       }
-      out.graph.SetNeighbors(i, row.data() + 1, deg);
+    }
+    if (Views(place, version)) {
+      out.graph = FlatGraph(rows, n, R);
+      return out;
+    }
+    out.graph = FlatGraph(n, R, place.use_huge_pages);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t* row = rows + i * row_entries;
+      out.graph.SetNeighbors(i, row + 1, row[0]);
     }
     return out;
   }
+  // v1/v2 payload: variable-length [deg][deg ids] rows, always copied.
+  out.graph = FlatGraph(n, R, place.use_huge_pages);
   std::vector<uint32_t> row(R);
   for (size_t i = 0; i < n; ++i) {
     uint32_t deg = 0;
-    if (!ReadPod(f.get(), &deg) || deg > R) {
+    if (!r.Read(&deg) || deg > R) {
       return Status::IOError(path + ": corrupt adjacency row");
     }
-    if (!ReadAll(f.get(), row.data(), deg * sizeof(uint32_t))) {
+    if (!r.ReadBytes(row.data(), deg * sizeof(uint32_t))) {
       return Status::IOError(path + ": truncated adjacency row");
     }
     for (uint32_t e = 0; e < deg; ++e) {
@@ -554,6 +410,14 @@ Result<BuiltGraph> LoadGraph(const std::string& path, bool use_huge_pages,
   return out;
 }
 
+Result<BuiltGraph> LoadGraph(const std::string& path, bool use_huge_pages,
+                             IndexMeta* meta, bool* has_meta) {
+  Result<MmapFile> map = MapForCopy(path);
+  if (!map.ok()) return map.status();
+  return ReadGraph(map.value(), path, {.use_huge_pages = use_huge_pages},
+                   meta, has_meta);
+}
+
 Status SaveLvq(const std::string& path, const LvqDataset& ds) {
   binio::AtomicFile f(path);
   if (!f.ok()) return Status::IOError("cannot open " + path + " for writing");
@@ -561,10 +425,16 @@ Status SaveLvq(const std::string& path, const LvqDataset& ds) {
   return f.Commit();
 }
 
+Result<LvqDataset> ReadLvq(const MmapFile& map, const std::string& path,
+                           const Placement& place) {
+  ByteReader r(map.data(), map.size());
+  return ParseLvq(&r, path, place);
+}
+
 Result<LvqDataset> LoadLvq(const std::string& path, bool use_huge_pages) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
-  return LoadLvqFrom(f.get(), path, use_huge_pages);
+  Result<MmapFile> map = MapForCopy(path);
+  if (!map.ok()) return map.status();
+  return ReadLvq(map.value(), path, {.use_huge_pages = use_huge_pages});
 }
 
 Status SaveLvq2(const std::string& path, const LvqDataset2& ds) {
@@ -586,70 +456,82 @@ Status SaveLvq2(const std::string& path, const LvqDataset2& ds) {
   return f.Commit();
 }
 
-Result<LvqDataset2> LoadLvq2(const std::string& path, bool use_huge_pages) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
+Result<LvqDataset2> ReadLvq2(const MmapFile& map, const std::string& path,
+                             const Placement& place) {
+  ByteReader r(map.data(), map.size());
   uint32_t magic = 0, version = 0, bits2 = 0;
-  if (!ReadPod(f.get(), &magic) || magic != kLvq2Magic) {
+  if (!r.Read(&magic) || magic != kLvq2Magic) {
     return Status::IOError(path + ": bad LVQ2 magic");
   }
-  if (!ReadPod(f.get(), &version) ||
+  if (!r.Read(&version) ||
       (version != kVersion && version != kVersionAligned) ||
-      !ReadPod(f.get(), &bits2) || bits2 < 1 || bits2 > 16) {
+      !r.Read(&bits2) || bits2 < 1 || bits2 > 16) {
     return Status::IOError(path + ": corrupt LVQ2 header");
   }
-  Result<LvqDataset> level1 = LoadLvqFrom(f.get(), path, use_huge_pages);
+  Result<LvqDataset> level1 = ParseLvq(&r, path, place);
   if (!level1.ok()) return level1.status();
-  if (version >= kVersionAligned && !SkipSectionPad(f.get())) {
-    return Status::IOError(path + ": truncated LVQ2 section padding");
-  }
   const size_t n = level1.value().size();
-  const size_t stride = PackedBytes(level1.value().dim(), static_cast<int>(bits2));
-  std::vector<uint8_t> residuals(n * stride);
-  if (!ReadAll(f.get(), residuals.data(), residuals.size())) {
-    return Status::IOError(path + ": truncated residuals");
+  const size_t stride =
+      PackedBytes(level1.value().dim(), static_cast<int>(bits2));
+  const uint8_t* residuals = nullptr;
+  if ((version == kVersionAligned && !r.Align(kSectionAlign)) ||
+      (residuals = r.Take(n * stride)) == nullptr) {
+    return Status::IOError(path +
+                           ": LVQ2 residual section disagrees with file size");
+  }
+  if (Views(place, version)) {
+    return LvqDataset2::FromExternal(std::move(level1).value(),
+                                     static_cast<int>(bits2), residuals);
   }
   return LvqDataset2::FromRaw(std::move(level1).value(),
-                              static_cast<int>(bits2), residuals.data(),
-                              residuals.size(), use_huge_pages);
+                              static_cast<int>(bits2), residuals, n * stride,
+                              place.use_huge_pages);
 }
 
-Status SaveFloatVecs(const std::string& path, const FloatStorage& storage) {
+Result<LvqDataset2> LoadLvq2(const std::string& path, bool use_huge_pages) {
+  Result<MmapFile> map = MapForCopy(path);
+  if (!map.ok()) return map.status();
+  return ReadLvq2(map.value(), path, {.use_huge_pages = use_huge_pages});
+}
+
+Status SaveVecs(const std::string& path, const LvqStorage& storage) {
+  if (storage.has_second_level()) return SaveLvq2(path, *storage.level2());
+  return SaveLvq(path, storage.level1());
+}
+
+Status SaveVecs(const std::string& path, const FloatStorage& storage) {
   return SaveRawVecs(path, kF32Magic, storage.size(), storage.dim(),
                      storage.size() > 0 ? storage.row(0) : nullptr,
                      storage.dim() * sizeof(float));
 }
 
-Result<FloatStorage> LoadFloatVecs(const std::string& path, Metric metric,
-                                   bool use_huge_pages) {
-  uint64_t n = 0, d = 0;
-  std::vector<uint8_t> payload;
-  BLINK_RETURN_NOT_OK(LoadRawVecs(path, kF32Magic, sizeof(float), &n, &d,
-                                  &payload));
-  // One transient payload copy before the arena takes over — the same 2x
-  // peak as the LVQ loaders' FromRaw path.
-  MatrixViewF view(reinterpret_cast<const float*>(payload.data()), n, d);
-  return FloatStorage(view, metric, use_huge_pages);
+Result<FloatStorage> ReadFloatVecs(const MmapFile& map,
+                                   const std::string& path, Metric metric,
+                                   const Placement& place) {
+  RawVecs v;
+  BLINK_RETURN_NOT_OK(
+      ParseRawVecs(map, path, kF32Magic, sizeof(float), place, &v));
+  return PlaceRows(v.rows, v.n, v.d, metric,
+                   {.view = v.view, .use_huge_pages = place.use_huge_pages});
 }
 
-Status SaveF16Vecs(const std::string& path, const F16Storage& storage) {
+Status SaveVecs(const std::string& path, const F16Storage& storage) {
   return SaveRawVecs(path, kF16Magic, storage.size(), storage.dim(),
                      storage.size() > 0 ? storage.row(0) : nullptr,
                      storage.dim() * sizeof(Float16));
 }
 
-Result<F16Storage> LoadF16Vecs(const std::string& path, Metric metric,
-                               bool use_huge_pages) {
-  uint64_t n = 0, d = 0;
-  std::vector<uint8_t> payload;
-  BLINK_RETURN_NOT_OK(LoadRawVecs(path, kF16Magic, sizeof(Float16), &n, &d,
-                                  &payload));
-  return F16Storage(reinterpret_cast<const Float16*>(payload.data()), n, d,
-                    metric, use_huge_pages);
+Result<F16Storage> ReadF16Vecs(const MmapFile& map, const std::string& path,
+                               Metric metric, const Placement& place) {
+  RawVecs v;
+  BLINK_RETURN_NOT_OK(
+      ParseRawVecs(map, path, kF16Magic, sizeof(Float16), place, &v));
+  const Float16* rows = reinterpret_cast<const Float16*>(v.rows);
+  if (v.view) return F16Storage::FromExternal(rows, v.n, v.d, metric);
+  return F16Storage(rows, v.n, v.d, metric, place.use_huge_pages);
 }
 
-Status SaveLeanVecVecs(const std::string& path,
-                       const LeanVecStorage& storage) {
+Status SaveVecs(const std::string& path, const LeanVecStorage& storage) {
   binio::AtomicFile f(path);
   if (!f.ok()) return Status::IOError("cannot open " + path + " for writing");
   const uint64_t n = storage.size();
@@ -667,8 +549,7 @@ Status SaveLeanVecVecs(const std::string& path,
   return f.Commit();
 }
 
-Status SaveLeanVecVecs(const std::string& path,
-                       const LeanVecLvqStorage& storage) {
+Status SaveVecs(const std::string& path, const LeanVecLvqStorage& storage) {
   binio::AtomicFile f(path);
   if (!f.ok()) return Status::IOError("cannot open " + path + " for writing");
   BLINK_RETURN_NOT_OK(WriteLeanVecHeaderAndModel(
@@ -684,60 +565,39 @@ Status SaveLeanVecVecs(const std::string& path,
   return f.Commit();
 }
 
-Result<LeanVecStorage> LoadLeanVecVecs(const std::string& path, Metric metric,
-                                       bool use_huge_pages) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
+Result<LeanVecStorage> ReadLeanVecVecs(const MmapFile& map,
+                                       const std::string& path, Metric metric,
+                                       const Placement& place) {
+  ByteReader r(map.data(), map.size());
   LeanVecHeader h;
-  BLINK_RETURN_NOT_OK(ReadLeanVecHeader(f.get(), &h, path));
-  if (h.kind != kLeanVecKindF32) {
-    return Status::InvalidArgument(path + ": not a float32 LeanVec payload");
-  }
   LeanVecModel model;
-  BLINK_RETURN_NOT_OK(ReadLeanVecModel(f.get(), h, &model, path));
-  if (h.n * h.dp * sizeof(float) > RemainingBytes(f.get())) {
+  BLINK_RETURN_NOT_OK(ParseLeanVecHead(&r, kLeanVecKindF32, &h, &model, path));
+  const uint8_t* primary = nullptr;
+  const uint8_t* secondary = nullptr;
+  if ((primary = r.Take(h.n * h.dp * sizeof(float))) == nullptr ||
+      !r.Align(kSectionAlign) ||
+      (secondary = r.Take(h.n * h.d * sizeof(float))) == nullptr) {
     return Status::IOError(path + ": LeanVec header disagrees with file size");
   }
-  std::vector<float> primary_rows(h.n * h.dp);
-  if (!ReadAll(f.get(), primary_rows.data(),
-               primary_rows.size() * sizeof(float)) ||
-      !SkipSectionPad(f.get())) {
-    return Status::IOError(path + ": truncated LeanVec primary rows");
-  }
-  if (h.n * h.d * sizeof(float) > RemainingBytes(f.get())) {
-    return Status::IOError(path + ": LeanVec header disagrees with file size");
-  }
-  std::vector<float> secondary_rows(h.n * h.d);
-  if (!ReadAll(f.get(), secondary_rows.data(),
-               secondary_rows.size() * sizeof(float))) {
-    return Status::IOError(path + ": truncated LeanVec secondary rows");
-  }
-  FloatStorage primary(MatrixViewF(primary_rows.data(), h.n, h.dp), metric,
-                       use_huge_pages);
-  FloatStorage secondary(MatrixViewF(secondary_rows.data(), h.n, h.d), metric,
-                         use_huge_pages);
-  return LeanVecStorage(std::move(model), std::move(primary),
-                        std::move(secondary));
+  return LeanVecStorage(std::move(model),
+                        PlaceRows(primary, h.n, h.dp, metric, place),
+                        PlaceRows(secondary, h.n, h.d, metric, place));
 }
 
-Result<LeanVecLvqStorage> LoadLeanVecLvqVecs(const std::string& path,
+Result<LeanVecLvqStorage> ReadLeanVecLvqVecs(const MmapFile& map,
+                                             const std::string& path,
                                              Metric metric,
-                                             bool use_huge_pages) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
+                                             const Placement& place) {
+  ByteReader r(map.data(), map.size());
   LeanVecHeader h;
-  BLINK_RETURN_NOT_OK(ReadLeanVecHeader(f.get(), &h, path));
-  if (h.kind != kLeanVecKindLvq) {
-    return Status::InvalidArgument(path + ": not an LVQ LeanVec payload");
-  }
   LeanVecModel model;
-  BLINK_RETURN_NOT_OK(ReadLeanVecModel(f.get(), h, &model, path));
-  Result<LvqDataset> primary = LoadLvqFrom(f.get(), path, use_huge_pages);
+  BLINK_RETURN_NOT_OK(ParseLeanVecHead(&r, kLeanVecKindLvq, &h, &model, path));
+  Result<LvqDataset> primary = ParseLvq(&r, path, place);
   if (!primary.ok()) return primary.status();
-  if (!SkipSectionPad(f.get())) {
+  if (!r.Align(kSectionAlign)) {
     return Status::IOError(path + ": truncated LeanVec section padding");
   }
-  Result<LvqDataset> secondary = LoadLvqFrom(f.get(), path, use_huge_pages);
+  Result<LvqDataset> secondary = ParseLvq(&r, path, place);
   if (!secondary.ok()) return secondary.status();
   if (primary.value().size() != h.n || primary.value().dim() != h.dp ||
       secondary.value().size() != h.n || secondary.value().dim() != h.d) {
@@ -748,17 +608,16 @@ Result<LeanVecLvqStorage> LoadLeanVecLvqVecs(const std::string& path,
                            LvqStorage(std::move(secondary).value(), metric));
 }
 
-Result<VecsEncoding> PeekVecsEncoding(const std::string& path) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
+Result<VecsEncoding> PeekVecsEncoding(const MmapFile& map,
+                                      const std::string& path) {
+  ByteReader r(map.data(), map.size());
   uint32_t magic = 0;
-  if (!ReadPod(f.get(), &magic)) {
+  if (!r.Read(&magic)) {
     return Status::IOError(path + ": truncated vecs file");
   }
   if (magic == kLeanVecMagic) {
     uint32_t version = 0, kind = 0;
-    if (!ReadPod(f.get(), &version) || !ReadPod(f.get(), &kind) ||
-        kind > kLeanVecKindLvq) {
+    if (!r.Read(&version) || !r.Read(&kind) || kind > kLeanVecKindLvq) {
       return Status::IOError(path + ": corrupt LeanVec header");
     }
     return kind == kLeanVecKindLvq ? VecsEncoding::kLeanVecLvq
@@ -773,189 +632,10 @@ Result<VecsEncoding> PeekVecsEncoding(const std::string& path) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Map-mode loaders: parse headers from an established mapping and return
-// graphs/storages viewing the payload sections in place (serialize.h has
-// the validation policy).
-// ---------------------------------------------------------------------------
-
-bool IsMappableArtifact(const std::string& path) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
+bool IsAlignedArtifact(const MmapFile& map) {
+  ByteReader r(map.data(), map.size());
   uint32_t magic = 0, version = 0;
-  if (!ReadPod(f.get(), &magic) || !ReadPod(f.get(), &version)) return false;
-  switch (magic) {
-    case kGraphMagic:
-    case kLvqMagic:
-    case kLvq2Magic:
-    case kF32Magic:
-    case kF16Magic:
-    case kLeanVecMagic:
-      return version >= kVersionAligned;
-    default:
-      return false;
-  }
-}
-
-Result<BuiltGraph> MapGraph(const MmapFile& map, const std::string& path,
-                            IndexMeta* meta, bool* has_meta) {
-  if (has_meta != nullptr) *has_meta = false;
-  ByteReader r(map.data(), map.size());
-  uint32_t magic = 0, version = 0, R = 0, entry = 0;
-  uint64_t n = 0;
-  if (!r.Read(&magic) || magic != kGraphMagic) {
-    return Status::IOError(path + ": bad graph magic");
-  }
-  if (!r.Read(&version)) {
-    return Status::IOError(path + ": corrupt graph header");
-  }
-  if (version < kVersionAligned) {
-    return Status::Unsupported(path +
-                               ": map mode requires a v3 aligned artifact");
-  }
-  if (version != kVersionAligned || !r.Read(&n) || !r.Read(&R) ||
-      !r.Read(&entry) || R == 0 || R > (1u << 20)) {
-    return Status::IOError(path + ": corrupt graph header");
-  }
-  if (n > 0 && entry >= n) {
-    return Status::IOError(path + ": entry point out of range");
-  }
-  // v3 graphs always carry the meta block (SaveGraph writes v1 otherwise).
-  IndexMeta local;
-  BLINK_RETURN_NOT_OK(ReadIndexMetaT(&r, &local, path));
-  local.params.graph_max_degree = R;
-  if (meta != nullptr) *meta = local;
-  if (has_meta != nullptr) *has_meta = true;
-  const size_t row_entries = 1 + static_cast<size_t>(R);
-  if (!r.Align(kSectionAlign) ||
-      n > r.remaining() / (row_entries * sizeof(uint32_t))) {
-    return Status::IOError(path + ": graph header disagrees with file size");
-  }
-  const uint32_t* rows = reinterpret_cast<const uint32_t*>(r.cursor());
-  // Eager validation: adjacency ids index the vector payload unchecked at
-  // search time, and the graph is the small section — touch all of it now
-  // so a corrupt row can never become an out-of-bounds read mid-query.
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t* row = rows + i * row_entries;
-    const uint32_t deg = row[0];
-    if (deg > R) return Status::IOError(path + ": corrupt adjacency row");
-    for (uint32_t e = 0; e < deg; ++e) {
-      if (row[1 + e] >= n) {
-        return Status::IOError(path + ": neighbor id out of range");
-      }
-    }
-  }
-  BuiltGraph out;
-  out.graph = FlatGraph(rows, n, R);
-  out.entry_point = entry;
-  return out;
-}
-
-Result<LvqDataset> MapLvq(const MmapFile& map, const std::string& path) {
-  ByteReader r(map.data(), map.size());
-  return MapLvqFrom(&r, path);
-}
-
-Result<LvqDataset2> MapLvq2(const MmapFile& map, const std::string& path) {
-  ByteReader r(map.data(), map.size());
-  uint32_t magic = 0, version = 0, bits2 = 0;
-  if (!r.Read(&magic) || magic != kLvq2Magic) {
-    return Status::IOError(path + ": bad LVQ2 magic");
-  }
-  if (!r.Read(&version)) {
-    return Status::IOError(path + ": corrupt LVQ2 header");
-  }
-  if (version < kVersionAligned) {
-    return Status::Unsupported(path +
-                               ": map mode requires a v3 aligned artifact");
-  }
-  if (version != kVersionAligned || !r.Read(&bits2) || bits2 < 1 ||
-      bits2 > 16) {
-    return Status::IOError(path + ": corrupt LVQ2 header");
-  }
-  Result<LvqDataset> level1 = MapLvqFrom(&r, path);
-  if (!level1.ok()) return level1.status();
-  const size_t n = level1.value().size();
-  const size_t stride =
-      PackedBytes(level1.value().dim(), static_cast<int>(bits2));
-  if (!r.Align(kSectionAlign) || n * stride > r.remaining()) {
-    return Status::IOError(path + ": LVQ2 header disagrees with file size");
-  }
-  return LvqDataset2::FromExternal(std::move(level1).value(),
-                                   static_cast<int>(bits2), r.cursor());
-}
-
-Result<FloatStorage> MapFloatVecs(const MmapFile& map,
-                                  const std::string& path, Metric metric) {
-  uint64_t n = 0, d = 0;
-  const uint8_t* rows = nullptr;
-  BLINK_RETURN_NOT_OK(
-      MapRawVecs(map, path, kF32Magic, sizeof(float), &n, &d, &rows));
-  return FloatStorage::FromExternal(reinterpret_cast<const float*>(rows), n,
-                                    d, metric);
-}
-
-Result<F16Storage> MapF16Vecs(const MmapFile& map, const std::string& path,
-                              Metric metric) {
-  uint64_t n = 0, d = 0;
-  const uint8_t* rows = nullptr;
-  BLINK_RETURN_NOT_OK(
-      MapRawVecs(map, path, kF16Magic, sizeof(Float16), &n, &d, &rows));
-  return F16Storage::FromExternal(reinterpret_cast<const Float16*>(rows), n,
-                                  d, metric);
-}
-
-Result<LeanVecStorage> MapLeanVecVecs(const MmapFile& map,
-                                      const std::string& path,
-                                      Metric metric) {
-  ByteReader r(map.data(), map.size());
-  LeanVecHeader h;
-  BLINK_RETURN_NOT_OK(ReadLeanVecHeader(&r, &h, path));
-  if (h.kind != kLeanVecKindF32) {
-    return Status::InvalidArgument(path + ": not a float32 LeanVec payload");
-  }
-  LeanVecModel model;
-  BLINK_RETURN_NOT_OK(ReadLeanVecModel(&r, h, &model, path));
-  if (h.n * h.dp * sizeof(float) > r.remaining()) {
-    return Status::IOError(path + ": LeanVec header disagrees with file size");
-  }
-  const float* primary_rows = reinterpret_cast<const float*>(r.cursor());
-  if (!r.Advance(h.n * h.dp * sizeof(float)) || !r.Align(kSectionAlign) ||
-      h.n * h.d * sizeof(float) > r.remaining()) {
-    return Status::IOError(path + ": LeanVec header disagrees with file size");
-  }
-  const float* secondary_rows = reinterpret_cast<const float*>(r.cursor());
-  return LeanVecStorage(
-      std::move(model),
-      FloatStorage::FromExternal(primary_rows, h.n, h.dp, metric),
-      FloatStorage::FromExternal(secondary_rows, h.n, h.d, metric));
-}
-
-Result<LeanVecLvqStorage> MapLeanVecLvqVecs(const MmapFile& map,
-                                            const std::string& path,
-                                            Metric metric) {
-  ByteReader r(map.data(), map.size());
-  LeanVecHeader h;
-  BLINK_RETURN_NOT_OK(ReadLeanVecHeader(&r, &h, path));
-  if (h.kind != kLeanVecKindLvq) {
-    return Status::InvalidArgument(path + ": not an LVQ LeanVec payload");
-  }
-  LeanVecModel model;
-  BLINK_RETURN_NOT_OK(ReadLeanVecModel(&r, h, &model, path));
-  Result<LvqDataset> primary = MapLvqFrom(&r, path);
-  if (!primary.ok()) return primary.status();
-  if (!r.Align(kSectionAlign)) {
-    return Status::IOError(path + ": truncated LeanVec section padding");
-  }
-  Result<LvqDataset> secondary = MapLvqFrom(&r, path);
-  if (!secondary.ok()) return secondary.status();
-  if (primary.value().size() != h.n || primary.value().dim() != h.dp ||
-      secondary.value().size() != h.n || secondary.value().dim() != h.d) {
-    return Status::IOError(path + ": LeanVec sections disagree with header");
-  }
-  return LeanVecLvqStorage(std::move(model),
-                           LvqStorage(std::move(primary).value(), metric),
-                           LvqStorage(std::move(secondary).value(), metric));
+  return r.Read(&magic) && r.Read(&version) && version == kVersionAligned;
 }
 
 // ---------------------------------------------------------------------------
@@ -963,7 +643,8 @@ Result<LeanVecLvqStorage> MapLeanVecLvqVecs(const MmapFile& map,
 // tombstone flags, the free-slot list (recycling order is state — it
 // determines the ids future inserts receive) and the adjacency rows.
 // Version 2 extends the header with metric/alpha/build_window so the file
-// reloads without caller configuration.
+// reloads without caller configuration. The index is mutable, so its
+// parser always copies.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -982,6 +663,22 @@ struct DynHeader {
   uint32_t build_window = 64;
 };
 
+/// The version-2 header describing `index` (either storage kind).
+template <typename Index>
+DynHeader DynHeaderOf(const Index& index, uint32_t kind) {
+  DynHeader h;
+  h.kind = kind;
+  h.dim = index.dim();
+  h.n = index.size();
+  h.num_deleted = index.num_deleted();
+  h.entry = index.entry_point();
+  h.max_degree = index.max_degree();
+  h.metric = index.options().metric;
+  h.alpha = index.options().alpha;
+  h.build_window = index.options().build_window;
+  return h;
+}
+
 Status WriteDynHeader(FILE* f, const DynHeader& h, const std::string& path) {
   if (!WritePod(f, kDynMagic) || !WritePod(f, kVersionMeta) ||
       !WritePod(f, h.kind) || !WritePod(f, h.dim) || !WritePod(f, h.n) ||
@@ -993,13 +690,13 @@ Status WriteDynHeader(FILE* f, const DynHeader& h, const std::string& path) {
   return Status::OK();
 }
 
-Result<DynHeader> ReadDynHeader(FILE* f, const std::string& path) {
+Result<DynHeader> ReadDynHeader(ByteReader* r, const std::string& path) {
   uint32_t magic = 0, version = 0;
   DynHeader h;
-  if (!ReadPod(f, &magic) || magic != kDynMagic) {
+  if (!r->Read(&magic) || magic != kDynMagic) {
     return Status::IOError(path + ": bad dynamic-index magic");
   }
-  if (!ReadPod(f, &version) ||
+  if (!r->Read(&version) ||
       (version != kVersion && version != kVersionMeta)) {
     return Status::IOError(path + ": unsupported dynamic-index version");
   }
@@ -1007,19 +704,18 @@ Result<DynHeader> ReadDynHeader(FILE* f, const std::string& path) {
   // below into overflow or absurd allocations (cf. the MakeAligned guard).
   constexpr uint64_t kMaxDim = 1u << 20;
   constexpr uint64_t kMaxDegree = 1u << 20;
-  if (!ReadPod(f, &h.kind) || !ReadPod(f, &h.dim) || !ReadPod(f, &h.n) ||
-      !ReadPod(f, &h.num_deleted) || !ReadPod(f, &h.entry) ||
-      !ReadPod(f, &h.max_degree) || h.dim == 0 || h.dim > kMaxDim ||
+  if (!r->Read(&h.kind) || !r->Read(&h.dim) || !r->Read(&h.n) ||
+      !r->Read(&h.num_deleted) || !r->Read(&h.entry) ||
+      !r->Read(&h.max_degree) || h.dim == 0 || h.dim > kMaxDim ||
       h.max_degree == 0 || h.max_degree > kMaxDegree ||
       h.num_deleted > h.n || h.n > (1ull << 40)) {
     return Status::IOError(path + ": corrupt dynamic-index header");
   }
   if (version == kVersionMeta) {
     uint32_t metric = 0;
-    if (!ReadPod(f, &metric) || !ReadPod(f, &h.alpha) ||
-        !ReadPod(f, &h.build_window) || !(h.alpha > 0.0f) ||
-        h.alpha > 16.0f || h.build_window == 0 ||
-        h.build_window > (1u << 20)) {
+    if (!r->Read(&metric) || !r->Read(&h.alpha) ||
+        !r->Read(&h.build_window) || !(h.alpha > 0.0f) || h.alpha > 16.0f ||
+        h.build_window == 0 || h.build_window > (1u << 20)) {
       return Status::IOError(path + ": corrupt dynamic-index metadata");
     }
     BLINK_RETURN_NOT_OK(MetricFromWire(metric, &h.metric, path));
@@ -1054,15 +750,16 @@ Status WriteDynState(FILE* f, const Index& index, size_t n,
   return Status::OK();
 }
 
-Status ReadDynState(FILE* f, const DynHeader& h, size_t capacity,
+Status ReadDynState(ByteReader* r, const DynHeader& h, size_t capacity,
                     FlatGraph* graph, std::vector<uint8_t>* deleted,
                     std::vector<uint32_t>* free_slots,
                     const std::string& path) {
   const size_t n = h.n;
-  deleted->assign(n, 0);
-  if (!ReadAll(f, deleted->data(), n)) {
+  const uint8_t* flags = r->Take(n);
+  if (flags == nullptr) {
     return Status::IOError(path + ": truncated tombstone flags");
   }
+  deleted->assign(flags, flags + n);
   // Flags are the dynamic index's slot states: 0 live, 1 tombstoned
   // (navigable), 2 purged (queued for recycling). Their total must match
   // the header's deleted count.
@@ -1075,11 +772,11 @@ Status ReadDynState(FILE* f, const DynHeader& h, size_t capacity,
     return Status::IOError(path + ": tombstone flags disagree with header");
   }
   uint64_t free_count = 0;
-  if (!ReadPod(f, &free_count) || free_count > n) {
+  if (!r->Read(&free_count) || free_count > n) {
     return Status::IOError(path + ": corrupt free-slot count");
   }
   free_slots->resize(free_count);
-  if (!ReadAll(f, free_slots->data(), free_count * sizeof(uint32_t))) {
+  if (!r->ReadBytes(free_slots->data(), free_count * sizeof(uint32_t))) {
     return Status::IOError(path + ": truncated free-slot list");
   }
   for (uint32_t s : *free_slots) {
@@ -1092,10 +789,10 @@ Status ReadDynState(FILE* f, const DynHeader& h, size_t capacity,
   std::vector<uint32_t> row(h.max_degree);
   for (size_t i = 0; i < n; ++i) {
     uint32_t deg = 0;
-    if (!ReadPod(f, &deg) || deg > h.max_degree) {
+    if (!r->Read(&deg) || deg > h.max_degree) {
       return Status::IOError(path + ": corrupt adjacency row");
     }
-    if (!ReadAll(f, row.data(), deg * sizeof(uint32_t))) {
+    if (!r->ReadBytes(row.data(), deg * sizeof(uint32_t))) {
       return Status::IOError(path + ": truncated adjacency row");
     }
     for (uint32_t e = 0; e < deg; ++e) {
@@ -1114,30 +811,46 @@ size_t RestoredCapacity(const DynHeader& h, const DynamicOptions& opts) {
   return std::max<size_t>(std::max<size_t>(h.n, opts.initial_capacity), 16);
 }
 
-/// Version-2 headers override the caller's configuration: the artifact is
-/// the single source of truth for metric / alpha / build window.
-void ApplyDynMeta(const DynHeader& h, DynamicOptions* opts) {
+/// Parses the header of a BLDY file, checks its storage kind and applies
+/// its configuration: version-2 headers override the caller's options —
+/// the artifact is the single source of truth for metric / alpha / build
+/// window.
+Result<DynHeader> ParseDynPrologue(ByteReader* r, uint32_t want_kind,
+                                   DynamicOptions* opts, bool* self_described,
+                                   const std::string& path) {
+  Result<DynHeader> header = ReadDynHeader(r, path);
+  if (!header.ok()) return header.status();
+  const DynHeader& h = header.value();
+  if (h.kind != want_kind) {
+    return Status::InvalidArgument(
+        path + (want_kind == kDynKindF32 ? ": not a float32 dynamic index"
+                                         : ": not an LVQ dynamic index"));
+  }
   opts->graph_max_degree = h.max_degree;
   if (h.has_meta) {
     opts->metric = h.metric;
     opts->alpha = h.alpha;
     opts->build_window = h.build_window;
   }
+  if (self_described != nullptr) *self_described = h.has_meta;
+  return header;
 }
 
 }  // namespace
 
 bool IsDynamicIndexFile(const std::string& path) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
+  Result<MmapFile> map = MapForCopy(path);
+  if (!map.ok()) return false;
+  ByteReader r(map.value().data(), map.value().size());
   uint32_t magic = 0;
-  return ReadPod(f.get(), &magic) && magic == kDynMagic;
+  return r.Read(&magic) && magic == kDynMagic;
 }
 
 Result<DynamicKind> PeekDynamicKind(const std::string& path) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
-  Result<DynHeader> header = ReadDynHeader(f.get(), path);
+  Result<MmapFile> map = MapForCopy(path);
+  if (!map.ok()) return map.status();
+  ByteReader r(map.value().data(), map.value().size());
+  Result<DynHeader> header = ReadDynHeader(&r, path);
   if (!header.ok()) return header.status();
   return header.value().kind == kDynKindLvq ? DynamicKind::kLvq
                                             : DynamicKind::kF32;
@@ -1146,16 +859,7 @@ Result<DynamicKind> PeekDynamicKind(const std::string& path) {
 Status SaveDynamic(const std::string& path, const DynamicIndex& index) {
   binio::AtomicFile f(path);
   if (!f.ok()) return Status::IOError("cannot open " + path + " for writing");
-  DynHeader h;
-  h.kind = kDynKindF32;
-  h.dim = index.dim();
-  h.n = index.size();
-  h.num_deleted = index.num_deleted();
-  h.entry = index.entry_point();
-  h.max_degree = index.max_degree();
-  h.metric = index.options().metric;
-  h.alpha = index.options().alpha;
-  h.build_window = index.options().build_window;
+  const DynHeader h = DynHeaderOf(index, kDynKindF32);
   BLINK_RETURN_NOT_OK(WriteDynHeader(f.get(), h, path));
   if (!WriteAll(f.get(), index.storage().raw_rows(),
                 h.n * h.dim * sizeof(float))) {
@@ -1169,16 +873,7 @@ Status SaveDynamic(const std::string& path, const DynamicLvqIndex& index) {
   binio::AtomicFile f(path);
   if (!f.ok()) return Status::IOError("cannot open " + path + " for writing");
   const DynamicLvqDataset& ds = index.storage().dataset();
-  DynHeader h;
-  h.kind = kDynKindLvq;
-  h.dim = index.dim();
-  h.n = index.size();
-  h.num_deleted = index.num_deleted();
-  h.entry = index.entry_point();
-  h.max_degree = index.max_degree();
-  h.metric = index.options().metric;
-  h.alpha = index.options().alpha;
-  h.build_window = index.options().build_window;
+  const DynHeader h = DynHeaderOf(index, kDynKindLvq);
   BLINK_RETURN_NOT_OK(WriteDynHeader(f.get(), h, path));
   const uint32_t bits1 = static_cast<uint32_t>(ds.bits1());
   const uint32_t bits2 = static_cast<uint32_t>(ds.bits2());
@@ -1197,34 +892,28 @@ Status SaveDynamic(const std::string& path, const DynamicLvqIndex& index) {
 Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(const std::string& path,
                                                      DynamicOptions opts,
                                                      bool* self_described) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
-  Result<DynHeader> header = ReadDynHeader(f.get(), path);
+  Result<MmapFile> map = MapForCopy(path);
+  if (!map.ok()) return map.status();
+  ByteReader r(map.value().data(), map.value().size());
+  Result<DynHeader> header =
+      ParseDynPrologue(&r, kDynKindF32, &opts, self_described, path);
   if (!header.ok()) return header.status();
   const DynHeader h = header.value();
-  if (h.kind != kDynKindF32) {
-    return Status::InvalidArgument(path + ": not a float32 dynamic index");
-  }
-  ApplyDynMeta(h, &opts);
-  if (self_described != nullptr) *self_described = h.has_meta;
-  // Rows + per-slot state must fit in the file before h.n sizes any
-  // allocation (forged headers fail with a Status, not an OOM).
-  if (h.n * h.dim * sizeof(float) > RemainingBytes(f.get())) {
+  // Rows must fit in the file before h.n sizes any allocation (forged
+  // headers fail with a Status, not an OOM).
+  const uint8_t* rows = r.Take(h.n * h.dim * sizeof(float));
+  if (rows == nullptr) {
     return Status::IOError(path + ": dynamic header disagrees with file size");
   }
   const size_t capacity = RestoredCapacity(h, opts);
   DynamicFloatStorage storage(h.dim, opts.metric);
   storage.Grow(capacity);
-  std::vector<float> rows(h.n * h.dim);
-  if (!ReadAll(f.get(), rows.data(), rows.size() * sizeof(float))) {
-    return Status::IOError(path + ": truncated vectors");
-  }
-  storage.RestoreRows(rows.data(), h.n);
+  storage.RestoreRows(reinterpret_cast<const float*>(rows), h.n);
   FlatGraph graph;
   std::vector<uint8_t> deleted;
   std::vector<uint32_t> free_slots;
   BLINK_RETURN_NOT_OK(
-      ReadDynState(f.get(), h, capacity, &graph, &deleted, &free_slots, path));
+      ReadDynState(&r, h, capacity, &graph, &deleted, &free_slots, path));
   return DynamicIndex::Restore(h.dim, opts, std::move(storage),
                                std::move(graph), std::move(deleted),
                                std::move(free_slots), h.n, h.num_deleted,
@@ -1233,20 +922,17 @@ Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(const std::string& path,
 
 Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
     const std::string& path, DynamicOptions opts, bool* self_described) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
-  Result<DynHeader> header = ReadDynHeader(f.get(), path);
+  Result<MmapFile> map = MapForCopy(path);
+  if (!map.ok()) return map.status();
+  ByteReader r(map.value().data(), map.value().size());
+  Result<DynHeader> header =
+      ParseDynPrologue(&r, kDynKindLvq, &opts, self_described, path);
   if (!header.ok()) return header.status();
   const DynHeader h = header.value();
-  if (h.kind != kDynKindLvq) {
-    return Status::InvalidArgument(path + ": not an LVQ dynamic index");
-  }
-  ApplyDynMeta(h, &opts);
-  if (self_described != nullptr) *self_described = h.has_meta;
   uint32_t bits1 = 0, bits2 = 0;
   uint64_t padding = 0;
-  if (!ReadPod(f.get(), &bits1) || !ReadPod(f.get(), &bits2) ||
-      !ReadPod(f.get(), &padding) || bits1 < 1 || bits1 > 16 || bits2 > 16 ||
+  if (!r.Read(&bits1) || !r.Read(&bits2) || !r.Read(&padding) || bits1 < 1 ||
+      bits1 > 16 || bits2 > 16 ||
       padding > (1u << 20)) {  // bounded so the stride can't overflow
     return Status::IOError(path + ": corrupt LVQ dynamic header");
   }
@@ -1255,30 +941,27 @@ Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
   lvq_opts.bits2 = static_cast<int>(bits2);
   lvq_opts.padding = padding;
   lvq_opts.mean.resize(h.dim);
-  if (!ReadAll(f.get(), lvq_opts.mean.data(), h.dim * sizeof(float))) {
+  if (!r.ReadBytes(lvq_opts.mean.data(), h.dim * sizeof(float))) {
     return Status::IOError(path + ": truncated mean");
   }
   DynamicLvqStorage storage(h.dim, opts.metric, std::move(lvq_opts));
   const DynamicLvqDataset& ds = storage.dataset();
   // Same forged-header allocation bound as the float32 path, checked
   // before Grow() sizes the arena from h.n.
-  if (h.n * ds.stride() > RemainingBytes(f.get())) {
+  const uint8_t* blob = nullptr;
+  const uint8_t* residuals = nullptr;
+  if ((blob = r.Take(h.n * ds.stride())) == nullptr ||
+      (residuals = r.Take(h.n * ds.residual_stride())) == nullptr) {
     return Status::IOError(path + ": dynamic header disagrees with file size");
   }
   const size_t capacity = RestoredCapacity(h, opts);
   storage.Grow(capacity);
-  std::vector<uint8_t> blob(h.n * ds.stride());
-  std::vector<uint8_t> residuals(h.n * ds.residual_stride());
-  if (!ReadAll(f.get(), blob.data(), blob.size()) ||
-      !ReadAll(f.get(), residuals.data(), residuals.size())) {
-    return Status::IOError(path + ": truncated LVQ payload");
-  }
-  storage.dataset().RestoreRows(blob.data(), residuals.data(), h.n);
+  storage.dataset().RestoreRows(blob, residuals, h.n);
   FlatGraph graph;
   std::vector<uint8_t> deleted;
   std::vector<uint32_t> free_slots;
   BLINK_RETURN_NOT_OK(
-      ReadDynState(f.get(), h, capacity, &graph, &deleted, &free_slots, path));
+      ReadDynState(&r, h, capacity, &graph, &deleted, &free_slots, path));
   return DynamicLvqIndex::Restore(h.dim, opts, std::move(storage),
                                   std::move(graph), std::move(deleted),
                                   std::move(free_slots), h.n, h.num_deleted,
@@ -1286,58 +969,8 @@ Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
 }
 
 // ---------------------------------------------------------------------------
-// Static index bundles: <prefix>.graph (version 2, self-describing) +
-// <prefix>.vecs in the storage's native payload format.
+// Static LVQ bundles (the sharded index's per-shard format).
 // ---------------------------------------------------------------------------
-
-Status SaveIndexBundle(const std::string& prefix,
-                       const VamanaIndex<LvqStorage>& index) {
-  if (index.storage().has_second_level()) {
-    BLINK_RETURN_NOT_OK(SaveLvq2(prefix + ".vecs", *index.storage().level2()));
-  } else {
-    BLINK_RETURN_NOT_OK(SaveLvq(prefix + ".vecs", index.storage().level1()));
-  }
-  const IndexMeta meta{index.storage().metric(), index.build_params()};
-  return SaveGraph(prefix + ".graph", index.graph(), index.entry_point(),
-                   &meta);
-}
-
-Status SaveIndexBundle(const std::string& prefix,
-                       const VamanaIndex<FloatStorage>& index) {
-  BLINK_RETURN_NOT_OK(SaveFloatVecs(prefix + ".vecs", index.storage()));
-  const IndexMeta meta{index.storage().metric(), index.build_params()};
-  return SaveGraph(prefix + ".graph", index.graph(), index.entry_point(),
-                   &meta);
-}
-
-Status SaveIndexBundle(const std::string& prefix,
-                       const VamanaIndex<F16Storage>& index) {
-  BLINK_RETURN_NOT_OK(SaveF16Vecs(prefix + ".vecs", index.storage()));
-  const IndexMeta meta{index.storage().metric(), index.build_params()};
-  return SaveGraph(prefix + ".graph", index.graph(), index.entry_point(),
-                   &meta);
-}
-
-Status SaveIndexBundle(const std::string& prefix,
-                       const VamanaIndex<LeanVecStorage>& index) {
-  BLINK_RETURN_NOT_OK(SaveLeanVecVecs(prefix + ".vecs", index.storage()));
-  const IndexMeta meta{index.storage().metric(), index.build_params()};
-  return SaveGraph(prefix + ".graph", index.graph(), index.entry_point(),
-                   &meta);
-}
-
-Status SaveIndexBundle(const std::string& prefix,
-                       const VamanaIndex<LeanVecLvqStorage>& index) {
-  BLINK_RETURN_NOT_OK(SaveLeanVecVecs(prefix + ".vecs", index.storage()));
-  const IndexMeta meta{index.storage().metric(), index.build_params()};
-  return SaveGraph(prefix + ".graph", index.graph(), index.entry_point(),
-                   &meta);
-}
-
-Status SaveOgLvqIndex(const std::string& prefix,
-                      const VamanaIndex<LvqStorage>& index) {
-  return SaveIndexBundle(prefix, index);
-}
 
 Result<std::unique_ptr<VamanaIndex<LvqStorage>>> LoadOgLvqIndex(
     const std::string& prefix, Metric metric, const VamanaBuildParams& bp,
@@ -1354,18 +987,25 @@ Result<std::unique_ptr<VamanaIndex<LvqStorage>>> LoadOgLvqIndex(
   VamanaBuildParams actual = has_meta ? meta.params : bp;
   actual.graph_max_degree = graph.value().graph.max_degree();
   const Metric actual_metric = has_meta ? meta.metric : metric;
-  // Try two-level first, fall back to one-level.
-  Result<LvqDataset2> two = LoadLvq2(prefix + ".vecs", use_huge_pages);
-  if (two.ok()) {
-    LvqStorage storage(std::move(two).value(), actual_metric);
+  // The encoding is sniffed once, so a corrupt two-level payload reports
+  // its own error instead of a one-level retry's.
+  const std::string vecs = prefix + ".vecs";
+  Result<MmapFile> map = MapForCopy(vecs);
+  if (!map.ok()) return map.status();
+  Result<VecsEncoding> enc = PeekVecsEncoding(map.value(), vecs);
+  if (!enc.ok()) return enc.status();
+  auto make = [&](auto ds) -> Result<std::unique_ptr<VamanaIndex<LvqStorage>>> {
+    if (!ds.ok()) return ds.status();
     return std::make_unique<VamanaIndex<LvqStorage>>(
-        std::move(storage), std::move(graph).value(), actual);
+        LvqStorage(std::move(ds).value(), actual_metric),
+        std::move(graph).value(), actual);
+  };
+  const Placement copy{.use_huge_pages = use_huge_pages};
+  switch (enc.value()) {
+    case VecsEncoding::kLvq1: return make(ReadLvq(map.value(), vecs, copy));
+    case VecsEncoding::kLvq2: return make(ReadLvq2(map.value(), vecs, copy));
+    default: return Status::IOError(vecs + ": not an LVQ payload");
   }
-  Result<LvqDataset> one = LoadLvq(prefix + ".vecs", use_huge_pages);
-  if (!one.ok()) return one.status();
-  LvqStorage storage(std::move(one).value(), actual_metric);
-  return std::make_unique<VamanaIndex<LvqStorage>>(
-      std::move(storage), std::move(graph).value(), actual);
 }
 
 }  // namespace blink

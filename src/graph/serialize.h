@@ -1,10 +1,12 @@
 // Index persistence: save/load for flat graphs, vector datasets (LVQ,
-// float32, float16) and complete index bundles.
+// float32, float16, LeanVec) and complete index bundles.
 //
 // Production deployments build once and serve many times; the paper's
 // Table 1 is precisely about how expensive construction is. All formats are
-// little-endian, versioned, and streamed through plain stdio (no mmap
-// dependence), with the same "BLNK" magic family as util/io.h.
+// little-endian and versioned, with the same "BLNK" magic family as
+// util/io.h. Writers stream through stdio; every reader parses a read-only
+// mapping of the file (util/mmap_file.h) through one bounds-checked cursor
+// (binio::ByteReader).
 //
 // Format versions (DESIGN.md D10/D12 have the full tables):
 //   graph "BLAG"     v1: header + variable-length adjacency rows.
@@ -28,13 +30,12 @@
 //                        LVQ-8 sections (kind 1), each 64-byte aligned.
 //   dynamic "BLDY"   v1: header + rows + tombstones + free list + graph.
 //                    v2: header additionally carries metric/alpha/window.
-//                    (Always heap-loaded: the index is mutable.)
+//                    (Always copied: the index is mutable.)
 //   sharded manifest "BLSH" — see shard/serialize.h (v2 adds IndexMeta).
 //
-// Version-1/2 artifacts remain loadable forever; the loaders fall back to
-// caller-supplied configuration exactly as the pre-v2 API required. The
-// Map* loaders accept only v3 (aligned) artifacts — Open() falls back to
-// heap loading for anything older.
+// Every static writer emits v3 (BLDY: v2). Version-1/2 artifacts remain
+// readable forever; the readers fall back to caller-supplied configuration
+// exactly as the pre-v2 API required.
 //
 // All saves are atomic: payloads stream to `<path>.tmp.<pid>` and rename
 // over the destination only after an fsync, so a crash mid-save can never
@@ -57,7 +58,11 @@
 
 namespace blink {
 
-/// Build-time configuration embedded in version-2 artifacts, so Open()
+namespace binio {
+class ByteReader;
+}  // namespace binio
+
+/// Build-time configuration embedded in version-2+ artifacts, so Open()
 /// can reconstruct an index without the caller re-supplying the metric or
 /// the build parameters.
 struct IndexMeta {
@@ -65,63 +70,101 @@ struct IndexMeta {
   VamanaBuildParams params;
 };
 
-/// Saves a built graph (adjacency + entry point). With `meta` the file is
-/// written as version 3 (self-describing, 64-byte-aligned fixed-stride
-/// rows, mmap-servable); without it the legacy version-1 layout is
-/// produced byte-identically (also how the back-compat test fixtures were
-/// generated).
-Status SaveGraph(const std::string& path, const FlatGraph& graph,
-                 uint32_t entry_point, const IndexMeta* meta = nullptr);
+// ---------------------------------------------------------------------------
+// Readers (DESIGN.md D12). Each container has exactly one parser, over the
+// bytes of an established read-only mapping, and every parser ends with
+// one placement step:
+//   - view: a map-mode open of a v3 file — the returned graph/storage
+//     references the mapped section in place (no copy, no allocation
+//     proportional to the dataset). The caller keeps `map` alive for as
+//     long as the result (api::Open stores the mapping next to the index).
+//   - copy: anything else — the section is copied into owned arenas
+//     (honoring `use_huge_pages`) and the mapping may be dropped at once.
+//     kLoad is exactly this: map, parse, copy, unmap.
+// Validation is the same either way: headers and section bounds are fully
+// checked against the mapping's size before anything is sized from them,
+// and graph adjacency rows are validated eagerly (they are the only ids
+// indexed into other arrays, and the graph is the small section); viewed
+// vector pages are never touched — they fault in lazily as searches visit
+// them.
+// ---------------------------------------------------------------------------
 
-/// Loads a graph saved with SaveGraph (either version). When the file is
-/// version 2, `*meta` (if non-null) receives the embedded configuration,
-/// with params.graph_max_degree set from the stored graph, and `*has_meta`
-/// is set true; version-1 files leave `*meta` untouched and `*has_meta`
-/// false.
+/// The view-or-copy choice a parser ends with. `view` is a request: pre-v3
+/// sections (unaligned) are copied regardless.
+struct Placement {
+  bool view = false;
+  bool use_huge_pages = true;  ///< arena tier of copied sections
+};
+
+/// True when a mapped artifact has the aligned v3 layout (its version
+/// field, the u32 after the magic, is 3) — i.e. a view placement serves it
+/// in place.
+bool IsAlignedArtifact(const MmapFile& map);
+
+/// Saves a built graph (adjacency + entry point) as version 3:
+/// self-describing header, then 64-byte-aligned fixed-stride rows.
+Status SaveGraph(const std::string& path, const FlatGraph& graph,
+                 uint32_t entry_point, const IndexMeta& meta);
+
+/// Parses a graph file (any version). For version 2+ files `*meta` (if
+/// non-null) receives the embedded configuration, with
+/// params.graph_max_degree set from the stored graph, and `*has_meta` is
+/// set true; version-1 files leave `*meta` untouched and `*has_meta` false.
+Result<BuiltGraph> ReadGraph(const MmapFile& map, const std::string& path,
+                             const Placement& place, IndexMeta* meta = nullptr,
+                             bool* has_meta = nullptr);
+/// ReadGraph with copy placement over a transient mapping of `path`.
 Result<BuiltGraph> LoadGraph(const std::string& path,
                              bool use_huge_pages = true,
                              IndexMeta* meta = nullptr,
                              bool* has_meta = nullptr);
 
-/// Saves a one-level LVQ dataset (mean + per-vector blobs).
+/// One-level LVQ dataset (mean + per-vector blobs), "BLAQ".
 Status SaveLvq(const std::string& path, const LvqDataset& ds);
+Result<LvqDataset> ReadLvq(const MmapFile& map, const std::string& path,
+                           const Placement& place);
 Result<LvqDataset> LoadLvq(const std::string& path,
                            bool use_huge_pages = true);
 
-/// Saves a two-level LVQ dataset (level 1 + residual codes).
+/// Two-level LVQ dataset (level 1 + residual codes), "BLA2".
 Status SaveLvq2(const std::string& path, const LvqDataset2& ds);
+Result<LvqDataset2> ReadLvq2(const MmapFile& map, const std::string& path,
+                             const Placement& place);
 Result<LvqDataset2> LoadLvq2(const std::string& path,
                              bool use_huge_pages = true);
 
-/// Saves / loads a full-precision float32 vector payload ("BLAF").
-Status SaveFloatVecs(const std::string& path, const FloatStorage& storage);
-Result<FloatStorage> LoadFloatVecs(const std::string& path, Metric metric,
-                                   bool use_huge_pages = true);
+/// Float32 ("BLAF") and float16 ("BLAH") vector payloads.
+Result<FloatStorage> ReadFloatVecs(const MmapFile& map,
+                                   const std::string& path, Metric metric,
+                                   const Placement& place);
+Result<F16Storage> ReadF16Vecs(const MmapFile& map, const std::string& path,
+                               Metric metric, const Placement& place);
 
-/// Saves / loads a float16 vector payload ("BLAH").
-Status SaveF16Vecs(const std::string& path, const F16Storage& storage);
-Result<F16Storage> LoadF16Vecs(const std::string& path, Metric metric,
-                               bool use_huge_pages = true);
-
-/// Saves a LeanVec two-level payload ("BLLV"): projection model plus the
-/// primary (reduced-dimension) and secondary (full-dimension) sections,
-/// tagged by primary encoding (float32 / LVQ-8). Always written v3.
-Status SaveLeanVecVecs(const std::string& path, const LeanVecStorage& storage);
-Status SaveLeanVecVecs(const std::string& path,
-                       const LeanVecLvqStorage& storage);
-
-/// Loads a "BLLV" payload saved with SaveLeanVecVecs. The loader checks
-/// that the file's kind tag matches the requested flavor; the embedded
-/// model's dimensions are validated against both payload sections.
-Result<LeanVecStorage> LoadLeanVecVecs(const std::string& path, Metric metric,
-                                       bool use_huge_pages = true);
-Result<LeanVecLvqStorage> LoadLeanVecLvqVecs(const std::string& path,
+/// LeanVec two-level payloads ("BLLV"). The reader checks that the file's
+/// kind tag matches the requested flavor, and validates the embedded
+/// model's dimensions against both payload sections. The small projection
+/// model is always copied (it is read on every query).
+Result<LeanVecStorage> ReadLeanVecVecs(const MmapFile& map,
+                                       const std::string& path, Metric metric,
+                                       const Placement& place);
+Result<LeanVecLvqStorage> ReadLeanVecLvqVecs(const MmapFile& map,
+                                             const std::string& path,
                                              Metric metric,
-                                             bool use_huge_pages = true);
+                                             const Placement& place);
 
-/// The storage encoding of a `.vecs` file, sniffed from its magic (plus
-/// the kind tag for "BLLV") — how Open() decides which static flavor to
-/// reconstruct.
+/// The `.vecs` saver of each static storage, in its native payload format
+/// — the overload set SaveIndexBundle dispatches on. LVQ storages write
+/// "BLAQ" or "BLA2" by level count; LeanVec storages write "BLLV" tagged by
+/// primary encoding.
+Status SaveVecs(const std::string& path, const LvqStorage& storage);
+Status SaveVecs(const std::string& path, const FloatStorage& storage);
+Status SaveVecs(const std::string& path, const F16Storage& storage);
+Status SaveVecs(const std::string& path, const LeanVecStorage& storage);
+Status SaveVecs(const std::string& path, const LeanVecLvqStorage& storage);
+
+/// The storage encoding of a mapped `.vecs` file, sniffed from its magic
+/// (plus the kind tag for "BLLV") — how Open() decides which static flavor
+/// to reconstruct.
 enum class VecsEncoding {
   kLvq1,
   kLvq2,
@@ -130,78 +173,23 @@ enum class VecsEncoding {
   kLeanVecF32,
   kLeanVecLvq,
 };
-Result<VecsEncoding> PeekVecsEncoding(const std::string& path);
-
-// ---------------------------------------------------------------------------
-// Map-mode loaders (ROADMAP item 2). Each parses headers from an
-// already-established read-only mapping and returns a graph/storage that
-// references the mapping's payload section directly — no copy, no
-// allocation proportional to the dataset. The caller must keep `map`
-// alive for as long as the returned object (api::Open stores the mapping
-// next to the index). Only version-3 (64-byte-aligned) artifacts qualify;
-// probe with IsMappableArtifact() and fall back to the heap loaders for
-// older files.
-//
-// Validation policy (DESIGN.md D12): headers and section bounds are fully
-// checked, and graph adjacency rows are validated eagerly (they are the
-// only ids indexed into other arrays, and the graph is the small section),
-// but vector payload pages are never touched — they fault in lazily as
-// searches visit them.
-// ---------------------------------------------------------------------------
-
-/// True when `path` holds a version-3 aligned artifact of a known magic —
-/// i.e. the Map* loaders below can serve it.
-bool IsMappableArtifact(const std::string& path);
-
-/// Maps a v3 graph file. Meta semantics match LoadGraph.
-Result<BuiltGraph> MapGraph(const MmapFile& map, const std::string& path,
-                            IndexMeta* meta = nullptr,
-                            bool* has_meta = nullptr);
-
-/// Maps a v3 one-level LVQ payload ("BLAQ").
-Result<LvqDataset> MapLvq(const MmapFile& map, const std::string& path);
-
-/// Maps a v3 two-level LVQ payload ("BLA2").
-Result<LvqDataset2> MapLvq2(const MmapFile& map, const std::string& path);
-
-/// Maps a v3 float32 payload ("BLAF").
-Result<FloatStorage> MapFloatVecs(const MmapFile& map,
-                                  const std::string& path, Metric metric);
-
-/// Maps a v3 float16 payload ("BLAH").
-Result<F16Storage> MapF16Vecs(const MmapFile& map, const std::string& path,
-                              Metric metric);
-
-/// Maps a "BLLV" LeanVec payload. The small projection model is copied
-/// (it is read on every query); the primary and secondary row sections
-/// are served from the mapping in place.
-Result<LeanVecStorage> MapLeanVecVecs(const MmapFile& map,
-                                      const std::string& path, Metric metric);
-Result<LeanVecLvqStorage> MapLeanVecLvqVecs(const MmapFile& map,
-                                            const std::string& path,
-                                            Metric metric);
+Result<VecsEncoding> PeekVecsEncoding(const MmapFile& map,
+                                      const std::string& path);
 
 /// Saves a complete static index as `<prefix>.graph` + `<prefix>.vecs`.
-/// The graph file embeds the metric and build params (version 2), so the
-/// bundle reloads without configuration.
+/// The graph file embeds the metric and build params, so the bundle
+/// reloads without configuration.
+template <typename Storage>
 Status SaveIndexBundle(const std::string& prefix,
-                       const VamanaIndex<LvqStorage>& index);
-Status SaveIndexBundle(const std::string& prefix,
-                       const VamanaIndex<FloatStorage>& index);
-Status SaveIndexBundle(const std::string& prefix,
-                       const VamanaIndex<F16Storage>& index);
-Status SaveIndexBundle(const std::string& prefix,
-                       const VamanaIndex<LeanVecStorage>& index);
-Status SaveIndexBundle(const std::string& prefix,
-                       const VamanaIndex<LeanVecLvqStorage>& index);
+                       const VamanaIndex<Storage>& index) {
+  BLINK_RETURN_NOT_OK(SaveVecs(prefix + ".vecs", index.storage()));
+  return SaveGraph(prefix + ".graph", index.graph(), index.entry_point(),
+                   IndexMeta{index.storage().metric(), index.build_params()});
+}
 
-/// Legacy name for the LVQ bundle save (now writes version 2).
-Status SaveOgLvqIndex(const std::string& prefix,
-                      const VamanaIndex<LvqStorage>& index);
-
-/// Loads an LVQ bundle. `metric` and `bp` are fallbacks for version-1
-/// artifacts; a version-2 graph header overrides both (the artifact is the
-/// single source of truth for its own configuration).
+/// Loads an LVQ bundle (copy placement). `metric` and `bp` are fallbacks
+/// for version-1 artifacts; a version-2+ graph header overrides both (the
+/// artifact is the single source of truth for its own configuration).
 Result<std::unique_ptr<VamanaIndex<LvqStorage>>> LoadOgLvqIndex(
     const std::string& prefix, Metric metric, const VamanaBuildParams& bp,
     bool use_huge_pages = true);
@@ -221,13 +209,13 @@ Result<DynamicKind> PeekDynamicKind(const std::string& path);
 Status SaveDynamic(const std::string& path, const DynamicIndex& index);
 Status SaveDynamic(const std::string& path, const DynamicLvqIndex& index);
 
-/// Loads a dynamic index saved with SaveDynamic. For version-2 files the
-/// metric/alpha/build_window come from the header (opts supplies only the
-/// initial_capacity floor); version-1 files take all of `opts` as-is.
-/// graph_max_degree always comes from the file. The loader checks that the
-/// file's encoding matches the requested index flavor (float32 vs LVQ).
-/// `*self_described` (if non-null) reports whether the file carried its
-/// own configuration.
+/// Loads a dynamic index saved with SaveDynamic (map, parse, copy). For
+/// version-2 files the metric/alpha/build_window come from the header
+/// (opts supplies only the initial_capacity floor); version-1 files take
+/// all of `opts` as-is. graph_max_degree always comes from the file. The
+/// loader checks that the file's encoding matches the requested index
+/// flavor (float32 vs LVQ). `*self_described` (if non-null) reports
+/// whether the file carried its own configuration.
 Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(
     const std::string& path, DynamicOptions opts,
     bool* self_described = nullptr);
@@ -237,13 +225,14 @@ Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
 
 namespace detail {
 
-/// The IndexMeta wire block shared by the graph (v2) and sharded-manifest
+/// The IndexMeta wire block shared by the graph (v2+) and sharded-manifest
 /// (v2) headers: metric u32, window u32, alpha f32, max_candidates u32,
 /// seed u64, two_passes u32. graph_max_degree is not part of the block —
 /// every container already records it.
 Status WriteIndexMeta(std::FILE* f, const IndexMeta& meta,
                       const std::string& path);
-Status ReadIndexMeta(std::FILE* f, IndexMeta* meta, const std::string& path);
+Status ReadIndexMeta(binio::ByteReader* r, IndexMeta* meta,
+                     const std::string& path);
 
 }  // namespace detail
 

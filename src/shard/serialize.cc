@@ -6,14 +6,12 @@
 
 #include "graph/serialize.h"
 #include "util/binio.h"
+#include "util/mmap_file.h"
 
 namespace blink {
 
 namespace {
 
-using binio::File;
-using binio::ReadAll;
-using binio::ReadPod;
 using binio::WriteAll;
 using binio::WritePod;
 
@@ -82,7 +80,7 @@ Status SaveShardedIndex(const std::string& dir, const ShardedIndex& index) {
   // sharded index yet) or a complete one whose shards already exist.
   for (uint64_t s = 0; s < S; ++s) {
     if (index.shard(s) == nullptr) continue;
-    BLINK_RETURN_NOT_OK(SaveOgLvqIndex(ShardPrefix(dir, s), *index.shard(s)));
+    BLINK_RETURN_NOT_OK(SaveIndexBundle(ShardPrefix(dir, s), *index.shard(s)));
   }
   return f.Commit();
 }
@@ -92,20 +90,20 @@ Result<std::unique_ptr<ShardedIndex>> LoadShardedIndex(
     bool use_huge_pages, bool* self_described) {
   if (self_described != nullptr) *self_described = false;
   const std::string path = ManifestPath(dir);
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
+  Result<MmapFile> map = MmapFile::Map(path);
+  if (!map.ok()) return map.status();
+  binio::ByteReader r(map.value().data(), map.value().size());
   uint32_t magic = 0, version = 0, bits1 = 0, bits2 = 0;
   uint64_t S = 0, n = 0, d = 0;
-  if (!ReadPod(f.get(), &magic) || magic != kManifestMagic) {
+  if (!r.Read(&magic) || magic != kManifestMagic) {
     return Status::IOError(path + ": bad manifest magic");
   }
-  if (!ReadPod(f.get(), &version) ||
+  if (!r.Read(&version) ||
       (version != kManifestVersion && version != kManifestVersionMeta)) {
     return Status::IOError(path + ": unsupported manifest version");
   }
-  if (!ReadPod(f.get(), &S) || !ReadPod(f.get(), &n) || !ReadPod(f.get(), &d) ||
-      !ReadPod(f.get(), &bits1) || !ReadPod(f.get(), &bits2) || S == 0 ||
-      d == 0) {
+  if (!r.Read(&S) || !r.Read(&n) || !r.Read(&d) || !r.Read(&bits1) ||
+      !r.Read(&bits2) || S == 0 || d == 0) {
     return Status::IOError(path + ": corrupt manifest header");
   }
   // A version-2 manifest overrides the caller's fallback configuration.
@@ -113,7 +111,7 @@ Result<std::unique_ptr<ShardedIndex>> LoadShardedIndex(
   VamanaBuildParams actual_bp = bp;
   if (version == kManifestVersionMeta) {
     IndexMeta meta;
-    BLINK_RETURN_NOT_OK(detail::ReadIndexMeta(f.get(), &meta, path));
+    BLINK_RETURN_NOT_OK(detail::ReadIndexMeta(&r, &meta, path));
     actual_metric = meta.metric;
     actual_bp = meta.params;
     if (self_described != nullptr) *self_described = true;
@@ -121,27 +119,26 @@ Result<std::unique_ptr<ShardedIndex>> LoadShardedIndex(
   // Bound every allocation below by what the file could actually hold: the
   // manifest stores S*d centroid floats and n member ids, so corrupt header
   // fields must fail with a Status like every other corruption, not OOM.
-  std::error_code ec;
-  const uint64_t fsize = std::filesystem::file_size(path, ec);
-  if (ec || d > fsize / sizeof(float) || S > (fsize / sizeof(float)) / d ||
+  const uint64_t fsize = map.value().size();
+  if (d > fsize / sizeof(float) || S > (fsize / sizeof(float)) / d ||
       n > fsize / sizeof(uint32_t)) {
     return Status::IOError(path + ": manifest header disagrees with size");
   }
   Partition part;
   part.centroids = MatrixF(S, d);
-  if (!ReadAll(f.get(), part.centroids.data(), S * d * sizeof(float))) {
+  if (!r.ReadBytes(part.centroids.data(), S * d * sizeof(float))) {
     return Status::IOError(path + ": truncated centroids");
   }
   part.shard_to_global.resize(S);
   part.global_to_shard.assign(n, UINT32_MAX);
   for (uint64_t s = 0; s < S; ++s) {
     uint64_t m = 0;
-    if (!ReadPod(f.get(), &m) || m > n) {
+    if (!r.Read(&m) || m > n) {
       return Status::IOError(path + ": corrupt shard list header");
     }
     auto& members = part.shard_to_global[s];
     members.resize(m);
-    if (!ReadAll(f.get(), members.data(), m * sizeof(uint32_t))) {
+    if (!r.ReadBytes(members.data(), m * sizeof(uint32_t))) {
       return Status::IOError(path + ": truncated shard list");
     }
     for (uint32_t g : members) {

@@ -1,13 +1,16 @@
-// Shared stdio plumbing for the binary index formats (graph/serialize.cc,
-// shard/serialize.cc): RAII FILE handle, exact-size read/write helpers,
-// and the atomic-save protocol. All formats are little-endian POD
-// streams; the helpers return false on short IO so callers can surface a
-// Status instead of asserting.
+// Shared plumbing for the binary index formats (graph/serialize.cc,
+// shard/serialize.cc, filter/serialize.cc): exact-size write helpers and
+// the atomic-save protocol on the write side, and one bounds-checked
+// cursor over a mapped artifact on the read side. All formats are
+// little-endian POD layouts; the helpers return false on short IO or an
+// out-of-bounds read so callers can surface a Status instead of asserting.
 #pragma once
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -27,19 +30,52 @@ inline bool WriteAll(FILE* f, const void* p, size_t bytes) {
   return bytes == 0 || std::fwrite(p, 1, bytes, f) == bytes;
 }
 
-inline bool ReadAll(FILE* f, void* p, size_t bytes) {
-  return bytes == 0 || std::fread(p, 1, bytes, f) == bytes;
-}
-
 template <typename T>
 bool WritePod(FILE* f, const T& v) {
   return WriteAll(f, &v, sizeof(T));
 }
 
-template <typename T>
-bool ReadPod(FILE* f, T* v) {
-  return ReadAll(f, v, sizeof(T));
-}
+/// Bounds-checked cursor over an artifact's bytes (in practice a read-only
+/// mapping): every parser reads its headers through one, and takes its
+/// payload sections as in-place pointers the caller then views or copies.
+class ByteReader {
+ public:
+  ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+
+  template <typename T>
+  bool Read(T* v) {
+    return ReadBytes(v, sizeof(T));
+  }
+
+  bool ReadBytes(void* out, size_t bytes) {
+    const uint8_t* p = Take(bytes);
+    if (p == nullptr) return false;
+    if (bytes > 0) std::memcpy(out, p, bytes);
+    return true;
+  }
+
+  /// Advances to the next multiple of `alignment` bytes from the start.
+  bool Align(size_t alignment) {
+    const size_t rem = off_ % alignment;
+    return rem == 0 || Take(alignment - rem) != nullptr;
+  }
+
+  /// Consumes `bytes` and returns where they start, or nullptr (consuming
+  /// nothing) when fewer remain.
+  const uint8_t* Take(size_t bytes) {
+    if (bytes > size_ - off_) return nullptr;
+    const uint8_t* p = data_ + off_;
+    off_ += bytes;
+    return p;
+  }
+
+  size_t remaining() const { return size_ - off_; }
+
+ private:
+  const uint8_t* data_;
+  size_t size_;
+  size_t off_ = 0;
+};
 
 /// Atomic save protocol: every artifact streams to `<path>.tmp.<pid>` and
 /// replaces the destination via rename(2) only after Commit() fsyncs the

@@ -14,6 +14,7 @@
 
 #include "api/index.h"
 #include "graph/serialize.h"
+#include "simd/distance.h"
 #include "testutil.h"
 
 namespace blink {
@@ -131,6 +132,36 @@ TEST_F(OpenRobustness, ForgedHugeLvqRowCountFails) {
       << r.status().ToString();
 }
 
+TEST_F(OpenRobustness, ForgedLvq2ResidualWidthFails) {
+  // A two-level payload whose header claims 16-bit residuals (twice the
+  // real width) over a cut residual section: the residual bound must trip
+  // against the file size before any residual allocation is sized.
+  const V1World w;
+  IndexSpec spec;
+  spec.kind = IndexKind::kStaticLvq;
+  spec.metric = w.data.metric;
+  spec.bits1 = 4;
+  spec.bits2 = 8;
+  spec.graph = w.bp;
+  auto built = Build(spec, w.data.base);
+  ASSERT_TRUE(built.ok());
+  const std::string prefix = Path("forged_lvq2");
+  (void)Path("forged_lvq2.graph");
+  (void)Path("forged_lvq2.vecs");
+  (void)Path("forged_lvq2.meta");
+  ASSERT_TRUE(built.value().Save(prefix).ok());
+  auto vecs = ReadFile(prefix + ".vecs");
+  const uint32_t bits2 = 16;
+  std::memcpy(vecs.data() + 8, &bits2, sizeof(bits2));  // magic, version
+  WriteFile(prefix + ".vecs", vecs.data(), vecs.size() - 64);
+  OpenOptions opts;
+  opts.use_huge_pages = false;
+  auto r = Open(prefix, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("file size"), std::string::npos)
+      << r.status().ToString();
+}
+
 // --- truncation -------------------------------------------------------------
 
 // Every strict prefix of a valid artifact must fail with a Status. Loading
@@ -208,6 +239,35 @@ TEST_F(OpenRobustness, ShardedWithMissingShardFileFails) {
       << r.status().ToString();
 }
 
+// A truncated two-level shard reports its own (residual-section) error:
+// the shard loader picks the encoding once instead of retrying the bytes
+// as a one-level payload.
+TEST_F(OpenRobustness, ShardedWithTruncatedTwoLevelShardFails) {
+  const V1World w;
+  IndexSpec spec;
+  spec.kind = IndexKind::kSharded;
+  spec.metric = w.data.metric;
+  spec.bits1 = 4;
+  spec.bits2 = 8;
+  spec.graph = w.bp;
+  spec.partition.num_shards = 2;
+  auto built = Build(spec, w.data.base);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string dir = DirPath("trunc_shard");
+  ASSERT_TRUE(built.value().Save(dir).ok());
+  const std::string shard = dir + "/shard_0001.vecs";
+  const auto vecs = ReadFile(shard);
+  WriteFile(shard, vecs.data(), vecs.size() - 5);
+  OpenOptions opts;
+  opts.use_huge_pages = false;
+  auto r = Open(dir, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("LVQ2 residual"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_EQ(r.status().message().find("bad LVQ magic"), std::string::npos)
+      << r.status().ToString();
+}
+
 // --- version-1 back-compat fixtures ----------------------------------------
 
 TEST(OpenBackCompat, V1StaticBundleLoadsWithFallbacks) {
@@ -281,6 +341,77 @@ TEST(OpenBackCompat, V1DynamicFilesLoadWithFallbacks) {
   }
 }
 
+/// One SearchBatchEx call as (id, distance bits) pairs, flattened.
+std::vector<uint32_t> SearchBits(const Index& idx, MatrixViewF queries,
+                                 size_t k, const SearchOptions& p) {
+  std::vector<uint32_t> ids(queries.rows * k);
+  std::vector<float> dists(queries.rows * k);
+  idx.SearchBatchEx(queries, k, p, ids.data(), dists.data(), nullptr);
+  std::vector<uint32_t> out;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, &dists[i], sizeof(bits));
+    out.push_back(ids[i]);
+    out.push_back(bits);
+  }
+  return out;
+}
+
+/// FNV-1a over SearchBits' bytes.
+uint64_t SearchChecksum(const Index& idx, MatrixViewF queries, size_t k,
+                        const SearchOptions& p) {
+  uint64_t h = 1469598103934665603ull;
+  for (uint32_t v : SearchBits(idx, queries, k, p)) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (v >> (8 * b)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// What every tests/data fixture serves — ids and distance bits — pinned to
+// values recorded with the loaders of the previous release, so a reader
+// change that moves one bit of a legacy artifact fails here. Distance bits
+// depend on the SIMD kernel's summation order, hence one pin per backend.
+TEST(OpenBackCompat, FixtureSearchesArePinned) {
+  const V1World w;
+  struct Pin {
+    const char* path;
+    LoadMode mode;
+    uint64_t scalar, avx2, avx512;
+  };
+  const std::string backend = simd::BackendName();
+  for (const Pin& pin : {
+           Pin{"/v1_static_lvq", LoadMode::kLoad, 0xbf5c41a12c46f1a1,
+               0x00d16cfd9f869a67, 0xdad01d8a0924258f},
+           Pin{"/v1_static_lvq", LoadMode::kMap, 0xbf5c41a12c46f1a1,
+               0x00d16cfd9f869a67, 0xdad01d8a0924258f},
+           Pin{"/v1_sharded", LoadMode::kLoad, 0xe47e12e3ec2be6fa,
+               0xcb65c6456de4cf44, 0xb764e6e115e44e65},
+           Pin{"/v1_dynamic_f32.bldy", LoadMode::kLoad, 0x3d3334266e2b2ec6,
+               0xe545ecf9c9e857a1, 0x7aa7876919850eca},
+           Pin{"/v1_dynamic_lvq.bldy", LoadMode::kLoad, 0xdd099eacc6db584d,
+               0xed35b0fc5e68dacc, 0x98c86b958be9908a},
+       }) {
+    OpenOptions opts;
+    opts.fallback_metric = w.data.metric;
+    opts.fallback_graph = w.bp;
+    opts.use_huge_pages = false;
+    opts.load_mode = pin.mode;
+    auto idx = Open(kDataDir + pin.path, opts);
+    ASSERT_TRUE(idx.ok()) << pin.path << ": " << idx.status().ToString();
+    SearchOptions p;
+    p.window = 16;
+    const uint64_t got = SearchChecksum(idx.value(), w.data.queries, 5, p);
+    const uint64_t want = backend == "avx512" ? pin.avx512
+                          : backend == "avx2" ? pin.avx2
+                                              : pin.scalar;
+    EXPECT_EQ(got, want) << pin.path << " (" << LoadModeName(pin.mode)
+                         << ", " << backend << "): 0x" << std::hex << got;
+  }
+}
+
 // --- new-format artifacts are self-describing -------------------------------
 
 class OpenSelfDescribing : public TempPathTest {};
@@ -321,9 +452,9 @@ class OpenMapMode : public TempPathTest {
   }
 };
 
-// The core map-mode contract: for every static flavor, a mapped reopen
-// serves byte-identical results to a heap-loaded reopen of the same
-// artifact, and the spec records the mode actually in effect.
+// The core map-mode contract: for every static flavor, the built index, a
+// heap-loaded reopen and a mapped reopen of its artifact serve identical
+// ids and distance bits, and the spec records the mode actually in effect.
 TEST_F(OpenMapMode, MappedSearchMatchesLoadedForEveryStaticFlavor) {
   const V1World w;
   struct Flavor {
@@ -335,7 +466,9 @@ TEST_F(OpenMapMode, MappedSearchMatchesLoadedForEveryStaticFlavor) {
        {Flavor{IndexKind::kStaticF32, 8, 0, "f32"},
         Flavor{IndexKind::kStaticF16, 8, 0, "f16"},
         Flavor{IndexKind::kStaticLvq, 8, 0, "lvq8"},
-        Flavor{IndexKind::kStaticLvq, 4, 8, "lvq4x8"}}) {
+        Flavor{IndexKind::kStaticLvq, 4, 8, "lvq4x8"},
+        Flavor{IndexKind::kStaticLeanVec, 8, 0, "leanvec_f32"},
+        Flavor{IndexKind::kStaticLeanVecLvq, 8, 0, "leanvec_lvq"}}) {
     IndexSpec spec;
     spec.kind = fl.kind;
     spec.metric = w.data.metric;
@@ -362,15 +495,24 @@ TEST_F(OpenMapMode, MappedSearchMatchesLoadedForEveryStaticFlavor) {
     EXPECT_TRUE(mapped.value().self_described()) << fl.name;
     EXPECT_EQ(mapped.value().size(), w.data.base.rows()) << fl.name;
 
-    RuntimeParams p;
+    SearchOptions p;
     p.window = 16;
-    testutil::ExpectSameIds(
-        testutil::SearchIds(loaded.value().AsSearchIndex(), w.data.queries, 5,
-                            p),
-        testutil::SearchIds(mapped.value().AsSearchIndex(), w.data.queries, 5,
-                            p),
-        std::string("map vs load: ") + fl.name);
+    const auto want = SearchBits(built.value(), w.data.queries, 5, p);
+    EXPECT_EQ(SearchBits(loaded.value(), w.data.queries, 5, p), want)
+        << "load vs built: " << fl.name;
+    EXPECT_EQ(SearchBits(mapped.value(), w.data.queries, 5, p), want)
+        << "map vs built: " << fl.name;
   }
+
+  // A v1 artifact has no aligned sections: kMap falls back to a copy.
+  OpenOptions map;
+  map.fallback_metric = w.data.metric;
+  map.fallback_graph = w.bp;
+  map.use_huge_pages = false;
+  map.load_mode = LoadMode::kMap;
+  auto legacy = Open(kDataDir + "/v1_static_lvq", map);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(legacy.value().spec().load_mode, LoadMode::kLoad);
 }
 
 // Every strict prefix of a v3 bundle must fail cleanly under a map-mode

@@ -29,6 +29,22 @@ class SerializeTest : public testutil::TempPathTest {
   }
 };
 
+/// All bytes of a file, for before/after comparisons.
+std::vector<uint8_t> Slurp(const std::string& path) {
+  FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  std::vector<uint8_t> bytes;
+  if (f != nullptr) {
+    char buf[4096];
+    size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      bytes.insert(bytes.end(), buf, buf + got);
+    }
+    std::fclose(f);
+  }
+  return bytes;
+}
+
 TEST_F(SerializeTest, GraphRoundTrip) {
   Dataset data = MakeDeepLike(500, 5, 600);
   FloatStorage storage(data.base, data.metric);
@@ -37,7 +53,7 @@ TEST_F(SerializeTest, GraphRoundTrip) {
   bp.window_size = 32;
   BuiltGraph g = BuildVamana(storage, bp);
   const std::string p = Path("a.graph");
-  ASSERT_TRUE(SaveGraph(p, g.graph, g.entry_point).ok());
+  ASSERT_TRUE(SaveGraph(p, g.graph, g.entry_point, {data.metric, bp}).ok());
   auto r = LoadGraph(p, /*use_huge_pages=*/false);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const BuiltGraph& g2 = r.value();
@@ -101,7 +117,7 @@ TEST_F(SerializeTest, FullIndexBundleServesIdenticalResults) {
   bp.window_size = 32;
   auto built = BuildOgLvq(data.base, data.metric, 8, 0, bp);
   const std::string prefix = BundlePrefix("bundle");
-  ASSERT_TRUE(SaveOgLvqIndex(prefix, *built).ok());
+  ASSERT_TRUE(SaveIndexBundle(prefix, *built).ok());
 
   auto loaded = LoadOgLvqIndex(prefix, data.metric, bp, false);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -120,7 +136,7 @@ TEST_F(SerializeTest, TwoLevelBundleRoundTrips) {
   bp.window_size = 32;
   auto built = BuildOgLvq(data.base, data.metric, 4, 8, bp);
   const std::string prefix = BundlePrefix("bundle2");
-  ASSERT_TRUE(SaveOgLvqIndex(prefix, *built).ok());
+  ASSERT_TRUE(SaveIndexBundle(prefix, *built).ok());
   auto loaded = LoadOgLvqIndex(prefix, data.metric, bp, false);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded.value()->storage().has_second_level());
@@ -149,37 +165,79 @@ TEST_F(SerializeTest, GraphWithOutOfRangeNeighborRejected) {
   const uint32_t bogus[] = {99};  // beyond n=4
   g.SetNeighbors(0, bogus, 1);
   const std::string p = Path("oob.graph");
-  ASSERT_TRUE(SaveGraph(p, g, 0).ok());
+  ASSERT_TRUE(SaveGraph(p, g, 0, IndexMeta{}).ok());
   EXPECT_FALSE(LoadGraph(p).ok());
 }
 
 TEST_F(SerializeTest, GraphWithOutOfRangeEntryPointRejected) {
   FlatGraph g(4, 2, false);
   const std::string p = Path("oob_entry.graph");
-  ASSERT_TRUE(SaveGraph(p, g, /*entry_point=*/4).ok());  // beyond n=4
+  ASSERT_TRUE(SaveGraph(p, g, /*entry_point=*/4, IndexMeta{}).ok());  // n=4
   EXPECT_FALSE(LoadGraph(p).ok());
+}
+
+// The version-1 reader's range checks, on byte-patched copies of the v1
+// fixture (no writer emits v1 any more). v1 layout: magic u32 | version
+// u32 | n u64 | R u32 | entry u32, then [deg][deg ids] rows.
+class LegacyGraphPatch : public SerializeTest {
+ protected:
+  static constexpr size_t kNOffset = 8;
+  static constexpr size_t kEntryOffset = 20;
+  static constexpr size_t kRow0Offset = 24;
+
+  std::vector<uint8_t> Fixture() const {
+    return Slurp(std::string(BLINK_TEST_DATA_DIR) + "/v1_static_lvq.graph");
+  }
+  /// Writes `bytes` to a temp file and returns its path.
+  std::string Write(const std::string& name, const std::vector<uint8_t>& bytes) {
+    const std::string p = Path(name);
+    FILE* f = std::fopen(p.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    if (f != nullptr) {
+      std::fwrite(bytes.data(), 1, bytes.size(), f);
+      std::fclose(f);
+    }
+    return p;
+  }
+};
+
+TEST_F(LegacyGraphPatch, UnpatchedFixtureLoads) {
+  auto r = LoadGraph(Write("v1.graph", Fixture()), false);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().graph.size(), 64u);
+}
+
+TEST_F(LegacyGraphPatch, OutOfRangeNeighborRejected) {
+  std::vector<uint8_t> bytes = Fixture();
+  uint32_t deg = 0;
+  std::memcpy(&deg, bytes.data() + kRow0Offset, sizeof(deg));
+  ASSERT_GT(deg, 0u) << "row 0 needs a neighbour to corrupt";
+  const uint32_t bogus = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + kRow0Offset + 4, &bogus, sizeof(bogus));
+  auto r = LoadGraph(Write("v1_oob.graph", bytes), false);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("neighbor id out of range"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+TEST_F(LegacyGraphPatch, OutOfRangeEntryPointRejected) {
+  std::vector<uint8_t> bytes = Fixture();
+  uint64_t n = 0;
+  std::memcpy(&n, bytes.data() + kNOffset, sizeof(n));
+  const uint32_t entry = static_cast<uint32_t>(n);  // one past the last node
+  std::memcpy(bytes.data() + kEntryOffset, &entry, sizeof(entry));
+  auto r = LoadGraph(Write("v1_oob_entry.graph", bytes), false);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("entry point out of range"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
 // Atomic-save protocol: an interrupted save must never leave a torn file
 // where the destination path is, and leftover temp files must be inert.
 // ---------------------------------------------------------------------------
-
-/// All bytes of a file, for before/after comparisons.
-std::vector<uint8_t> Slurp(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  std::vector<uint8_t> bytes;
-  if (f != nullptr) {
-    char buf[4096];
-    size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + got);
-    }
-    std::fclose(f);
-  }
-  return bytes;
-}
 
 // A writer destroyed before Commit() — what an exception or early error
 // return mid-save comes down to — leaves neither a destination file nor a
@@ -215,7 +273,7 @@ TEST_F(SerializeTest, MidSaveCrashLeavesOldArtifactServable) {
   BuiltGraph g = BuildVamana(storage, bp);
   const std::string p = Path("crashed.graph");
   const IndexMeta meta{data.metric, bp};
-  ASSERT_TRUE(SaveGraph(p, g.graph, g.entry_point, &meta).ok());
+  ASSERT_TRUE(SaveGraph(p, g.graph, g.entry_point, meta).ok());
   const std::vector<uint8_t> before = Slurp(p);
 
   // Simulate a crashed writer: a partial header under the temp-name
@@ -233,7 +291,7 @@ TEST_F(SerializeTest, MidSaveCrashLeavesOldArtifactServable) {
   EXPECT_EQ(Slurp(p), before);
 
   // Saving again replaces the artifact atomically, stale temp and all.
-  ASSERT_TRUE(SaveGraph(p, g.graph, g.entry_point, &meta).ok());
+  ASSERT_TRUE(SaveGraph(p, g.graph, g.entry_point, meta).ok());
   EXPECT_TRUE(LoadGraph(p, false).ok());
 }
 
@@ -243,7 +301,7 @@ TEST_F(SerializeTest, FailedCommitReportsAndCleansUp) {
   FlatGraph g(4, 2, false);
   const std::string p = DirPath("rename_target.graph");
   std::filesystem::create_directories(p);  // rename over a directory fails
-  const Status st = SaveGraph(p, g, 0);
+  const Status st = SaveGraph(p, g, 0, IndexMeta{});
   EXPECT_FALSE(st.ok());
   const std::string tmp = p + ".tmp." + std::to_string(::getpid());
   FILE* left = std::fopen(tmp.c_str(), "rb");
@@ -252,7 +310,7 @@ TEST_F(SerializeTest, FailedCommitReportsAndCleansUp) {
 }
 
 // ---------------------------------------------------------------------------
-// Map-mode loaders (v3 aligned artifacts).
+// View placement (map mode over v3 aligned artifacts).
 // ---------------------------------------------------------------------------
 
 TEST_F(SerializeTest, MappedGraphMatchesLoaded) {
@@ -264,14 +322,14 @@ TEST_F(SerializeTest, MappedGraphMatchesLoaded) {
   BuiltGraph g = BuildVamana(storage, bp);
   const std::string p = Path("mapped.graph");
   const IndexMeta meta{data.metric, bp};
-  ASSERT_TRUE(SaveGraph(p, g.graph, g.entry_point, &meta).ok());
-  ASSERT_TRUE(IsMappableArtifact(p));
+  ASSERT_TRUE(SaveGraph(p, g.graph, g.entry_point, meta).ok());
 
   auto map = MmapFile::Map(p);
   ASSERT_TRUE(map.ok()) << map.status().ToString();
+  ASSERT_TRUE(IsAlignedArtifact(map.value()));
   IndexMeta got_meta;
   bool has_meta = false;
-  auto r = MapGraph(map.value(), p, &got_meta, &has_meta);
+  auto r = ReadGraph(map.value(), p, {.view = true}, &got_meta, &has_meta);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const BuiltGraph& m = r.value();
   EXPECT_TRUE(m.graph.mapped());
@@ -300,10 +358,10 @@ TEST_F(SerializeTest, MappedLvqIsBitExact) {
   LvqDataset ds = LvqDataset::Encode(data.base, o);
   const std::string p = Path("mapped.vecs");
   ASSERT_TRUE(SaveLvq(p, ds).ok());
-  ASSERT_TRUE(IsMappableArtifact(p));
   auto map = MmapFile::Map(p);
   ASSERT_TRUE(map.ok());
-  auto r = MapLvq(map.value(), p);
+  ASSERT_TRUE(IsAlignedArtifact(map.value()));
+  auto r = ReadLvq(map.value(), p, {.view = true});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const LvqDataset& m = r.value();
   EXPECT_TRUE(m.mapped());
@@ -324,10 +382,10 @@ TEST_F(SerializeTest, MappedLvq2IsBitExact) {
   LvqDataset2 ds = LvqDataset2::Encode(data.base, o);
   const std::string p = Path("mapped2.vecs");
   ASSERT_TRUE(SaveLvq2(p, ds).ok());
-  ASSERT_TRUE(IsMappableArtifact(p));
   auto map = MmapFile::Map(p);
   ASSERT_TRUE(map.ok());
-  auto r = MapLvq2(map.value(), p);
+  ASSERT_TRUE(IsAlignedArtifact(map.value()));
+  auto r = ReadLvq2(map.value(), p, {.view = true});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const LvqDataset2& m = r.value();
   ASSERT_EQ(m.size(), ds.size());
@@ -340,18 +398,19 @@ TEST_F(SerializeTest, MappedLvq2IsBitExact) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(m.raw_residuals()) % 64, 0u);
 }
 
-// Pre-v3 artifacts are not mappable; the probe says so and the loaders
-// refuse with Unsupported (Open() uses the probe to fall back to heap).
+// Pre-v3 artifacts are not mappable: the probe says so, and a view
+// request over one still parses but copies (Open() uses the probe to
+// record kLoad for such bundles).
 TEST_F(SerializeTest, LegacyGraphIsNotMappable) {
-  FlatGraph g(4, 2, false);
-  const std::string p = Path("legacy.graph");
-  ASSERT_TRUE(SaveGraph(p, g, 0).ok());  // no meta => legacy v1 layout
-  EXPECT_FALSE(IsMappableArtifact(p));
+  const std::string p =
+      std::string(BLINK_TEST_DATA_DIR) + "/v1_static_lvq.graph";
   auto map = MmapFile::Map(p);
   ASSERT_TRUE(map.ok());
-  auto r = MapGraph(map.value(), p);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
+  EXPECT_FALSE(IsAlignedArtifact(map.value()));
+  auto r = ReadGraph(map.value(), p, {.view = true, .use_huge_pages = false});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r.value().graph.mapped());
+  EXPECT_EQ(r.value().graph.size(), 64u);
 }
 
 }  // namespace

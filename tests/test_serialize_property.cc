@@ -79,7 +79,7 @@ TEST_F(SerializePropertyTest, SingleBundleRoundTripIsByteIdentical) {
     // The bundle is two files; register both for cleanup.
     Path("prop_single_" + std::to_string(case_id) + ".graph");
     Path("prop_single_" + std::to_string(case_id) + ".vecs");
-    ASSERT_TRUE(SaveOgLvqIndex(prefix, *built).ok());
+    ASSERT_TRUE(SaveIndexBundle(prefix, *built).ok());
     auto loaded = LoadOgLvqIndex(prefix, Metric::kL2, bp, false);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     RuntimeParams p;
