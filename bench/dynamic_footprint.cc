@@ -133,12 +133,9 @@ void Run() {
     rows.push_back(Measure(&f32, "float32", data));
   }
   for (const auto& [b1, b2] : {std::pair<int, int>{8, 0}, {4, 8}}) {
-    DynamicLvqDataset::Options lo;
-    lo.bits1 = b1;
-    lo.bits2 = b2;
-    lo.mean = DynamicLvqDataset::SampleMean(data.base);
-    DynamicLvqIndex lvq(dim, opts,
-                        DynamicLvqStorage(dim, data.metric, std::move(lo)));
+    LvqDataset ds(ComputeMean(data.base, kDynamicMeanSampleRows),
+                  {.bits = b1, .bits2 = b2});
+    DynamicLvqIndex lvq(dim, opts, LvqStorage(std::move(ds), data.metric));
     rows.push_back(Measure(
         &lvq, b2 > 0 ? "LVQ-" + std::to_string(b1) + "x" + std::to_string(b2)
                      : "LVQ-" + std::to_string(b1),

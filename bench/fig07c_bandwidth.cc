@@ -52,7 +52,7 @@ void Measure(const Index& idx, const Dataset& data, size_t vector_bytes,
   const double secs = t.Seconds();
   const double gbps = static_cast<double>(total_fetch) / secs / 1e9;
   std::printf("%-16s fetched %.2f GB in %.2fs -> %.1f GB/s  (%.0f%% of peak)\n",
-              idx.storage().encoding_name(),
+              idx.storage().encoding_name().c_str(),
               static_cast<double>(total_fetch) / 1e9, secs, gbps,
               100.0 * gbps / peak);
 }
@@ -70,13 +70,13 @@ int main() {
   auto lvq = BuildOgLvq(data.base, data.metric, 8, 0, GraphParams(32, data.metric));
 
   Measure(*f16, data, data.base.cols() * sizeof(Float16), peak);
-  Measure(*lvq, data, lvq->storage().level1().vector_footprint(), peak);
+  Measure(*lvq, data, lvq->storage().dataset().vector_footprint(), peak);
 
   std::printf("\nPaper: 90%% (float16) and 78%% (LVQ-8) of the MLC peak on a\n"
               "40-core socket. A single core cannot saturate a socket; the\n"
               "transferable statistic is bytes per vector fetch: float16\n"
               "moves %zu B/vector vs LVQ-8's %zu B/vector here.\n",
               data.base.cols() * sizeof(Float16),
-              lvq->storage().level1().vector_footprint());
+              lvq->storage().dataset().vector_footprint());
   return 0;
 }

@@ -15,7 +15,7 @@ template <typename Index>
 void Scaling(const Index& idx, const Dataset& data,
              [[maybe_unused]] const Matrix<uint32_t>& gt,
              const std::vector<size_t>& thread_counts) {
-  std::printf("%-16s", idx.storage().encoding_name());
+  std::printf("%-16s", idx.storage().encoding_name().c_str());
   RuntimeParams p;
   p.window = 40;
   Matrix<uint32_t> ids(data.queries.rows(), 10);

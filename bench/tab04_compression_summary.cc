@@ -48,17 +48,17 @@ void RunDataset(Dataset data) {
   }
   {
     auto idx = BuildOgLvq(data.base, data.metric, 8, 0, bp);
-    report(*idx, static_cast<double>(idx->storage().level1().vector_footprint()),
+    report(*idx, static_cast<double>(idx->storage().dataset().vector_footprint()),
            "LVQ-8");
   }
   {
     auto idx = BuildOgLvq(data.base, data.metric, 4, 4, bp);
-    report(*idx, static_cast<double>(idx->storage().level2()->vector_footprint()),
+    report(*idx, static_cast<double>(idx->storage().dataset().vector_footprint()),
            "LVQ-4x4");
   }
   {
     auto idx = BuildOgLvq(data.base, data.metric, 4, 8, bp);
-    report(*idx, static_cast<double>(idx->storage().level2()->vector_footprint()),
+    report(*idx, static_cast<double>(idx->storage().dataset().vector_footprint()),
            "LVQ-4x8");
   }
   std::printf("\n");

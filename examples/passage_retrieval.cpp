@@ -29,7 +29,7 @@ int main() {
   std::printf("footprints: float32 %.1f MiB -> LVQ-4x8 %.1f MiB (vectors CR %.2fx)\n",
               f32->memory_bytes() / 1048576.0,
               lvq48->memory_bytes() / 1048576.0,
-              lvq48->storage().level2()->compression_ratio());
+              lvq48->storage().dataset().compression_ratio());
 
   const auto sweep = WindowSweep({10, 16, 24, 32, 48, 64, 96});
   HarnessOptions opts;

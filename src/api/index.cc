@@ -10,7 +10,6 @@
 #include "graph/index.h"
 #include "graph/serialize.h"
 #include "quant/leanvec.h"
-#include "quant/lvq_dynamic.h"
 #include "shard/serialize.h"
 #include "shard/sharded_index.h"
 
@@ -91,6 +90,16 @@ Status SaveMetadataSidecar(const std::string& meta_path,
     return Status::OK();
   }
   return SaveMetadata(meta_path, *md, n_rows == 0 ? md->size() : n_rows);
+}
+
+/// InvalidArgument naming the first non-finite entry of `data`, if any.
+Status CheckFinite(MatrixViewF data) {
+  const auto bad = FirstNonFinite(data);
+  if (!bad) return Status::OK();
+  return Status::InvalidArgument(
+      "vector data must be finite: row " + std::to_string(bad->first) +
+      ", column " + std::to_string(bad->second) + " is " +
+      std::to_string(data.row(bad->first)[bad->second]));
 }
 
 /// Static flavors: a VamanaIndex over Float/F16/Lvq storage, saved as a
@@ -175,6 +184,7 @@ class DynamicFlavor : public IndexImpl {
                                index_->size());
   }
   Result<uint32_t> Insert(const float* vec) override {
+    BLINK_RETURN_NOT_OK(CheckFinite(MatrixViewF(vec, 1, index_->dim())));
     return index_->Insert(vec);
   }
   Status Delete(uint32_t id) override { return index_->Delete(id); }
@@ -320,6 +330,7 @@ Result<std::unique_ptr<ServingEngine>> Index::Serve(
 Result<Index> Build(const IndexSpec& spec_in, MatrixViewF data,
                     ThreadPool* pool) {
   BLINK_RETURN_NOT_OK(spec_in.Validate());
+  BLINK_RETURN_NOT_OK(detail::CheckFinite(data));
   const IndexSpec spec = spec_in.Resolved();
   switch (spec.kind) {
     case IndexKind::kStaticF32: {
@@ -382,19 +393,17 @@ Result<Index> Build(const IndexSpec& spec_in, MatrixViewF data,
       auto idx = std::make_unique<DynamicIndex>(data.cols,
                                                 detail::ToDynamicOptions(spec));
       for (size_t i = 0; i < data.rows; ++i) idx->Insert(data.row(i));
-      return Index(std::make_unique<detail::DynamicFlavor<DynamicFloatStorage>>(
+      return Index(std::make_unique<detail::DynamicFlavor<FloatStorage>>(
           std::move(idx), spec, SpecCapabilities(spec), true));
     }
     case IndexKind::kDynamicLvq: {
-      DynamicLvqDataset::Options lo;
-      lo.bits1 = spec.bits1;
-      lo.bits2 = spec.bits2;
-      lo.mean = DynamicLvqDataset::SampleMean(data);
+      LvqDataset ds(ComputeMean(data, kDynamicMeanSampleRows),
+                    {.bits = spec.bits1, .bits2 = spec.bits2});
       auto idx = std::make_unique<DynamicLvqIndex>(
           data.cols, detail::ToDynamicOptions(spec),
-          DynamicLvqStorage(data.cols, spec.metric, std::move(lo)));
+          LvqStorage(std::move(ds), spec.metric));
       for (size_t i = 0; i < data.rows; ++i) idx->Insert(data.row(i));
-      return Index(std::make_unique<detail::DynamicFlavor<DynamicLvqStorage>>(
+      return Index(std::make_unique<detail::DynamicFlavor<LvqStorage>>(
           std::move(idx), spec, SpecCapabilities(spec), true));
     }
   }
@@ -478,21 +487,21 @@ Result<Index> OpenDynamic(const std::string& path, const OpenOptions& opts) {
       BLINK_RETURN_NOT_OK(idx.value()->AttachMetadata(std::move(store)));
       caps |= kCapFilter;
     }
-    return Index(std::make_unique<detail::DynamicFlavor<DynamicFloatStorage>>(
+    return Index(std::make_unique<detail::DynamicFlavor<FloatStorage>>(
         std::move(idx).value(), std::move(spec), caps, self_described));
   }
   auto idx = LoadDynamicLvq(path, dopts, &self_described);
   if (!idx.ok()) return idx.status();
   IndexSpec spec = detail::DynamicSpecOf(*idx.value(), IndexKind::kDynamicLvq);
   spec.dynamic.initial_capacity = opts.dynamic_initial_capacity;
-  spec.bits1 = idx.value()->storage().dataset().bits1();
-  spec.bits2 = idx.value()->storage().dataset().bits2();
+  spec.bits1 = idx.value()->storage().bits1();
+  spec.bits2 = idx.value()->storage().bits2();
   Capabilities caps = SpecCapabilities(spec);
   if (auto store = owned_md(); store != nullptr) {
     BLINK_RETURN_NOT_OK(idx.value()->AttachMetadata(std::move(store)));
     caps |= kCapFilter;
   }
-  return Index(std::make_unique<detail::DynamicFlavor<DynamicLvqStorage>>(
+  return Index(std::make_unique<detail::DynamicFlavor<LvqStorage>>(
       std::move(idx).value(), std::move(spec), caps, self_described));
 }
 
@@ -574,19 +583,12 @@ Result<Index> OpenStatic(const std::string& prefix, const OpenOptions& opts) {
                       std::move(metadata));
   };
   switch (enc.value()) {
-    case VecsEncoding::kLvq1: {
+    case VecsEncoding::kLvq1:
+    case VecsEncoding::kLvq2: {
       auto ds = ReadLvq(vm, vecs_path, place);
       if (!ds.ok()) return ds.status();
       spec.kind = IndexKind::kStaticLvq;
       spec.bits1 = ds.value().bits();
-      spec.bits2 = 0;
-      return make(LvqStorage(std::move(ds).value(), spec.metric));
-    }
-    case VecsEncoding::kLvq2: {
-      auto ds = ReadLvq2(vm, vecs_path, place);
-      if (!ds.ok()) return ds.status();
-      spec.kind = IndexKind::kStaticLvq;
-      spec.bits1 = ds.value().bits1();
       spec.bits2 = ds.value().bits2();
       return make(LvqStorage(std::move(ds).value(), spec.metric));
     }
@@ -614,7 +616,7 @@ Result<Index> OpenStatic(const std::string& prefix, const OpenOptions& opts) {
       if (!st.ok()) return st.status();
       spec.kind = IndexKind::kStaticLeanVecLvq;
       spec.leanvec_dim = st.value().primary_dim();
-      spec.bits1 = st.value().primary().level1().bits();
+      spec.bits1 = st.value().primary().bits1();
       spec.bits2 = 0;
       return make(std::move(st).value());
     }

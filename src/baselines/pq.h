@@ -122,7 +122,7 @@ class PqStorage {
   size_t dim() const { return codec_.dim(); }
   Metric metric() const { return metric_; }
   size_t memory_bytes() const { return ds_.memory_bytes(); }
-  const char* encoding_name() const { return "PQ"; }
+  std::string encoding_name() const { return "PQ"; }
 
   void PrepareQuery(const float* q, Query* out) const {
     out->lut.resize(codec_.num_segments() * codec_.ksub());

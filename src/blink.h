@@ -18,14 +18,12 @@
 
 // Core quantization (the paper's contribution).
 #include "quant/scalar.h"      // uniform scalar quantization (Eq. 1)
-#include "quant/lvq.h"         // LVQ-B and LVQ-B1xB2 (Defs. 1-2)
-#include "quant/lvq_dynamic.h" // growable LVQ arena for streaming inserts
+#include "quant/lvq.h"         // LVQ-B and LVQ-B1xB2 (Defs. 1-2), one arena
 #include "quant/global.h"      // global / per-dimension baselines
 
 // Optimized graph index (OG-LVQ).
 #include "graph/graph.h"
 #include "graph/storage.h"
-#include "graph/dynamic_storage.h"
 #include "graph/search.h"
 #include "graph/builder.h"
 #include "graph/index.h"

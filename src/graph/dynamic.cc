@@ -9,10 +9,6 @@
 namespace blink {
 
 template <typename Storage>
-DynamicGraphIndex<Storage>::DynamicGraphIndex(size_t dim, const Options& opts)
-    : DynamicGraphIndex(dim, opts, Storage(dim, opts.metric)) {}
-
-template <typename Storage>
 DynamicGraphIndex<Storage>::DynamicGraphIndex(size_t dim, const Options& opts,
                                               Storage storage)
     : dim_(dim), opts_(opts), storage_(std::move(storage)) {
@@ -480,7 +476,7 @@ std::unique_ptr<DynamicGraphIndex<Storage>> DynamicGraphIndex<Storage>::Restore(
   return idx;
 }
 
-template class DynamicGraphIndex<DynamicFloatStorage>;
-template class DynamicGraphIndex<DynamicLvqStorage>;
+template class DynamicGraphIndex<FloatStorage>;
+template class DynamicGraphIndex<LvqStorage>;
 
 }  // namespace blink

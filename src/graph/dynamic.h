@@ -13,9 +13,9 @@
 //     nodes inherit the deleted nodes' out-edges, then re-prune; slots are
 //     recycled by later inserts.
 //
-// Storage (DESIGN.md D9): DynamicGraphIndex<Storage> is templated on a
-// growable storage codec (graph/dynamic_storage.h), mirroring
-// VamanaIndex<Storage>. DynamicIndex (float32) is the uncompressed
+// Storage (DESIGN.md D9): DynamicGraphIndex<Storage> is templated on the
+// same storage classes as VamanaIndex<Storage>, through their growth
+// operations (graph/storage.h). DynamicIndex (float32) is the uncompressed
 // baseline; DynamicLvqIndex encodes each vector at insert time against a
 // fixed sample mean (LVQ-B, optionally with B2-bit residuals re-ranked at
 // the end of every search), so the streaming path gets the same 4-8x
@@ -47,6 +47,7 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -55,10 +56,10 @@
 
 #include "eval/interface.h"
 #include "filter/metadata.h"
-#include "graph/dynamic_storage.h"
 #include "graph/graph.h"
 #include "graph/search.h"
 #include "graph/search_buffer.h"
+#include "graph/storage.h"
 #include "util/epoch.h"
 #include "util/status.h"
 
@@ -72,6 +73,10 @@ struct DynamicOptions {
   Metric metric = Metric::kL2;
   size_t initial_capacity = 1024;
 };
+
+/// Rows of the first batch a dynamic LVQ index takes its fixed centering
+/// mean from (ComputeMean's `max_rows`).
+inline constexpr size_t kDynamicMeanSampleRows = 16384;
 
 template <typename Storage>
 class DynamicGraphIndex {
@@ -95,11 +100,13 @@ class DynamicGraphIndex {
     std::vector<SearchBuffer::Entry> survivors;  // filtered extraction pool
   };
 
-  /// Storage built with its default configuration for this (dim, metric).
-  DynamicGraphIndex(size_t dim, const Options& opts);
-  /// Adopts a configured storage (e.g. DynamicLvqStorage with a sample
-  /// mean). `storage.dim()` must equal `dim`; its capacity is grown to
-  /// `opts.initial_capacity`.
+  /// An empty storage for this (dim, metric) (float32).
+  DynamicGraphIndex(size_t dim, const Options& opts)
+    requires std::constructible_from<Storage, size_t, Metric>
+      : DynamicGraphIndex(dim, opts, Storage(dim, opts.metric)) {}
+  /// Adopts a configured storage (e.g. an empty LVQ dataset centered on a
+  /// sample mean). `storage.dim()` must equal `dim`; its capacity is grown
+  /// to `opts.initial_capacity`.
   DynamicGraphIndex(size_t dim, const Options& opts, Storage storage);
 
   /// Inserts a vector; returns its id. Ids of consolidated deletions are
@@ -314,12 +321,12 @@ class DynamicGraphIndex {
 };
 
 /// The uncompressed dynamic index (the pre-D9 DynamicIndex).
-using DynamicIndex = DynamicGraphIndex<DynamicFloatStorage>;
+using DynamicIndex = DynamicGraphIndex<FloatStorage>;
 /// The compressed dynamic index: LVQ-B (optionally B1xB2) storage encoded
 /// at insert time against a fixed sample mean.
-using DynamicLvqIndex = DynamicGraphIndex<DynamicLvqStorage>;
+using DynamicLvqIndex = DynamicGraphIndex<LvqStorage>;
 
-extern template class DynamicGraphIndex<DynamicFloatStorage>;
-extern template class DynamicGraphIndex<DynamicLvqStorage>;
+extern template class DynamicGraphIndex<FloatStorage>;
+extern template class DynamicGraphIndex<LvqStorage>;
 
 }  // namespace blink

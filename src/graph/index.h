@@ -281,10 +281,8 @@ class VamanaIndex : public SearchIndex {
 inline std::unique_ptr<VamanaIndex<LvqStorage>> BuildOgLvq(
     MatrixViewF data, Metric metric, int bits1, int bits2,
     const VamanaBuildParams& bp, ThreadPool* pool = nullptr) {
-  LvqStorage storage =
-      bits2 > 0 ? LvqStorage(data, metric, bits1, bits2, /*padding=*/32, pool)
-                : LvqStorage(data, metric, bits1, /*padding=*/32, pool);
-  return std::make_unique<VamanaIndex<LvqStorage>>(std::move(storage), bp, pool);
+  return std::make_unique<VamanaIndex<LvqStorage>>(
+      LvqStorage(data, metric, bits1, bits2, /*padding=*/32, pool), bp, pool);
 }
 
 /// Vamana over full-precision vectors (the paper's "Vamana" baseline).

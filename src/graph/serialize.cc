@@ -80,6 +80,7 @@ bool Views(const Placement& place, uint32_t version) {
   return place.view && version == kVersionAligned;
 }
 
+/// Writes the level-1 "BLAQ" section of `ds` (header, mean, blobs).
 Status SaveLvqTo(FILE* f, const LvqDataset& ds, const std::string& path) {
   const uint64_t n = ds.size(), d = ds.dim();
   const uint32_t bits = static_cast<uint32_t>(ds.bits());
@@ -88,24 +89,32 @@ Status SaveLvqTo(FILE* f, const LvqDataset& ds, const std::string& path) {
       !WritePod(f, n) || !WritePod(f, d) || !WritePod(f, bits) ||
       !WritePod(f, padding) ||
       !WriteAll(f, ds.mean().data(), d * sizeof(float)) ||
-      !WriteSectionPad(f) ||
-      !WriteAll(f, ds.raw_blob(), n * ds.vector_footprint())) {
+      !WriteSectionPad(f) || !WriteAll(f, ds.raw_blob(), n * ds.stride())) {
     return Status::IOError(path + ": LVQ write failed");
   }
   return Status::OK();
 }
 
+/// One parsed "BLAQ" section, before placement.
+struct LvqSection {
+  uint32_t version = 0;
+  size_t n = 0;
+  std::vector<float> mean;
+  LvqDataset::Options opts;
+  const uint8_t* blob = nullptr;
+};
+
 /// The one "BLAQ" parser: whole files and the sections nested in "BLA2"
 /// and "BLLV" payloads.
-Result<LvqDataset> ParseLvq(ByteReader* r, const std::string& path,
-                            const Placement& place) {
-  uint32_t magic = 0, version = 0, bits = 0;
+Status ParseLvqSection(ByteReader* r, const std::string& path,
+                       const Placement& place, LvqSection* out) {
+  uint32_t magic = 0, bits = 0;
   uint64_t n = 0, d = 0, padding = 0;
   if (!r->Read(&magic) || magic != kLvqMagic) {
     return Status::IOError(path + ": bad LVQ magic");
   }
-  if (!r->Read(&version) ||
-      (version != kVersion && version != kVersionAligned)) {
+  if (!r->Read(&out->version) ||
+      (out->version != kVersion && out->version != kVersionAligned)) {
     return Status::IOError(path + ": unsupported LVQ version");
   }
   if (!r->Read(&n) || !r->Read(&d) || !r->Read(&bits) ||
@@ -119,20 +128,55 @@ Result<LvqDataset> ParseLvq(ByteReader* r, const std::string& path,
   const size_t stride = LvqPaddedStride(
       LvqDataset::kHeaderBytes + PackedBytes(d, static_cast<int>(bits)),
       padding);
-  std::vector<float> mean(d);
-  const uint8_t* blob = nullptr;
-  if (!r->ReadBytes(mean.data(), d * sizeof(float)) ||
-      (version == kVersionAligned && !r->Align(kSectionAlign)) ||
-      n > r->remaining() / stride || (blob = r->Take(n * stride)) == nullptr) {
+  out->mean.resize(d);
+  if (!r->ReadBytes(out->mean.data(), d * sizeof(float)) ||
+      (out->version == kVersionAligned && !r->Align(kSectionAlign)) ||
+      n > r->remaining() / stride ||
+      (out->blob = r->Take(n * stride)) == nullptr) {
     return Status::IOError(path + ": LVQ header disagrees with file size");
   }
-  if (Views(place, version)) {
-    return LvqDataset::FromExternal(n, d, static_cast<int>(bits), padding,
-                                    std::move(mean), blob);
+  out->n = n;
+  out->opts.bits = static_cast<int>(bits);
+  out->opts.padding = padding;
+  out->opts.use_huge_pages = place.use_huge_pages;
+  return Status::OK();
+}
+
+/// A "BLAQ" section as a one-level dataset.
+Result<LvqDataset> ParseLvq(ByteReader* r, const std::string& path,
+                            const Placement& place) {
+  LvqSection s;
+  BLINK_RETURN_NOT_OK(ParseLvqSection(r, path, place, &s));
+  return LvqDataset::FromRaw(s.n, std::move(s.mean), s.opts, s.blob,
+                             /*residuals=*/nullptr, Views(place, s.version));
+}
+
+/// A "BLA2" payload: its residual width, a nested level-1 section, then
+/// the residual rows.
+Result<LvqDataset> ParseLvq2(ByteReader* r, const std::string& path,
+                             const Placement& place) {
+  uint32_t magic = 0, version = 0, bits2 = 0;
+  if (!r->Read(&magic) || magic != kLvq2Magic) {
+    return Status::IOError(path + ": bad LVQ2 magic");
   }
-  return LvqDataset::FromRaw(n, d, static_cast<int>(bits), padding,
-                             std::move(mean), blob, n * stride,
-                             place.use_huge_pages);
+  if (!r->Read(&version) ||
+      (version != kVersion && version != kVersionAligned) ||
+      !r->Read(&bits2) || bits2 < 1 || bits2 > 16) {
+    return Status::IOError(path + ": corrupt LVQ2 header");
+  }
+  LvqSection s;
+  BLINK_RETURN_NOT_OK(ParseLvqSection(r, path, place, &s));
+  s.opts.bits2 = static_cast<int>(bits2);
+  const size_t stride = PackedBytes(s.mean.size(), s.opts.bits2);
+  const uint8_t* residuals = nullptr;
+  if ((version == kVersionAligned && !r->Align(kSectionAlign)) ||
+      (residuals = r->Take(s.n * stride)) == nullptr) {
+    return Status::IOError(path +
+                           ": LVQ2 residual section disagrees with file size");
+  }
+  // Both levels are viewed only when both sections have the aligned layout.
+  return LvqDataset::FromRaw(s.n, std::move(s.mean), s.opts, s.blob, residuals,
+                             Views(place, version) && Views(place, s.version));
 }
 
 /// Shared (n, d) header + raw row payload of the float32/float16 formats.
@@ -421,25 +465,10 @@ Result<BuiltGraph> LoadGraph(const std::string& path, bool use_huge_pages,
 Status SaveLvq(const std::string& path, const LvqDataset& ds) {
   binio::AtomicFile f(path);
   if (!f.ok()) return Status::IOError("cannot open " + path + " for writing");
-  BLINK_RETURN_NOT_OK(SaveLvqTo(f.get(), ds, path));
-  return f.Commit();
-}
-
-Result<LvqDataset> ReadLvq(const MmapFile& map, const std::string& path,
-                           const Placement& place) {
-  ByteReader r(map.data(), map.size());
-  return ParseLvq(&r, path, place);
-}
-
-Result<LvqDataset> LoadLvq(const std::string& path, bool use_huge_pages) {
-  Result<MmapFile> map = MapForCopy(path);
-  if (!map.ok()) return map.status();
-  return ReadLvq(map.value(), path, {.use_huge_pages = use_huge_pages});
-}
-
-Status SaveLvq2(const std::string& path, const LvqDataset2& ds) {
-  binio::AtomicFile f(path);
-  if (!f.ok()) return Status::IOError("cannot open " + path + " for writing");
+  if (ds.bits2() == 0) {
+    BLINK_RETURN_NOT_OK(SaveLvqTo(f.get(), ds, path));
+    return f.Commit();
+  }
   const uint32_t bits2 = static_cast<uint32_t>(ds.bits2());
   if (!WritePod(f.get(), kLvq2Magic) || !WritePod(f.get(), kVersionAligned) ||
       !WritePod(f.get(), bits2)) {
@@ -447,7 +476,7 @@ Status SaveLvq2(const std::string& path, const LvqDataset2& ds) {
   }
   // The nested level-1 section carries its own v3 pad; a second pad before
   // the residual rows gives them an aligned offset of their own.
-  BLINK_RETURN_NOT_OK(SaveLvqTo(f.get(), ds.level1(), path));
+  BLINK_RETURN_NOT_OK(SaveLvqTo(f.get(), ds, path));
   if (!WriteSectionPad(f.get()) ||
       !WriteAll(f.get(), ds.raw_residuals(),
                 ds.size() * ds.residual_stride())) {
@@ -456,47 +485,23 @@ Status SaveLvq2(const std::string& path, const LvqDataset2& ds) {
   return f.Commit();
 }
 
-Result<LvqDataset2> ReadLvq2(const MmapFile& map, const std::string& path,
-                             const Placement& place) {
+Result<LvqDataset> ReadLvq(const MmapFile& map, const std::string& path,
+                           const Placement& place) {
+  uint32_t magic = 0;
+  ByteReader(map.data(), map.size()).Read(&magic);
   ByteReader r(map.data(), map.size());
-  uint32_t magic = 0, version = 0, bits2 = 0;
-  if (!r.Read(&magic) || magic != kLvq2Magic) {
-    return Status::IOError(path + ": bad LVQ2 magic");
-  }
-  if (!r.Read(&version) ||
-      (version != kVersion && version != kVersionAligned) ||
-      !r.Read(&bits2) || bits2 < 1 || bits2 > 16) {
-    return Status::IOError(path + ": corrupt LVQ2 header");
-  }
-  Result<LvqDataset> level1 = ParseLvq(&r, path, place);
-  if (!level1.ok()) return level1.status();
-  const size_t n = level1.value().size();
-  const size_t stride =
-      PackedBytes(level1.value().dim(), static_cast<int>(bits2));
-  const uint8_t* residuals = nullptr;
-  if ((version == kVersionAligned && !r.Align(kSectionAlign)) ||
-      (residuals = r.Take(n * stride)) == nullptr) {
-    return Status::IOError(path +
-                           ": LVQ2 residual section disagrees with file size");
-  }
-  if (Views(place, version)) {
-    return LvqDataset2::FromExternal(std::move(level1).value(),
-                                     static_cast<int>(bits2), residuals);
-  }
-  return LvqDataset2::FromRaw(std::move(level1).value(),
-                              static_cast<int>(bits2), residuals, n * stride,
-                              place.use_huge_pages);
+  return magic == kLvq2Magic ? ParseLvq2(&r, path, place)
+                             : ParseLvq(&r, path, place);
 }
 
-Result<LvqDataset2> LoadLvq2(const std::string& path, bool use_huge_pages) {
+Result<LvqDataset> LoadLvq(const std::string& path, bool use_huge_pages) {
   Result<MmapFile> map = MapForCopy(path);
   if (!map.ok()) return map.status();
-  return ReadLvq2(map.value(), path, {.use_huge_pages = use_huge_pages});
+  return ReadLvq(map.value(), path, {.use_huge_pages = use_huge_pages});
 }
 
 Status SaveVecs(const std::string& path, const LvqStorage& storage) {
-  if (storage.has_second_level()) return SaveLvq2(path, *storage.level2());
-  return SaveLvq(path, storage.level1());
+  return SaveLvq(path, storage.dataset());
 }
 
 Status SaveVecs(const std::string& path, const FloatStorage& storage) {
@@ -556,12 +561,12 @@ Status SaveVecs(const std::string& path, const LeanVecLvqStorage& storage) {
       f.get(), kLeanVecKindLvq, storage.model(), storage.size(), path));
   // Each nested LVQ section carries its own v3 pad before its blob; the
   // extra pad between them gives the secondary header an aligned offset
-  // (cf. SaveLvq2's residual section).
-  BLINK_RETURN_NOT_OK(SaveLvqTo(f.get(), storage.primary().level1(), path));
+  // (cf. SaveLvq's residual section).
+  BLINK_RETURN_NOT_OK(SaveLvqTo(f.get(), storage.primary().dataset(), path));
   if (!WriteSectionPad(f.get())) {
     return Status::IOError(path + ": section padding write failed");
   }
-  BLINK_RETURN_NOT_OK(SaveLvqTo(f.get(), storage.secondary().level1(), path));
+  BLINK_RETURN_NOT_OK(SaveLvqTo(f.get(), storage.secondary().dataset(), path));
   return f.Commit();
 }
 
@@ -861,7 +866,7 @@ Status SaveDynamic(const std::string& path, const DynamicIndex& index) {
   if (!f.ok()) return Status::IOError("cannot open " + path + " for writing");
   const DynHeader h = DynHeaderOf(index, kDynKindF32);
   BLINK_RETURN_NOT_OK(WriteDynHeader(f.get(), h, path));
-  if (!WriteAll(f.get(), index.storage().raw_rows(),
+  if (!WriteAll(f.get(), index.storage().row(0),
                 h.n * h.dim * sizeof(float))) {
     return Status::IOError(path + ": vector write failed");
   }
@@ -872,10 +877,10 @@ Status SaveDynamic(const std::string& path, const DynamicIndex& index) {
 Status SaveDynamic(const std::string& path, const DynamicLvqIndex& index) {
   binio::AtomicFile f(path);
   if (!f.ok()) return Status::IOError("cannot open " + path + " for writing");
-  const DynamicLvqDataset& ds = index.storage().dataset();
+  const LvqDataset& ds = index.storage().dataset();
   const DynHeader h = DynHeaderOf(index, kDynKindLvq);
   BLINK_RETURN_NOT_OK(WriteDynHeader(f.get(), h, path));
-  const uint32_t bits1 = static_cast<uint32_t>(ds.bits1());
+  const uint32_t bits1 = static_cast<uint32_t>(ds.bits());
   const uint32_t bits2 = static_cast<uint32_t>(ds.bits2());
   const uint64_t padding = ds.padding();
   if (!WritePod(f.get(), bits1) || !WritePod(f.get(), bits2) ||
@@ -906,9 +911,11 @@ Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(const std::string& path,
     return Status::IOError(path + ": dynamic header disagrees with file size");
   }
   const size_t capacity = RestoredCapacity(h, opts);
-  DynamicFloatStorage storage(h.dim, opts.metric);
+  FloatStorage storage(h.dim, opts.metric);
   storage.Grow(capacity);
-  storage.RestoreRows(reinterpret_cast<const float*>(rows), h.n);
+  for (size_t i = 0; i < h.n; ++i) {
+    storage.Set(i, reinterpret_cast<const float*>(rows) + i * h.dim);
+  }
   FlatGraph graph;
   std::vector<uint8_t> deleted;
   std::vector<uint32_t> free_slots;
@@ -936,16 +943,15 @@ Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
       padding > (1u << 20)) {  // bounded so the stride can't overflow
     return Status::IOError(path + ": corrupt LVQ dynamic header");
   }
-  DynamicLvqDataset::Options lvq_opts;
-  lvq_opts.bits1 = static_cast<int>(bits1);
+  LvqDataset::Options lvq_opts;
+  lvq_opts.bits = static_cast<int>(bits1);
   lvq_opts.bits2 = static_cast<int>(bits2);
   lvq_opts.padding = padding;
-  lvq_opts.mean.resize(h.dim);
-  if (!r.ReadBytes(lvq_opts.mean.data(), h.dim * sizeof(float))) {
+  std::vector<float> mean(h.dim);
+  if (!r.ReadBytes(mean.data(), h.dim * sizeof(float))) {
     return Status::IOError(path + ": truncated mean");
   }
-  DynamicLvqStorage storage(h.dim, opts.metric, std::move(lvq_opts));
-  const DynamicLvqDataset& ds = storage.dataset();
+  LvqDataset ds(std::move(mean), lvq_opts);
   // Same forged-header allocation bound as the float32 path, checked
   // before Grow() sizes the arena from h.n.
   const uint8_t* blob = nullptr;
@@ -955,8 +961,9 @@ Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
     return Status::IOError(path + ": dynamic header disagrees with file size");
   }
   const size_t capacity = RestoredCapacity(h, opts);
-  storage.Grow(capacity);
-  storage.dataset().RestoreRows(blob, residuals, h.n);
+  ds.Grow(capacity);
+  ds.RestoreRows(blob, residuals, h.n);
+  LvqStorage storage(std::move(ds), opts.metric);
   FlatGraph graph;
   std::vector<uint8_t> deleted;
   std::vector<uint32_t> free_slots;
@@ -1002,8 +1009,8 @@ Result<std::unique_ptr<VamanaIndex<LvqStorage>>> LoadOgLvqIndex(
   };
   const Placement copy{.use_huge_pages = use_huge_pages};
   switch (enc.value()) {
-    case VecsEncoding::kLvq1: return make(ReadLvq(map.value(), vecs, copy));
-    case VecsEncoding::kLvq2: return make(ReadLvq2(map.value(), vecs, copy));
+    case VecsEncoding::kLvq1:
+    case VecsEncoding::kLvq2: return make(ReadLvq(map.value(), vecs, copy));
     default: return Status::IOError(vecs + ": not an LVQ payload");
   }
 }

@@ -119,19 +119,14 @@ Result<BuiltGraph> LoadGraph(const std::string& path,
                              IndexMeta* meta = nullptr,
                              bool* has_meta = nullptr);
 
-/// One-level LVQ dataset (mean + per-vector blobs), "BLAQ".
+/// LVQ dataset: one-level as "BLAQ" (mean + per-vector blobs), two-level
+/// as "BLA2" (residual width, the level-1 "BLAQ" section, residual codes).
+/// The readers accept either.
 Status SaveLvq(const std::string& path, const LvqDataset& ds);
 Result<LvqDataset> ReadLvq(const MmapFile& map, const std::string& path,
                            const Placement& place);
 Result<LvqDataset> LoadLvq(const std::string& path,
                            bool use_huge_pages = true);
-
-/// Two-level LVQ dataset (level 1 + residual codes), "BLA2".
-Status SaveLvq2(const std::string& path, const LvqDataset2& ds);
-Result<LvqDataset2> ReadLvq2(const MmapFile& map, const std::string& path,
-                             const Placement& place);
-Result<LvqDataset2> LoadLvq2(const std::string& path,
-                             bool use_huge_pages = true);
 
 /// Float32 ("BLAF") and float16 ("BLAH") vector payloads.
 Result<FloatStorage> ReadFloatVecs(const MmapFile& map,

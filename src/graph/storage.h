@@ -16,13 +16,27 @@
 //   float FullDistance(const Query&, size_t i, float* scratch) const
 //   void DecodeVector(size_t i, float* out) const     // original space
 //   void Prefetch(size_t i) const
-//   const char* encoding_name() const
+//   std::string encoding_name() const
+//
+// Growth (FloatStorage and LvqStorage): the dynamic index (graph/dynamic.h)
+// keeps its vectors in the same storage classes as the static one and
+// uses three more operations, all writer-side:
+//   capacity()           — rows held (== size()); liveness is the index's
+//                          concern, not the storage's,
+//   Grow(new_capacity)   — enlarge the arena (under the index's exclusive
+//                          lock; the old arena is freed on return),
+//   Set(slot, vec)       — write/encode one vector into an unpublished
+//                          slot (fresh, or recycled after a quiesce).
+// The static index never calls them. Insert-time pruning measures
+// stored-to-stored distances by DecodeVector and the same asymmetric
+// kernels the read path uses.
 //
 // Distances are "lower is better": squared L2, or negated inner product.
 // Cosine similarity follows the paper: vectors are normalized upstream and
 // searched with L2.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <string>
@@ -57,42 +71,47 @@ class FloatStorage {
 
   FloatStorage() = default;
   FloatStorage(MatrixViewF data, Metric metric, bool use_huge_pages = true)
-      : n_(data.rows), d_(data.cols), metric_(metric) {
-    blob_ = Arena(n_ * d_ * sizeof(float), use_huge_pages);
-    for (size_t i = 0; i < n_; ++i) {
-      std::memcpy(blob_.data() + i * d_ * sizeof(float), data.row(i),
-                  d_ * sizeof(float));
-    }
-    l2_ = simd::GetL2F32(d_);
-    ip_ = simd::GetIpF32(d_);
+      : FloatStorage(data.cols, metric) {
+    Allocate(data.rows, use_huge_pages);
+    for (size_t i = 0; i < n_; ++i) Set(i, data.row(i));
   }
+
+  /// An empty storage of `dim`-float rows that grows by Grow().
+  FloatStorage(size_t dim, Metric metric)
+      : d_(dim),
+        metric_(metric),
+        l2_(simd::GetL2F32(dim)),
+        ip_(simd::GetIpF32(dim)) {}
 
   /// Non-owning view over externally owned rows (the mmap-serving path:
   /// a v3 "BLAF" payload is exactly this layout). The caller keeps `rows`
   /// alive and 4-byte aligned for the storage's lifetime.
   static FloatStorage FromExternal(const float* rows, size_t n, size_t d,
                                    Metric metric) {
-    FloatStorage s;
+    FloatStorage s(d, metric);
     s.n_ = n;
-    s.d_ = d;
-    s.metric_ = metric;
-    s.ext_rows_ = rows;
-    s.l2_ = simd::GetL2F32(d);
-    s.ip_ = simd::GetIpF32(d);
+    s.rows_ = rows;
     return s;
   }
 
   size_t size() const { return n_; }
+  size_t capacity() const { return n_; }
   size_t dim() const { return d_; }
   Metric metric() const { return metric_; }
   size_t memory_bytes() const { return n_ * d_ * sizeof(float); }
-  const char* encoding_name() const { return "float32"; }
+  std::string encoding_name() const { return "float32"; }
 
-  const float* row(size_t i) const {
-    return (ext_rows_ != nullptr
-                ? ext_rows_
-                : reinterpret_cast<const float*>(blob_.data())) +
-           i * d_;
+  const float* row(size_t i) const { return rows_ + i * d_; }
+
+  /// Grows the owned rows to `new_capacity`, copying the existing ones.
+  void Grow(size_t new_capacity) {
+    if (new_capacity > n_) Allocate(new_capacity, /*use_huge_pages=*/false);
+  }
+
+  void Set(size_t slot, const float* vec) {
+    assert(slot < n_ && rows_ == reinterpret_cast<const float*>(blob_.data()));
+    std::memcpy(blob_.data() + slot * d_ * sizeof(float), vec,
+                d_ * sizeof(float));
   }
 
   void PrepareQuery(const float* q, Query* out) const {
@@ -119,11 +138,22 @@ class FloatStorage {
   }
 
  private:
+  /// Replaces the rows with an owned arena of `rows` rows, keeping the
+  /// first min(rows, size()) rows.
+  void Allocate(size_t rows, bool use_huge_pages) {
+    Arena bigger(rows * d_ * sizeof(float), use_huge_pages);
+    const size_t keep = std::min(rows, n_);
+    if (keep > 0) std::memcpy(bigger.data(), rows_, keep * d_ * sizeof(float));
+    blob_ = std::move(bigger);
+    rows_ = reinterpret_cast<const float*>(blob_.data());
+    n_ = rows;
+  }
+
   size_t n_ = 0;
   size_t d_ = 0;
   Metric metric_ = Metric::kL2;
-  Arena blob_;
-  const float* ext_rows_ = nullptr;
+  Arena blob_;                   ///< owned rows (empty for a view)
+  const float* rows_ = nullptr;  ///< blob_ or the external rows
   simd::DistF32Fn l2_ = nullptr;
   simd::DistF32Fn ip_ = nullptr;
 };
@@ -176,7 +206,7 @@ class F16Storage {
   size_t dim() const { return d_; }
   Metric metric() const { return metric_; }
   size_t memory_bytes() const { return n_ * d_ * sizeof(Float16); }
-  const char* encoding_name() const { return "float16"; }
+  std::string encoding_name() const { return "float16"; }
 
   const Float16* row(size_t i) const {
     return (ext_rows_ != nullptr
@@ -242,64 +272,52 @@ class LvqStorage {
 
   /// One-level LVQ-B.
   LvqStorage(MatrixViewF data, Metric metric, int bits, size_t padding = 32,
-             ThreadPool* pool = nullptr) {
-    LvqDataset::Options o;
-    o.bits = bits;
-    o.padding = padding;
-    level1_ = LvqDataset::Encode(data, o, pool);
-    Init(metric);
-  }
+             ThreadPool* pool = nullptr)
+      : LvqStorage(data, metric, bits, /*bits2=*/0, padding, pool) {}
 
-  /// Two-level LVQ-B1xB2.
+  /// Two-level LVQ-B1xB2 (one-level when bits2 == 0).
   LvqStorage(MatrixViewF data, Metric metric, int bits1, int bits2,
-             size_t padding, ThreadPool* pool = nullptr) {
-    LvqDataset2::Options o;
-    o.bits1 = bits1;
-    o.bits2 = bits2;
-    o.padding = padding;
-    two_level_ = LvqDataset2::Encode(data, o, pool);
-    is_two_level_ = true;
-    Init(metric);
-  }
+             size_t padding, ThreadPool* pool = nullptr)
+      : LvqStorage(LvqDataset::Encode(data,
+                                      {.bits = bits1,
+                                       .bits2 = bits2,
+                                       .padding = padding},
+                                      pool),
+                   metric) {}
 
-  /// Wraps an already-encoded one-level dataset.
-  LvqStorage(LvqDataset ds, Metric metric) : level1_(std::move(ds)) {
-    Init(metric);
-  }
+  /// Wraps an already-encoded (or empty, growable) dataset.
+  LvqStorage(LvqDataset ds, Metric metric)
+      : ds_(std::move(ds)),
+        metric_(metric),
+        l2u8_(simd::GetL2U8(ds_.dim())),
+        ipu8_(simd::GetIpU8(ds_.dim())),
+        l2u4_(simd::GetL2U4(ds_.dim())),
+        ipu4_(simd::GetIpU4(ds_.dim())) {}
 
-  /// Wraps an already-encoded two-level dataset.
-  LvqStorage(LvqDataset2 ds, Metric metric)
-      : two_level_(std::move(ds)), is_two_level_(true) {
-    Init(metric);
-  }
-
-  size_t size() const { return l1().size(); }
-  size_t dim() const { return l1().dim(); }
+  size_t size() const { return ds_.size(); }
+  size_t capacity() const { return ds_.size(); }
+  size_t dim() const { return ds_.dim(); }
   Metric metric() const { return metric_; }
-  int bits1() const { return l1().bits(); }
-  int bits2() const { return has_second_level() ? two_level_.bits2() : 0; }
-
-  size_t memory_bytes() const {
-    return has_second_level() ? two_level_.memory_bytes() : l1().memory_bytes();
-  }
-  std::string encoding_name_str() const {
+  int bits1() const { return ds_.bits(); }
+  int bits2() const { return ds_.bits2(); }
+  size_t memory_bytes() const { return ds_.memory_bytes(); }
+  std::string encoding_name() const {
+    std::string s = "LVQ-";
+    s += std::to_string(bits1());
     if (has_second_level()) {
-      return "LVQ-" + std::to_string(bits1()) + "x" + std::to_string(bits2());
+      s += "x";
+      s += std::to_string(bits2());
     }
-    return "LVQ-" + std::to_string(bits1());
-  }
-  const char* encoding_name() const {
-    name_cache_ = encoding_name_str();
-    return name_cache_.c_str();
+    return s;
   }
 
-  const LvqDataset& level1() const { return l1(); }
-  const LvqDataset2* level2() const {
-    return has_second_level() ? &two_level_ : nullptr;
-  }
+  const LvqDataset& dataset() const { return ds_; }
+
+  void Grow(size_t new_capacity) { ds_.Grow(new_capacity); }
+  void Set(size_t slot, const float* vec) { ds_.EncodeInto(slot, vec); }
 
   void PrepareQuery(const float* q, Query* out) const {
-    const auto& mean = l1().mean();
+    const auto& mean = ds_.mean();
     const size_t d = dim();
     out->q.resize(d);
     if (metric_ == Metric::kL2) {
@@ -314,11 +332,11 @@ class LvqStorage {
   }
 
   float Distance(const Query& q, size_t i) const {
-    const LvqConstants c = l1().constants(i);
-    const uint8_t* codes = l1().codes(i);
+    const LvqConstants c = ds_.constants(i);
+    const uint8_t* codes = ds_.codes(i);
     const size_t d = dim();
     float dist;
-    const int b = l1().bits();
+    const int b = ds_.bits();
     if (b == 8) {
       dist = metric_ == Metric::kL2 ? l2u8_(q.q.data(), codes, c.delta, c.lower, d)
                                     : ipu8_(q.q.data(), codes, c.delta, c.lower, d);
@@ -326,65 +344,38 @@ class LvqStorage {
       dist = metric_ == Metric::kL2 ? l2u4_(q.q.data(), codes, c.delta, c.lower, d)
                                     : ipu4_(q.q.data(), codes, c.delta, c.lower, d);
     } else {
-      dist = GenericDistance(q, codes, c, b, d);
+      // Arbitrary-B fallback for the bit-sweep analysis experiments.
+      dist = metric_ == Metric::kL2 ? LvqGenericL2(q.q.data(), codes, c, b, d)
+                                    : LvqGenericIp(q.q.data(), codes, c, b, d);
     }
     return dist + q.bias;
   }
 
-  bool has_second_level() const { return is_two_level_; }
+  bool has_second_level() const { return ds_.bits2() > 0; }
 
   /// Two-level distance for the final re-ranking gather (Sec. 3.2).
   float FullDistance(const Query& q, size_t i, float* scratch) const {
     if (!has_second_level()) return Distance(q, i);
-    two_level_.DecodeCentered(i, scratch);
+    ds_.DecodeCentered(i, scratch);
     const size_t d = dim();
     if (metric_ == Metric::kL2) return simd::L2Sqr(q.q.data(), scratch, d);
     return simd::IpDist(q.q.data(), scratch, d) + q.bias;
   }
 
-  void DecodeVector(size_t i, float* out) const {
-    if (has_second_level()) {
-      two_level_.Decode(i, out);
-    } else {
-      level1_.Decode(i, out);
-    }
-  }
+  void DecodeVector(size_t i, float* out) const { ds_.Decode(i, out); }
 
-  void Prefetch(size_t i) const { l1().PrefetchVector(i); }
+  void Prefetch(size_t i) const { ds_.PrefetchVector(i); }
   void PrefetchSecondLevel(size_t i) const {
-    if (has_second_level()) two_level_.PrefetchResidual(i);
+    if (has_second_level()) ds_.PrefetchResidual(i);
   }
 
  private:
-  const LvqDataset& l1() const {
-    return is_two_level_ ? two_level_.level1() : level1_;
-  }
-
-  void Init(Metric metric) {
-    metric_ = metric;
-    const size_t d = dim();
-    l2u8_ = simd::GetL2U8(d);
-    ipu8_ = simd::GetIpU8(d);
-    l2u4_ = simd::GetL2U4(d);
-    ipu4_ = simd::GetIpU4(d);
-  }
-
-  /// Arbitrary-B fallback for the bit-sweep analysis experiments.
-  float GenericDistance(const Query& q, const uint8_t* codes,
-                        const LvqConstants& c, int bits, size_t d) const {
-    return metric_ == Metric::kL2 ? LvqGenericL2(q.q.data(), codes, c, bits, d)
-                                  : LvqGenericIp(q.q.data(), codes, c, bits, d);
-  }
-
-  LvqDataset level1_;
-  LvqDataset2 two_level_;
-  bool is_two_level_ = false;
+  LvqDataset ds_;
   Metric metric_ = Metric::kL2;
   simd::DistU8Fn l2u8_ = nullptr;
   simd::DistU8Fn ipu8_ = nullptr;
   simd::DistU4Fn l2u4_ = nullptr;
   simd::DistU4Fn ipu4_ = nullptr;
-  mutable std::string name_cache_;
 };
 
 // ---------------------------------------------------------------------------
@@ -418,7 +409,7 @@ class GlobalQuantStorage {
   size_t dim() const { return ds_.dim(); }
   Metric metric() const { return metric_; }
   size_t memory_bytes() const { return ds_.memory_bytes(); }
-  std::string encoding_name_str() const {
+  std::string encoding_name() const {
     // Built with += (not operator+ chains): GCC 12's -Wrestrict trips a
     // false positive on `const char* + std::string&&` at -O2.
     std::string s = "global-";
@@ -428,10 +419,6 @@ class GlobalQuantStorage {
       s += std::to_string(ds_.bits2());
     }
     return s;
-  }
-  const char* encoding_name() const {
-    name_cache_ = encoding_name_str();
-    return name_cache_.c_str();
   }
   const GlobalDataset& dataset() const { return ds_; }
 
@@ -516,7 +503,6 @@ class GlobalQuantStorage {
   simd::DistU8Fn ipu8_ = nullptr;
   simd::DistU4Fn l2u4_ = nullptr;
   simd::DistU4Fn ipu4_ = nullptr;
-  mutable std::string name_cache_;
 };
 
 }  // namespace blink

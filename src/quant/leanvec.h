@@ -112,10 +112,12 @@ class LeanVecStorageT {
            model_.mean.size() * sizeof(float) +
            model_.proj.size() * sizeof(float);
   }
-  const char* encoding_name() const {
-    name_cache_ = std::string("LeanVec") + std::to_string(primary_dim()) +
-                  "-" + primary_.encoding_name();
-    return name_cache_.c_str();
+  std::string encoding_name() const {
+    std::string s = "LeanVec";
+    s += std::to_string(primary_dim());
+    s += "-";
+    s += primary_.encoding_name();
+    return s;
   }
 
   const LeanVecModel& model() const { return model_; }
@@ -152,7 +154,6 @@ class LeanVecStorageT {
   LeanVecModel model_;
   Primary primary_;
   Secondary secondary_;
-  mutable std::string name_cache_;
 };
 
 /// static-leanvec: float32 projections, float32 full-dimension re-rank

@@ -7,12 +7,8 @@
 
 namespace blink {
 
-namespace {
-
-/// Mean of all rows; the "global first moment" LVQ centers with.
-std::vector<float> ComputeMean(MatrixViewF data,
-                               [[maybe_unused]] ThreadPool* pool) {
-  const size_t n = data.rows, d = data.cols;
+std::vector<float> ComputeMean(MatrixViewF data, size_t max_rows) {
+  const size_t n = std::min(data.rows, max_rows), d = data.cols;
   std::vector<float> mean(d, 0.0f);
   if (n == 0) return mean;
   // Accumulate in double to keep precision over large n.
@@ -27,56 +23,31 @@ std::vector<float> ComputeMean(MatrixViewF data,
   return mean;
 }
 
-}  // namespace
+LvqDataset::LvqDataset(std::vector<float> mean, const Options& opts)
+    : bits_(opts.bits),
+      bits2_(opts.bits2),
+      padding_(opts.padding),
+      stride_(LvqPaddedStride(
+          kHeaderBytes + PackedBytes(mean.size(), opts.bits), opts.padding)),
+      residual_stride_(opts.bits2 > 0 ? PackedBytes(mean.size(), opts.bits2)
+                                      : 0),
+      mean_(std::move(mean)) {
+  assert(bits_ >= 1 && bits_ <= 16);
+  assert(bits2_ >= 0 && bits2_ <= 16);
+}
 
 LvqDataset LvqDataset::Encode(MatrixViewF data, const Options& opts,
                               ThreadPool* pool) {
-  return EncodeWithMean(data, ComputeMean(data, pool), opts, pool);
+  return EncodeWithMean(data, ComputeMean(data), opts, pool);
 }
 
 LvqDataset LvqDataset::EncodeWithMean(MatrixViewF data,
-                                      const std::vector<float>& mean,
+                                      std::vector<float> mean,
                                       const Options& opts, ThreadPool* pool) {
-  assert(opts.bits >= 1 && opts.bits <= 16);
   assert(mean.size() == data.cols);
-  LvqDataset ds;
-  ds.n_ = data.rows;
-  ds.d_ = data.cols;
-  ds.bits_ = opts.bits;
-  ds.padding_ = opts.padding;
-  ds.mean_ = mean;
-  const size_t raw = kHeaderBytes + PackedBytes(ds.d_, ds.bits_);
-  ds.stride_ = LvqPaddedStride(raw, opts.padding);
-  ds.blob_ = Arena(ds.n_ * ds.stride_, opts.use_huge_pages);
-
-  auto encode_row = [&](size_t i) {
-    const float* row = data.row(i);
-    uint8_t* out = ds.blob_.data() + i * ds.stride_;
-    // Per-vector bounds over the centered components (Eq. 3).
-    float lo = std::numeric_limits<float>::infinity();
-    float hi = -std::numeric_limits<float>::infinity();
-    for (size_t j = 0; j < ds.d_; ++j) {
-      const float v = row[j] - mean[j];
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    // Constants are stored in float16 (B_const = 16, Eq. 4); encoding must
-    // use the *stored* (rounded) bounds so codes and decoder agree. Widen
-    // the rounded bounds to cover the true range so the min/max components
-    // stay in range and reconstruct with zero error (paper Fig. 16).
-    Float16 l16(lo), u16(hi);
-    if (static_cast<float>(l16) > lo) l16 = NextFloat16Down(l16);
-    if (static_cast<float>(u16) < hi) u16 = NextFloat16Up(u16);
-    std::memcpy(out, &l16, 2);
-    std::memcpy(out + 2, &u16, 2);
-    const ScalarQuantizer q(ds.bits_, l16, u16);
-    uint8_t* codes = out + kHeaderBytes;
-    // Blob arrives zeroed from the Arena; PackCode ORs into it.
-    for (size_t j = 0; j < ds.d_; ++j) {
-      PackCode(codes, j, ds.bits_, q.Encode(row[j] - mean[j]));
-    }
-  };
-
+  LvqDataset ds(std::move(mean), opts);
+  ds.Allocate(data.rows, opts.use_huge_pages);
+  auto encode_row = [&](size_t i) { ds.EncodeInto(i, data.row(i)); };
   if (pool != nullptr) {
     pool->ParallelFor(ds.n_, encode_row);
   } else {
@@ -85,128 +56,116 @@ LvqDataset LvqDataset::EncodeWithMean(MatrixViewF data,
   return ds;
 }
 
-LvqDataset LvqDataset::FromRaw(size_t n, size_t d, int bits, size_t padding,
-                               std::vector<float> mean, const uint8_t* blob,
-                               size_t blob_bytes, bool use_huge_pages) {
-  assert(mean.size() == d);
-  LvqDataset ds;
-  ds.n_ = n;
-  ds.d_ = d;
-  ds.bits_ = bits;
-  ds.padding_ = padding;
-  ds.mean_ = std::move(mean);
-  ds.stride_ = LvqPaddedStride(kHeaderBytes + PackedBytes(d, bits), padding);
-  assert(blob_bytes == n * ds.stride_ && "blob size mismatch");
-  ds.blob_ = Arena(blob_bytes, use_huge_pages);
-  if (blob_bytes > 0) std::memcpy(ds.blob_.data(), blob, blob_bytes);
-  return ds;
-}
-
-LvqDataset LvqDataset::FromExternal(size_t n, size_t d, int bits,
-                                    size_t padding, std::vector<float> mean,
-                                    const uint8_t* blob) {
-  assert(mean.size() == d);
-  LvqDataset ds;
-  ds.n_ = n;
-  ds.d_ = d;
-  ds.bits_ = bits;
-  ds.padding_ = padding;
-  ds.mean_ = std::move(mean);
-  ds.stride_ = LvqPaddedStride(kHeaderBytes + PackedBytes(d, bits), padding);
-  ds.ext_blob_ = blob;
-  return ds;
-}
-
-LvqDataset2 LvqDataset2::FromRaw(LvqDataset level1, int bits2,
-                                 const uint8_t* residuals,
-                                 size_t residual_bytes, bool use_huge_pages) {
-  LvqDataset2 ds;
-  ds.level1_ = std::move(level1);
-  ds.bits2_ = bits2;
-  ds.residual_stride_ = PackedBytes(ds.level1_.dim(), bits2);
-  assert(residual_bytes == ds.level1_.size() * ds.residual_stride_);
-  ds.residuals_ = Arena(residual_bytes, use_huge_pages);
-  if (residual_bytes > 0) {
-    std::memcpy(ds.residuals_.data(), residuals, residual_bytes);
+LvqDataset LvqDataset::FromRaw(size_t n, std::vector<float> mean,
+                               const Options& opts, const uint8_t* blob,
+                               const uint8_t* residuals, bool view) {
+  LvqDataset ds(std::move(mean), opts);
+  if (view) {
+    ds.n_ = n;
+    ds.blob_base_ = blob;
+    ds.residual_base_ = residuals;
+    return ds;
   }
+  ds.Allocate(n, opts.use_huge_pages);
+  ds.RestoreRows(blob, residuals, n);
   return ds;
 }
 
-LvqDataset2 LvqDataset2::FromExternal(LvqDataset level1, int bits2,
-                                      const uint8_t* residuals) {
-  LvqDataset2 ds;
-  ds.level1_ = std::move(level1);
-  ds.bits2_ = bits2;
-  ds.residual_stride_ = PackedBytes(ds.level1_.dim(), bits2);
-  ds.ext_residuals_ = residuals;
-  return ds;
+void LvqDataset::Allocate(size_t rows, bool use_huge_pages) {
+  Arena blob(rows * stride_, use_huge_pages);
+  Arena residuals(rows * residual_stride_, use_huge_pages);
+  const size_t keep = std::min(rows, n_);
+  if (keep > 0) {
+    std::memcpy(blob.data(), blob_base_, keep * stride_);
+    if (residual_stride_ > 0) {
+      std::memcpy(residuals.data(), residual_base_, keep * residual_stride_);
+    }
+  }
+  blob_ = std::move(blob);
+  residuals_ = std::move(residuals);
+  blob_base_ = blob_.data();
+  residual_base_ = residuals_.data();
+  n_ = rows;
+}
+
+void LvqDataset::Grow(size_t rows) {
+  assert(!mapped());
+  if (rows > n_) Allocate(rows, /*use_huge_pages=*/false);
+}
+
+void LvqDataset::RestoreRows(const uint8_t* blob, const uint8_t* residuals,
+                             size_t n) {
+  assert(n <= n_ && !mapped());
+  if (n == 0) return;
+  std::memcpy(blob_.data(), blob, n * stride_);
+  if (residual_stride_ > 0) {
+    std::memcpy(residuals_.data(), residuals, n * residual_stride_);
+  }
+}
+
+void LvqDataset::EncodeInto(size_t slot, const float* vec) {
+  assert(slot < n_ && !mapped());
+  const size_t d = dim();
+  uint8_t* out = blob_.data() + slot * stride_;
+  // Per-vector bounds over the centered components (Eq. 3).
+  float lo = std::numeric_limits<float>::infinity();
+  float hi = -std::numeric_limits<float>::infinity();
+  for (size_t j = 0; j < d; ++j) {
+    const float v = vec[j] - mean_[j];
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  // Constants are stored in float16 (B_const = 16, Eq. 4); encoding must
+  // use the *stored* (rounded) bounds so codes and decoder agree. Widen
+  // the rounded bounds to cover the true range so the min/max components
+  // stay in range and reconstruct with zero error (paper Fig. 16).
+  Float16 l16(lo), u16(hi);
+  if (static_cast<float>(l16) > lo) l16 = NextFloat16Down(l16);
+  if (static_cast<float>(u16) < hi) u16 = NextFloat16Up(u16);
+  std::memcpy(out, &l16, 2);
+  std::memcpy(out + 2, &u16, 2);
+  const ScalarQuantizer q(bits_, l16, u16);
+  uint8_t* codes = out + kHeaderBytes;
+  // A recycled slot holds stale codes and PackCode ORs into its buffer,
+  // so clear the code region (and its padding) first.
+  std::memset(codes, 0, stride_ - kHeaderBytes);
+  for (size_t j = 0; j < d; ++j) {
+    PackCode(codes, j, bits_, q.Encode(vec[j] - mean_[j]));
+  }
+  if (residual_stride_ == 0) return;
+
+  // Level-2 residual r = x - mu - Q(x), quantized over the deduced range
+  // [-Delta/2, Delta/2) (Eq. 6).
+  const LvqConstants c = constants(slot);
+  const ScalarQuantizer rq = ResidualQuantizer(c.delta, bits2_);
+  uint8_t* rout = residuals_.data() + slot * residual_stride_;
+  std::memset(rout, 0, residual_stride_);
+  for (size_t j = 0; j < d; ++j) {
+    const float level1 =
+        c.delta * static_cast<float>(UnpackCode(codes, j, bits_)) + c.lower;
+    PackCode(rout, j, bits2_, rq.Encode((vec[j] - mean_[j]) - level1));
+  }
 }
 
 void LvqDataset::DecodeCentered(size_t i, float* out) const {
+  const size_t d = dim();
   const LvqConstants c = constants(i);
   const uint8_t* cs = codes(i);
-  for (size_t j = 0; j < d_; ++j) {
+  for (size_t j = 0; j < d; ++j) {
     out[j] = c.delta * static_cast<float>(UnpackCode(cs, j, bits_)) + c.lower;
+  }
+  if (residual_stride_ == 0) return;
+  const ScalarQuantizer rq = ResidualQuantizer(c.delta, bits2_);
+  const uint8_t* rc = residual_codes(i);
+  for (size_t j = 0; j < d; ++j) {
+    out[j] += rq.Decode(UnpackCode(rc, j, bits2_));
   }
 }
 
 void LvqDataset::Decode(size_t i, float* out) const {
   DecodeCentered(i, out);
-  for (size_t j = 0; j < d_; ++j) out[j] += mean_[j];
-}
-
-LvqDataset2 LvqDataset2::Encode(MatrixViewF data, const Options& opts,
-                                ThreadPool* pool) {
-  LvqDataset2 ds;
-  LvqDataset::Options l1opts;
-  l1opts.bits = opts.bits1;
-  l1opts.padding = opts.padding;
-  l1opts.use_huge_pages = opts.use_huge_pages;
-  ds.level1_ = LvqDataset::EncodeWithMean(data, ComputeMean(data, pool),
-                                          l1opts, pool);
-  ds.bits2_ = opts.bits2;
-  const size_t n = ds.level1_.size(), d = ds.level1_.dim();
-  ds.residual_stride_ = PackedBytes(d, opts.bits2);
-  ds.residuals_ = Arena(n * ds.residual_stride_, opts.use_huge_pages);
-
-  const auto& mean = ds.level1_.mean();
-  auto encode_row = [&](size_t i) {
-    const float* row = data.row(i);
-    const LvqConstants c = ds.level1_.constants(i);
-    // Residual quantizer over [-Delta/2, Delta/2) — deduced, not stored.
-    const ScalarQuantizer rq = ResidualQuantizer(c.delta, ds.bits2_);
-    uint8_t* out = ds.residuals_.data() + i * ds.residual_stride_;
-    const uint8_t* l1codes = ds.level1_.codes(i);
-    for (size_t j = 0; j < d; ++j) {
-      const float level1 =
-          c.delta * static_cast<float>(UnpackCode(l1codes, j, ds.level1_.bits())) +
-          c.lower;
-      const float r = (row[j] - mean[j]) - level1;  // r = x - mu - Q(x)
-      PackCode(out, j, ds.bits2_, rq.Encode(r));
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(n, encode_row);
-  } else {
-    for (size_t i = 0; i < n; ++i) encode_row(i);
-  }
-  return ds;
-}
-
-void LvqDataset2::DecodeCentered(size_t i, float* out) const {
-  level1_.DecodeCentered(i, out);
-  const LvqConstants c = level1_.constants(i);
-  const ScalarQuantizer rq = ResidualQuantizer(c.delta, bits2_);
-  const uint8_t* rc = residual_codes(i);
-  for (size_t j = 0; j < dim(); ++j) {
-    out[j] += rq.Decode(UnpackCode(rc, j, bits2_));
-  }
-}
-
-void LvqDataset2::Decode(size_t i, float* out) const {
-  DecodeCentered(i, out);
-  const auto& mean = level1_.mean();
-  for (size_t j = 0; j < dim(); ++j) out[j] += mean[j];
+  const size_t d = dim();
+  for (size_t j = 0; j < d; ++j) out[j] += mean_[j];
 }
 
 }  // namespace blink

@@ -14,7 +14,17 @@
 //
 // Memory layout per vector (one cache-line-friendly contiguous blob,
 // padded to `padding` bytes, Eq. 4):
-//     [ l : float16 ][ u : float16 ][ codes : ceil(d*B/8) bytes ][ pad ]
+//     [ l : float16 ][ u : float16 ][ codes : ceil(d*B1/8) bytes ][ pad ]
+// and, for LVQ-B1xB2, a row of ceil(d*B2/8) residual code bytes in a
+// parallel arena. LvqDataset is the one implementation of this layout and
+// its encoder, for the static index (encoded at once against the dataset
+// mean), the dynamic index (encoded at insert time against a sample mean,
+// growing in place) and mapped artifacts (a read-only view).
+//
+// Mean drift (DESIGN.md D9): LVQ's per-vector bounds absorb a stale mean —
+// each vector still uses its full code range, only centered suboptimally —
+// so a dynamic index's recall degrades gracefully as its stream drifts
+// away from the sample it was centered on.
 #pragma once
 
 #include <cstddef>
@@ -73,71 +83,96 @@ inline float LvqGenericIp(const float* q, const uint8_t* codes,
   return -acc;
 }
 
-/// One-level LVQ-B compressed dataset.
+/// Mean of the first `max_rows` rows of `data` (all rows by default),
+/// accumulated in double: the centering mean LVQ encodes against.
+std::vector<float> ComputeMean(MatrixViewF data, size_t max_rows = SIZE_MAX);
+
+/// The one LVQ code arena: level-1 blobs (constants then B1-bit codes,
+/// padded) and, for LVQ-B1xB2, a parallel arena of packed B2-bit residual
+/// codes whose quantizer is deduced from the level-1 constants (Eq. 6), so
+/// no extra constants are stored.
+///
+/// The rows are either owned or an external view (a section of a mapped
+/// artifact), and every accessor reads them through one base pointer per
+/// level. Owned rows can grow: the dynamic index encodes each vector at
+/// insert time into a slot (EncodeInto) and grows the arena under its
+/// exclusive lock (Grow). The static encoder is the same EncodeInto run
+/// over every row. The centering mean is fixed at construction: the whole
+/// dataset's mean for a static index, a sample's mean for a dynamic one.
 class LvqDataset {
  public:
   struct Options {
-    int bits = 8;        ///< B, the per-component code width (1..16).
-    size_t padding = 32; ///< Pad each vector blob to a multiple of this many
-                         ///< bytes (32 = half cache line, as in the paper);
-                         ///< 0 disables padding.
+    int bits = 8;         ///< B1, the level-1 code width (1..16).
+    int bits2 = 0;        ///< B2, the residual code width; 0 = one-level.
+    size_t padding = 32;  ///< Pad each level-1 blob to a multiple of this
+                          ///< many bytes (32 = half cache line, as in the
+                          ///< paper); 0 disables padding.
+    /// For arenas allocated once (Encode, FromRaw). Grow() never asks for
+    /// huge pages: a growing arena is reallocated and copied, and huge
+    /// pages would make that stop-the-world copy more expensive.
     bool use_huge_pages = true;
   };
 
   LvqDataset() = default;
+  /// An empty dataset of dim = mean.size() that grows by Grow().
+  LvqDataset(std::vector<float> mean, const Options& opts);
 
-  /// Compresses `data`, computing the dataset mean internally.
+  /// Compresses `data` against its own mean.
   static LvqDataset Encode(MatrixViewF data, const Options& opts,
                            ThreadPool* pool = nullptr);
 
   /// Compresses `data` against a caller-provided mean. Used when re-encoding
   /// after a data-distribution shift (Sec. 3.2) and for encoding query-side
   /// structures consistently with an existing index.
-  static LvqDataset EncodeWithMean(MatrixViewF data,
-                                   const std::vector<float>& mean,
+  static LvqDataset EncodeWithMean(MatrixViewF data, std::vector<float> mean,
                                    const Options& opts,
                                    ThreadPool* pool = nullptr);
 
-  /// Reassembles a dataset from serialized parts (graph/serialize.h).
-  /// `blob_bytes` must equal n * stride for the given (d, bits, padding).
-  static LvqDataset FromRaw(size_t n, size_t d, int bits, size_t padding,
-                            std::vector<float> mean, const uint8_t* blob,
-                            size_t blob_bytes, bool use_huge_pages = true);
-
-  /// Like FromRaw but without copying: the dataset reads blobs directly
-  /// from `blob` (n * stride bytes, e.g. a section of a mapped v3
-  /// artifact), which the caller keeps alive. The small mean vector is
-  /// still owned. Only the d-sized mean is touched at construction — the
-  /// blob pages fault in lazily as searches visit them.
-  static LvqDataset FromExternal(size_t n, size_t d, int bits, size_t padding,
-                                 std::vector<float> mean,
-                                 const uint8_t* blob);
-
-  /// Base of the contiguous per-vector blob region (n * stride bytes).
-  const uint8_t* raw_blob() const { return data_ptr(); }
+  /// Reassembles `n` serialized rows: `blob` holds n * stride() level-1
+  /// bytes and, when opts.bits2 > 0, `residuals` n * residual_stride()
+  /// bytes. With `view` the dataset reads both in place (e.g. sections of a
+  /// mapped v3 artifact, which the caller keeps alive; pages fault in as
+  /// searches visit them); otherwise they are copied into owned arenas.
+  static LvqDataset FromRaw(size_t n, std::vector<float> mean,
+                            const Options& opts, const uint8_t* blob,
+                            const uint8_t* residuals, bool view);
 
   size_t size() const { return n_; }
-  size_t dim() const { return d_; }
+  size_t dim() const { return mean_.size(); }
   int bits() const { return bits_; }
+  int bits2() const { return bits2_; }
   size_t padding() const { return padding_; }
   const std::vector<float>& mean() const { return mean_; }
 
-  /// Bytes occupied by one compressed vector, including inline constants
-  /// and padding (Eq. 4).
-  size_t vector_footprint() const { return stride_; }
+  /// Level-1 bytes per vector: inline constants, codes and padding (Eq. 4).
+  size_t stride() const { return stride_; }
+  /// Residual bytes per vector (0 for one-level LVQ).
+  size_t residual_stride() const { return residual_stride_; }
+  /// Bytes per vector across both levels (Eq. 7).
+  size_t vector_footprint() const { return stride_ + residual_stride_; }
 
   /// Compression ratio vs float32 storage (Eq. 5).
   double compression_ratio() const {
-    return static_cast<double>(d_) * 32.0 / (8.0 * static_cast<double>(stride_));
+    return static_cast<double>(dim()) * 32.0 /
+           (8.0 * static_cast<double>(vector_footprint()));
   }
 
-  /// Total bytes of the compressed blob (excluding the d-float mean).
-  size_t memory_bytes() const { return n_ * stride_; }
+  /// Total bytes of both arenas (excluding the d-float mean).
+  size_t memory_bytes() const { return n_ * vector_footprint(); }
+
+  /// Bases of the contiguous level-1 (n * stride) and residual
+  /// (n * residual_stride) regions.
+  const uint8_t* raw_blob() const { return blob_base_; }
+  const uint8_t* raw_residuals() const { return residual_base_; }
 
   /// Start of the i-th vector's blob (constants then codes).
-  const uint8_t* blob(size_t i) const { return data_ptr() + i * stride_; }
-  /// Start of the i-th vector's packed codes.
+  const uint8_t* blob(size_t i) const { return blob_base_ + i * stride_; }
+  /// Start of the i-th vector's packed level-1 codes.
   const uint8_t* codes(size_t i) const { return blob(i) + kHeaderBytes; }
+  /// Start of the i-th vector's packed residual codes.
+  const uint8_t* residual_codes(size_t i) const {
+    return residual_base_ + i * residual_stride_;
+  }
 
   /// Decoded per-vector constants.
   LvqConstants constants(size_t i) const {
@@ -152,10 +187,11 @@ class LvqDataset {
     return {delta, l};
   }
 
-  /// Integer code of component j of vector i.
+  /// Integer level-1 code of component j of vector i.
   uint32_t code(size_t i, size_t j) const { return UnpackCode(codes(i), j, bits_); }
 
-  /// Reconstructs vector i in centered space: out_j = Delta*c_j + l.
+  /// Reconstructs vector i in centered space: out_j = Delta*c_j + l, plus
+  /// the residual (Delta2*c2_j - Delta/2) when two-level.
   void DecodeCentered(size_t i, float* out) const;
 
   /// Reconstructs vector i in the original space (adds the mean back).
@@ -169,91 +205,6 @@ class LvqDataset {
     }
   }
 
-  static constexpr size_t kHeaderBytes = 4;  // l:f16 + u:f16
-
-  /// True when the blob region is an external (e.g. mapped) view.
-  bool mapped() const { return ext_blob_ != nullptr; }
-
- private:
-  const uint8_t* data_ptr() const {
-    return ext_blob_ != nullptr ? ext_blob_ : blob_.data();
-  }
-
-  size_t n_ = 0;
-  size_t d_ = 0;
-  int bits_ = 8;
-  size_t padding_ = 32;
-  size_t stride_ = 0;
-  std::vector<float> mean_;
-  Arena blob_;
-  const uint8_t* ext_blob_ = nullptr;
-};
-
-/// Two-level LVQ-B1xB2 compressed dataset (Definition 2). The first level
-/// is an LvqDataset; the second level stores only packed residual codes
-/// (the residual quantizer's bounds are deduced from the level-1 constants,
-/// Eq. 6, so no extra constants are stored).
-class LvqDataset2 {
- public:
-  struct Options {
-    int bits1 = 4;
-    int bits2 = 8;
-    size_t padding = 32;  ///< Padding of the level-1 blobs.
-    bool use_huge_pages = true;
-  };
-
-  LvqDataset2() = default;
-
-  static LvqDataset2 Encode(MatrixViewF data, const Options& opts,
-                            ThreadPool* pool = nullptr);
-
-  /// Reassembles from serialized parts (graph/serialize.h).
-  static LvqDataset2 FromRaw(LvqDataset level1, int bits2,
-                             const uint8_t* residuals, size_t residual_bytes,
-                             bool use_huge_pages = true);
-
-  /// Non-copying variant of FromRaw over an external residual region
-  /// (n * residual_stride bytes) the caller keeps alive — the map-mode
-  /// counterpart of LvqDataset::FromExternal.
-  static LvqDataset2 FromExternal(LvqDataset level1, int bits2,
-                                  const uint8_t* residuals);
-
-  /// Base of the contiguous residual-code region (n * residual_stride).
-  const uint8_t* raw_residuals() const { return residual_ptr(); }
-  size_t residual_stride() const { return residual_stride_; }
-
-  const LvqDataset& level1() const { return level1_; }
-  size_t size() const { return level1_.size(); }
-  size_t dim() const { return level1_.dim(); }
-  int bits1() const { return level1_.bits(); }
-  int bits2() const { return bits2_; }
-
-  const uint8_t* residual_codes(size_t i) const {
-    return residual_ptr() + i * residual_stride_;
-  }
-  uint32_t residual_code(size_t i, size_t j) const {
-    return UnpackCode(residual_codes(i), j, bits2_);
-  }
-
-  /// Per-vector footprint across both levels (Eq. 7).
-  size_t vector_footprint() const {
-    return level1_.vector_footprint() + residual_stride_;
-  }
-  double compression_ratio() const {
-    return static_cast<double>(dim()) * 32.0 /
-           (8.0 * static_cast<double>(vector_footprint()));
-  }
-  size_t memory_bytes() const {
-    return level1_.memory_bytes() + size() * residual_stride_;
-  }
-
-  /// Full two-level reconstruction in centered space:
-  /// out_j = Delta*c_j + l + (Delta2*c2_j - Delta/2).
-  void DecodeCentered(size_t i, float* out) const;
-
-  /// Full two-level reconstruction in the original space.
-  void Decode(size_t i, float* out) const;
-
   void PrefetchResidual(size_t i) const {
     const uint8_t* p = residual_codes(i);
     for (size_t off = 0; off < residual_stride_; off += 64) {
@@ -261,16 +212,42 @@ class LvqDataset2 {
     }
   }
 
- private:
-  const uint8_t* residual_ptr() const {
-    return ext_residuals_ != nullptr ? ext_residuals_ : residuals_.data();
-  }
+  /// Grows owned arenas to `rows` rows, copying the existing ones; the
+  /// old arenas are freed on return. Writer-only: the dynamic index calls
+  /// it under its exclusive lock.
+  void Grow(size_t rows);
 
-  LvqDataset level1_;
-  int bits2_ = 8;
+  /// Encodes `vec` (original space, dim floats) into row `slot`: bounds,
+  /// level-1 codes and, when two-level, residual codes. Writer-only; the
+  /// slot must be unpublished (fresh, or recycled after the owning index's
+  /// quiesce grace period).
+  void EncodeInto(size_t slot, const float* vec);
+
+  /// Copies `n` serialized rows (level-1 blobs and, when two-level,
+  /// residual codes) into the first rows of the owned arenas.
+  void RestoreRows(const uint8_t* blob, const uint8_t* residuals, size_t n);
+
+  static constexpr size_t kHeaderBytes = 4;  // l:f16 + u:f16
+
+  /// True when the rows are an external (e.g. mapped) view.
+  bool mapped() const { return n_ > 0 && blob_.empty(); }
+
+ private:
+  /// Replaces the arenas with owned ones of `rows` rows, keeping the
+  /// first min(rows, size()) rows.
+  void Allocate(size_t rows, bool use_huge_pages);
+
+  size_t n_ = 0;
+  int bits_ = 8;
+  int bits2_ = 0;
+  size_t padding_ = 32;
+  size_t stride_ = 0;
   size_t residual_stride_ = 0;
-  Arena residuals_;
-  const uint8_t* ext_residuals_ = nullptr;
+  std::vector<float> mean_;
+  Arena blob_;       ///< owned level-1 rows (empty for a view)
+  Arena residuals_;  ///< owned residual rows (empty for a view / one-level)
+  const uint8_t* blob_base_ = nullptr;
+  const uint8_t* residual_base_ = nullptr;
 };
 
 }  // namespace blink

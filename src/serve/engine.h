@@ -326,8 +326,8 @@ class DynamicView : public SearchIndex {
 };
 
 /// The float32 view (the pre-D9 DynamicIndexView).
-using DynamicIndexView = DynamicView<DynamicFloatStorage>;
+using DynamicIndexView = DynamicView<FloatStorage>;
 /// View over the compressed dynamic index.
-using DynamicLvqIndexView = DynamicView<DynamicLvqStorage>;
+using DynamicLvqIndexView = DynamicView<LvqStorage>;
 
 }  // namespace blink

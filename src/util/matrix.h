@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/memory.h"
@@ -91,5 +94,19 @@ struct MatrixView {
 };
 
 using MatrixViewF = MatrixView<float>;
+
+/// (row, column) of the first NaN or infinite entry of `m`, if any. One
+/// non-finite coordinate would otherwise poison a whole LVQ index (it
+/// enters the dataset mean every row is encoded against), so vectors are
+/// checked once where they enter an index.
+inline std::optional<std::pair<size_t, size_t>> FirstNonFinite(MatrixViewF m) {
+  for (size_t i = 0; i < m.rows; ++i) {
+    const float* row = m.row(i);
+    for (size_t j = 0; j < m.cols; ++j) {
+      if (!std::isfinite(row[j])) return std::pair{i, j};
+    }
+  }
+  return std::nullopt;
+}
 
 }  // namespace blink

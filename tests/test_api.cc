@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "api/index.h"
 #include "api/registry.h"
@@ -141,6 +144,95 @@ TEST(BuildApi, MutationForwardsOnlyToDynamicKinds) {
   EXPECT_TRUE(dyn.value().Delete(id.value()).ok());
   EXPECT_TRUE(dyn.value().Consolidate().ok());
   EXPECT_EQ(dyn.value().size(), before);
+}
+
+// --- non-finite vectors -----------------------------------------------------
+
+/// SharedFixture's base rows with `value` at (1234, 17).
+MatrixF WithBadEntry(const Fixture& f, float value) {
+  const MatrixF& base = f.data.base;
+  MatrixF m(base.rows(), base.cols());
+  std::copy_n(base.data(), base.size(), m.data());
+  m(1234, 17) = value;
+  return m;
+}
+
+IndexSpec LowBitSpecFor(IndexKind kind, const Fixture& f) {
+  IndexSpec spec = SpecFor(kind, f);
+  spec.bits1 = 4;
+  spec.bits2 = kind == IndexKind::kStaticLvq ? 8 : 0;
+  return spec;
+}
+
+void ExpectNamesRow1234Column17(const Status& st, const std::string& what) {
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what;
+  EXPECT_NE(st.message().find("row 1234"), std::string::npos)
+      << what << ": " << st.ToString();
+  EXPECT_NE(st.message().find("column 17"), std::string::npos)
+      << what << ": " << st.ToString();
+}
+
+// One NaN coordinate among 3000 rows used to build "successfully": it
+// entered the LVQ mean that every row is encoded against. Build now
+// rejects a non-finite entry for every kind, naming where it is.
+TEST(BuildApi, NonFiniteRowFailsBuildForEveryKind) {
+  const Fixture& f = SharedFixture();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (float bad : {nan, inf, -inf}) {
+    const MatrixF data = WithBadEntry(f, bad);
+    for (IndexKind kind : kAllKinds) {
+      auto built = Build(LowBitSpecFor(kind, f), data);
+      ASSERT_FALSE(built.ok()) << KindName(kind) << " accepted " << bad;
+      ExpectNamesRow1234Column17(built.status(), KindName(kind));
+    }
+  }
+}
+
+// The harm the check prevents: a clean query (row 0 itself) against an
+// LVQ index built next to one NaN row got NaN distances and a wrong
+// nearest neighbour. An index either refuses such data or serves clean
+// queries exactly as before.
+TEST(BuildApi, NonFiniteRowCannotPoisonCleanQueries) {
+  const Fixture& f = SharedFixture();
+  const MatrixF data =
+      WithBadEntry(f, std::numeric_limits<float>::quiet_NaN());
+  for (IndexKind kind : {IndexKind::kStaticLvq, IndexKind::kDynamicLvq}) {
+    auto built = Build(LowBitSpecFor(kind, f), data);
+    if (!built.ok()) continue;
+    SearchOptions p;
+    p.window = 40;
+    std::vector<uint32_t> ids(10);
+    std::vector<float> dists(10);
+    built.value().SearchBatchEx(MatrixViewF(data.row(0), 1, data.cols()), 10,
+                                p, ids.data(), dists.data(), nullptr);
+    EXPECT_EQ(ids[0], 0u) << KindName(kind);
+    for (float d : dists) EXPECT_TRUE(std::isfinite(d)) << KindName(kind);
+  }
+}
+
+// Insert on a dynamic index accepted NaN and Inf components. It now fails
+// without touching the index.
+TEST(BuildApi, DynamicInsertRejectsNonFiniteVector) {
+  const Fixture& f = SharedFixture();
+  for (IndexKind kind : {IndexKind::kDynamicF32, IndexKind::kDynamicLvq}) {
+    auto built = Build(LowBitSpecFor(kind, f), f.data.base);
+    ASSERT_TRUE(built.ok()) << KindName(kind);
+    Index& idx = built.value();
+    const size_t before = idx.size();
+    for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                      std::numeric_limits<float>::infinity()}) {
+      std::vector<float> vec(f.data.base.row(5),
+                             f.data.base.row(5) + f.data.base.cols());
+      vec[17] = bad;
+      auto id = idx.Insert(vec.data());
+      ASSERT_FALSE(id.ok()) << KindName(kind) << " accepted " << bad;
+      EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(id.status().message().find("column 17"), std::string::npos)
+          << id.status().ToString();
+    }
+    EXPECT_EQ(idx.size(), before) << KindName(kind);
+  }
 }
 
 // --- the acceptance recall floors through the facade -----------------------

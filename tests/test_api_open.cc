@@ -5,6 +5,7 @@
 // OpenOptions fallbacks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -14,8 +15,10 @@
 
 #include "api/index.h"
 #include "graph/serialize.h"
+#include "quant/lvq.h"
 #include "simd/distance.h"
 #include "testutil.h"
+#include "util/prng.h"
 
 namespace blink {
 namespace {
@@ -409,6 +412,115 @@ TEST(OpenBackCompat, FixtureSearchesArePinned) {
                                               : pin.scalar;
     EXPECT_EQ(got, want) << pin.path << " (" << LoadModeName(pin.mode)
                          << ", " << backend << "): 0x" << std::hex << got;
+  }
+}
+
+/// FNV-1a over a byte range.
+uint64_t Fnv1a(const char* p, size_t n) {
+  uint64_t h = 1469598103934665603ull;
+  for (size_t i = 0; i < n; ++i) {
+    h ^= static_cast<uint8_t>(p[i]);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// FNV-1a over the vector bytes of a saved artifact: the whole `.vecs`
+/// file of a static bundle, or the vector section of a BLDY file (the
+/// float32 rows, or the LVQ widths, mean, level-1 blobs and residual codes
+/// that follow the 56-byte version-2 header).
+uint64_t VectorBytesHash(const std::string& path, const IndexSpec& spec) {
+  const std::vector<char> file = ReadFile(path);
+  if (!IsDynamicKind(spec.kind)) {
+    return Fnv1a(file.data(), file.size());
+  }
+  constexpr size_t kHeader = 56;
+  uint64_t d = 0, n = 0;
+  std::memcpy(&d, file.data() + 12, sizeof(d));
+  std::memcpy(&n, file.data() + 20, sizeof(n));
+  size_t bytes = n * d * sizeof(float);
+  if (spec.kind == IndexKind::kDynamicLvq) {
+    const size_t stride =
+        LvqPaddedStride(4 + PackedBytes(d, spec.bits1), /*padding=*/32);
+    const size_t residual = spec.bits2 > 0 ? PackedBytes(d, spec.bits2) : 0;
+    bytes = 16 + d * sizeof(float) + n * (stride + residual);
+  }
+  EXPECT_LE(kHeader + bytes, file.size()) << path;
+  return Fnv1a(file.data() + kHeader, std::min(bytes, file.size() - kHeader));
+}
+
+class BuildPin : public TempPathTest {};
+
+// What Build encodes and serves, pinned for every float32 and LVQ flavor.
+// The dynamic flavors also run a seeded delete -> Consolidate -> re-insert
+// sequence, so recycled slots are re-encoded in place. The vector bytes do
+// not depend on the SIMD backend; the search checksum does (summation
+// order), hence one search pin per backend. The equivalence suites compare
+// loops over one storage; this pin is the one that holds a storage or
+// encoder rewrite to the bytes and results of the code it replaces.
+TEST_F(BuildPin, EncodedBytesAndSearchesArePinned) {
+  const V1World w;
+  struct Pin {
+    IndexKind kind;
+    int bits1, bits2;
+    const char* name;
+    uint64_t bytes, scalar, avx2, avx512;
+  };
+  const std::string backend = simd::BackendName();
+  for (const Pin& pin : {
+           Pin{IndexKind::kStaticF32, 8, 0, "static_f32", 0x458f2c96acc0a82e,
+               0x223ff528b9b94ff2, 0x1aa27a0426eea446, 0xf4dd589a29a1dbbb},
+           Pin{IndexKind::kStaticLvq, 8, 0, "static_lvq8", 0xe339f32814385473,
+               0xbf5c41a12c46f1a1, 0x00d16cfd9f869a67, 0xdad01d8a0924258f},
+           Pin{IndexKind::kStaticLvq, 4, 8, "static_lvq4x8", 0x42a10afcf5773178,
+               0x92fadb7d259e3f6a, 0xa983cf6faf081430, 0x0c150481b99da321},
+           Pin{IndexKind::kDynamicF32, 8, 0, "dynamic_f32", 0x66c816892a3df060,
+               0xca4bc903b0a25dbb, 0xdb3887ae836fe173, 0x645e57f131000738},
+           Pin{IndexKind::kDynamicLvq, 8, 0, "dynamic_lvq8", 0xdcad7848158cc214,
+               0xae88785b19309997, 0x07d3e3253640f2f4, 0xc6eb3a2da62f6fa9},
+           Pin{IndexKind::kDynamicLvq, 4, 8, "dynamic_lvq4x8",
+               0x384ec8790fb28921, 0xaf9182e377f1df13, 0xf02ffc820f67472d,
+               0xb78b802c390787b3},
+       }) {
+    IndexSpec spec;
+    spec.kind = pin.kind;
+    spec.metric = w.data.metric;
+    spec.bits1 = pin.bits1;
+    spec.bits2 = pin.bits2;
+    spec.graph = w.bp;
+    auto built = Build(spec, w.data.base);
+    ASSERT_TRUE(built.ok()) << pin.name << ": " << built.status().ToString();
+    Index& idx = built.value();
+    std::string saved = Path(std::string("pin_") + pin.name);
+    if (IsDynamicKind(pin.kind)) {
+      Rng rng(0xB1D);
+      std::vector<uint32_t> gone;
+      while (gone.size() < 16) {
+        const auto id = static_cast<uint32_t>(rng.Bounded(w.data.base.rows()));
+        if (std::find(gone.begin(), gone.end(), id) != gone.end()) continue;
+        ASSERT_TRUE(idx.Delete(id).ok()) << pin.name;
+        gone.push_back(id);
+      }
+      ASSERT_TRUE(idx.Consolidate().ok()) << pin.name;
+      for (auto it = gone.rbegin(); it != gone.rend(); ++it) {
+        ASSERT_TRUE(idx.Insert(w.data.base.row(*it)).ok()) << pin.name;
+      }
+    } else {
+      Path(std::string("pin_") + pin.name + ".graph");
+      Path(std::string("pin_") + pin.name + ".vecs");
+    }
+    ASSERT_TRUE(idx.Save(saved).ok()) << pin.name;
+    if (!IsDynamicKind(pin.kind)) saved += ".vecs";
+    const uint64_t bytes = VectorBytesHash(saved, spec);
+    EXPECT_EQ(bytes, pin.bytes) << pin.name << ": 0x" << std::hex << bytes;
+    SearchOptions p;
+    p.window = 16;
+    const uint64_t got = SearchChecksum(idx, w.data.queries, 5, p);
+    const uint64_t want = backend == "avx512" ? pin.avx512
+                          : backend == "avx2" ? pin.avx2
+                                              : pin.scalar;
+    EXPECT_EQ(got, want) << pin.name << " (" << backend << "): 0x" << std::hex
+                         << got;
   }
 }
 

@@ -31,13 +31,10 @@ DynamicOptions SmallOpts(Metric m = Metric::kL2) {
 
 DynamicLvqIndex MakeLvqIndex(const Dataset& data, int bits1, int bits2,
                              const DynamicOptions& opts) {
-  DynamicLvqDataset::Options lo;
-  lo.bits1 = bits1;
-  lo.bits2 = bits2;
-  lo.mean = DynamicLvqDataset::SampleMean(data.base);
+  LvqDataset ds(ComputeMean(data.base, kDynamicMeanSampleRows),
+                {.bits = bits1, .bits2 = bits2});
   const size_t dim = data.base.cols();
-  return DynamicLvqIndex(dim, opts,
-                         DynamicLvqStorage(dim, opts.metric, std::move(lo)));
+  return DynamicLvqIndex(dim, opts, LvqStorage(std::move(ds), opts.metric));
 }
 
 /// Recall of the index against float brute force over its live vectors.

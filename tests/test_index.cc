@@ -143,11 +143,10 @@ TEST(Index, PrefetchSettingsDoNotChangeDynamicResults) {
   opts.graph_max_degree = 24;
   opts.build_window = 48;
   opts.metric = f.data.metric;
-  DynamicLvqDataset::Options lo;
-  lo.bits1 = 8;
-  lo.mean = DynamicLvqDataset::SampleMean(f.data.base);
+  LvqDataset ds(ComputeMean(f.data.base, kDynamicMeanSampleRows),
+                {.bits = 8});
   DynamicIndex f32(dim, opts);
-  DynamicLvqIndex lvq(dim, opts, DynamicLvqStorage(dim, opts.metric, lo));
+  DynamicLvqIndex lvq(dim, opts, LvqStorage(std::move(ds), opts.metric));
   for (size_t i = 0; i < f.data.base.rows(); ++i) {
     f32.Insert(f.data.base.row(i));
     lvq.Insert(f.data.base.row(i));

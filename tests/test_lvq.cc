@@ -3,6 +3,7 @@
 #include "quant/lvq.h"
 
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <numeric>
 #include <vector>
@@ -164,14 +165,14 @@ TEST(Lvq, PrefetchDoesNotCrash) {
 
 TEST(Lvq2, ResidualErrorBoundedByLevel2Step) {
   MatrixF data = RandomData(200, 32, 19);
-  LvqDataset2::Options o;
-  o.bits1 = 4;
+  LvqDataset::Options o;
+  o.bits = 4;
   o.bits2 = 8;
-  LvqDataset2 ds = LvqDataset2::Encode(data, o);
+  LvqDataset ds = LvqDataset::Encode(data, o);
   std::vector<float> rec(32);
   for (size_t i = 0; i < 200; ++i) {
     ds.Decode(i, rec.data());
-    const float delta1 = ds.level1().constants(i).delta;
+    const float delta1 = ds.constants(i).delta;
     const float delta2 = delta1 / static_cast<float>(MaxCode(8));
     for (size_t j = 0; j < 32; ++j) {
       EXPECT_LE(std::fabs(rec[j] - data(i, j)), delta2 * 0.5f * 1.01f)
@@ -182,14 +183,19 @@ TEST(Lvq2, ResidualErrorBoundedByLevel2Step) {
 
 TEST(Lvq2, TwoLevelStrictlyImprovesOneLevel) {
   MatrixF data = RandomData(300, 64, 20);
-  LvqDataset2::Options o;
-  o.bits1 = 4;
+  LvqDataset::Options o;
+  o.bits = 4;
   o.bits2 = 4;
-  LvqDataset2 ds2 = LvqDataset2::Encode(data, o);
+  LvqDataset ds2 = LvqDataset::Encode(data, o);
+  // Level 1 alone: the one-level encoding against the same mean, which
+  // writes the same level-1 blobs.
+  const LvqDataset ds1 =
+      LvqDataset::EncodeWithMean(data, ds2.mean(), {.bits = 4});
   std::vector<float> rec1(64), rec2(64);
   double err1 = 0.0, err2 = 0.0;
   for (size_t i = 0; i < 300; ++i) {
-    ds2.level1().Decode(i, rec1.data());
+    ASSERT_EQ(0, std::memcmp(ds1.blob(i), ds2.blob(i), ds1.stride())) << i;
+    ds1.Decode(i, rec1.data());
     ds2.Decode(i, rec2.data());
     for (size_t j = 0; j < 64; ++j) {
       err1 += std::pow(rec1[j] - data(i, j), 2);
@@ -201,10 +207,10 @@ TEST(Lvq2, TwoLevelStrictlyImprovesOneLevel) {
 
 TEST(Lvq2, FootprintMatchesEquationSeven) {
   MatrixF data = RandomData(10, 96, 21);
-  LvqDataset2::Options o;
-  o.bits1 = 4;
+  LvqDataset::Options o;
+  o.bits = 4;
   o.bits2 = 8;
-  LvqDataset2 ds = LvqDataset2::Encode(data, o);
+  LvqDataset ds = LvqDataset::Encode(data, o);
   // level1: ceil((96*4/8 + 4)/32)*32 = 64; level2: 96*8/8 = 96.
   EXPECT_EQ(ds.vector_footprint(), 64u + 96u);
   EXPECT_EQ(ds.memory_bytes(), 10u * (64u + 96u));
@@ -213,12 +219,11 @@ TEST(Lvq2, FootprintMatchesEquationSeven) {
 TEST(Lvq2, NoExtraConstantsStored) {
   // The residual level is pure codes: stride == PackedBytes(d, B2).
   MatrixF data = RandomData(10, 40, 22);
-  LvqDataset2::Options o;
-  o.bits1 = 8;
+  LvqDataset::Options o;
+  o.bits = 8;
   o.bits2 = 4;
-  LvqDataset2 ds = LvqDataset2::Encode(data, o);
-  EXPECT_EQ(ds.vector_footprint() - ds.level1().vector_footprint(),
-            PackedBytes(40, 4));
+  LvqDataset ds = LvqDataset::Encode(data, o);
+  EXPECT_EQ(ds.vector_footprint() - ds.stride(), PackedBytes(40, 4));
 }
 
 class LvqBitSweep : public ::testing::TestWithParam<int> {};

@@ -115,14 +115,17 @@ TEST_P(TwoLevelProperty, SecondLevelNeverHurtsReconstruction) {
   MatrixF data(80, 64);
   Rng rng(b1 * 100 + b2);
   for (size_t i = 0; i < data.size(); ++i) data.data()[i] = rng.Gaussian();
-  LvqDataset2::Options o;
-  o.bits1 = b1;
+  LvqDataset::Options o;
+  o.bits = b1;
   o.bits2 = b2;
-  LvqDataset2 ds = LvqDataset2::Encode(data, o);
+  LvqDataset ds = LvqDataset::Encode(data, o);
+  // Level 1 alone: the one-level encoding against the same mean.
+  const LvqDataset l1 =
+      LvqDataset::EncodeWithMean(data, ds.mean(), {.bits = b1});
   std::vector<float> r1(64), r2(64);
   double e1 = 0.0, e2 = 0.0;
   for (size_t i = 0; i < 80; ++i) {
-    ds.level1().Decode(i, r1.data());
+    l1.Decode(i, r1.data());
     ds.Decode(i, r2.data());
     for (size_t j = 0; j < 64; ++j) {
       e1 += std::pow(r1[j] - data(i, j), 2);

@@ -167,13 +167,10 @@ TEST(RerankerEquivalence, DynamicLvq4x8MatchesOldEpilogueUnderTombstones) {
   opts.build_window = 48;
   opts.metric = data.metric;
   opts.alpha = 1.2f;
-  DynamicLvqDataset::Options lo;
-  lo.bits1 = 4;
-  lo.bits2 = 8;
-  lo.mean = DynamicLvqDataset::SampleMean(data.base);
+  LvqDataset ds(ComputeMean(data.base, kDynamicMeanSampleRows),
+                {.bits = 4, .bits2 = 8});
   const size_t dim = data.base.cols();
-  DynamicLvqIndex idx(dim, opts,
-                      DynamicLvqStorage(dim, opts.metric, std::move(lo)));
+  DynamicLvqIndex idx(dim, opts, LvqStorage(std::move(ds), opts.metric));
   std::vector<uint32_t> inserted;
   for (size_t i = 0; i < data.base.rows(); ++i) {
     inserted.push_back(idx.Insert(data.base.row(i)));

@@ -91,16 +91,16 @@ TEST_F(SerializeTest, LvqRoundTripIsBitExact) {
 
 TEST_F(SerializeTest, Lvq2RoundTripIsBitExact) {
   Dataset data = MakeDeepLike(200, 5, 602);
-  LvqDataset2::Options o;
-  o.bits1 = 4;
+  LvqDataset::Options o;
+  o.bits = 4;
   o.bits2 = 8;
-  LvqDataset2 ds = LvqDataset2::Encode(data.base, o);
+  LvqDataset ds = LvqDataset::Encode(data.base, o);
   const std::string p = Path("b.vecs");
-  ASSERT_TRUE(SaveLvq2(p, ds).ok());
-  auto r = LoadLvq2(p, false);
+  ASSERT_TRUE(SaveLvq(p, ds).ok());
+  auto r = LoadLvq(p, false);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const LvqDataset2& ds2 = r.value();
-  ASSERT_EQ(ds2.bits1(), 4);
+  const LvqDataset& ds2 = r.value();
+  ASSERT_EQ(ds2.bits(), 4);
   ASSERT_EQ(ds2.bits2(), 8);
   std::vector<float> a(ds.dim()), b(ds.dim());
   for (size_t i = 0; i < ds.size(); i += 13) {
@@ -156,7 +156,6 @@ TEST_F(SerializeTest, CorruptFilesRejected) {
   std::fclose(f);
   EXPECT_FALSE(LoadGraph(p).ok());
   EXPECT_FALSE(LoadLvq(p).ok());
-  EXPECT_FALSE(LoadLvq2(p).ok());
   EXPECT_FALSE(LoadGraph("/nonexistent/x.graph").ok());
 }
 
@@ -376,18 +375,18 @@ TEST_F(SerializeTest, MappedLvqIsBitExact) {
 
 TEST_F(SerializeTest, MappedLvq2IsBitExact) {
   Dataset data = MakeDeepLike(120, 5, 607);
-  LvqDataset2::Options o;
-  o.bits1 = 4;
+  LvqDataset::Options o;
+  o.bits = 4;
   o.bits2 = 8;
-  LvqDataset2 ds = LvqDataset2::Encode(data.base, o);
+  LvqDataset ds = LvqDataset::Encode(data.base, o);
   const std::string p = Path("mapped2.vecs");
-  ASSERT_TRUE(SaveLvq2(p, ds).ok());
+  ASSERT_TRUE(SaveLvq(p, ds).ok());
   auto map = MmapFile::Map(p);
   ASSERT_TRUE(map.ok());
   ASSERT_TRUE(IsAlignedArtifact(map.value()));
-  auto r = ReadLvq2(map.value(), p, {.view = true});
+  auto r = ReadLvq(map.value(), p, {.view = true});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const LvqDataset2& m = r.value();
+  const LvqDataset& m = r.value();
   ASSERT_EQ(m.size(), ds.size());
   ASSERT_EQ(m.bits2(), ds.bits2());
   for (size_t i = 0; i < ds.size(); ++i) {

@@ -540,6 +540,35 @@ Index BuildFacadeIndex(const Dataset& data, int bits2 = 0) {
   return std::move(built).value();
 }
 
+// BlinkServer's /stats reads Index::name() from every connection thread.
+// Storages used to build the encoding name into a mutable cache inside a
+// const method, so two concurrent name() calls raced on it.
+TEST(ServingEngine, ConcurrentNameCallsDoNotRace) {
+  Dataset data = MakeDeepLike(300, 4, 902);
+  IndexSpec dyn;
+  dyn.kind = IndexKind::kDynamicLvq;
+  dyn.metric = data.metric;
+  dyn.graph.graph_max_degree = 16;
+  Result<Index> dynamic = Build(dyn, data.base);
+  ASSERT_TRUE(dynamic.ok()) << dynamic.status().ToString();
+  const Index lvq4x8 = BuildFacadeIndex(data, /*bits2=*/8);
+  const Index& dynamic_lvq = dynamic.value();
+  for (const Index* idx : {&lvq4x8, &dynamic_lvq}) {
+    const std::string want = idx->name();
+    std::string got[2];
+    std::thread readers[2];
+    for (int t = 0; t < 2; ++t) {
+      readers[t] = std::thread([&, t] {
+        for (int i = 0; i < 200; ++i) got[t] = idx->name();
+      });
+    }
+    for (auto& r : readers) r.join();
+    EXPECT_EQ(got[0], want);
+    EXPECT_EQ(got[1], want);
+  }
+  EXPECT_EQ(dynamic_lvq.name(), "dynamic-LVQ-8");
+}
+
 TEST(GenerationHolder, CreateValidatesIndexAndOptions) {
   // Empty handle: rejected.
   ServingOptions opts;

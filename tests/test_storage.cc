@@ -75,8 +75,8 @@ TEST(LvqStorage, EncodingNamesIdentifyConfig) {
   MatrixF data = SmallData(10, 16, 6);
   LvqStorage one(data, Metric::kL2, 8);
   LvqStorage two(data, Metric::kL2, 4, 8, 32);
-  EXPECT_STREQ(one.encoding_name(), "LVQ-8");
-  EXPECT_STREQ(two.encoding_name(), "LVQ-4x8");
+  EXPECT_EQ(one.encoding_name(), "LVQ-8");
+  EXPECT_EQ(two.encoding_name(), "LVQ-4x8");
   EXPECT_FALSE(one.has_second_level());
   EXPECT_TRUE(two.has_second_level());
 }
@@ -86,7 +86,7 @@ TEST(LvqStorage, Lvq8x8ConfigurationWorks) {
   // residual re-rank.
   MatrixF data = SmallData(60, 48, 7);
   LvqStorage s(data, Metric::kL2, 8, 8, 32);
-  EXPECT_STREQ(s.encoding_name(), "LVQ-8x8");
+  EXPECT_EQ(s.encoding_name(), "LVQ-8x8");
   LvqStorage::Query q;
   std::vector<float> query(48);
   Rng rng(8);

@@ -893,7 +893,7 @@ void CheckDynamicSearch(const DynamicLvqIndex& idx, MatrixViewF queries,
   for (const Mode& mode : modes) {
     for (const auto& sched : Schedules()) {
       DynamicLvqIndex::SearchScratch scratch;
-      OldReaderScratch<DynamicLvqStorage> old_scratch;
+      OldReaderScratch<LvqStorage> old_scratch;
       SearchParams sp;
       sp.window = 40;
       sp.prefetch_offset = sched.first;
@@ -924,12 +924,12 @@ TEST(TraverseEquivalence, DynamicLvq8WriterAndReadersMatchFrozenLoops) {
   opts.build_window = 40;
   opts.metric = data.metric;
   opts.initial_capacity = 64;  // several Grow()s along the way
-  DynamicLvqDataset::Options lo;
-  lo.bits1 = 8;
-  lo.mean = DynamicLvqDataset::SampleMean(data.base);
-  DynamicLvqIndex idx(dim, opts, DynamicLvqStorage(dim, opts.metric, lo));
-  OldDynamicWriter<DynamicLvqStorage> old(
-      dim, opts, DynamicLvqStorage(dim, opts.metric, lo));
+  const std::vector<float> mean =
+      ComputeMean(data.base, kDynamicMeanSampleRows);
+  DynamicLvqIndex idx(dim, opts,
+                      LvqStorage(LvqDataset(mean, {.bits = 8}), opts.metric));
+  OldDynamicWriter<LvqStorage> old(
+      dim, opts, LvqStorage(LvqDataset(mean, {.bits = 8}), opts.metric));
 
   size_t next_row = 0;
   auto insert = [&](size_t count) {
