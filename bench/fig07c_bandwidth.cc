@@ -41,15 +41,16 @@ void Measure(const Index& idx, const Dataset& data, size_t vector_bytes,
   RuntimeParams p;
   p.window = 40;
   const size_t adj_bytes = (idx.graph().max_degree() + 1) * sizeof(uint32_t);
-  SearchResult res;
-  size_t total_fetch = 0;
+  std::unique_ptr<Searcher> searcher = idx.MakeSearcher();
+  uint32_t ids[10];
+  BatchStats stats;
   Timer t;
   for (size_t q = 0; q < data.queries.rows(); ++q) {
-    idx.Search(data.queries.row(q), 10, p, &res);
-    total_fetch += res.distance_computations * vector_bytes +
-                   res.hops * adj_bytes;
+    searcher->Search(data.queries.row(q), 10, p, ids, nullptr, &stats);
   }
   const double secs = t.Seconds();
+  const size_t total_fetch =
+      stats.distance_computations * vector_bytes + stats.hops * adj_bytes;
   const double gbps = static_cast<double>(total_fetch) / secs / 1e9;
   std::printf("%-16s fetched %.2f GB in %.2fs -> %.1f GB/s  (%.0f%% of peak)\n",
               idx.storage().encoding_name().c_str(),

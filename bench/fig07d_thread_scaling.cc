@@ -25,7 +25,8 @@ void Scaling(const Index& idx, const Dataset& data,
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
       Timer timer;
-      idx.SearchBatch(data.queries, 10, p, ids.data(), t > 1 ? &pool : nullptr);
+      SearchBatch(idx, data.queries, 10, p, ids.data(), nullptr, nullptr,
+                  t > 1 ? &pool : nullptr);
       best = std::max(best,
                       static_cast<double>(data.queries.rows()) / timer.Seconds());
     }

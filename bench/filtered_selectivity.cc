@@ -59,7 +59,7 @@ Point Measure(const VamanaIndex<LvqStorage>& index, MatrixViewF queries,
   double best_seconds = -1.0;
   for (int rep = 0; rep < 3; ++rep) {
     Timer t;
-    index.SearchBatch(queries, k, opts, ids.data(), pool);
+    SearchBatch(index, queries, k, opts, ids.data(), nullptr, nullptr, pool);
     const double s = t.Seconds();
     if (best_seconds < 0.0 || s < best_seconds) best_seconds = s;
   }

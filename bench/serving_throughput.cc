@@ -2,7 +2,7 @@
 // SearchBatch, swept over thread count x request batch size.
 //
 // The serving claim (ISSUE 2): when traffic arrives as many small batches,
-// per-call SearchBatch pays a fresh GreedySearcher — visited array
+// per-call SearchBatch pays a fresh searcher — visited array
 // allocation + zeroing, scratch, query state — per slice per call, while
 // the engine's pooled searchers keep that state warm (visited reset is an
 // epoch bump). The sweep reports QPS for both paths and the speedup; the
@@ -53,7 +53,8 @@ void Sweep() {
         for (size_t lo = 0; lo < nq; lo += batch) {
           const size_t take = std::min(batch, nq - lo);
           MatrixViewF slice(data.queries.row(lo), take, data.queries.cols());
-          index->SearchBatch(slice, kK, params, ids.row(lo), &pool);
+          SearchBatch(*index, slice, kK, params, ids.row(lo), nullptr, nullptr,
+                      &pool);
         }
         return static_cast<double>(nq) / t.Seconds();
       });

@@ -37,7 +37,7 @@ int main() {
   params.window = 32;
   Matrix<uint32_t> ids(data.queries.rows(), k);
   Timer t;
-  index->SearchBatch(data.queries, k, params, ids.data());
+  SearchBatch(*index, data.queries, k, params, ids.data());
   const double qps = data.queries.rows() / t.Seconds();
 
   // Check accuracy against exact ground truth.

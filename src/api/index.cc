@@ -280,14 +280,16 @@ bool Index::self_described() const { return impl_->self_described(); }
 void Index::SearchBatch(MatrixViewF queries, size_t k,
                         const SearchOptions& params, uint32_t* ids,
                         ThreadPool* pool) const {
-  impl_->search().SearchBatch(queries, k, params, ids, pool);
+  blink::SearchBatch(impl_->search(), queries, k, params, ids, nullptr,
+                     nullptr, pool);
 }
 
 void Index::SearchBatchEx(MatrixViewF queries, size_t k,
                           const SearchOptions& params, uint32_t* ids,
                           float* dists, BatchStats* stats,
                           ThreadPool* pool) const {
-  impl_->search().SearchBatchEx(queries, k, params, ids, dists, stats, pool);
+  blink::SearchBatch(impl_->search(), queries, k, params, ids, dists, stats,
+                     pool);
 }
 
 std::unique_ptr<Searcher> Index::MakeSearcher() const {

@@ -19,7 +19,7 @@ HnswIndex::HnswIndex(MatrixViewF data, Metric metric, const HnswParams& params,
   }
   levels_.resize(n_);
   links_.resize(n_);
-  visit_stamps_.assign(n_, 0);
+  build_visits_.stamps.assign(n_, 0);
 
   // Exponential level assignment: floor(-ln(U) * mult), mult = 1/ln(M).
   Rng rng(params.seed);
@@ -43,15 +43,41 @@ float HnswIndex::Dist(const float* q, uint32_t id) const {
                                 : simd::IpDist(q, v, d_);
 }
 
+uint32_t HnswIndex::Descend(const float* q, uint32_t ep, int level,
+                            uint64_t* computed) const {
+  for (int lc = max_level_; lc > level; --lc) {
+    bool changed = true;
+    float d_ep = Dist(q, ep);
+    ++*computed;
+    while (changed) {
+      changed = false;
+      const auto& nbrs = links_[ep][lc];
+      *computed += nbrs.size();
+      for (uint32_t nb : nbrs) {
+        const float dist = Dist(q, nb);
+        if (dist < d_ep) {
+          d_ep = dist;
+          ep = nb;
+          changed = true;
+        }
+      }
+    }
+  }
+  return ep;
+}
+
 void HnswIndex::SearchLayer(const float* q, uint32_t ep, size_t ef, int level,
-                            std::vector<uint32_t>& visited_stamps,
-                            uint32_t stamp,
-                            std::vector<Candidate>* out) const {
+                            VisitStamps* visits, std::vector<Candidate>* out,
+                            uint64_t* computed) const {
   // Min-heap of frontier candidates; max-heap of the ef best results.
   std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>> frontier;
   std::priority_queue<Candidate> best;
+  visits->Next();
+  std::vector<uint32_t>& visited_stamps = visits->stamps;
+  const uint32_t stamp = visits->stamp;
 
   const float d0 = Dist(q, ep);
+  ++*computed;
   frontier.push({d0, ep});
   best.push({d0, ep});
   visited_stamps[ep] = stamp;
@@ -65,6 +91,7 @@ void HnswIndex::SearchLayer(const float* q, uint32_t ep, size_t ef, int level,
       if (visited_stamps[nb] == stamp) continue;
       visited_stamps[nb] = stamp;
       const float dist = Dist(q, nb);
+      ++*computed;
       if (best.size() < ef || dist < best.top().dist) {
         frontier.push({dist, nb});
         best.push({dist, nb});
@@ -110,24 +137,9 @@ void HnswIndex::Insert(uint32_t id, int level) {
     return;
   }
   const float* q = vectors_.row(id);
-  uint32_t ep = entry_point_;
-
   // Greedy descent through layers above the node's level.
-  for (int lc = max_level_; lc > level; --lc) {
-    bool changed = true;
-    float d_ep = Dist(q, ep);
-    while (changed) {
-      changed = false;
-      for (uint32_t nb : links_[ep][lc]) {
-        const float dist = Dist(q, nb);
-        if (dist < d_ep) {
-          d_ep = dist;
-          ep = nb;
-          changed = true;
-        }
-      }
-    }
-  }
+  uint64_t computed = 0;  // build work is not reported
+  uint32_t ep = Descend(q, entry_point_, level, &computed);
 
   // Connect at each layer from min(level, max_level_) down to 0.
   std::vector<Candidate> candidates;
@@ -135,13 +147,8 @@ void HnswIndex::Insert(uint32_t id, int level) {
   std::vector<Candidate> shrink_cands;
   std::vector<uint32_t> shrunk;
   for (int lc = std::min(level, max_level_); lc >= 0; --lc) {
-    ++stamp_;
-    if (stamp_ == 0) {
-      std::fill(visit_stamps_.begin(), visit_stamps_.end(), 0u);
-      stamp_ = 1;
-    }
-    SearchLayer(q, ep, params_.ef_construction, lc, visit_stamps_, stamp_,
-                &candidates);
+    SearchLayer(q, ep, params_.ef_construction, lc, &build_visits_,
+                &candidates, &computed);
     const uint32_t bound = DegreeBound(lc);
     SelectNeighborsHeuristic(candidates, params_.M, &selected);
     links_[id][lc] = selected;
@@ -193,54 +200,41 @@ double HnswIndex::AverageDegree(int level) const {
   return nodes > 0 ? static_cast<double>(total) / static_cast<double>(nodes) : 0.0;
 }
 
-void HnswIndex::SearchBatch(MatrixViewF queries, size_t k,
-                            const SearchOptions& params, uint32_t* ids,
-                            ThreadPool* pool) const {
-  const size_t nq = queries.rows;
-  const size_t ef = std::max<size_t>(params.window, k);
-
-  auto run_slice = [&](size_t widx, size_t slices) {
-    std::vector<uint32_t> stamps(n_, 0);
-    uint32_t stamp = 0;
-    std::vector<Candidate> results;
-    const size_t lo = nq * widx / slices, hi = nq * (widx + 1) / slices;
-    for (size_t qi = lo; qi < hi; ++qi) {
-      const float* q = queries.row(qi);
-      uint32_t ep = entry_point_;
-      for (int lc = max_level_; lc > 0; --lc) {
-        bool changed = true;
-        float d_ep = Dist(q, ep);
-        while (changed) {
-          changed = false;
-          for (uint32_t nb : links_[ep][lc]) {
-            const float dist = Dist(q, nb);
-            if (dist < d_ep) {
-              d_ep = dist;
-              ep = nb;
-              changed = true;
-            }
-          }
-        }
-      }
-      ++stamp;
-      if (stamp == 0) {
-        std::fill(stamps.begin(), stamps.end(), 0u);
-        stamp = 1;
-      }
-      SearchLayer(q, ep, ef, 0, stamps, stamp, &results);
-      uint32_t* row = ids + qi * k;
-      for (size_t j = 0; j < k; ++j) {
-        row[j] = j < results.size() ? results[j].id : UINT32_MAX;
-      }
-    }
-  };
-
-  const size_t workers = pool != nullptr ? pool->num_threads() : 1;
-  if (pool != nullptr && workers > 1 && nq > 1) {
-    pool->ParallelFor(workers, [&](size_t w) { run_slice(w, workers); });
-  } else {
-    run_slice(0, 1);
+/// ef-bounded layer-0 search after the greedy descent; the visit stamps
+/// and candidate buffer survive across queries.
+class HnswIndex::HnswSearcher : public Searcher {
+ public:
+  explicit HnswSearcher(const HnswIndex* index) : index_(index) {
+    visits_.stamps.assign(index_->n_, 0);
   }
+
+  void Search(const float* q, size_t k, const SearchOptions& params,
+              uint32_t* ids, float* dists, BatchStats* stats) override {
+    const size_t ef = std::max<size_t>(params.window, k);
+    uint64_t computed = 0;
+    const uint32_t ep = index_->Descend(q, index_->entry_point_, 0, &computed);
+    index_->SearchLayer(q, ep, ef, 0, &visits_, &results_, &computed);
+    const size_t count = std::min(k, results_.size());
+    row_ids_.resize(count);
+    row_dists_.resize(count);
+    for (size_t j = 0; j < count; ++j) {
+      row_ids_[j] = results_[j].id;
+      row_dists_[j] = results_[j].dist;
+    }
+    WritePaddedRow(row_ids_.data(), row_dists_.data(), count, k, ids, dists);
+    if (stats != nullptr) stats->distance_computations += computed;
+  }
+
+ private:
+  const HnswIndex* index_;
+  VisitStamps visits_;
+  std::vector<Candidate> results_;
+  std::vector<uint32_t> row_ids_;
+  std::vector<float> row_dists_;
+};
+
+std::unique_ptr<Searcher> HnswIndex::MakeSearcher() const {
+  return std::make_unique<HnswSearcher>(this);
 }
 
 }  // namespace blink

@@ -11,7 +11,9 @@
 // R = {32, 64, 128} sweeps correspond to M = {16, 32, 64}.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "eval/interface.h"
@@ -38,15 +40,17 @@ class HnswIndex : public SearchIndex {
   size_t dim() const override { return d_; }
   size_t memory_bytes() const override;
 
-  /// SearchOptions::window is ef-search.
-  void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions& params,
-                   uint32_t* ids, ThreadPool* pool = nullptr) const override;
+  /// SearchOptions::window is ef-search. Reports the exact distances it
+  /// ranked by and counts every distance it computes.
+  std::unique_ptr<Searcher> MakeSearcher() const override;
 
   int max_level() const { return max_level_; }
   uint32_t entry_point() const { return entry_point_; }
   double AverageDegree(int level) const;
 
  private:
+  class HnswSearcher;
+
   float Dist(const float* q, uint32_t id) const;
 
   struct Candidate {
@@ -56,11 +60,30 @@ class HnswIndex : public SearchIndex {
     bool operator>(const Candidate& o) const { return dist > o.dist; }
   };
 
-  /// Best-first search of one layer; returns up to ef candidates
-  /// (ascending distance).
+  /// Per-node visit stamps: a node is visited iff its stamp equals the
+  /// current one, so starting a new search is a counter bump.
+  struct VisitStamps {
+    std::vector<uint32_t> stamps;
+    uint32_t stamp = 0;
+    void Next() {
+      if (++stamp == 0) {
+        std::fill(stamps.begin(), stamps.end(), 0u);
+        stamp = 1;
+      }
+    }
+  };
+
+  /// Greedy descent from `ep` through the layers above `level`; returns
+  /// the entry point for `level`. Adds its distance count to `*computed`.
+  uint32_t Descend(const float* q, uint32_t ep, int level,
+                   uint64_t* computed) const;
+
+  /// Best-first search of one layer under a fresh stamp of `visits`;
+  /// returns up to ef candidates (ascending distance) and adds its
+  /// distance count to `*computed`.
   void SearchLayer(const float* q, uint32_t ep, size_t ef, int level,
-                   std::vector<uint32_t>& visited_stamps, uint32_t stamp,
-                   std::vector<Candidate>* out) const;
+                   VisitStamps* visits, std::vector<Candidate>* out,
+                   uint64_t* computed) const;
 
   /// HNSW Algorithm 4: greedy diversity selection.
   void SelectNeighborsHeuristic(const std::vector<Candidate>& candidates,
@@ -80,9 +103,7 @@ class HnswIndex : public SearchIndex {
   std::vector<std::vector<std::vector<uint32_t>>> links_;
   uint32_t entry_point_ = 0;
   int max_level_ = -1;
-  // Build-time scratch (single-threaded construction).
-  mutable std::vector<uint32_t> visit_stamps_;
-  mutable uint32_t stamp_ = 0;
+  VisitStamps build_visits_;  ///< single-threaded construction
 };
 
 }  // namespace blink

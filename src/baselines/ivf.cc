@@ -10,7 +10,7 @@ namespace blink {
 
 IvfPqIndex::IvfPqIndex(MatrixViewF data, Metric metric,
                        const IvfPqParams& params, ThreadPool* pool)
-    : n_(data.rows), d_(data.cols), metric_(metric), params_(params) {
+    : PartitionedPqIndex(data, metric), params_(params) {
   // 1. Coarse quantizer: k-means over a training sample.
   const size_t n_train = std::min(n_, params.train_sample);
   MatrixF train(n_train, d_);
@@ -66,84 +66,6 @@ std::string IvfPqIndex::name() const {
   return "IVFPQ-nlist" + std::to_string(nlist()) + "-M" +
          std::to_string(codec_.num_segments()) +
          (params_.keep_full_vectors ? "+refine" : "");
-}
-
-size_t IvfPqIndex::memory_bytes() const {
-  size_t bytes = centroids_.size() * sizeof(float);
-  for (size_t l = 0; l < list_ids_.size(); ++l) {
-    bytes += list_ids_[l].size() * sizeof(uint32_t) + list_codes_[l].size();
-  }
-  bytes += full_vectors_.size() * sizeof(float);
-  return bytes;
-}
-
-void IvfPqIndex::SearchOne(const float* q, size_t k, uint32_t nprobe,
-                           uint32_t reorder_k, uint32_t* out) const {
-  const size_t probes = std::min<size_t>(std::max<uint32_t>(nprobe, 1), nlist());
-  const std::vector<uint32_t> lists = NearestCentroids(q, centroids_, probes);
-
-  // ADC scan of the probed lists. With residual encoding the table depends
-  // on (q - centroid), so it is rebuilt per probed list (classic IVFADC).
-  const size_t cand_target = std::max<size_t>(k, reorder_k);
-  std::vector<std::pair<float, uint32_t>> top;
-  top.reserve(cand_target + 1);
-  std::vector<float> lut(codec_.num_segments() * codec_.ksub());
-  std::vector<float> qres(d_);
-  for (uint32_t l : lists) {
-    const float* c = centroids_.row(l);
-    float bias = 0.0f;
-    if (metric_ == Metric::kL2) {
-      for (size_t j = 0; j < d_; ++j) qres[j] = q[j] - c[j];
-    } else {
-      // -<q, c + r> = -<q, c> - <q, r>: table over residuals + constant.
-      std::memcpy(qres.data(), q, d_ * sizeof(float));
-      bias = simd::IpDist(q, c, d_);
-    }
-    codec_.BuildLut(qres.data(), metric_, lut.data());
-    const auto& ids = list_ids_[l];
-    const auto& codes = list_codes_[l];
-    const size_t m = codec_.code_bytes();
-    for (size_t e = 0; e < ids.size(); ++e) {
-      const float dist = codec_.AdcDistance(lut.data(), &codes[e * m]) + bias;
-      if (top.size() < cand_target) {
-        top.push_back({dist, ids[e]});
-        std::push_heap(top.begin(), top.end());
-      } else if (dist < top.front().first) {
-        std::pop_heap(top.begin(), top.end());
-        top.back() = {dist, ids[e]};
-        std::push_heap(top.begin(), top.end());
-      }
-    }
-  }
-  std::sort(top.begin(), top.end());
-
-  // Refine: recompute the best reorder_k with full-precision vectors.
-  if (reorder_k > 0 && full_vectors_.rows() == n_) {
-    const size_t rr = std::min<size_t>(reorder_k, top.size());
-    for (size_t e = 0; e < rr; ++e) {
-      const float* v = full_vectors_.row(top[e].second);
-      top[e].first = metric_ == Metric::kL2 ? simd::L2Sqr(q, v, d_)
-                                            : simd::IpDist(q, v, d_);
-    }
-    std::sort(top.begin(), top.begin() + rr);
-  }
-
-  for (size_t j = 0; j < k; ++j) {
-    out[j] = j < top.size() ? top[j].second : UINT32_MAX;
-  }
-}
-
-void IvfPqIndex::SearchBatch(MatrixViewF queries, size_t k,
-                             const SearchOptions& params, uint32_t* ids,
-                             ThreadPool* pool) const {
-  auto one = [&](size_t qi) {
-    SearchOne(queries.row(qi), k, params.nprobe, params.reorder_k, ids + qi * k);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(queries.rows, one);
-  } else {
-    for (size_t qi = 0; qi < queries.rows; ++qi) one(qi);
-  }
 }
 
 }  // namespace blink

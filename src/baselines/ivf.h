@@ -20,9 +20,7 @@
 
 #include "baselines/pq.h"
 #include "cluster/kmeans.h"
-#include "eval/interface.h"
 #include "util/matrix.h"
-#include "util/memory.h"
 
 namespace blink {
 
@@ -34,36 +32,17 @@ struct IvfPqParams {
   uint64_t seed = 11;
 };
 
-class IvfPqIndex : public SearchIndex {
+class IvfPqIndex : public PartitionedPqIndex {
  public:
   IvfPqIndex(MatrixViewF data, Metric metric, const IvfPqParams& params,
              ThreadPool* pool = nullptr);
 
   std::string name() const override;
-  size_t size() const override { return n_; }
-  size_t dim() const override { return d_; }
-  size_t memory_bytes() const override;
 
-  void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions& params,
-                   uint32_t* ids, ThreadPool* pool = nullptr) const override;
-
-  size_t nlist() const { return centroids_.rows(); }
-  const PqCodec& codec() const { return codec_; }
+  size_t nlist() const { return num_lists(); }
 
  private:
-  void SearchOne(const float* q, size_t k, uint32_t nprobe, uint32_t reorder_k,
-                 uint32_t* out) const;
-
-  size_t n_ = 0;
-  size_t d_ = 0;
-  Metric metric_ = Metric::kL2;
   IvfPqParams params_;
-  MatrixF centroids_;  // nlist x d
-  PqCodec codec_;      // trained on residuals
-  // Inverted lists, flattened: per list, ids and PQ codes.
-  std::vector<std::vector<uint32_t>> list_ids_;
-  std::vector<std::vector<uint8_t>> list_codes_;
-  MatrixF full_vectors_;  // n x d when keep_full_vectors (refine stage)
 };
 
 }  // namespace blink

@@ -145,4 +145,107 @@ Matrix<uint32_t> PqDataset::ExhaustiveSearch(MatrixViewF queries, size_t k,
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// PartitionedPqIndex.
+// ---------------------------------------------------------------------------
+
+size_t PartitionedPqIndex::memory_bytes() const {
+  size_t bytes = centroids_.size() * sizeof(float);
+  for (size_t l = 0; l < list_ids_.size(); ++l) {
+    bytes += list_ids_[l].size() * sizeof(uint32_t) + list_codes_[l].size();
+  }
+  bytes += full_vectors_.size() * sizeof(float);
+  return bytes;
+}
+
+/// Probe, ADC scan and re-rank for one query; the LUT, residual and
+/// candidate buffers survive across queries.
+class PartitionedPqIndex::ListSearcher : public Searcher {
+ public:
+  explicit ListSearcher(const PartitionedPqIndex* index)
+      : x_(*index),
+        lut_(x_.codec_.num_segments() * x_.codec_.ksub()),
+        qres_(x_.d_) {}
+
+  void Search(const float* q, size_t k, const SearchOptions& params,
+              uint32_t* ids, float* dists, BatchStats* stats) override {
+    const size_t d = x_.d_;
+    const size_t probes = std::min<size_t>(
+        std::max<uint32_t>(params.nprobe, 1), x_.num_lists());
+    const std::vector<uint32_t> lists =
+        NearestCentroids(q, x_.centroids_, probes);
+    uint64_t computed = x_.num_lists();
+
+    // ADC scan of the probed lists. With residual encoding the table
+    // depends on (q - centroid), so it is rebuilt per probed list (classic
+    // IVFADC).
+    const size_t cand_target = std::max<size_t>(k, params.reorder_k);
+    top_.clear();
+    top_.reserve(cand_target + 1);
+    const size_t m = x_.codec_.code_bytes();
+    for (uint32_t l : lists) {
+      const float* c = x_.centroids_.row(l);
+      float bias = 0.0f;
+      if (x_.metric_ == Metric::kL2) {
+        for (size_t j = 0; j < d; ++j) qres_[j] = q[j] - c[j];
+      } else {
+        // -<q, c + r> = -<q, c> - <q, r>: table over residuals + constant.
+        std::memcpy(qres_.data(), q, d * sizeof(float));
+        bias = simd::IpDist(q, c, d);
+      }
+      x_.codec_.BuildLut(qres_.data(), x_.metric_, lut_.data());
+      const auto& list_ids = x_.list_ids_[l];
+      const auto& codes = x_.list_codes_[l];
+      computed += list_ids.size();
+      for (size_t e = 0; e < list_ids.size(); ++e) {
+        const float dist =
+            x_.codec_.AdcDistance(lut_.data(), &codes[e * m]) + bias;
+        if (top_.size() < cand_target) {
+          top_.push_back({dist, list_ids[e]});
+          std::push_heap(top_.begin(), top_.end());
+        } else if (dist < top_.front().first) {
+          std::pop_heap(top_.begin(), top_.end());
+          top_.back() = {dist, list_ids[e]};
+          std::push_heap(top_.begin(), top_.end());
+        }
+      }
+    }
+    std::sort(top_.begin(), top_.end());
+
+    // Re-rank: recompute the best reorder_k with full-precision vectors.
+    if (params.reorder_k > 0 && x_.full_vectors_.rows() == x_.n_) {
+      const size_t rr = std::min<size_t>(params.reorder_k, top_.size());
+      for (size_t e = 0; e < rr; ++e) {
+        const float* v = x_.full_vectors_.row(top_[e].second);
+        top_[e].first = x_.metric_ == Metric::kL2 ? simd::L2Sqr(q, v, d)
+                                                  : simd::IpDist(q, v, d);
+      }
+      computed += rr;
+      std::sort(top_.begin(), top_.begin() + rr);
+    }
+
+    const size_t count = std::min(k, top_.size());
+    row_ids_.resize(count);
+    row_dists_.resize(count);
+    for (size_t j = 0; j < count; ++j) {
+      row_dists_[j] = top_[j].first;
+      row_ids_[j] = top_[j].second;
+    }
+    WritePaddedRow(row_ids_.data(), row_dists_.data(), count, k, ids, dists);
+    if (stats != nullptr) stats->distance_computations += computed;
+  }
+
+ private:
+  const PartitionedPqIndex& x_;  ///< the index searched
+  std::vector<float> lut_;
+  std::vector<float> qres_;
+  std::vector<std::pair<float, uint32_t>> top_;
+  std::vector<uint32_t> row_ids_;
+  std::vector<float> row_dists_;
+};
+
+std::unique_ptr<Searcher> PartitionedPqIndex::MakeSearcher() const {
+  return std::make_unique<ListSearcher>(this);
+}
+
 }  // namespace blink

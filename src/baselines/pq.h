@@ -151,4 +151,41 @@ class PqStorage {
   Metric metric_ = Metric::kL2;
 };
 
+/// The layout the partitioned PQ baselines share (IVF-PQ, ScaNN): a coarse
+/// partition whose lists hold PQ codes of the residuals to their centroid,
+/// plus the full-precision rows of the optional re-rank stage. A query
+/// probes the SearchOptions::nprobe nearest lists, ADC-scans them, and
+/// re-ranks the best SearchOptions::reorder_k at full precision; the
+/// subclasses differ only in how they train and encode.
+class PartitionedPqIndex : public SearchIndex {
+ public:
+  size_t size() const override { return n_; }
+  size_t dim() const override { return d_; }
+  size_t memory_bytes() const override;
+
+  /// Reports the distances it ranked by: exact for the re-ranked prefix,
+  /// ADC estimates after it. Counts one distance per centroid, scanned
+  /// code and re-ranked row.
+  std::unique_ptr<Searcher> MakeSearcher() const override;
+
+  size_t num_lists() const { return centroids_.rows(); }
+  const PqCodec& codec() const { return codec_; }
+
+ protected:
+  PartitionedPqIndex(MatrixViewF data, Metric metric)
+      : n_(data.rows), d_(data.cols), metric_(metric) {}
+
+  size_t n_ = 0;
+  size_t d_ = 0;
+  Metric metric_ = Metric::kL2;
+  MatrixF centroids_;  ///< num_lists x d
+  PqCodec codec_;      ///< trained on residuals
+  std::vector<std::vector<uint32_t>> list_ids_;
+  std::vector<std::vector<uint8_t>> list_codes_;  ///< code_bytes per id
+  MatrixF full_vectors_;  ///< n x d, or empty without a re-rank stage
+
+ private:
+  class ListSearcher;
+};
+
 }  // namespace blink

@@ -11,11 +11,11 @@ namespace blink {
 
 ScannIndex::ScannIndex(MatrixViewF data, Metric metric,
                        const ScannParams& params, ThreadPool* pool)
-    : n_(data.rows), d_(data.cols), metric_(metric), params_(params) {
-  n_leaves_ = params.n_leaves > 0
-                  ? params.n_leaves
-                  : static_cast<size_t>(std::sqrt(static_cast<double>(n_))) + 1;
-  n_leaves_ = std::min(n_leaves_, n_);
+    : PartitionedPqIndex(data, metric), params_(params) {
+  const size_t n_leaves = std::min(
+      n_, params.n_leaves > 0
+              ? params.n_leaves
+              : static_cast<size_t>(std::sqrt(static_cast<double>(n_))) + 1);
 
   // Score-aware weighting: eta = (d-1) T^2 / (1 - T^2).
   const double t2 = static_cast<double>(params.avq_threshold) *
@@ -34,7 +34,7 @@ ScannIndex::ScannIndex(MatrixViewF data, Metric metric,
     }
   }
   KMeansParams kp;
-  kp.k = n_leaves_;
+  kp.k = n_leaves;
   kp.seed = params.seed;
   kp.max_iters = 20;
   centroids_ = KMeans(train, kp, pool).centroids;
@@ -57,14 +57,14 @@ ScannIndex::ScannIndex(MatrixViewF data, Metric metric,
   codec_ = PqCodec::Train(residuals, pq, pool);
 
   // 3. Anisotropic encoding into leaves.
-  leaf_ids_.resize(n_leaves_);
-  leaf_codes_.resize(n_leaves_);
+  list_ids_.resize(n_leaves);
+  list_codes_.resize(n_leaves);
   std::vector<uint8_t> code(codec_.code_bytes());
   for (size_t i = 0; i < n_; ++i) {
     EncodeAnisotropic(residuals.row(i), data.row(i), code.data());
     const uint32_t leaf = assign[i];
-    leaf_ids_[leaf].push_back(static_cast<uint32_t>(i));
-    leaf_codes_[leaf].insert(leaf_codes_[leaf].end(), code.begin(), code.end());
+    list_ids_[leaf].push_back(static_cast<uint32_t>(i));
+    list_codes_[leaf].insert(list_codes_[leaf].end(), code.begin(), code.end());
   }
 
   // 4. Full-precision vectors for reordering.
@@ -110,81 +110,6 @@ void ScannIndex::EncodeAnisotropic(const float* residual,
       }
     }
     codes[s] = static_cast<uint8_t>(best);
-  }
-}
-
-size_t ScannIndex::memory_bytes() const {
-  size_t bytes = centroids_.size() * sizeof(float);
-  for (size_t l = 0; l < n_leaves_; ++l) {
-    bytes += leaf_ids_[l].size() * sizeof(uint32_t) + leaf_codes_[l].size();
-  }
-  bytes += full_vectors_.size() * sizeof(float);
-  return bytes;
-}
-
-void ScannIndex::SearchOne(const float* q, size_t k, uint32_t nprobe,
-                           uint32_t reorder_k, uint32_t* out) const {
-  const size_t probes =
-      std::min<size_t>(std::max<uint32_t>(nprobe, 1), n_leaves_);
-  const std::vector<uint32_t> leaves = NearestCentroids(q, centroids_, probes);
-
-  const size_t cand_target = std::max<size_t>(k, reorder_k);
-  std::vector<std::pair<float, uint32_t>> top;
-  top.reserve(cand_target + 1);
-  std::vector<float> lut(codec_.num_segments() * codec_.ksub());
-  std::vector<float> qres(d_);
-  for (uint32_t l : leaves) {
-    const float* c = centroids_.row(l);
-    float bias = 0.0f;
-    if (metric_ == Metric::kL2) {
-      for (size_t j = 0; j < d_; ++j) qres[j] = q[j] - c[j];
-    } else {
-      std::memcpy(qres.data(), q, d_ * sizeof(float));
-      bias = simd::IpDist(q, c, d_);
-    }
-    codec_.BuildLut(qres.data(), metric_, lut.data());
-    const auto& ids = leaf_ids_[l];
-    const auto& codes = leaf_codes_[l];
-    const size_t m = codec_.code_bytes();
-    for (size_t e = 0; e < ids.size(); ++e) {
-      const float dist = codec_.AdcDistance(lut.data(), &codes[e * m]) + bias;
-      if (top.size() < cand_target) {
-        top.push_back({dist, ids[e]});
-        std::push_heap(top.begin(), top.end());
-      } else if (dist < top.front().first) {
-        std::pop_heap(top.begin(), top.end());
-        top.back() = {dist, ids[e]};
-        std::push_heap(top.begin(), top.end());
-      }
-    }
-  }
-  std::sort(top.begin(), top.end());
-
-  if (reorder_k > 0) {
-    const size_t rr = std::min<size_t>(reorder_k, top.size());
-    for (size_t e = 0; e < rr; ++e) {
-      const float* v = full_vectors_.row(top[e].second);
-      top[e].first = metric_ == Metric::kL2 ? simd::L2Sqr(q, v, d_)
-                                            : simd::IpDist(q, v, d_);
-    }
-    std::sort(top.begin(), top.begin() + rr);
-  }
-
-  for (size_t j = 0; j < k; ++j) {
-    out[j] = j < top.size() ? top[j].second : UINT32_MAX;
-  }
-}
-
-void ScannIndex::SearchBatch(MatrixViewF queries, size_t k,
-                             const SearchOptions& params, uint32_t* ids,
-                             ThreadPool* pool) const {
-  auto one = [&](size_t qi) {
-    SearchOne(queries.row(qi), k, params.nprobe, params.reorder_k, ids + qi * k);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(queries.rows, one);
-  } else {
-    for (size_t qi = 0; qi < queries.rows; ++qi) one(qi);
   }
 }
 

@@ -20,7 +20,6 @@
 
 #include "baselines/pq.h"
 #include "cluster/kmeans.h"
-#include "eval/interface.h"
 #include "util/matrix.h"
 
 namespace blink {
@@ -33,43 +32,26 @@ struct ScannParams {
   uint64_t seed = 21;
 };
 
-class ScannIndex : public SearchIndex {
+/// SearchOptions::nprobe = leaves_to_search, reorder_k = reorder depth.
+class ScannIndex : public PartitionedPqIndex {
  public:
   ScannIndex(MatrixViewF data, Metric metric, const ScannParams& params,
              ThreadPool* pool = nullptr);
 
   std::string name() const override {
-    return "ScaNN-leaves" + std::to_string(n_leaves_);
+    return "ScaNN-leaves" + std::to_string(n_leaves());
   }
-  size_t size() const override { return n_; }
-  size_t dim() const override { return d_; }
-  size_t memory_bytes() const override;
 
-  /// SearchOptions::nprobe = leaves_to_search, reorder_k = reorder depth.
-  void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions& params,
-                   uint32_t* ids, ThreadPool* pool = nullptr) const override;
-
-  size_t n_leaves() const { return n_leaves_; }
+  size_t n_leaves() const { return num_lists(); }
   double anisotropic_eta() const { return eta_; }
 
  private:
-  void SearchOne(const float* q, size_t k, uint32_t nprobe, uint32_t reorder_k,
-                 uint32_t* out) const;
   /// Anisotropic encode of one residual (direction = the original vector).
   void EncodeAnisotropic(const float* residual, const float* direction,
                          uint8_t* codes) const;
 
-  size_t n_ = 0;
-  size_t d_ = 0;
-  size_t n_leaves_ = 0;
-  Metric metric_ = Metric::kL2;
   ScannParams params_;
   double eta_ = 1.0;
-  MatrixF centroids_;  // n_leaves x d
-  PqCodec codec_;      // 4-bit codes over residuals
-  std::vector<std::vector<uint32_t>> leaf_ids_;
-  std::vector<std::vector<uint8_t>> leaf_codes_;
-  MatrixF full_vectors_;  // reorder stage
 };
 
 }  // namespace blink

@@ -22,16 +22,18 @@ std::vector<SweepPoint> RunSweep(const SearchIndex& index, MatrixViewF queries,
     pt.params = params;
     double best_seconds = -1.0;
     const int runs = std::max(1, opts.best_of);
+    // Batch-of-1 protocol: the latency path, one query at a time through
+    // one warm searcher, no batch parallelism.
+    std::unique_ptr<Searcher> searcher =
+        opts.single_query ? index.MakeSearcher() : nullptr;
     for (int r = 0; r < runs; ++r) {
       Timer t;
-      if (opts.single_query) {
-        // Batch-of-1 protocol: latency path, no batch parallelism.
-        for (size_t qi = 0; qi < nq; ++qi) {
-          MatrixViewF one(queries.row(qi), 1, queries.cols);
-          index.SearchBatch(one, opts.k, params, ids.row(qi), nullptr);
-        }
+      if (searcher != nullptr) {
+        SearchRows(*searcher, queries, 0, nq, opts.k, params, ids.data(),
+                   nullptr, nullptr);
       } else {
-        index.SearchBatch(queries, opts.k, params, ids.data(), opts.pool);
+        SearchBatch(index, queries, opts.k, params, ids.data(), nullptr,
+                    nullptr, opts.pool);
       }
       const double s = t.Seconds();
       if (best_seconds < 0.0 || s < best_seconds) best_seconds = s;

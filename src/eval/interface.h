@@ -22,7 +22,7 @@ namespace blink {
 /// cannot honor are neutralized in one place instead of being silently
 /// ignored at N call sites.
 enum : uint32_t {
-  kCapSearch = 1u << 0,       ///< SearchBatch / SearchBatchEx / MakeSearcher
+  kCapSearch = 1u << 0,       ///< MakeSearcher / SearchBatch
   kCapSave = 1u << 1,         ///< Save(path) round-trips through Open
   kCapInsert = 1u << 2,       ///< Insert(vec)
   kCapDelete = 1u << 3,       ///< Delete(id)
@@ -160,7 +160,7 @@ struct BatchStats {
 
 /// Padding sentinels for queries with fewer than k reachable results: the
 /// id slot gets kInvalidId and the paired distance slot +infinity, on every
-/// search path (Search, SearchBatch, SearchBatchEx, Searcher).
+/// search path (every Searcher, hence SearchBatch and the serving engine).
 inline constexpr uint32_t kInvalidId = UINT32_MAX;
 inline constexpr float kInvalidDist = std::numeric_limits<float>::infinity();
 
@@ -183,7 +183,7 @@ inline void WritePaddedRow(const uint32_t* src_ids, const float* src_dists,
 
 /// Shared partition-and-reduce loop of every batch-search path: splits
 /// [0, nq) into at most `max_slices` contiguous slices, runs
-/// `slice_fn(slice_index, lo, hi, &slice_stats)` for each — across `pool`
+/// `slice_fn(lo, hi, &slice_stats)` for each — across `pool`
 /// when more than one slice, inline otherwise — and reduces the per-slice
 /// stats into `*stats` (may be null).
 template <typename SliceFn>
@@ -196,7 +196,7 @@ inline void RunBatchSlices(size_t nq, size_t max_slices, ThreadPool* pool,
   auto run = [&](size_t w) {
     const size_t lo = nq * w / num_slices;
     const size_t hi = nq * (w + 1) / num_slices;
-    slice_fn(w, lo, hi, &slice_stats[w]);
+    slice_fn(lo, hi, &slice_stats[w]);
   };
   if (num_slices > 1 && pool != nullptr) {
     pool->ParallelFor(num_slices, run);
@@ -211,22 +211,38 @@ inline void RunBatchSlices(size_t nq, size_t max_slices, ThreadPool* pool,
   }
 }
 
-/// Reusable single-query searcher: per-thread search state (visited epochs,
-/// candidate buffer, query scratch) survives across calls, which is where
-/// serving throughput comes from (see serve/engine.h). Not thread-safe —
-/// one Searcher per worker thread.
+/// Per-thread search state plus the query logic that uses it: the one
+/// place each index writes its search. State (visited epochs, candidate
+/// buffer, query scratch, cached filter plans) survives across calls, which
+/// is where serving throughput comes from (see serve/engine.h). Not
+/// thread-safe — one Searcher per worker thread.
 class Searcher {
  public:
   virtual ~Searcher() = default;
 
   /// Writes exactly k ids (and, when `dists` is non-null, k distances) for
-  /// one query, padded per the contract above. When `stats` is non-null the
+  /// one query, padded per the contract above. The distances are the ones
+  /// the index ranked by (see DESIGN.md D7). When `stats` is non-null the
   /// query's work counters are accumulated (+=) into it.
   virtual void Search(const float* query, size_t k, const SearchOptions& params,
                       uint32_t* ids, float* dists, BatchStats* stats) = 0;
 };
 
-/// A built, queryable ANN index.
+/// Runs `searcher` over query rows [lo, hi) into the row-major outputs:
+/// the per-slice loop of every batch path (SearchBatch below and
+/// ServingEngine::SearchBatch), so the row layout is written once.
+inline void SearchRows(Searcher& searcher, MatrixViewF queries, size_t lo,
+                       size_t hi, size_t k, const SearchOptions& params,
+                       uint32_t* ids, float* dists, BatchStats* stats) {
+  for (size_t qi = lo; qi < hi; ++qi) {
+    searcher.Search(queries.row(qi), k, params, ids + qi * k,
+                    dists != nullptr ? dists + qi * k : nullptr, stats);
+  }
+}
+
+/// A built, queryable ANN index. Searching is MakeSearcher()'s job alone:
+/// batch search (SearchBatch below), the serving engine and the network
+/// server all run the index's Searcher.
 class SearchIndex {
  public:
   virtual ~SearchIndex() = default;
@@ -237,62 +253,27 @@ class SearchIndex {
   /// Resident bytes of everything needed to serve queries.
   virtual size_t memory_bytes() const = 0;
 
-  /// Finds the k nearest neighbors of each query row; writes row-major ids
-  /// (queries.rows x k). When fewer than k results exist, the remainder is
-  /// filled with kInvalidId. Thread-safe; batch is parallelized across
-  /// `pool` when provided (single-threaded otherwise).
-  virtual void SearchBatch(MatrixViewF queries, size_t k,
-                           const SearchOptions& params, uint32_t* ids,
-                           ThreadPool* pool = nullptr) const = 0;
-
-  /// Extended batch search: additionally reports per-query distances
-  /// (row-major queries.rows x k, padded with +inf) and aggregate work
-  /// counters. Either of `dists` / `stats` may be null. The default
-  /// implementation forwards to SearchBatch, fills `dists` with NaN
-  /// ("unavailable") and leaves `stats` untouched; indices that track these
-  /// (VamanaIndex, the dynamic index) override it.
-  virtual void SearchBatchEx(MatrixViewF queries, size_t k,
-                             const SearchOptions& params, uint32_t* ids,
-                             float* dists, BatchStats* stats,
-                             ThreadPool* pool = nullptr) const {
-    SearchBatch(queries, k, params, ids, pool);
-    if (dists != nullptr) {
-      const size_t total = queries.rows * k;
-      for (size_t i = 0; i < total; ++i) {
-        dists[i] = std::numeric_limits<float>::quiet_NaN();
-      }
-    }
-    (void)stats;
-  }
-
-  /// Creates a reusable per-thread searcher. The default adapter runs
-  /// batches of one through SearchBatchEx (correct but without scratch
-  /// reuse); indices with per-query state override this to return a
-  /// searcher that keeps that state warm.
-  virtual std::unique_ptr<Searcher> MakeSearcher() const;
+  /// Creates a per-thread searcher. Thread-safe; each searcher is used by
+  /// one thread at a time.
+  virtual std::unique_ptr<Searcher> MakeSearcher() const = 0;
 };
 
-namespace detail {
-
-/// MakeSearcher() fallback: a stateless adapter over SearchBatchEx.
-class BatchOfOneSearcher : public Searcher {
- public:
-  explicit BatchOfOneSearcher(const SearchIndex* index) : index_(index) {}
-
-  void Search(const float* query, size_t k, const SearchOptions& params,
-              uint32_t* ids, float* dists, BatchStats* stats) override {
-    MatrixViewF one(query, 1, index_->dim());
-    index_->SearchBatchEx(one, k, params, ids, dists, stats, nullptr);
-  }
-
- private:
-  const SearchIndex* index_;
-};
-
-}  // namespace detail
-
-inline std::unique_ptr<Searcher> SearchIndex::MakeSearcher() const {
-  return std::make_unique<detail::BatchOfOneSearcher>(this);
+/// Finds the k nearest neighbors of each query row: row-major ids
+/// (queries.rows x k, kInvalidId padding) and, when non-null, distances
+/// (+inf padding) and the batch's aggregate work counters (+=). Splits the
+/// batch into one slice per `pool` thread (one slice without a pool), each
+/// searched by its own MakeSearcher().
+inline void SearchBatch(const SearchIndex& index, MatrixViewF queries,
+                        size_t k, const SearchOptions& params, uint32_t* ids,
+                        float* dists = nullptr, BatchStats* stats = nullptr,
+                        ThreadPool* pool = nullptr) {
+  RunBatchSlices(queries.rows, pool != nullptr ? pool->num_threads() : 1, pool,
+                 stats,
+                 [&](size_t lo, size_t hi, BatchStats* slice_stats) {
+                   std::unique_ptr<Searcher> searcher = index.MakeSearcher();
+                   SearchRows(*searcher, queries, lo, hi, k, params, ids,
+                              dists, slice_stats);
+                 });
 }
 
 }  // namespace blink

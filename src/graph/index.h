@@ -47,71 +47,11 @@ class VamanaIndex : public SearchIndex {
            (metadata_ != nullptr ? metadata_->memory_bytes() : 0);
   }
 
-  void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions& params,
-                   uint32_t* ids, ThreadPool* pool = nullptr) const override {
-    SearchBatchEx(queries, k, params, ids, /*dists=*/nullptr,
-                  /*stats=*/nullptr, pool);
-  }
-
-  /// Batch search that also reports per-query distances and aggregate work
-  /// counters (either may be null); the plain batch path used to drop both.
-  void SearchBatchEx(MatrixViewF queries, size_t k, const SearchOptions& params,
-                     uint32_t* ids, float* dists, BatchStats* stats,
-                     ThreadPool* pool = nullptr) const override {
-    const SearchParams sp = ToSearchParams(params, k);
-    // Filtered queries resolve their execution plan (strategy + widen cap)
-    // once per batch; without attached metadata they fail closed (all
-    // padded) — ValidateFor rejects that configuration at the boundaries.
-    FilterPlan plan;
-    if (params.filter != nullptr && !MakeFilterPlan(params, sp, k, &plan)) {
-      FailClosed(queries.rows, k, ids, dists);
-      return;
-    }
-    const size_t workers = pool != nullptr ? pool->num_threads() : 1;
-    RunBatchSlices(
-        queries.rows, workers, pool, stats,
-        [&](size_t, size_t lo, size_t hi, BatchStats* slice_stats) {
-          GreedySearcher<Storage> searcher(&built_.graph, &storage_);
-          SearchResult res;
-          for (size_t qi = lo; qi < hi; ++qi) {
-            if (plan.active) {
-              SearchFiltered(searcher, queries.row(qi), k, sp, plan, &res);
-            } else {
-              searcher.Search(queries.row(qi), k, built_.entry_point, sp,
-                              &res);
-            }
-            WriteRow(res, k, ids + qi * k,
-                     dists != nullptr ? dists + qi * k : nullptr);
-            slice_stats->distance_computations += res.distance_computations;
-            slice_stats->hops += res.hops;
-          }
-        });
-  }
-
-  /// Single-query search exposing full per-query statistics. Pads ids/dists
-  /// to exactly k entries (kInvalidId / +inf) like the batch paths.
-  void Search(const float* query, size_t k, const SearchOptions& params,
-              SearchResult* out) const {
-    GreedySearcher<Storage> searcher(&built_.graph, &storage_);
-    const SearchParams sp = ToSearchParams(params, k);
-    if (params.filter != nullptr) {
-      FilterPlan plan;
-      if (MakeFilterPlan(params, sp, k, &plan)) {
-        SearchFiltered(searcher, query, k, sp, plan, out);
-      } else {
-        out->ids.clear();
-        out->dists.clear();
-      }
-    } else {
-      searcher.Search(query, k, built_.entry_point, sp, out);
-    }
-    out->ids.resize(k, kInvalidId);
-    out->dists.resize(k, kInvalidDist);
-  }
-
-  /// Pooled per-thread searcher: the GreedySearcher (visited epochs, query
-  /// scratch, candidate buffer) survives across queries, amortizing the
-  /// per-call setup the serving engine relies on.
+  /// The index's one search path: a GreedySearcher (visited epochs, query
+  /// scratch, candidate buffer) that survives across queries, plus the
+  /// filter plan of the last filtered query. Filtered queries fail closed
+  /// (all padded) without usable metadata; ValidateFor rejects that
+  /// configuration at the boundaries.
   std::unique_ptr<Searcher> MakeSearcher() const override {
     class Pooled : public Searcher {
      public:
@@ -134,7 +74,8 @@ class VamanaIndex : public SearchIndex {
         } else {
           searcher_.Search(query, k, index_->built_.entry_point, sp, &res_);
         }
-        WriteRow(res_, k, ids, dists);
+        WritePaddedRow(res_.ids.data(), res_.dists.data(), res_.ids.size(), k,
+                       ids, dists);
         if (stats != nullptr) {
           stats->distance_computations += res_.distance_computations;
           stats->hops += res_.hops;
@@ -202,7 +143,7 @@ class VamanaIndex : public SearchIndex {
   }
 
  private:
-  /// Resolved execution plan of one filtered batch/query stream.
+  /// Resolved execution plan of one filtered query stream.
   struct FilterPlan {
     bool active = false;
     FilterView view;
@@ -250,21 +191,6 @@ class VamanaIndex : public SearchIndex {
           searcher.Search(query, k, built_.entry_point, sp, res);
         },
         out);
-  }
-
-  /// All-padded rows: the fail-closed answer for a filtered query the
-  /// index cannot evaluate (no metadata / bad column reference).
-  static void FailClosed(size_t nq, size_t k, uint32_t* ids, float* dists) {
-    for (size_t qi = 0; qi < nq; ++qi) {
-      WritePaddedRow(nullptr, nullptr, 0, k, ids + qi * k,
-                     dists != nullptr ? dists + qi * k : nullptr);
-    }
-  }
-  /// One result into row-major output via the shared padding contract.
-  static void WriteRow(const SearchResult& res, size_t k, uint32_t* ids,
-                       float* dists) {
-    WritePaddedRow(res.ids.data(), res.dists.data(), res.ids.size(), k, ids,
-                   dists);
   }
 
   Storage storage_;

@@ -112,9 +112,12 @@ class WireWriter {
   const std::vector<uint8_t>& buf() const { return buf_; }
 
  private:
+  // resize + memcpy rather than a range insert: GCC 12 misreads the
+  // inlined insert as an overflow (-Wstringop-overflow) in some callers.
   void Raw(const void* p, size_t n) {
-    const uint8_t* b = static_cast<const uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    if (n != 0) std::memcpy(buf_.data() + at, p, n);
   }
   std::vector<uint8_t> buf_;
 };

@@ -235,9 +235,12 @@ bool BlinkServer::HandleSearch(TcpConn& conn,
   // One generation per request: grabbed once, held (shared_ptr) until the
   // response is written, so a concurrent swap cannot free it under us.
   std::shared_ptr<ServingGeneration> gen = holder_->Current();
+  // A non-finite query would score NaN against every row and scan the
+  // whole index, so it is a client error like a wrong dimension.
   if (!decoded.ok() || req.k == 0 || req.num_queries == 0 ||
       req.num_queries > opts_.max_queries_per_request ||
-      req.dim != gen->index.dim()) {
+      req.dim != gen->index.dim() ||
+      FirstNonFinite(req.view()).has_value()) {
     bad_requests_.fetch_add(1, std::memory_order_relaxed);
     return reply_status(WireStatus::kBadRequest, gen->number);
   }

@@ -68,13 +68,10 @@ void ServingEngine::SearchBatch(MatrixViewF queries, size_t k,
   BatchStats total;
   RunBatchSlices(
       nq, searchers_.size(), pool_.get(), &total,
-      [&](size_t, size_t lo, size_t hi, BatchStats* slice_stats) {
+      [&](size_t lo, size_t hi, BatchStats* slice_stats) {
         Searcher* searcher = AcquireSearcher();
-        for (size_t qi = lo; qi < hi; ++qi) {
-          searcher->Search(queries.row(qi), k, params, ids + qi * k,
-                           dists != nullptr ? dists + qi * k : nullptr,
-                           slice_stats);
-        }
+        SearchRows(*searcher, queries, lo, hi, k, params, ids, dists,
+                   slice_stats);
         ReleaseSearcher(searcher);
       });
   queries_.fetch_add(nq, std::memory_order_relaxed);

@@ -4,13 +4,14 @@
 // The Sec. 5 engine is tuned for single-batch throughput; serving adds two
 // things it lacks:
 //
-//   1. Searcher pools. SearchBatch constructs a fresh GreedySearcher — and
-//      its visited array and scratch — per slice per call, which is pure
-//      overhead when requests arrive as many small batches. The engine owns
-//      `num_threads` reusable Searcher instances (SearchIndex::
-//      MakeSearcher()) whose state stays warm across requests: the visited
-//      epochs in particular make "reset" a counter bump instead of an
-//      O(n) zeroing.
+//   1. Searcher pools. SearchBatch (eval/interface.h) makes a fresh
+//      Searcher — and its visited array and scratch — per slice per call,
+//      which is pure overhead when requests arrive as many small batches.
+//      The engine owns `num_threads` reusable Searcher instances
+//      (SearchIndex::MakeSearcher()) whose state stays warm across
+//      requests: the visited epochs in particular make "reset" a counter
+//      bump instead of an O(n) zeroing. Both run the same per-slice loop
+//      (SearchRows).
 //
 //   2. An async submission path with micro-batching. Submit() enqueues one
 //      query and returns a future; a dispatcher thread collects queries for
@@ -296,26 +297,6 @@ class DynamicView : public SearchIndex {
   size_t size() const override { return index_->live_size(); }
   size_t dim() const override { return index_->dim(); }
   size_t memory_bytes() const override { return index_->memory_bytes(); }
-
-  void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions& params,
-                   uint32_t* ids, ThreadPool* pool = nullptr) const override {
-    SearchBatchEx(queries, k, params, ids, nullptr, nullptr, pool);
-  }
-
-  void SearchBatchEx(MatrixViewF queries, size_t k, const SearchOptions& params,
-                     uint32_t* ids, float* dists, BatchStats* stats,
-                     ThreadPool* pool = nullptr) const override {
-    RunBatchSlices(
-        queries.rows, pool != nullptr ? pool->num_threads() : 1, pool, stats,
-        [&](size_t, size_t lo, size_t hi, BatchStats* slice_stats) {
-          detail::DynamicPooledSearcher<Storage> searcher(index_);
-          for (size_t qi = lo; qi < hi; ++qi) {
-            searcher.Search(queries.row(qi), k, params, ids + qi * k,
-                            dists != nullptr ? dists + qi * k : nullptr,
-                            slice_stats);
-          }
-        });
-  }
 
   std::unique_ptr<Searcher> MakeSearcher() const override {
     return std::make_unique<detail::DynamicPooledSearcher<Storage>>(index_);

@@ -138,30 +138,6 @@ size_t ShardedIndex::memory_bytes() const {
   return total;
 }
 
-void ShardedIndex::SearchBatch(MatrixViewF queries, size_t k,
-                               const SearchOptions& params, uint32_t* ids,
-                               ThreadPool* pool) const {
-  SearchBatchEx(queries, k, params, ids, /*dists=*/nullptr, /*stats=*/nullptr,
-                pool);
-}
-
-void ShardedIndex::SearchBatchEx(MatrixViewF queries, size_t k,
-                                 const SearchOptions& params, uint32_t* ids,
-                                 float* dists, BatchStats* stats,
-                                 ThreadPool* pool) const {
-  const size_t workers = pool != nullptr ? pool->num_threads() : 1;
-  RunBatchSlices(queries.rows, workers, pool, stats,
-                 [&](size_t, size_t lo, size_t hi, BatchStats* slice_stats) {
-                   ShardedSearcher searcher(this);
-                   for (size_t qi = lo; qi < hi; ++qi) {
-                     searcher.Search(
-                         queries.row(qi), k, params, ids + qi * k,
-                         dists != nullptr ? dists + qi * k : nullptr,
-                         slice_stats);
-                   }
-                 });
-}
-
 std::unique_ptr<Searcher> ShardedIndex::MakeSearcher() const {
   return std::make_unique<ShardedSearcher>(this);
 }

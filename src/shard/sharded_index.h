@@ -51,13 +51,6 @@ class ShardedIndex : public SearchIndex {
   size_t dim() const override;
   size_t memory_bytes() const override;
 
-  void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions& params,
-                   uint32_t* ids, ThreadPool* pool = nullptr) const override;
-
-  void SearchBatchEx(MatrixViewF queries, size_t k, const SearchOptions& params,
-                     uint32_t* ids, float* dists, BatchStats* stats,
-                     ThreadPool* pool = nullptr) const override;
-
   /// Per-thread searcher owning one warm per-shard searcher each, so the
   /// ServingEngine's pooled-searcher path serves sharded indices unchanged.
   std::unique_ptr<Searcher> MakeSearcher() const override;

@@ -101,6 +101,9 @@ float IpDistU4(const float* q, const uint8_t* codes, float delta, float lower,
 // ---------------------------------------------------------------------------
 namespace {
 
+// Each host probe is compiled only where a kernel TU can use it, so the
+// sanitizer builds (scalar kernels only) carry no unused functions.
+#if defined(BLINK_HAVE_AVX2_TU) || defined(BLINK_HAVE_AVX512_TU)
 bool HostHasAvx2() {
 #if defined(__x86_64__) || defined(_M_X64)
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
@@ -109,7 +112,9 @@ bool HostHasAvx2() {
   return false;
 #endif
 }
+#endif
 
+#if defined(BLINK_HAVE_AVX512_TU)
 bool HostHasAvx512() {
 #if defined(__x86_64__) || defined(_M_X64)
   return __builtin_cpu_supports("avx512f") &&
@@ -120,6 +125,7 @@ bool HostHasAvx512() {
   return false;
 #endif
 }
+#endif
 
 const KernelTable& SelectKernels() {
   const char* force = std::getenv("BLINK_SIMD");

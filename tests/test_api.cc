@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/index.h"
@@ -411,6 +412,52 @@ TEST(Registry, BaselinesComeBackSearchOnly) {
     const double recall =
         testutil::RecallOf(idx.value().AsSearchIndex(), f, c.params);
     EXPECT_GE(recall, c.floor) << c.name;
+  }
+}
+
+// The baselines search through their own searchers: distances are the
+// finite ones each ranked by (exact for HNSW; exact after a re-rank of at
+// least k for the partitioned PQ indices), so they never decrease along a
+// row; the work is counted; and a searcher answers what a batch answers.
+TEST(Registry, BaselinesReportRankedDistancesAndWork) {
+  const Fixture& f = SharedFixture();
+  const IndexSpec spec = SpecFor(IndexKind::kStaticF32, f);
+  RuntimeParams graph_params;
+  graph_params.window = 64;
+  RuntimeParams probe_params;
+  probe_params.nprobe = 16;
+  probe_params.reorder_k = 50;
+  ThreadPool pool(2);
+  const size_t nq = f.data.queries.rows();
+  for (const auto& [name, params] :
+       {std::pair{"hnsw", graph_params}, std::pair{"ivf-pq", probe_params},
+        std::pair{"scann", probe_params}}) {
+    auto built = BuildNamed(name, spec, f.data.base);
+    ASSERT_TRUE(built.ok()) << name;
+    const Index& idx = built.value();
+    Matrix<uint32_t> ids(nq, f.k);
+    MatrixF dists(nq, f.k);
+    BatchStats stats;
+    idx.SearchBatchEx(f.data.queries, f.k, params, ids.data(), dists.data(),
+                      &stats, &pool);
+    EXPECT_GT(stats.distance_computations, 0u) << name;
+    for (size_t qi = 0; qi < nq; ++qi) {
+      for (size_t j = 0; j < f.k; ++j) {
+        ASSERT_TRUE(std::isfinite(dists(qi, j))) << name << " q" << qi;
+        if (j > 0) {
+          ASSERT_LE(dists(qi, j - 1), dists(qi, j)) << name;
+        }
+      }
+    }
+    auto searcher = idx.MakeSearcher();
+    std::vector<uint32_t> row(f.k);
+    for (size_t qi = 0; qi < nq; ++qi) {
+      searcher->Search(f.data.queries.row(qi), f.k, params, row.data(),
+                       nullptr, nullptr);
+      for (size_t j = 0; j < f.k; ++j) {
+        ASSERT_EQ(row[j], ids(qi, j)) << name << " q" << qi;
+      }
+    }
   }
 }
 

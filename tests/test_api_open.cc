@@ -14,11 +14,15 @@
 #include <vector>
 
 #include "api/index.h"
+#include "api/registry.h"
+#include "filter/predicate.h"
+#include "filter/synthetic.h"
 #include "graph/serialize.h"
 #include "quant/lvq.h"
 #include "simd/distance.h"
 #include "testutil.h"
 #include "util/prng.h"
+#include "util/thread_pool.h"
 
 namespace blink {
 namespace {
@@ -360,16 +364,22 @@ std::vector<uint32_t> SearchBits(const Index& idx, MatrixViewF queries,
   return out;
 }
 
+/// FNV-1a over 32-bit words.
+void HashWords(const uint32_t* v, size_t n, uint64_t* h) {
+  for (size_t i = 0; i < n; ++i) {
+    for (int b = 0; b < 4; ++b) {
+      *h ^= (v[i] >> (8 * b)) & 0xFFu;
+      *h *= 1099511628211ull;
+    }
+  }
+}
+
 /// FNV-1a over SearchBits' bytes.
 uint64_t SearchChecksum(const Index& idx, MatrixViewF queries, size_t k,
                         const SearchOptions& p) {
   uint64_t h = 1469598103934665603ull;
-  for (uint32_t v : SearchBits(idx, queries, k, p)) {
-    for (int b = 0; b < 4; ++b) {
-      h ^= (v >> (8 * b)) & 0xFFu;
-      h *= 1099511628211ull;
-    }
-  }
+  const std::vector<uint32_t> bits = SearchBits(idx, queries, k, p);
+  HashWords(bits.data(), bits.size(), &h);
   return h;
 }
 
@@ -451,6 +461,24 @@ uint64_t VectorBytesHash(const std::string& path, const IndexSpec& spec) {
 
 class BuildPin : public TempPathTest {};
 
+/// The seeded delete -> Consolidate -> re-insert sequence the dynamic pins
+/// run: 16 vectors go, the graph is repaired, and they come back in
+/// reverse order into the recycled slots.
+void Churn(const V1World& w, Index* idx) {
+  Rng rng(0xB1D);
+  std::vector<uint32_t> gone;
+  while (gone.size() < 16) {
+    const auto id = static_cast<uint32_t>(rng.Bounded(w.data.base.rows()));
+    if (std::find(gone.begin(), gone.end(), id) != gone.end()) continue;
+    ASSERT_TRUE(idx->Delete(id).ok());
+    gone.push_back(id);
+  }
+  ASSERT_TRUE(idx->Consolidate().ok());
+  for (auto it = gone.rbegin(); it != gone.rend(); ++it) {
+    ASSERT_TRUE(idx->Insert(w.data.base.row(*it)).ok());
+  }
+}
+
 // What Build encodes and serves, pinned for every float32 and LVQ flavor.
 // The dynamic flavors also run a seeded delete -> Consolidate -> re-insert
 // sequence, so recycled slots are re-encoded in place. The vector bytes do
@@ -493,18 +521,7 @@ TEST_F(BuildPin, EncodedBytesAndSearchesArePinned) {
     Index& idx = built.value();
     std::string saved = Path(std::string("pin_") + pin.name);
     if (IsDynamicKind(pin.kind)) {
-      Rng rng(0xB1D);
-      std::vector<uint32_t> gone;
-      while (gone.size() < 16) {
-        const auto id = static_cast<uint32_t>(rng.Bounded(w.data.base.rows()));
-        if (std::find(gone.begin(), gone.end(), id) != gone.end()) continue;
-        ASSERT_TRUE(idx.Delete(id).ok()) << pin.name;
-        gone.push_back(id);
-      }
-      ASSERT_TRUE(idx.Consolidate().ok()) << pin.name;
-      for (auto it = gone.rbegin(); it != gone.rend(); ++it) {
-        ASSERT_TRUE(idx.Insert(w.data.base.row(*it)).ok()) << pin.name;
-      }
+      ASSERT_NO_FATAL_FAILURE(Churn(w, &idx)) << pin.name;
     } else {
       Path(std::string("pin_") + pin.name + ".graph");
       Path(std::string("pin_") + pin.name + ".vecs");
@@ -521,6 +538,121 @@ TEST_F(BuildPin, EncodedBytesAndSearchesArePinned) {
                                               : pin.scalar;
     EXPECT_EQ(got, want) << pin.name << " (" << backend << "): 0x" << std::hex
                          << got;
+  }
+}
+
+// What every search path serves, pinned per SIMD backend: ids, distance
+// bits and BatchStats from Index::SearchBatchEx for every facade kind
+// (the dynamic ones after the Churn sequence), unfiltered and filtered
+// under both strategies, with no pool and across a 4-thread pool. The
+// baselines pin ids alone. A rewrite of the batch or searcher plumbing must
+// leave every one of these unchanged.
+TEST_F(BuildPin, SearchResultsAndStatsArePinned) {
+  const V1World w;
+  auto md = std::make_shared<const MetadataStore>(
+      MakeSyntheticMetadata(w.data.base.rows(), {ColumnType::kF64}, 3));
+  auto pred = Predicate::Parse("num0<0.5");
+  ASSERT_TRUE(pred.ok());
+  const auto filter = std::make_shared<const Predicate>(pred.value());
+  ThreadPool pool(4);
+  constexpr size_t kK = 5;
+
+  struct Pin {
+    const char* name;  ///< registry name
+    IndexKind kind;
+    int bits1, bits2;
+    uint64_t scalar, avx2, avx512;
+  };
+  const std::string backend = simd::BackendName();
+  for (const Pin& pin : {
+           Pin{"static-f32", IndexKind::kStaticF32, 8, 0, 0x29bb97deea83478b,
+               0xf6ed4369f6740e1b, 0x14371ba06128b93b},
+           Pin{"static-f16", IndexKind::kStaticF16, 8, 0, 0xe1ce2e4519d90f03,
+               0x71cd1a1900695d4b, 0x89ccc08c3c0c5e33},
+           Pin{"static-lvq", IndexKind::kStaticLvq, 8, 0, 0xa5957a37ee06a2df,
+               0x41ca6eeeb32f0783, 0x6545cc761286a5e3},
+           Pin{"static-lvq", IndexKind::kStaticLvq, 4, 8, 0x8f5508101ecb538f,
+               0x35741887682cc123, 0x81cbc2f9e85dc4df},
+           Pin{"static-leanvec", IndexKind::kStaticLeanVec, 8, 0,
+               0xd6c1224c4586fdd7, 0x6068671e3205b63b, 0xaf8628e271212617},
+           Pin{"static-leanvec-lvq", IndexKind::kStaticLeanVecLvq, 8, 0,
+               0x51f83f0616c3098b, 0x95d733bcc0b143c7, 0xef189ba75bc1bc73},
+           Pin{"sharded", IndexKind::kSharded, 8, 0, 0x865bd1fdc9f8886b,
+               0x170105ab08c72297, 0x3e075ac12dec20db},
+           Pin{"dynamic-f32", IndexKind::kDynamicF32, 8, 0, 0xcfb17e1f6c8ba8db,
+               0x8b5d878947ff98cb, 0xe3dc661d3eff41e3},
+           Pin{"dynamic-lvq", IndexKind::kDynamicLvq, 8, 0, 0x5f2090fafc990f87,
+               0xaf183f5c432acde3, 0x973fd242318d16b3},
+           Pin{"dynamic-lvq", IndexKind::kDynamicLvq, 4, 8, 0xec7ccd0f633b140b,
+               0x87c40845f1a495d3, 0x64d28d683a99584f},
+           Pin{"hnsw", IndexKind::kStaticF32, 8, 0, 0x875ad6207f760743,
+               0x875ad6207f760743, 0x875ad6207f760743},
+           Pin{"ivf-pq", IndexKind::kStaticF32, 8, 0, 0xb2239773fe27b103,
+               0xb2239773fe27b103, 0xb2239773fe27b103},
+           Pin{"scann", IndexKind::kStaticF32, 8, 0, 0x64d13dc9f145b7a3,
+               0x64d13dc9f145b7a3, 0x64d13dc9f145b7a3},
+       }) {
+    const std::string label = std::string(pin.name) + "/" +
+                              std::to_string(pin.bits1) + "x" +
+                              std::to_string(pin.bits2);
+    IndexSpec spec;
+    spec.kind = pin.kind;
+    spec.metric = w.data.metric;
+    spec.bits1 = pin.bits1;
+    spec.bits2 = pin.bits2;
+    spec.graph = w.bp;
+    spec.partition.num_shards = 2;
+    auto built = BuildNamed(pin.name, spec, w.data.base);
+    ASSERT_TRUE(built.ok()) << label << ": " << built.status().ToString();
+    Index& idx = built.value();
+    const bool baseline = !idx.has(kCapSave);
+    if (IsDynamicKind(pin.kind)) {
+      ASSERT_NO_FATAL_FAILURE(Churn(w, &idx)) << label;
+    }
+    if (!baseline) {
+      ASSERT_TRUE(idx.AttachMetadata(md).ok()) << label;
+    }
+
+    uint64_t h = 1469598103934665603ull;
+    for (FilterStrategy strategy :
+         {FilterStrategy::kAuto, FilterStrategy::kPostFilter,
+          FilterStrategy::kInSearch}) {
+      if (baseline && strategy != FilterStrategy::kAuto) continue;
+      SearchOptions p;
+      p.window = 16;
+      if (strategy != FilterStrategy::kAuto) {
+        p.filter = filter;
+        p.filter_strategy = strategy;
+      }
+      for (ThreadPool* tp : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const size_t nq = w.data.queries.rows();
+        std::vector<uint32_t> ids(nq * kK);
+        std::vector<float> dists(nq * kK);
+        BatchStats stats;
+        idx.SearchBatchEx(w.data.queries, kK, p, ids.data(), dists.data(),
+                          &stats, tp);
+        // Every query has neighbors (the filter passes about half the
+        // rows), so no pin can record a fail-closed, all-padded answer.
+        for (size_t q = 0; q < nq; ++q) {
+          EXPECT_NE(ids[q * kK], kInvalidId) << label;
+        }
+        HashWords(ids.data(), ids.size(), &h);
+        if (baseline) continue;
+        std::vector<uint32_t> dist_bits(dists.size());
+        std::memcpy(dist_bits.data(), dists.data(),
+                    dists.size() * sizeof(float));
+        HashWords(dist_bits.data(), dist_bits.size(), &h);
+        const uint32_t counts[] = {
+            static_cast<uint32_t>(stats.distance_computations),
+            static_cast<uint32_t>(stats.hops)};
+        HashWords(counts, 2, &h);
+      }
+    }
+    const uint64_t want = backend == "avx512" ? pin.avx512
+                          : backend == "avx2" ? pin.avx2
+                                              : pin.scalar;
+    EXPECT_EQ(h, want) << label << " (" << backend << "): 0x" << std::hex
+                       << h;
   }
 }
 

@@ -31,7 +31,7 @@ TEST(BlinkUmbrella, BuildSearchRecallRoundTrip) {
   RuntimeParams params;
   params.window = 40;
   Matrix<uint32_t> ids(data.queries.rows(), k);
-  index->SearchBatch(data.queries, k, params, ids.data());
+  SearchBatch(*index, data.queries, k, params, ids.data());
 
   Matrix<uint32_t> gt =
       ComputeGroundTruth(data.base, data.queries, k, data.metric);

@@ -62,11 +62,11 @@ TEST(Determinism, SingleVsMultiThreadByteIdentical) {
   auto index = BuildFixedIndex(data);
   Matrix<uint32_t> ids1(kNq, kK), idsN(kNq, kK);
   MatrixF dists1(kNq, kK), distsN(kNq, kK);
-  index->SearchBatchEx(data.queries, kK, Params(), ids1.data(), dists1.data(),
-                       nullptr, /*pool=*/nullptr);
+  SearchBatch(*index, data.queries, kK, Params(), ids1.data(), dists1.data(),
+              nullptr, /*pool=*/nullptr);
   ThreadPool pool(4);
-  index->SearchBatchEx(data.queries, kK, Params(), idsN.data(), distsN.data(),
-                       nullptr, &pool);
+  SearchBatch(*index, data.queries, kK, Params(), idsN.data(), distsN.data(),
+              nullptr, &pool);
   EXPECT_EQ(std::memcmp(ids1.data(), idsN.data(),
                         ids1.size() * sizeof(uint32_t)),
             0);
@@ -80,8 +80,8 @@ TEST(Determinism, EngineSyncAndAsyncMatchDirect) {
   auto index = BuildFixedIndex(data);
   Matrix<uint32_t> direct(kNq, kK), pooled(kNq, kK);
   MatrixF direct_d(kNq, kK), pooled_d(kNq, kK);
-  index->SearchBatchEx(data.queries, kK, Params(), direct.data(),
-                       direct_d.data(), nullptr, nullptr);
+  SearchBatch(*index, data.queries, kK, Params(), direct.data(),
+              direct_d.data(), nullptr, nullptr);
 
   ServingOptions opts;
   opts.num_threads = 3;
@@ -146,8 +146,8 @@ TEST(Determinism, BackendDumpChild) {
   auto index = BuildFixedIndex(data);
   Matrix<uint32_t> ids(kNq, kK);
   MatrixF dists(kNq, kK);
-  index->SearchBatchEx(data.queries, kK, Params(), ids.data(), dists.data(),
-                       nullptr, nullptr);
+  SearchBatch(*index, data.queries, kK, Params(), ids.data(), dists.data(),
+              nullptr, nullptr);
   std::FILE* f = std::fopen(path, "wb");
   ASSERT_NE(f, nullptr);
   char backend[16] = {0};

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "simd/distance.h"
 #include "testutil.h"
 
 namespace blink {
@@ -22,13 +23,34 @@ class ExactIndex : public SearchIndex {
   size_t memory_bytes() const override {
     return base_.rows * base_.cols * sizeof(float);
   }
-  void SearchBatch(MatrixViewF queries, size_t k, const RuntimeParams&,
-                   uint32_t* ids, ThreadPool* pool) const override {
-    Matrix<uint32_t> gt = ComputeGroundTruth(base_, queries, k, metric_, pool);
-    std::copy(gt.data(), gt.data() + gt.size(), ids);
+  std::unique_ptr<Searcher> MakeSearcher() const override {
+    return std::make_unique<Exact>(this);
   }
 
  private:
+  /// Brute force over the base rows, one query at a time.
+  class Exact : public Searcher {
+   public:
+    explicit Exact(const ExactIndex* index) : index_(index) {}
+    void Search(const float* query, size_t k, const SearchOptions&,
+                uint32_t* ids, float* dists, BatchStats*) override {
+      const MatrixViewF one(query, 1, index_->base_.cols);
+      Matrix<uint32_t> gt =
+          ComputeGroundTruth(index_->base_, one, k, index_->metric_);
+      std::vector<float> gt_dists(k);
+      for (size_t j = 0; j < k; ++j) {
+        const float* v = index_->base_.row(gt.data()[j]);
+        gt_dists[j] = index_->metric_ == Metric::kL2
+                          ? simd::L2Sqr(query, v, one.cols)
+                          : simd::IpDist(query, v, one.cols);
+      }
+      WritePaddedRow(gt.data(), gt_dists.data(), k, k, ids, dists);
+    }
+
+   private:
+    const ExactIndex* index_;
+  };
+
   MatrixViewF base_;
   Metric metric_;
 };

@@ -19,7 +19,7 @@ struct HnswFixture {
     RuntimeParams rp;
     rp.window = ef;
     Matrix<uint32_t> ids(data.queries.rows(), 10);
-    idx.SearchBatch(data.queries, 10, rp, ids.data());
+    SearchBatch(idx, data.queries, 10, rp, ids.data());
     return MeanRecallAtK(ids, gt, 10);
   }
 };
@@ -79,8 +79,8 @@ TEST(Hnsw, DeterministicGivenSeed) {
   RuntimeParams rp;
   rp.window = 32;
   Matrix<uint32_t> ia(10, 10), ib(10, 10);
-  a.SearchBatch(data.queries, 10, rp, ia.data());
-  b.SearchBatch(data.queries, 10, rp, ib.data());
+  SearchBatch(a, data.queries, 10, rp, ia.data());
+  SearchBatch(b, data.queries, 10, rp, ib.data());
   for (size_t i = 0; i < ia.size(); ++i) {
     EXPECT_EQ(ia.data()[i], ib.data()[i]);
   }
@@ -97,7 +97,7 @@ TEST(Hnsw, InnerProductMetric) {
   RuntimeParams rp;
   rp.window = 96;
   Matrix<uint32_t> ids(data.queries.rows(), 10);
-  idx.SearchBatch(data.queries, 10, rp, ids.data());
+  SearchBatch(idx, data.queries, 10, rp, ids.data());
   EXPECT_GE(MeanRecallAtK(ids, gt, 10), 0.8);
 }
 
@@ -111,9 +111,11 @@ TEST(Hnsw, ThreadedSearchMatchesSerial) {
   rp.window = 48;
   Matrix<uint32_t> serial(f.data.queries.rows(), 10);
   Matrix<uint32_t> threaded(f.data.queries.rows(), 10);
-  idx.SearchBatch(f.data.queries, 10, rp, serial.data(), nullptr);
+  SearchBatch(idx, f.data.queries, 10, rp, serial.data(), nullptr, nullptr,
+              nullptr);
   ThreadPool pool(3);
-  idx.SearchBatch(f.data.queries, 10, rp, threaded.data(), &pool);
+  SearchBatch(idx, f.data.queries, 10, rp, threaded.data(), nullptr, nullptr,
+              &pool);
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial.data()[i], threaded.data()[i]);
   }
@@ -126,7 +128,7 @@ TEST(Hnsw, TinyDataset) {
   RuntimeParams rp;
   rp.window = 4;
   Matrix<uint32_t> ids(2, 3);
-  idx.SearchBatch(data.queries, 3, rp, ids.data());
+  SearchBatch(idx, data.queries, 3, rp, ids.data());
   for (size_t i = 0; i < ids.size(); ++i) EXPECT_LT(ids.data()[i], 3u);
 }
 

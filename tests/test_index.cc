@@ -102,8 +102,8 @@ void ExpectPrefetchInvariant(const SearchIndex& idx, MatrixViewF queries,
     p.filter = filter;
     p.filter_strategy = strategy;
     const bool first = offset == 0 && step == 0;
-    idx.SearchBatchEx(queries, k, p, first ? ref_ids.data() : ids.data(),
-                      first ? ref_dists.data() : dists.data(), nullptr);
+    SearchBatch(idx, queries, k, p, first ? ref_ids.data() : ids.data(),
+                first ? ref_dists.data() : dists.data(), nullptr);
     if (first) continue;
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(ids[i], ref_ids[i]) << what << " " << offset << "_" << step
@@ -180,12 +180,14 @@ TEST(Index, BatchMatchesSingleQuerySearch) {
   RuntimeParams p;
   p.window = 32;
   Matrix<uint32_t> batch(f.data.queries.rows(), k);
-  idx->SearchBatch(f.data.queries, k, p, batch.data());
+  SearchBatch(*idx, f.data.queries, k, p, batch.data());
+  auto searcher = idx->MakeSearcher();
+  std::vector<uint32_t> ids(k);
   for (size_t qi = 0; qi < f.data.queries.rows(); ++qi) {
-    SearchResult res;
-    idx->Search(f.data.queries.row(qi), k, p, &res);
+    searcher->Search(f.data.queries.row(qi), k, p, ids.data(), nullptr,
+                     nullptr);
     for (size_t j = 0; j < k; ++j) {
-      ASSERT_EQ(batch(qi, j), res.ids[j]) << "query " << qi;
+      ASSERT_EQ(batch(qi, j), ids[j]) << "query " << qi;
     }
   }
 }
@@ -198,9 +200,11 @@ TEST(Index, ThreadedBatchMatchesSerialBatch) {
   p.window = 32;
   Matrix<uint32_t> serial(f.data.queries.rows(), k);
   Matrix<uint32_t> threaded(f.data.queries.rows(), k);
-  idx->SearchBatch(f.data.queries, k, p, serial.data(), nullptr);
+  SearchBatch(*idx, f.data.queries, k, p, serial.data(), nullptr, nullptr,
+              nullptr);
   ThreadPool pool(4);
-  idx->SearchBatch(f.data.queries, k, p, threaded.data(), &pool);
+  SearchBatch(*idx, f.data.queries, k, p, threaded.data(), nullptr, nullptr,
+              &pool);
   for (size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial.data()[i], threaded.data()[i]) << i;
   }
@@ -232,7 +236,7 @@ TEST(Index, KLargerThanWindowIsClamped) {
   p.window = 4;  // < k
   const size_t k = 10;
   Matrix<uint32_t> ids(f.data.queries.rows(), k);
-  idx->SearchBatch(f.data.queries, k, p, ids.data());
+  SearchBatch(*idx, f.data.queries, k, p, ids.data());
   // All k slots must be filled with valid ids.
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_NE(ids.data()[i], UINT32_MAX);

@@ -180,8 +180,8 @@ TEST(Integration, SerializationRoundTripForGeneratedData) {
   RuntimeParams rp;
   rp.window = 32;
   Matrix<uint32_t> ia(10, 10), ib(10, 10);
-  a->SearchBatch(data.queries, 10, rp, ia.data());
-  b->SearchBatch(data.queries, 10, rp, ib.data());
+  SearchBatch(*a, data.queries, 10, rp, ia.data());
+  SearchBatch(*b, data.queries, 10, rp, ib.data());
   for (size_t i = 0; i < ia.size(); ++i) {
     EXPECT_EQ(ia.data()[i], ib.data()[i]);
   }

@@ -28,7 +28,7 @@ struct IvfFixture {
     rp.nprobe = nprobe;
     rp.reorder_k = reorder;
     Matrix<uint32_t> ids(data.queries.rows(), 10);
-    idx.SearchBatch(data.queries, 10, rp, ids.data());
+    SearchBatch(idx, data.queries, 10, rp, ids.data());
     return MeanRecallAtK(ids, gt, 10);
   }
 };
@@ -90,7 +90,7 @@ TEST(IvfPq, InnerProductMetric) {
   rp.nprobe = 32;
   rp.reorder_k = 200;
   Matrix<uint32_t> ids(data.queries.rows(), 10);
-  idx.SearchBatch(data.queries, 10, rp, ids.data());
+  SearchBatch(idx, data.queries, 10, rp, ids.data());
   EXPECT_GE(MeanRecallAtK(ids, gt, 10), 0.9);
 }
 

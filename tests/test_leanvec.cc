@@ -170,8 +170,8 @@ void SearchIdsAndDists(const Index& index, const Fixture& f,
   p.window = 48;
   *ids = Matrix<uint32_t>(f.data.queries.rows(), f.k);
   *dists = Matrix<float>(f.data.queries.rows(), f.k);
-  index.AsSearchIndex().SearchBatchEx(f.data.queries, f.k, p, ids->data(),
-                                      dists->data(), nullptr);
+  SearchBatch(index.AsSearchIndex(), f.data.queries, f.k, p, ids->data(),
+              dists->data(), nullptr);
 }
 
 void ExpectSameResults(const Index& a, const Index& b, const Fixture& f,

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -383,6 +385,56 @@ TEST_F(NetServerTest, RejectsBadRequestsWithoutDroppingTheConnection) {
   server->Stop();
 }
 
+// A query with a NaN or an infinite coordinate would score NaN against
+// every row and scan the whole index: the server answers kBadRequest,
+// counts it, and keeps serving the connection.
+TEST_F(NetServerTest, RejectsNonFiniteQueriesWithoutDroppingTheConnection) {
+  Dataset data = MakeDeepLike(400, 4, 915);
+  ServerOptions opts;
+  opts.serving.num_threads = 1;
+  Result<std::unique_ptr<BlinkServer>> started =
+      BlinkServer::Start(BuildNetIndex(data), opts);
+  ASSERT_TRUE(started.ok());
+  std::unique_ptr<BlinkServer> server = std::move(started).value();
+  Result<BlinkClient> connected = BlinkClient::Connect("127.0.0.1",
+                                                       server->port());
+  ASSERT_TRUE(connected.ok());
+  BlinkClient client = std::move(connected).value();
+  SearchOptions p;
+  p.window = 32;
+  SearchResponse res;
+
+  MatrixF bad(2, data.base.cols());
+  std::copy(data.queries.row(0), data.queries.row(0) + bad.cols(), bad.row(0));
+  std::copy(data.queries.row(1), data.queries.row(1) + bad.cols(), bad.row(1));
+  bad(1, 7) = std::numeric_limits<float>::quiet_NaN();
+  ASSERT_TRUE(client.Search(bad, 5, p, &res).ok());
+  EXPECT_EQ(res.status, WireStatus::kBadRequest);
+  EXPECT_EQ(res.num_queries, 0u);
+
+  bad(1, 7) = std::numeric_limits<float>::infinity();
+  ASSERT_TRUE(client.Search(bad, 5, p, &res).ok());
+  EXPECT_EQ(res.status, WireStatus::kBadRequest);
+
+  // The same connection still answers a clean query.
+  MatrixF clean(1, data.base.cols());
+  std::copy(data.queries.row(0), data.queries.row(0) + clean.cols(),
+            clean.row(0));
+  ASSERT_TRUE(client.Search(clean, 5, p, &res).ok());
+  EXPECT_EQ(res.status, WireStatus::kOk);
+  ASSERT_EQ(res.num_queries, 1u);
+  EXPECT_NE(res.ids[0], kInvalidId);
+
+  StatusTextResponse stats;
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  Result<json::Value> doc = json::Parse(stats.text);
+  ASSERT_TRUE(doc.ok());
+  const json::Value* rejected = doc.value().Find("bad_requests");
+  ASSERT_NE(rejected, nullptr);
+  EXPECT_EQ(rejected->as_number(), 2.0);
+  server->Stop();
+}
+
 TEST_F(NetServerTest, LoopbackFilteredSearchMatchesDirectPath) {
   Dataset data = MakeDeepLike(1200, 24, 913);
   Index index = BuildNetIndex(data);
@@ -546,19 +598,8 @@ class GateIndex : public SearchIndex {
   size_t dim() const override { return dim_; }
   size_t memory_bytes() const override { return sizeof(*this); }
 
-  void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions&,
-                   uint32_t* ids, ThreadPool* = nullptr) const override {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      ++entered_;
-      entered_cv_.notify_all();
-      gate_cv_.wait(lk, [&] { return open_; });
-    }
-    const uint32_t hit = 0;
-    const float dist = 0.0f;
-    for (size_t qi = 0; qi < queries.rows; ++qi) {
-      WritePaddedRow(&hit, &dist, 1, k, ids + qi * k, nullptr);
-    }
+  std::unique_ptr<Searcher> MakeSearcher() const override {
+    return std::make_unique<Gate>(this);
   }
 
   void WaitEntered(uint64_t n) const {
@@ -579,6 +620,27 @@ class GateIndex : public SearchIndex {
   mutable std::condition_variable gate_cv_;
   mutable uint64_t entered_ = 0;
   mutable bool open_ = false;
+
+  /// Parks every query until the gate opens, then answers id 0.
+  class Gate : public Searcher {
+   public:
+    explicit Gate(const GateIndex* index) : index_(index) {}
+    void Search(const float*, size_t k, const SearchOptions&, uint32_t* ids,
+                float* dists, BatchStats*) override {
+      {
+        std::unique_lock<std::mutex> lk(index_->mu_);
+        ++index_->entered_;
+        index_->entered_cv_.notify_all();
+        index_->gate_cv_.wait(lk, [&] { return index_->open_; });
+      }
+      const uint32_t hit = 0;
+      const float dist = 0.0f;
+      WritePaddedRow(&hit, &dist, 1, k, ids, dists);
+    }
+
+   private:
+    const GateIndex* index_;
+  };
 };
 
 // With queue_capacity=1, a second concurrent request is answered

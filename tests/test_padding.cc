@@ -1,7 +1,7 @@
 // Padding-contract tests (ISSUE 2 satellite): when k exceeds the number of
 // reachable results, every search path pads ids with kInvalidId and dists
-// with +inf — Search, SearchBatch, SearchBatchEx, MakeSearcher() searchers,
-// the serving engine, and the dynamic-index view.
+// with +inf — MakeSearcher() searchers, SearchBatch with and without
+// distances, the serving engine, and the dynamic-index view.
 #include <gtest/gtest.h>
 
 #include "serve/engine.h"
@@ -18,22 +18,12 @@ constexpr size_t kK = 16;
 
 using TinyFixture = testutil::TinyWorld;  // corpus 5, 4 queries, seed 99
 
-TEST(Padding, SingleQuerySearchPadsToK) {
-  TinyFixture f;
-  RuntimeParams p;
-  SearchResult res;
-  f.index->Search(f.data.queries.row(0), kK, p, &res);
-  ASSERT_EQ(res.ids.size(), kK);
-  ASSERT_EQ(res.dists.size(), kK);
-  ExpectPaddedRow(res.ids.data(), res.dists.data(), kK, kCorpus);
-}
-
 TEST(Padding, SearchBatchPadsToK) {
   TinyFixture f;
   RuntimeParams p;
   const size_t nq = f.data.queries.rows();
   Matrix<uint32_t> ids(nq, kK);
-  f.index->SearchBatch(f.data.queries, kK, p, ids.data());
+  SearchBatch(*f.index, f.data.queries, kK, p, ids.data());
   for (size_t qi = 0; qi < nq; ++qi) {
     ExpectPaddedRow(ids.row(qi), nullptr, kK, kCorpus);
   }
@@ -46,8 +36,8 @@ TEST(Padding, SearchBatchExPadsIdsAndDists) {
   Matrix<uint32_t> ids(nq, kK);
   MatrixF dists(nq, kK);
   ThreadPool pool(2);
-  f.index->SearchBatchEx(f.data.queries, kK, p, ids.data(), dists.data(),
-                         nullptr, &pool);
+  SearchBatch(*f.index, f.data.queries, kK, p, ids.data(), dists.data(),
+              nullptr, &pool);
   for (size_t qi = 0; qi < nq; ++qi) {
     ExpectPaddedRow(ids.row(qi), dists.row(qi), kK, kCorpus);
   }
@@ -165,7 +155,7 @@ TEST(Padding, DynamicIndexViewPadsToK) {
   const size_t nq = data.queries.rows();
   Matrix<uint32_t> ids(nq, kK);
   MatrixF dists(nq, kK);
-  view.SearchBatchEx(data.queries, kK, p, ids.data(), dists.data(), nullptr);
+  SearchBatch(view, data.queries, kK, p, ids.data(), dists.data(), nullptr);
   for (size_t qi = 0; qi < nq; ++qi) {
     ExpectPaddedRow(ids.row(qi), dists.row(qi), kK, kCorpus);
   }

@@ -164,7 +164,7 @@ TEST_P(FamilyProperty, GraphSearchBeatsRandomByFar) {
   RuntimeParams p;
   p.window = 64;
   Matrix<uint32_t> ids(data.queries.rows(), 10);
-  idx->SearchBatch(data.queries, 10, p, ids.data());
+  SearchBatch(*idx, data.queries, 10, p, ids.data());
   EXPECT_GE(MeanRecallAtK(ids, gt, 10), 0.8) << data.name;
 }
 

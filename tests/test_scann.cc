@@ -21,7 +21,7 @@ struct ScannFixture {
     rp.nprobe = nprobe;
     rp.reorder_k = reorder;
     Matrix<uint32_t> ids(data.queries.rows(), 10);
-    idx.SearchBatch(data.queries, 10, rp, ids.data());
+    SearchBatch(idx, data.queries, 10, rp, ids.data());
     return MeanRecallAtK(ids, gt, 10);
   }
 };
@@ -85,7 +85,7 @@ TEST(Scann, InnerProductMetric) {
   rp.nprobe = static_cast<uint32_t>(idx.n_leaves());
   rp.reorder_k = 300;
   Matrix<uint32_t> ids(data.queries.rows(), 10);
-  idx.SearchBatch(data.queries, 10, rp, ids.data());
+  SearchBatch(idx, data.queries, 10, rp, ids.data());
   EXPECT_GE(MeanRecallAtK(ids, gt, 10), 0.9);
 }
 

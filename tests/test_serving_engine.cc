@@ -46,7 +46,7 @@ TEST(ServingEngine, SyncMatchesDirectSearchBatch) {
   RuntimeParams p;
   p.window = 32;
   Matrix<uint32_t> direct(nq, k), served(nq, k);
-  f.index->SearchBatch(f.data.queries, k, p, direct.data());
+  SearchBatch(*f.index, f.data.queries, k, p, direct.data());
 
   ServingOptions opts;
   opts.num_threads = 4;
@@ -382,7 +382,7 @@ TEST(ServingOptions, ValidateRejectsDegenerateConfigurations) {
   EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
 }
 
-/// A SearchIndex stub whose SearchBatch parks inside the search until the
+/// A SearchIndex stub whose searchers park inside the search until the
 /// gate opens — the deterministic way to hold async queries "executing"
 /// while a test probes admission control or shutdown. With
 /// `block_first_only`, only the first query ever parks; the rest answer
@@ -398,24 +398,11 @@ class GateIndex : public SearchIndex {
   size_t dim() const override { return dim_; }
   size_t memory_bytes() const override { return sizeof(*this); }
 
-  void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions&,
-                   uint32_t* ids, ThreadPool* = nullptr) const override {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      const uint64_t ticket = entered_++;
-      entered_cv_.notify_all();
-      if (!block_first_only_ || ticket == 0) {
-        gate_cv_.wait(lk, [&] { return open_; });
-      }
-    }
-    const uint32_t hit = 0;
-    const float dist = 0.0f;
-    for (size_t qi = 0; qi < queries.rows; ++qi) {
-      WritePaddedRow(&hit, &dist, 1, k, ids + qi * k, nullptr);
-    }
+  std::unique_ptr<Searcher> MakeSearcher() const override {
+    return std::make_unique<Gate>(this);
   }
 
-  /// Blocks until `n` queries have entered SearchBatch.
+  /// Blocks until `n` queries have entered Search.
   void WaitEntered(uint64_t n) const {
     std::unique_lock<std::mutex> lk(mu_);
     entered_cv_.wait(lk, [&] { return entered_ >= n; });
@@ -430,12 +417,36 @@ class GateIndex : public SearchIndex {
  private:
   size_t dim_;
   bool block_first_only_;
-  // mutable: SearchBatch is const on the SearchIndex seam.
+  // mutable: searchers reach the gate through a const index.
   mutable std::mutex mu_;
   mutable std::condition_variable entered_cv_;
   mutable std::condition_variable gate_cv_;
   mutable uint64_t entered_ = 0;
   mutable bool open_ = false;
+
+  /// Parks the query (every one, or only the first) until the gate opens,
+  /// then answers id 0.
+  class Gate : public Searcher {
+   public:
+    explicit Gate(const GateIndex* index) : index_(index) {}
+    void Search(const float*, size_t k, const SearchOptions&, uint32_t* ids,
+                float* dists, BatchStats*) override {
+      {
+        std::unique_lock<std::mutex> lk(index_->mu_);
+        const uint64_t ticket = index_->entered_++;
+        index_->entered_cv_.notify_all();
+        if (!index_->block_first_only_ || ticket == 0) {
+          index_->gate_cv_.wait(lk, [&] { return index_->open_; });
+        }
+      }
+      const uint32_t hit = 0;
+      const float dist = 0.0f;
+      WritePaddedRow(&hit, &dist, 1, k, ids, dists);
+    }
+
+   private:
+    const GateIndex* index_;
+  };
 };
 
 // TrySubmit with queue_capacity=1: the first query is admitted and parks

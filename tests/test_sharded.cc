@@ -203,7 +203,7 @@ TEST(Sharded, SearchBatchExReportsDistsAndStats) {
   Matrix<uint32_t> ids(nq, f.k);
   MatrixF dists(nq, f.k);
   BatchStats stats;
-  idx->SearchBatchEx(f.data.queries, f.k, p, ids.data(), dists.data(), &stats);
+  SearchBatch(*idx, f.data.queries, f.k, p, ids.data(), dists.data(), &stats);
   EXPECT_GT(stats.distance_computations, 0u);
   EXPECT_GT(stats.hops, 0u);
   for (size_t qi = 0; qi < nq; ++qi) {
@@ -350,7 +350,7 @@ TEST(ShardedPadding, SearchBatchPadsToK) {
   RuntimeParams p;
   const size_t nq = t.data.queries.rows();
   Matrix<uint32_t> ids(nq, kPadK);
-  t.index->SearchBatch(t.data.queries, kPadK, p, ids.data());
+  SearchBatch(*t.index, t.data.queries, kPadK, p, ids.data());
   for (size_t qi = 0; qi < nq; ++qi) {
     ExpectPaddedRow(ids.row(qi), nullptr, kPadK, kTinyCorpus);
   }
@@ -363,8 +363,8 @@ TEST(ShardedPadding, SearchBatchExPadsIdsAndDists) {
   Matrix<uint32_t> ids(nq, kPadK);
   MatrixF dists(nq, kPadK);
   ThreadPool pool(2);
-  t.index->SearchBatchEx(t.data.queries, kPadK, p, ids.data(), dists.data(),
-                         nullptr, &pool);
+  SearchBatch(*t.index, t.data.queries, kPadK, p, ids.data(), dists.data(),
+              nullptr, &pool);
   for (size_t qi = 0; qi < nq; ++qi) {
     ExpectPaddedRow(ids.row(qi), dists.row(qi), kPadK, kTinyCorpus);
   }
@@ -378,8 +378,8 @@ TEST(ShardedPadding, EmptyShardsAreSkippedAndStillPad) {
   p.nprobe_shards = 6;  // probes clamp to the live shard count
   Matrix<uint32_t> ids(t.data.queries.rows(), kPadK);
   MatrixF dists(t.data.queries.rows(), kPadK);
-  t.index->SearchBatchEx(t.data.queries, kPadK, p, ids.data(), dists.data(),
-                         nullptr);
+  SearchBatch(*t.index, t.data.queries, kPadK, p, ids.data(), dists.data(),
+              nullptr);
   for (size_t qi = 0; qi < t.data.queries.rows(); ++qi) {
     ExpectPaddedRow(ids.row(qi), dists.row(qi), kPadK, kTinyCorpus);
   }

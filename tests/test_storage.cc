@@ -192,14 +192,16 @@ TEST(Storages, SearchResultStatsArePopulated) {
   auto idx = BuildOgLvq(data.base, data.metric, 8, 0, bp);
   RuntimeParams p;
   p.window = 24;
-  SearchResult res;
-  idx->Search(data.queries.row(0), 10, p, &res);
+  auto searcher = idx->MakeSearcher();
+  uint32_t ids[10];
+  BatchStats res;
+  searcher->Search(data.queries.row(0), 10, p, ids, nullptr, &res);
   EXPECT_GT(res.hops, 0u);
   EXPECT_GT(res.distance_computations, res.hops);  // >1 dist per expansion
   // A larger window explores at least as much.
-  SearchResult res2;
+  BatchStats res2;
   p.window = 96;
-  idx->Search(data.queries.row(0), 10, p, &res2);
+  searcher->Search(data.queries.row(0), 10, p, ids, nullptr, &res2);
   EXPECT_GE(res2.distance_computations, res.distance_computations);
 }
 

@@ -53,7 +53,7 @@ inline Fixture DeepFixture(size_t n, size_t nq, uint64_t seed, size_t k = 10,
 inline double RecallOf(const SearchIndex& idx, const Fixture& f,
                        const RuntimeParams& p) {
   Matrix<uint32_t> ids(f.data.queries.rows(), f.k);
-  idx.SearchBatch(f.data.queries, f.k, p, ids.data());
+  SearchBatch(idx, f.data.queries, f.k, p, ids.data());
   return MeanRecallAtK(ids, f.gt, f.k);
 }
 
@@ -150,7 +150,7 @@ inline Matrix<uint32_t> SearchIds(const SearchIndex& idx, MatrixViewF queries,
                                   size_t k, const RuntimeParams& p,
                                   ThreadPool* pool = nullptr) {
   Matrix<uint32_t> ids(queries.rows, k);
-  idx.SearchBatch(queries, k, p, ids.data(), pool);
+  SearchBatch(idx, queries, k, p, ids.data(), nullptr, nullptr, pool);
   return ids;
 }
 
