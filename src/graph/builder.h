@@ -1,22 +1,26 @@
 // Vamana graph construction (paper Sec. 2.1, following Subramanya et al.
 // [28]): for each node, greedy-search the current graph with the node as
-// query, prune the candidate pool with the relaxed rule of Algorithm 2, set
-// the node's out-neighbors, then insert backward edges and re-prune any
-// node that exceeds the degree bound R. Two passes are made: the first with
-// relaxation alpha = 1.0, the second with the configured alpha.
+// query, then run the single-node update on the candidate pool: prune it
+// with the relaxed rule of Algorithm 2, publish the node's out-neighbors,
+// then insert backward edges and re-prune any node that exceeds the degree
+// bound R. Two passes are made: the first with relaxation alpha = 1.0, the
+// second with the configured alpha. The update and its prune are written
+// once, here, and the dynamic index runs them too (DESIGN.md D17).
 //
 // Because the builder is templated on Storage, graphs can be built directly
 // from LVQ-compressed vectors (paper Sec. 4): node queries are decoded on
 // the fly and all candidate distances use the storage's fused kernels.
 //
 // Parallelism: nodes are processed in batches. Within a batch all searches
-// run concurrently against a frozen graph snapshot; adjacency updates are
-// applied serially between batches. Given a fixed seed the result is
-// deterministic for any thread count.
+// run concurrently against a frozen graph snapshot (phase 1); the updates
+// are applied serially between batches (phase 2). Given a fixed seed the
+// result is the same for any thread count up to 8 (batches of 64 nodes);
+// more workers widen the batch and so change the graph.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -56,34 +60,121 @@ struct Candidate {
   }
 };
 
-/// Algorithm 2 (neighborhood pruning) in distance space. `cands` must be
-/// sorted by ascending distance to the target node x and not contain x.
-/// The rule "alpha * sim(x*, x') >= sim(x, x')" with sim = -dist becomes
+/// RobustPrune's `max_cands` when the whole pool is pruned.
+inline constexpr size_t kNoPoolCap = std::numeric_limits<size_t>::max();
+
+/// Algorithm 2 (neighborhood pruning) in distance space: the one prune of
+/// the builder and the dynamic index. `cands` is the pool of the target
+/// node x in any order, without x, with distances to x. It is sorted by
+/// (dist, id), deduplicated by id and cut to `max_cands`; then at most R
+/// survivors go to `out_neighbors`, nearest first. The rule
+/// "alpha * sim(x*, x') >= sim(x, x')" with sim = -dist becomes
 /// "alpha * dist(x*, x') <= dist(x, x')" for L2 (alpha >= 1) and stays in
 /// similarity form for IP (alpha <= 1); we evaluate it in similarity space
-/// so one code path serves both metrics.
+/// so one code path serves both metrics. Each selected x* is decoded into
+/// `decode_buf` and prepared as `star`; `removed` holds the pruned flags.
+template <typename Storage>
+void RobustPrune(const Storage& storage, std::vector<Candidate>& cands,
+                 float alpha, uint32_t R, size_t max_cands,
+                 std::vector<float>& decode_buf,
+                 typename Storage::Query& star, std::vector<char>& removed,
+                 std::vector<uint32_t>* out_neighbors) {
+  std::sort(cands.begin(), cands.end());
+  cands.erase(std::unique(cands.begin(), cands.end(),
+                          [](const Candidate& a, const Candidate& b) {
+                            return a.id == b.id;
+                          }),
+              cands.end());
+  if (cands.size() > max_cands) cands.resize(max_cands);
+  out_neighbors->clear();
+  removed.assign(cands.size(), 0);
+  for (size_t s = 0; s < cands.size(); ++s) {
+    if (removed[s]) continue;
+    out_neighbors->push_back(cands[s].id);
+    if (out_neighbors->size() == R) break;
+    // Prepare x* as a query to measure dist(x*, x') for the prune rule.
+    storage.DecodeVector(cands[s].id, decode_buf.data());
+    storage.PrepareQuery(decode_buf.data(), &star);
+    for (size_t t = s + 1; t < cands.size(); ++t) {
+      if (removed[t]) continue;
+      const float d_star_prime = storage.Distance(star, cands[t].id);
+      // similarity form: alpha * sim(x*, x') >= sim(x, x')  =>  remove x'
+      if (alpha * (-d_star_prime) >= -cands[t].dist) removed[t] = 1;
+    }
+  }
+}
+
+/// The uncapped prune with caller-owned x* scratch (the merge step of the
+/// benchmark's static-mem build calls it).
 template <typename Storage>
 void RobustPrune(const Storage& storage, [[maybe_unused]] uint32_t x,
                  std::vector<Candidate>& cands, float alpha, uint32_t R,
                  std::vector<float>& decode_buf,
                  typename Storage::Query& qstate,
                  std::vector<uint32_t>* out_neighbors) {
-  out_neighbors->clear();
-  std::vector<char> removed(cands.size(), 0);
-  for (size_t s = 0; s < cands.size(); ++s) {
-    if (removed[s]) continue;
-    const Candidate star = cands[s];
-    out_neighbors->push_back(star.id);
-    if (out_neighbors->size() == R) break;
-    // Prepare x* as a query to measure dist(x*, x') for the prune rule.
-    storage.DecodeVector(star.id, decode_buf.data());
-    storage.PrepareQuery(decode_buf.data(), &qstate);
-    for (size_t t = s + 1; t < cands.size(); ++t) {
-      if (removed[t]) continue;
-      const float d_star_prime = storage.Distance(qstate, cands[t].id);
-      // similarity form: alpha * sim(x*, x') >= sim(x, x')  =>  remove x'
-      if (alpha * (-d_star_prime) >= -cands[t].dist) removed[t] = 1;
+  std::vector<char> removed;
+  RobustPrune(storage, cands, alpha, R, kNoPoolCap, decode_buf, qstate,
+              removed, out_neighbors);
+}
+
+/// Reusable scratch of the neighborhood update, one per writer: the
+/// builder's phase 2 and the dynamic index's (serialized) writer.
+template <typename Storage>
+struct PruneScratch {
+  explicit PruneScratch(size_t dim = 0) : decode(dim) {}
+
+  /// Decodes stored vector `id` and prepares `query` for distances to it.
+  void PrepareStored(const Storage& storage, uint32_t id) {
+    storage.DecodeVector(id, decode.data());
+    storage.PrepareQuery(decode.data(), &query);
+  }
+
+  std::vector<float> decode;      ///< a decoded stored vector (dim floats)
+  typename Storage::Query query;  ///< a row's owner, then each x*
+  std::vector<char> removed;      ///< Algorithm 2's pruned flags
+  std::vector<Candidate> pool;    ///< the pool being pruned
+  std::vector<uint32_t> row;      ///< the updated node's new row
+  std::vector<uint32_t> nb_row;   ///< a re-pruned neighbor's new row
+};
+
+/// Prunes `s->pool` (cut to `max_cands`) into `*row` and publishes it as
+/// x's out-neighbors.
+template <typename Storage>
+void PruneAndPublish(const Storage& storage, FlatGraph* graph, uint32_t x,
+                     float alpha, size_t max_cands, PruneScratch<Storage>* s,
+                     std::vector<uint32_t>* row) {
+  RobustPrune(storage, s->pool, alpha, graph->max_degree(), max_cands,
+              s->decode, s->query, s->removed, row);
+  graph->PublishNeighbors(x, row->data(), static_cast<uint32_t>(row->size()));
+}
+
+/// The Vamana single-node update, shared by BuildVamana's phase 2 and
+/// DynamicGraphIndex::Insert. Prunes x's candidate pool `s->pool` (as
+/// RobustPrune takes it) into x's row, then adds the backward edge to x
+/// in each new neighbor's row; a full row is re-pruned over its R
+/// neighbors plus x, uncapped. Rows are written through FlatGraph's
+/// Publish* calls, so the dynamic index's concurrent readers see whole
+/// ids; the builder has no readers, and a release store is a plain store
+/// on x86.
+template <typename Storage>
+void UpdateNeighborhood(const Storage& storage, FlatGraph* graph, uint32_t x,
+                        float alpha, size_t max_cands,
+                        PruneScratch<Storage>* s) {
+  PruneAndPublish(storage, graph, x, alpha, max_cands, s, &s->row);
+  for (uint32_t nb : s->row) {
+    // Skip if the backward edge already exists (e.g. wired during an
+    // earlier batch or pass).
+    const uint32_t* nbrs = graph->neighbors(nb);
+    const uint32_t deg = graph->degree(nb);
+    if (std::find(nbrs, nbrs + deg, x) != nbrs + deg) continue;
+    if (graph->PublishAddNeighbor(nb, x)) continue;
+    s->PrepareStored(storage, nb);
+    s->pool.clear();
+    for (uint32_t e = 0; e < deg; ++e) {
+      s->pool.push_back({storage.Distance(s->query, nbrs[e]), nbrs[e]});
     }
+    s->pool.push_back({storage.Distance(s->query, x), x});
+    PruneAndPublish(storage, graph, nb, alpha, kNoPoolCap, s, &s->nb_row);
   }
 }
 
@@ -145,31 +236,22 @@ BuiltGraph BuildVamana(const Storage& storage, const VamanaBuildParams& params,
   SearchParams sp;
   sp.window = std::max(params.window_size, R + 1);
   sp.use_visited_set = true;  // build-time searches favor fewer recomputes
-  sp.rerank = false;          // wiring uses level-1 distances only
 
+  // Phase-1 state of one worker thread.
   struct Worker {
-    GreedySearcher<Storage> searcher;
-    SearchResult result;
-    std::vector<float> decode_buf;
-    typename Storage::Query prune_query;
-    std::vector<detail::Candidate> cands;
-    std::vector<uint32_t> pruned;
-    std::vector<uint32_t> pruned_nb;
-    explicit Worker(const FlatGraph* g, const Storage* s)
-        : searcher(g, s), decode_buf(s->dim()) {}
+    std::vector<float> decode;
+    typename Storage::Query query;
+    TraversalState traversal;
   };
+  std::vector<Worker> workers(num_workers);
+  for (Worker& w : workers) w.decode.resize(d);
+  detail::PruneScratch<Storage> prune(d);  // phase 2 (serial)
+  // Candidate pools of the current batch, collected in parallel.
+  std::vector<std::vector<detail::Candidate>> batch_cands(batch);
 
   const int passes = params.two_passes ? 2 : 1;
   for (int pass = 0; pass < passes; ++pass) {
     const float alpha = (pass + 1 == passes) ? params.alpha : 1.0f;
-
-    std::vector<Worker> workers;
-    workers.reserve(num_workers);
-    for (size_t w = 0; w < num_workers; ++w) {
-      workers.emplace_back(&out.graph, &storage);
-    }
-    // Candidate pools of the current batch, collected in parallel.
-    std::vector<std::vector<detail::Candidate>> batch_cands(batch);
 
     for (size_t begin = 0; begin < n; begin += batch) {
       const size_t end = std::min(n, begin + batch);
@@ -178,12 +260,13 @@ BuiltGraph BuildVamana(const Storage& storage, const VamanaBuildParams& params,
       // Phase 1 (parallel, frozen graph): search each node.
       auto search_one = [&](Worker& w, size_t t) {
         const uint32_t node = order[begin + t];
-        storage.DecodeVector(node, w.decode_buf.data());
-        w.searcher.Search(w.decode_buf.data(), sp.window, out.entry_point, sp,
-                          &w.result);
+        storage.DecodeVector(node, w.decode.data());
+        storage.PrepareQuery(w.decode.data(), &w.query);
+        Traverse<PlainRows>(out.graph, storage, w.query, out.entry_point, sp,
+                            &w.traversal);
         auto& cands = batch_cands[t];
         cands.clear();
-        const SearchBuffer& buf = w.searcher.buffer();
+        const SearchBuffer& buf = w.traversal.buffer;
         for (size_t i = 0; i < buf.size(); ++i) {
           if (buf[i].id != node) cands.push_back({buf[i].dist, buf[i].id});
         }
@@ -200,70 +283,19 @@ BuiltGraph BuildVamana(const Storage& storage, const VamanaBuildParams& params,
         for (size_t t = 0; t < m; ++t) search_one(workers[0], t);
       }
 
-      // Phase 2 (serial): prune + apply forward and backward edges.
-      Worker& w0 = workers[0];
+      // Phase 2 (serial): the single-node update of each node in turn.
       for (size_t t = 0; t < m; ++t) {
         const uint32_t node = order[begin + t];
-        auto& cands = w0.cands;
-        cands = batch_cands[t];
         // Merge in current out-neighbors (C ∪ N(x), Algorithm 2 line 1).
-        {
-          storage.DecodeVector(node, w0.decode_buf.data());
-          typename Storage::Query nq;
-          storage.PrepareQuery(w0.decode_buf.data(), &nq);
-          const uint32_t* nbrs = out.graph.neighbors(node);
-          for (uint32_t e = 0; e < out.graph.degree(node); ++e) {
-            cands.push_back({storage.Distance(nq, nbrs[e]), nbrs[e]});
-          }
+        prune.pool.swap(batch_cands[t]);
+        prune.PrepareStored(storage, node);
+        const uint32_t* nbrs = out.graph.neighbors(node);
+        for (uint32_t e = 0; e < out.graph.degree(node); ++e) {
+          prune.pool.push_back(
+              {storage.Distance(prune.query, nbrs[e]), nbrs[e]});
         }
-        std::sort(cands.begin(), cands.end());
-        cands.erase(std::unique(cands.begin(), cands.end(),
-                                [](const detail::Candidate& a,
-                                   const detail::Candidate& b) {
-                                  return a.id == b.id;
-                                }),
-                    cands.end());
-        if (cands.size() > params.max_candidates) {
-          cands.resize(params.max_candidates);
-        }
-        detail::RobustPrune(storage, node, cands, alpha, R, w0.decode_buf,
-                            w0.prune_query, &w0.pruned);
-        out.graph.SetNeighbors(node, w0.pruned.data(),
-                               static_cast<uint32_t>(w0.pruned.size()));
-
-        // Backward edges with overflow pruning.
-        for (uint32_t nb : w0.pruned) {
-          // Skip if the backward edge already exists (e.g. wired during an
-          // earlier batch or the first pass).
-          const uint32_t* nb_nbrs = out.graph.neighbors(nb);
-          const uint32_t nb_deg = out.graph.degree(nb);
-          bool present = false;
-          for (uint32_t e = 0; e < nb_deg; ++e) {
-            if (nb_nbrs[e] == node) {
-              present = true;
-              break;
-            }
-          }
-          if (present) continue;
-          if (!out.graph.AddNeighbor(nb, node)) {
-            // Re-prune nb's neighborhood (now R+1 candidates incl. node).
-            storage.DecodeVector(nb, w0.decode_buf.data());
-            typename Storage::Query nq;
-            storage.PrepareQuery(w0.decode_buf.data(), &nq);
-            std::vector<detail::Candidate> nb_cands;
-            nb_cands.reserve(out.graph.degree(nb) + 1);
-            const uint32_t* nbrs = out.graph.neighbors(nb);
-            for (uint32_t e = 0; e < out.graph.degree(nb); ++e) {
-              nb_cands.push_back({storage.Distance(nq, nbrs[e]), nbrs[e]});
-            }
-            nb_cands.push_back({storage.Distance(nq, node), node});
-            std::sort(nb_cands.begin(), nb_cands.end());
-            detail::RobustPrune(storage, nb, nb_cands, alpha, R, w0.decode_buf,
-                                w0.prune_query, &w0.pruned_nb);
-            out.graph.SetNeighbors(nb, w0.pruned_nb.data(),
-                                   static_cast<uint32_t>(w0.pruned_nb.size()));
-          }
-        }
+        detail::UpdateNeighborhood(storage, &out.graph, node, alpha,
+                                   params.max_candidates, &prune);
       }
     }
   }

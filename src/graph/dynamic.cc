@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <string>
 
 #include "graph/reranker.h"
 
@@ -11,9 +12,8 @@ namespace blink {
 template <typename Storage>
 DynamicGraphIndex<Storage>::DynamicGraphIndex(size_t dim, const Options& opts,
                                               Storage storage)
-    : dim_(dim), opts_(opts), storage_(std::move(storage)) {
+    : dim_(dim), opts_(opts), storage_(std::move(storage)), prune_(dim) {
   assert(storage_.dim() == dim);
-  writer_decode_.resize(dim);
   Grow(std::max<size_t>(opts.initial_capacity, 16));
 }
 
@@ -35,66 +35,6 @@ void DynamicGraphIndex<Storage>::Grow(size_t min_capacity) {
   }
   graph_ = std::move(bigger);
   capacity_ = new_cap;
-}
-
-template <typename Storage>
-void DynamicGraphIndex<Storage>::PrepareStored(uint32_t id,
-                                               typename Storage::Query* q) {
-  storage_.DecodeVector(id, writer_decode_.data());
-  storage_.PrepareQuery(writer_decode_.data(), q);
-}
-
-// Writer-side candidate gathering (Insert). The writer is the only thread
-// that stores rows, so it may read them plainly; vectors it touches are
-// live or tombstoned and never concurrently overwritten (recycled slots are
-// only written by this same serialized writer).
-template <typename Storage>
-void DynamicGraphIndex<Storage>::CollectCandidates(
-    const float* query, uint32_t window, std::vector<Candidate>* out) {
-  out->clear();
-  const uint32_t ep = entry_point_.load(std::memory_order_relaxed);
-  if (ep == kNoEntry) return;
-  storage_.PrepareQuery(query, &writer_query_);
-  SearchParams params;
-  params.window = window;
-  Traverse<PlainRows>(graph_, storage_, writer_query_, ep, params,
-                      &writer_traversal_);
-  const SearchBuffer& buffer = writer_traversal_.buffer;
-  out->reserve(buffer.size());
-  for (size_t i = 0; i < buffer.size(); ++i) {
-    out->push_back({buffer[i].dist, buffer[i].id});
-  }
-}
-
-template <typename Storage>
-void DynamicGraphIndex<Storage>::RobustPrune(std::vector<Candidate>& cands,
-                                             std::vector<uint32_t>* out) {
-  std::sort(cands.begin(), cands.end());
-  cands.erase(std::unique(cands.begin(), cands.end(),
-                          [](const Candidate& a, const Candidate& b) {
-                            return a.id == b.id;
-                          }),
-              cands.end());
-  out->clear();
-  std::vector<char> removed(cands.size(), 0);
-  const float alpha = opts_.alpha;
-  for (size_t s = 0; s < cands.size(); ++s) {
-    if (removed[s]) continue;
-    out->push_back(cands[s].id);
-    if (out->size() == opts_.graph_max_degree) break;
-    // Stored-to-stored distances: decode the selected star once, then run
-    // the same asymmetric kernel the read path uses against each remaining
-    // candidate's stored form.
-    PrepareStored(cands[s].id, &prune_query_);
-    for (size_t t = s + 1; t < cands.size(); ++t) {
-      if (removed[t]) continue;
-      // alpha * sim(x*, x') >= sim(x, x')  =>  remove (similarity form).
-      if (alpha * (-storage_.Distance(prune_query_, cands[t].id)) >=
-          -cands[t].dist) {
-        removed[t] = 1;
-      }
-    }
-  }
 }
 
 template <typename Storage>
@@ -137,44 +77,25 @@ uint32_t DynamicGraphIndex<Storage>::Insert(const float* vec) {
     return id;
   }
 
-  // Vamana single-node update.
-  std::vector<Candidate> cands;
-  CollectCandidates(vec, std::max(opts_.build_window, opts_.graph_max_degree + 1),
-                    &cands);
-  cands.erase(std::remove_if(cands.begin(), cands.end(),
-                             [&](const Candidate& c) { return c.id == id; }),
-              cands.end());
-  std::vector<uint32_t> pruned;
-  RobustPrune(cands, &pruned);
-  graph_.PublishNeighbors(id, pruned.data(),
-                          static_cast<uint32_t>(pruned.size()));
-
-  // Backward edges with overflow pruning.
-  std::vector<Candidate> nb_cands;
-  std::vector<uint32_t> nb_pruned;
-  for (uint32_t nb : pruned) {
-    const uint32_t* nbrs = graph_.neighbors(nb);
-    const uint32_t deg = graph_.degree(nb);
-    bool present = false;
-    for (uint32_t e = 0; e < deg; ++e) {
-      if (nbrs[e] == id) {
-        present = true;
-        break;
-      }
-    }
-    if (present) continue;
-    if (!graph_.PublishAddNeighbor(nb, id)) {
-      nb_cands.clear();
-      PrepareStored(nb, &writer_query_);
-      for (uint32_t e = 0; e < deg; ++e) {
-        nb_cands.push_back({storage_.Distance(writer_query_, nbrs[e]), nbrs[e]});
-      }
-      nb_cands.push_back({storage_.Distance(writer_query_, id), id});
-      RobustPrune(nb_cands, &nb_pruned);
-      graph_.PublishNeighbors(nb, nb_pruned.data(),
-                              static_cast<uint32_t>(nb_pruned.size()));
-    }
+  // Vamana single-node update (graph/builder.h). The pool is a greedy
+  // search from the raw vector, tombstones included (they stay
+  // navigable). The writer is the only thread that stores rows, so it
+  // reads them plainly; a live vector is never overwritten concurrently.
+  // No pool cap. Another vector is live, so the entry point is set.
+  const uint32_t ep = entry_point_.load(std::memory_order_relaxed);
+  assert(ep != kNoEntry);
+  SearchParams params;
+  params.window = std::max(opts_.build_window, opts_.graph_max_degree + 1);
+  storage_.PrepareQuery(vec, &writer_query_);
+  Traverse<PlainRows>(graph_, storage_, writer_query_, ep, params,
+                      &writer_traversal_);
+  const SearchBuffer& found = writer_traversal_.buffer;
+  prune_.pool.clear();
+  for (size_t i = 0; i < found.size(); ++i) {
+    if (found[i].id != id) prune_.pool.push_back({found[i].dist, found[i].id});
   }
+  detail::UpdateNeighborhood(storage_, &graph_, id, opts_.alpha,
+                             detail::kNoPoolCap, &prune_);
   return id;
 }
 
@@ -214,8 +135,7 @@ void DynamicGraphIndex<Storage>::ConsolidateDeletes() {
   // inherits that node's live out-neighbors, then re-prunes to R. This
   // phase runs concurrently with searches (atomic row publication).
   const size_t n = n_.load(std::memory_order_relaxed);
-  std::vector<Candidate> cands;
-  std::vector<uint32_t> pruned;
+  std::vector<detail::Candidate>& cands = prune_.pool;
   for (size_t i = 0; i < n; ++i) {
     if (IsDeleted(static_cast<uint32_t>(i))) continue;
     const uint32_t* nbrs = graph_.neighbors(i);
@@ -230,24 +150,25 @@ void DynamicGraphIndex<Storage>::ConsolidateDeletes() {
     if (!touches_deleted) continue;
 
     cands.clear();
-    PrepareStored(static_cast<uint32_t>(i), &writer_query_);
+    prune_.PrepareStored(storage_, static_cast<uint32_t>(i));
     for (uint32_t e = 0; e < deg; ++e) {
       const uint32_t nb = nbrs[e];
       if (!IsDeleted(nb)) {
-        cands.push_back({storage_.Distance(writer_query_, nb), nb});
+        cands.push_back({storage_.Distance(prune_.query, nb), nb});
         continue;
       }
       const uint32_t* second = graph_.neighbors(nb);
       for (uint32_t s = 0; s < graph_.degree(nb); ++s) {
         const uint32_t nn = second[s];
         if (!IsDeleted(nn) && nn != i) {
-          cands.push_back({storage_.Distance(writer_query_, nn), nn});
+          cands.push_back({storage_.Distance(prune_.query, nn), nn});
         }
       }
     }
-    RobustPrune(cands, &pruned);
-    graph_.PublishNeighbors(i, pruned.data(),
-                            static_cast<uint32_t>(pruned.size()));
+    // The same prune as Insert, uncapped: the pool can hold R + R^2 ids.
+    detail::PruneAndPublish(storage_, &graph_, static_cast<uint32_t>(i),
+                            opts_.alpha, detail::kNoPoolCap, &prune_,
+                            &prune_.row);
   }
   // Purge tombstones: clear their adjacency and recycle the slots. Under
   // the exclusive lock so that (a) a reader mid-traversal cannot still hold
@@ -448,6 +369,56 @@ Status DynamicGraphIndex<Storage>::UpsertMetadata(uint32_t id, uint64_t tags,
 }
 
 template <typename Storage>
+Status DynamicGraphIndex<Storage>::CheckInvariants() const {
+  auto fail = [](const std::string& what) {
+    return Status::Internal("dynamic graph invariant: " + what);
+  };
+  auto str = [](size_t v) { return std::to_string(v); };
+  const size_t n = n_.load(std::memory_order_relaxed);
+  auto flag = [&](size_t i) { return DeletedFlag(static_cast<uint32_t>(i)); };
+  size_t tombstones = 0, purged = 0;
+  std::vector<size_t> seen(n, 0);  // i + 1 once row i names the id
+  for (size_t i = 0; i < n; ++i) {
+    tombstones += flag(i) == kTombstone;
+    purged += flag(i) == kPurged;
+    const std::string row = "row " + str(i);
+    const uint32_t deg = graph_.degree(i);
+    if (deg > graph_.max_degree()) return fail(row + " exceeds degree R");
+    if (deg > 0 && flag(i) == kPurged) {
+      return fail("purged " + row + " is not empty");
+    }
+    for (uint32_t e = 0; e < deg; ++e) {
+      const uint32_t id = graph_.neighbors(i)[e];
+      if (id >= n || id == i || seen[id] == i + 1 || flag(id) == kPurged) {
+        return fail(row + " names " + str(id) +
+                    " (past size, itself, twice or a purged slot)");
+      }
+      seen[id] = i + 1;
+    }
+  }
+  if (tombstones + purged != num_deleted() || tombstones != num_tombstones()) {
+    return fail("the deleted/tombstone counts disagree with the flags");
+  }
+  std::vector<char> queued(n, 0);
+  for (uint32_t slot : free_slots_) {
+    if (slot >= n || flag(slot) != kPurged || queued[slot]++ != 0) {
+      return fail("free slot " + str(slot) + " is not a purged slot, once");
+    }
+  }
+  if (free_slots_.size() != purged) {
+    return fail("the free list misses " + str(purged - free_slots_.size()) +
+                " purged slots");
+  }
+  const uint32_t ep = entry_point();
+  const bool ep_live = ep != kNoEntry && ep < n && flag(ep) == kLive;
+  if (live_size() == 0 ? ep != kNoEntry : !ep_live) {
+    return fail("entry point " + str(ep) + " with " + str(live_size()) +
+                " live vectors");
+  }
+  return Status::OK();
+}
+
+template <typename Storage>
 std::unique_ptr<DynamicGraphIndex<Storage>> DynamicGraphIndex<Storage>::Restore(
     size_t dim, const Options& opts, Storage storage, FlatGraph graph,
     std::vector<uint8_t> deleted, std::vector<uint32_t> free_slots, size_t n,
@@ -472,7 +443,7 @@ std::unique_ptr<DynamicGraphIndex<Storage>> DynamicGraphIndex<Storage>::Restore(
   }
   idx->num_tombstones_.store(tombstones, std::memory_order_relaxed);
   idx->entry_point_.store(entry_point, std::memory_order_relaxed);
-  idx->writer_decode_.resize(dim);
+  idx->prune_ = detail::PruneScratch<Storage>(dim);
   return idx;
 }
 

@@ -6,7 +6,8 @@
 // recompute + re-encode, against PQ's k-means retraining. This module
 // supplies the index dynamics that discussion presumes:
 //   - Insert: the single-node Vamana update (greedy search for candidates,
-//     relaxed pruning, backward edges with overflow pruning),
+//     then the builder's detail::UpdateNeighborhood: relaxed pruning,
+//     backward edges with overflow pruning),
 //   - Delete: tombstoning, with deleted nodes still traversable (so the
 //     graph stays navigable) but excluded from results,
 //   - ConsolidateDeletes: DiskANN-style repair — neighbors of deleted
@@ -19,8 +20,10 @@
 // baseline; DynamicLvqIndex encodes each vector at insert time against a
 // fixed sample mean (LVQ-B, optionally with B2-bit residuals re-ranked at
 // the end of every search), so the streaming path gets the same 4-8x
-// footprint reduction as the static one. Insert-time pruning measures
-// stored-to-stored distances by decoding one endpoint and running the same
+// footprint reduction as the static one. Insert-time pruning is the
+// builder's RobustPrune (graph/builder.h, DESIGN.md D17), uncapped: the
+// inserted node's pool is scored against the raw input vector, and
+// stored-to-stored distances decode one endpoint and run the same
 // asymmetric kernel the read path uses.
 //
 // Concurrency (DESIGN.md D6): the index is single-writer / multi-reader.
@@ -56,6 +59,7 @@
 
 #include "eval/interface.h"
 #include "filter/metadata.h"
+#include "graph/builder.h"
 #include "graph/graph.h"
 #include "graph/search.h"
 #include "graph/search_buffer.h"
@@ -233,6 +237,14 @@ class DynamicGraphIndex {
   const std::vector<uint8_t>& deleted_flags() const { return deleted_; }
   const std::vector<uint32_t>& free_slots() const { return free_slots_; }
 
+  /// The graph invariants the writer keeps: degrees <= R; no self-loop,
+  /// duplicate or id >= size() in a row; purged rows empty and never
+  /// named; the free list is exactly the purged slots, once each; counts
+  /// match the flags; the entry point is live, or kNoEntry exactly when
+  /// live_size() == 0. Internal names the first violation. O(size() * R),
+  /// with no concurrent writer (the loaders run it after Restore).
+  Status CheckInvariants() const;
+
   /// Reassembles an index from serialized parts. `storage` must already
   /// hold the first `n` rows and have capacity >= n; `graph` must have
   /// storage.capacity() rows; `deleted` is resized to capacity.
@@ -242,22 +254,9 @@ class DynamicGraphIndex {
       size_t n, size_t num_deleted, uint32_t entry_point);
 
  private:
-  struct Candidate {
-    float dist;
-    uint32_t id;
-    bool operator<(const Candidate& o) const {
-      return dist < o.dist || (dist == o.dist && id < o.id);
-    }
-  };
-
   DynamicGraphIndex() = default;  // Restore()
 
   void Grow(size_t min_capacity);
-  /// Writer-side greedy search over the current graph; returns the
-  /// candidate pool (ascending distance, tombstones included — they remain
-  /// navigable). Prepares `writer_query_` from `query`.
-  void CollectCandidates(const float* query, uint32_t window,
-                         std::vector<Candidate>* out);
   /// Shared result epilogue: tombstone-skipping top-k selection with the
   /// optional two-level re-score, over either the raw candidate buffer or
   /// a filtered survivor pool (both expose operator[](i).{id,dist}).
@@ -265,11 +264,6 @@ class DynamicGraphIndex {
   void ExtractResults(const Buf& buf, size_t k, bool rerank,
                       uint32_t rerank_window, size_t tomb, SearchResult* out,
                       SearchScratch* scratch) const;
-  /// Algorithm 2 on a sorted candidate list. Stored-to-stored distances go
-  /// through PrepareStored + the asymmetric kernel (uses `prune_query_`).
-  void RobustPrune(std::vector<Candidate>& cands, std::vector<uint32_t>* out);
-  /// Decodes stored vector `id` and prepares `q` for distances against it.
-  void PrepareStored(uint32_t id, typename Storage::Query* q);
   void UpdateEntryPoint();
   void SetDeleted(uint32_t id, uint8_t flag) {
     std::atomic_ref<uint8_t>(deleted_[id])
@@ -307,14 +301,12 @@ class DynamicGraphIndex {
   /// instead).
   std::shared_ptr<MetadataStore> metadata_;
 
-  // Writer-side scratch (guarded by write_mu_): prepared queries for the
-  // insert vector / decoded stored vectors, the decode buffer, and the
-  // insert-time traversal state (its visited stamps follow the graph's
-  // capacity: Traverse resizes them on the first insert after a Grow).
+  // Writer-side scratch (guarded by write_mu_): the prepared insert
+  // vector, the insert-time traversal state (Traverse resizes its visited
+  // stamps on the first insert after a Grow), and the update's scratch.
   typename Storage::Query writer_query_;
-  typename Storage::Query prune_query_;
-  std::vector<float> writer_decode_;
   TraversalState writer_traversal_;
+  detail::PruneScratch<Storage> prune_;
 
   mutable EpochGuard epoch_;            // reader registration / quiescing
   std::mutex write_mu_;                 // serializes writers

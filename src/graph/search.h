@@ -257,7 +257,7 @@ class GreedySearcher {
   }
 
   /// Accumulated candidates of the last search (ids in ascending-distance
-  /// order); used by the graph builder as the pruning candidate pool.
+  /// order), the whole window before the top-k extraction.
   const SearchBuffer& buffer() const { return st_.buffer; }
 
   const typename Storage::Query& query_state() const { return query_state_; }

@@ -766,15 +766,11 @@ Status ReadDynState(ByteReader* r, const DynHeader& h, size_t capacity,
   }
   deleted->assign(flags, flags + n);
   // Flags are the dynamic index's slot states: 0 live, 1 tombstoned
-  // (navigable), 2 purged (queued for recycling). Their total must match
-  // the header's deleted count.
-  size_t flagged = 0;
+  // (navigable), 2 purged (queued for recycling). How flags, counts, the
+  // free list and the rows agree is the restored index's CheckInvariants;
+  // here only what sizes memory or indexes rows is checked.
   for (uint8_t flag : *deleted) {
     if (flag > 2) return Status::IOError(path + ": corrupt tombstone flag");
-    if (flag != 0) ++flagged;
-  }
-  if (flagged != h.num_deleted) {
-    return Status::IOError(path + ": tombstone flags disagree with header");
   }
   uint64_t free_count = 0;
   if (!r->Read(&free_count) || free_count > n) {
@@ -783,12 +779,6 @@ Status ReadDynState(ByteReader* r, const DynHeader& h, size_t capacity,
   free_slots->resize(free_count);
   if (!r->ReadBytes(free_slots->data(), free_count * sizeof(uint32_t))) {
     return Status::IOError(path + ": truncated free-slot list");
-  }
-  for (uint32_t s : *free_slots) {
-    // Exactly the purged slots are queued for reuse (graph/dynamic.cc).
-    if (s >= n || (*deleted)[s] != 2) {
-      return Status::IOError(path + ": corrupt free-slot list");
-    }
   }
   *graph = FlatGraph(capacity, h.max_degree, /*use_huge_pages=*/false);
   std::vector<uint32_t> row(h.max_degree);
@@ -800,11 +790,6 @@ Status ReadDynState(ByteReader* r, const DynHeader& h, size_t capacity,
     if (!r->ReadBytes(row.data(), deg * sizeof(uint32_t))) {
       return Status::IOError(path + ": truncated adjacency row");
     }
-    for (uint32_t e = 0; e < deg; ++e) {
-      if (row[e] >= n) {
-        return Status::IOError(path + ": neighbor id out of range");
-      }
-    }
     graph->SetNeighbors(i, row.data(), deg);
   }
   return Status::OK();
@@ -814,6 +799,16 @@ Status ReadDynState(ByteReader* r, const DynHeader& h, size_t capacity,
 /// the caller's requested floor, and the constructor's minimum.
 size_t RestoredCapacity(const DynHeader& h, const DynamicOptions& opts) {
   return std::max<size_t>(std::max<size_t>(h.n, opts.initial_capacity), 16);
+}
+
+/// A restored index, or IOError when it breaks an invariant the writer
+/// keeps (a file no writer could have produced).
+template <typename Index>
+Result<std::unique_ptr<Index>> CheckRestored(std::unique_ptr<Index> index,
+                                             const std::string& path) {
+  const Status st = index->CheckInvariants();
+  if (!st.ok()) return Status::IOError(path + ": " + st.message());
+  return index;
 }
 
 /// Parses the header of a BLDY file, checks its storage kind and applies
@@ -921,10 +916,11 @@ Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(const std::string& path,
   std::vector<uint32_t> free_slots;
   BLINK_RETURN_NOT_OK(
       ReadDynState(&r, h, capacity, &graph, &deleted, &free_slots, path));
-  return DynamicIndex::Restore(h.dim, opts, std::move(storage),
-                               std::move(graph), std::move(deleted),
-                               std::move(free_slots), h.n, h.num_deleted,
-                               h.entry);
+  return CheckRestored(
+      DynamicIndex::Restore(h.dim, opts, std::move(storage), std::move(graph),
+                            std::move(deleted), std::move(free_slots), h.n,
+                            h.num_deleted, h.entry),
+      path);
 }
 
 Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
@@ -969,10 +965,12 @@ Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
   std::vector<uint32_t> free_slots;
   BLINK_RETURN_NOT_OK(
       ReadDynState(&r, h, capacity, &graph, &deleted, &free_slots, path));
-  return DynamicLvqIndex::Restore(h.dim, opts, std::move(storage),
-                                  std::move(graph), std::move(deleted),
-                                  std::move(free_slots), h.n, h.num_deleted,
-                                  h.entry);
+  return CheckRestored(
+      DynamicLvqIndex::Restore(h.dim, opts, std::move(storage),
+                               std::move(graph), std::move(deleted),
+                               std::move(free_slots), h.n, h.num_deleted,
+                               h.entry),
+      path);
 }
 
 // ---------------------------------------------------------------------------

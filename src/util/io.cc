@@ -147,10 +147,23 @@ Result<Matrix<T>> ReadNativeImpl(const std::string& path, uint32_t want_dtype) {
   return m;
 }
 
+/// A float dataset read from `path`, or InvalidArgument naming its first
+/// NaN or infinite entry: one such coordinate would poison every index
+/// built from the file.
+Result<MatrixF> RequireFinite(Result<MatrixF> m, const std::string& path) {
+  if (!m.ok()) return m;
+  const auto bad = FirstNonFinite(m.value());
+  if (!bad) return m;
+  return Status::InvalidArgument(
+      path + ": vector data must be finite: row " +
+      std::to_string(bad->first) + ", column " + std::to_string(bad->second) +
+      " is " + std::to_string(m.value().row(bad->first)[bad->second]));
+}
+
 }  // namespace
 
 Result<MatrixF> ReadFvecs(const std::string& path) {
-  return ReadXvecs<float>(path);
+  return RequireFinite(ReadXvecs<float>(path), path);
 }
 
 Result<Matrix<int32_t>> ReadIvecs(const std::string& path) {
@@ -174,7 +187,7 @@ Status WriteNative(const std::string& path, const Matrix<uint32_t>& m) {
 }
 
 Result<MatrixF> ReadNativeF32(const std::string& path) {
-  return ReadNativeImpl<float>(path, 0);
+  return RequireFinite(ReadNativeImpl<float>(path, 0), path);
 }
 
 Result<Matrix<uint32_t>> ReadNativeU32(const std::string& path) {

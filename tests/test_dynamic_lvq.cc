@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <thread>
@@ -241,6 +242,64 @@ TEST_F(DynamicLvqSerializeTest, LoadRejectsWrongKind) {
   auto back = LoadDynamicF32(path, opts);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value()->live_size(), 50u);
+}
+
+/// Writes a version-2 float32 BLDY file by hand: three 2-d vectors, slot 2
+/// purged and queued for reuse, entry point 0, R = 2; `rows` is the
+/// adjacency of each slot.
+void WriteForgedBldy(const std::string& path,
+                     const std::vector<std::vector<uint32_t>>& rows) {
+  std::string bytes;
+  auto put = [&](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(uint32_t{0x59444C42u});  // "BLDY"
+  put(uint32_t{2});            // version 2: metric, alpha, build window
+  put(uint32_t{0});            // kind: float32
+  put(uint64_t{2});            // dim
+  put(uint64_t{3});            // slots in use
+  put(uint64_t{1});            // deleted slots
+  put(uint32_t{0});            // entry point
+  put(uint32_t{2});            // R
+  put(uint32_t{0});            // metric: L2
+  put(1.2f);                   // alpha
+  put(uint32_t{8});            // build window
+  for (float v : {0.0f, 0.0f, 1.0f, 0.0f, 0.0f, 1.0f}) put(v);
+  for (uint8_t flag : {0, 0, 2}) put(flag);  // live, live, purged
+  put(uint64_t{1});                          // free list: {2}
+  put(uint32_t{2});
+  for (const std::vector<uint32_t>& row : rows) {
+    put(static_cast<uint32_t>(row.size()));
+    for (uint32_t id : row) put(id);
+  }
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// The loader used to check only flags, the free list, degrees and id
+// ranges, so a graph the writer can never produce loaded and served. It
+// now runs the index's own invariant check after restoring.
+TEST_F(DynamicLvqSerializeTest, ForgedGraphBreakingInvariantsFailsToLoad) {
+  const std::string path = Path("forged_graph.bldy");
+  WriteForgedBldy(path, {{1}, {0}, {}});
+  auto control = LoadDynamicF32(path, SmallOpts());
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+  EXPECT_EQ(control.value()->live_size(), 2u);
+
+  const std::vector<std::vector<uint32_t>> forged[] = {
+      {{1, 2}, {0}, {}},  // a live row names the purged slot
+      {{1}, {0}, {0}},    // the purged slot keeps a row
+  };
+  for (const auto& rows : forged) {
+    WriteForgedBldy(path, rows);
+    auto r = LoadDynamicF32(path, SmallOpts());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+    EXPECT_NE(r.status().message().find("purged"), std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 // Concurrent readers against a live writer over the compressed index —

@@ -2,6 +2,7 @@
 #include "util/io.h"
 
 #include <cstdio>
+#include <limits>
 #include <gtest/gtest.h>
 #include <string>
 
@@ -184,6 +185,41 @@ TEST_F(IoTest, ImplausibleFvecsDimensionRejected) {
   auto r = ReadFvecs(p);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+}
+
+// NaN or Inf in a dataset file used to load silently and poison the
+// index built from it; both float readers reject it, naming the entry.
+TEST_F(IoTest, NonFiniteFvecsRejected) {
+  const std::string p = Track(Path("nonfinite.fvecs"));
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    MatrixF m(4, 3);
+    for (size_t i = 0; i < m.size(); ++i) m.data()[i] = 0.5f;
+    m.row(2)[1] = bad;
+    ASSERT_TRUE(WriteFvecs(p, m).ok());
+    auto r = ReadFvecs(p);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("row 2, column 1"), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST_F(IoTest, NonFiniteNativeF32Rejected) {
+  const std::string p = Track(Path("nonfinite.blnk"));
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    MatrixF m(3, 5);
+    for (size_t i = 0; i < m.size(); ++i) m.data()[i] = 1.0f;
+    m.row(0)[4] = bad;
+    ASSERT_TRUE(WriteNative(p, m).ok());
+    auto r = ReadNativeF32(p);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("row 0, column 4"), std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST(Status, ToStringAndCodes) {

@@ -8,8 +8,9 @@
 // produces identical ids AND distance bit patterns (and identical work
 // counters and adjacency rows) on fixed-seed inputs. Prefetching cannot
 // change what is scored or in which order, so every schedule must match.
-// Every input is deterministic; a failure here means the traversal
-// changed behavior, not flakiness.
+// The builder and dynamic-writer cases also pin the one neighbourhood
+// update (graph/builder.h) that both now share. Every input is
+// deterministic; a failure here means behavior changed, not flakiness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include "graph/search.h"
 #include "testutil.h"
 #include "util/prng.h"
+#include "util/thread_pool.h"
 
 namespace blink {
 namespace {
@@ -857,10 +859,12 @@ TEST(TraverseEquivalence, StaticFilteredMatchesFrozenLoop) {
 // Builder: the graph bytes of a small build.
 // ===========================================================================
 
+/// The production build (serial, or over `pool`) against the serial frozen
+/// copy: up to 8 threads the batches, and so the graph, are the same.
 template <typename Storage>
 void CheckBuild(const Storage& storage, const VamanaBuildParams& bp,
-                const std::string& name) {
-  const BuiltGraph got = BuildVamana(storage, bp);
+                const std::string& name, ThreadPool* pool = nullptr) {
+  const BuiltGraph got = BuildVamana(storage, bp, pool);
   const BuiltGraph want = OldBuildVamana(storage, bp);
   ASSERT_EQ(got.entry_point, want.entry_point) << name;
   ExpectSameRows(got.graph, want.graph, storage.size(), name);
@@ -870,15 +874,31 @@ TEST(TraverseEquivalence, BuildVamanaGraphIsUnchanged) {
   const Fixture f(MakeDeepLike(700, 1, 404));
   CheckBuild(FloatStorage(f.data.base, f.data.metric), f.bp, "f32 build");
   CheckBuild(LvqStorage(f.data.base, f.data.metric, 8), f.bp, "lvq8 build");
+  const LvqStorage lvq4x8(f.data.base, f.data.metric, 4, 8, 32);
+  CheckBuild(lvq4x8, f.bp, "lvq4x8 build");
+  // Inner product: the Fixture's alpha is 0.95, the similarity-form rule.
+  const Fixture ip(MakeT2iLike(700, 1, 407));
+  ASSERT_EQ(ip.data.metric, Metric::kInnerProduct);
+  CheckBuild(FloatStorage(ip.data.base, ip.data.metric), ip.bp, "ip f32 build");
+  CheckBuild(LvqStorage(ip.data.base, ip.data.metric, 8), ip.bp,
+             "ip lvq8 build");
+  ThreadPool pool(4);
+  CheckBuild(FloatStorage(f.data.base, f.data.metric), f.bp,
+             "f32 build, 4 threads", &pool);
+  CheckBuild(lvq4x8, f.bp, "lvq4x8 build, 4 threads", &pool);
 }
 
 // ===========================================================================
-// Dynamic LVQ-8: writer adjacency and reader results through a seeded
-// insert / delete / consolidate sequence.
+// Dynamic indexes (f32, LVQ-8, LVQ-4x8): writer adjacency and reader results
+// through a seeded insert / delete / consolidate / recycle sequence.
 // ===========================================================================
 
-void CheckDynamicSearch(const DynamicLvqIndex& idx, MatrixViewF queries,
-                        const std::string& name) {
+/// Readers against the frozen one-level loop. The frozen epilogue has no
+/// re-rank, so the comparison runs with `rerank` off (a no-op for storages
+/// without a second level).
+template <typename Storage>
+void CheckDynamicSearch(const DynamicGraphIndex<Storage>& idx,
+                        MatrixViewF queries, const std::string& name) {
   const Predicate pred = Predicate::Parse("num0<0.1").value();
   const FilterView view{idx.metadata(), &pred};
   struct Mode {
@@ -892,12 +912,13 @@ void CheckDynamicSearch(const DynamicLvqIndex& idx, MatrixViewF queries,
   const uint32_t widen_cap = 512;
   for (const Mode& mode : modes) {
     for (const auto& sched : Schedules()) {
-      DynamicLvqIndex::SearchScratch scratch;
-      OldReaderScratch<LvqStorage> old_scratch;
+      typename DynamicGraphIndex<Storage>::SearchScratch scratch;
+      OldReaderScratch<Storage> old_scratch;
       SearchParams sp;
       sp.window = 40;
       sp.prefetch_offset = sched.first;
       sp.prefetch_step = sched.second;
+      sp.rerank = false;
       sp.filter = mode.filter;
       sp.filter_push_down = mode.push_down;
       for (size_t qi = 0; qi < queries.rows; ++qi) {
@@ -916,34 +937,36 @@ void CheckDynamicSearch(const DynamicLvqIndex& idx, MatrixViewF queries,
   }
 }
 
-TEST(TraverseEquivalence, DynamicLvq8WriterAndReadersMatchFrozenLoops) {
-  Dataset data = MakeDeepLike(900, 30, 405);
+/// Drives the production index and the frozen writer through the same
+/// sequence; `make_storage()` returns an empty storage for each.
+template <typename Storage, typename MakeStorage>
+void CheckDynamicSequence(const Dataset& data, MakeStorage make_storage,
+                          const std::string& name) {
   const size_t dim = data.base.cols();
   DynamicOptions opts;
   opts.graph_max_degree = 16;
   opts.build_window = 40;
   opts.metric = data.metric;
   opts.initial_capacity = 64;  // several Grow()s along the way
-  const std::vector<float> mean =
-      ComputeMean(data.base, kDynamicMeanSampleRows);
-  DynamicLvqIndex idx(dim, opts,
-                      LvqStorage(LvqDataset(mean, {.bits = 8}), opts.metric));
-  OldDynamicWriter<LvqStorage> old(
-      dim, opts, LvqStorage(LvqDataset(mean, {.bits = 8}), opts.metric));
+  DynamicGraphIndex<Storage> idx(dim, opts, make_storage());
+  OldDynamicWriter<Storage> old(dim, opts, make_storage());
 
   size_t next_row = 0;
   auto insert = [&](size_t count) {
     for (size_t i = 0; i < count; ++i, ++next_row) {
       const uint32_t a = idx.Insert(data.base.row(next_row));
       const uint32_t b = old.Insert(data.base.row(next_row));
-      ASSERT_EQ(a, b) << "insert " << next_row;
+      ASSERT_EQ(a, b) << name << " insert " << next_row;
     }
   };
-  auto check_rows = [&](const std::string& what) {
+  auto check_rows = [&](const std::string& step) {
+    const std::string what = name + " " + step;
     ASSERT_EQ(idx.size(), old.size()) << what;
     ASSERT_EQ(idx.entry_point(), old.entry_point()) << what;
     ASSERT_EQ(idx.free_slots(), old.free_slots()) << what;
     ExpectSameRows(idx.graph(), old.graph(), idx.size(), what);
+    const Status invariants = idx.CheckInvariants();
+    ASSERT_TRUE(invariants.ok()) << what << ": " << invariants.ToString();
   };
 
   insert(500);
@@ -957,6 +980,7 @@ TEST(TraverseEquivalence, DynamicLvq8WriterAndReadersMatchFrozenLoops) {
       old.Delete(id);
     }
   }
+  ASSERT_NO_FATAL_FAILURE(check_rows("after deletes"));
   insert(150);
   ASSERT_NO_FATAL_FAILURE(check_rows("inserts over tombstones"));
   ASSERT_GT(idx.num_tombstones(), 0u);
@@ -964,16 +988,36 @@ TEST(TraverseEquivalence, DynamicLvq8WriterAndReadersMatchFrozenLoops) {
                                      MakeSyntheticMetadata(
                                          idx.size(), {ColumnType::kF64}, 19)))
                   .ok());
-  CheckDynamicSearch(idx, data.queries, "tombstoned");
+  CheckDynamicSearch(idx, data.queries, name + " tombstoned");
 
   idx.ConsolidateDeletes();
   old.ConsolidateDeletes();
   ASSERT_NO_FATAL_FAILURE(check_rows("after consolidate"));
-  CheckDynamicSearch(idx, data.queries, "consolidated");
+  CheckDynamicSearch(idx, data.queries, name + " consolidated");
 
   insert(data.base.rows() - next_row);  // recycles every purged slot
   ASSERT_NO_FATAL_FAILURE(check_rows("after recycling inserts"));
-  CheckDynamicSearch(idx, data.queries, "recycled");
+  CheckDynamicSearch(idx, data.queries, name + " recycled");
+}
+
+TEST(TraverseEquivalence, DynamicLvq8WriterAndReadersMatchFrozenLoops) {
+  const Dataset data = MakeDeepLike(900, 30, 405);
+  const std::vector<float> mean =
+      ComputeMean(data.base, kDynamicMeanSampleRows);
+  CheckDynamicSequence<LvqStorage>(
+      data,
+      [&] { return LvqStorage(LvqDataset(mean, {.bits = 8}), data.metric); },
+      "lvq8");
+  CheckDynamicSequence<LvqStorage>(
+      data,
+      [&] {
+        return LvqStorage(LvqDataset(mean, {.bits = 4, .bits2 = 8}),
+                          data.metric);
+      },
+      "lvq4x8");
+  CheckDynamicSequence<FloatStorage>(
+      data, [&] { return FloatStorage(data.base.cols(), data.metric); },
+      "f32");
 }
 
 }  // namespace
