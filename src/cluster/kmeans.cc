@@ -10,6 +10,11 @@
 
 namespace blink {
 
+// Every loop below resolves its L2 kernel once per call (GetL2F32, with the
+// static-dimension specialization when d has one) instead of paying the
+// per-call dispatch of simd::L2Sqr for each of its n * k distances. Both
+// run the same kernel body, so assignments and centroids are unchanged.
+
 namespace {
 
 /// k-means++ seeding: iteratively sample points proportional to their
@@ -18,6 +23,7 @@ MatrixF SeedPlusPlus(MatrixViewF data, size_t k, Rng& rng) {
   const size_t n = data.rows, d = data.cols;
   MatrixF centroids(k, d);
   std::vector<float> min_dist(n, std::numeric_limits<float>::max());
+  const simd::DistF32Fn l2 = simd::GetL2F32(d);
 
   size_t first = static_cast<size_t>(rng.Bounded(n));
   std::copy(data.row(first), data.row(first) + d, centroids.row(0));
@@ -26,7 +32,7 @@ MatrixF SeedPlusPlus(MatrixViewF data, size_t k, Rng& rng) {
     const float* prev = centroids.row(c - 1);
     double total = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      const float dist = simd::L2Sqr(data.row(i), prev, d);
+      const float dist = l2(data.row(i), prev, d);
       min_dist[i] = std::min(min_dist[i], dist);
       total += min_dist[i];
     }
@@ -49,10 +55,11 @@ MatrixF SeedPlusPlus(MatrixViewF data, size_t k, Rng& rng) {
 
 uint32_t NearestCentroid(const float* x, MatrixViewF centroids) {
   const size_t k = centroids.rows, d = centroids.cols;
+  const simd::DistF32Fn l2 = simd::GetL2F32(d);
   uint32_t best = 0;
   float best_dist = std::numeric_limits<float>::max();
   for (size_t c = 0; c < k; ++c) {
-    const float dist = simd::L2Sqr(x, centroids.row(c), d);
+    const float dist = l2(x, centroids.row(c), d);
     if (dist < best_dist) {
       best_dist = dist;
       best = static_cast<uint32_t>(c);
@@ -64,9 +71,10 @@ uint32_t NearestCentroid(const float* x, MatrixViewF centroids) {
 std::vector<uint32_t> NearestCentroids(const float* x, MatrixViewF centroids,
                                        size_t m) {
   const size_t k = centroids.rows, d = centroids.cols;
+  const simd::DistF32Fn l2 = simd::GetL2F32(d);
   std::vector<std::pair<float, uint32_t>> all(k);
   for (size_t c = 0; c < k; ++c) {
-    all[c] = {simd::L2Sqr(x, centroids.row(c), d), static_cast<uint32_t>(c)};
+    all[c] = {l2(x, centroids.row(c), d), static_cast<uint32_t>(c)};
   }
   m = std::min(m, k);
   std::partial_sort(all.begin(), all.begin() + m, all.end());
@@ -79,11 +87,12 @@ void AssignToCentroids(MatrixViewF data, MatrixViewF centroids,
                        uint32_t* assignment, float* distances,
                        ThreadPool* pool) {
   const size_t n = data.rows, d = data.cols, k = centroids.rows;
+  const simd::DistF32Fn l2 = simd::GetL2F32(d);
   auto one = [&](size_t i) {
     uint32_t best = 0;
     float best_dist = std::numeric_limits<float>::max();
     for (size_t c = 0; c < k; ++c) {
-      const float dist = simd::L2Sqr(data.row(i), centroids.row(c), d);
+      const float dist = l2(data.row(i), centroids.row(c), d);
       if (dist < best_dist) {
         best_dist = dist;
         best = static_cast<uint32_t>(c);

@@ -200,17 +200,20 @@ template <typename Buf>
 void DynamicGraphIndex<Storage>::ExtractResults(const Buf& buf, size_t k,
                                                 bool rerank,
                                                 uint32_t rerank_window,
-                                                size_t tomb, SearchResult* out,
+                                                SearchResult* out,
                                                 SearchScratch* scratch) const {
   out->ids.clear();
   out->dists.clear();
   const bool use_rerank = rerank && storage_.has_second_level();
-  // Partial re-rank depth, over-provisioned by the navigable tombstone
-  // count like the window (tombstoned candidates are filtered from
-  // results after re-ranking, so the depth must cover them too).
+  // Partial re-rank depth, widened by the pool's own dead entries: they
+  // are filtered from results after re-ranking, so the depth must cover
+  // them to re-score `rerank_window` live candidates.
+  size_t dead = 0;
+  if (use_rerank && rerank_window != 0) {
+    for (size_t i = 0; i < buf.size(); ++i) dead += buf[i].dead;
+  }
   const size_t m = use_rerank
-                       ? RerankDepth(buf.size(), k, rerank_window,
-                                     /*slack=*/tomb)
+                       ? RerankDepth(buf.size(), k, rerank_window, dead)
                        : buf.size();
   if (use_rerank && m > 0) {
     // Re-score every candidate in the depth through the shared Reranker
@@ -253,35 +256,35 @@ void DynamicGraphIndex<Storage>::Search(const float* query, size_t k,
   // implies its vector bytes are visible. The read lock keeps `ep`
   // unpurged for the whole search.
   const uint32_t ep = entry_point_.load(std::memory_order_acquire);
-  // Over-provision the window by the *navigable* tombstone count:
-  // tombstones occupy candidate-buffer slots but are filtered from
-  // results, so a window sized for the live case could surface fewer than
-  // k live results even when k are reachable. Purged slots are unreachable
-  // and do not count; ConsolidateDeletes therefore resets the slack.
-  const size_t tomb = num_tombstones_.load(std::memory_order_relaxed);
+  // Tombstones stay navigable but never fill the window: the traversal
+  // keeps them as dead buffer entries (SearchBuffer), so each run ends
+  // with `window` live candidates, and the ones it extracts are re-checked
+  // against IsDeleted (a relaxed load) for deletes that land mid-search.
+  const auto dead = [this](uint32_t id) { return IsDeleted(id); };
   SearchParams sp = params;
-  auto run_one = [&](uint32_t base_window, SearchResult* res) {
-    const size_t want = std::max<size_t>(base_window, k + tomb);
-    sp.window = static_cast<uint32_t>(
-        std::min<size_t>(want, std::numeric_limits<uint32_t>::max()));
+  auto run_one = [&](uint32_t window, SearchResult* res) {
+    sp.window = static_cast<uint32_t>(std::min<size_t>(
+        std::max<size_t>(window, k), std::numeric_limits<uint32_t>::max()));
     // Readers race the writer, so rows are read through the D6 acquire
-    // protocol (graph.h). Tombstones are dropped at extraction.
-    Traverse<AcquireRows>(graph_, storage_, scratch->query, ep, sp, scratch);
+    // protocol (graph.h).
+    Traverse<AcquireRows>(graph_, storage_, scratch->query, ep, sp, scratch,
+                          dead);
     res->distance_computations = scratch->distance_computations;
     res->hops = scratch->hops;
     if (params.filter == nullptr) {
       ExtractResults(scratch->buffer, k, params.rerank, params.rerank_window,
-                     tomb, res, scratch);
+                     res, scratch);
       return;
     }
     CollectSurvivors(*scratch, *params.filter, params.filter_push_down,
                      &scratch->survivors);
     ExtractResults(scratch->survivors, k, params.rerank, params.rerank_window,
-                   tomb, res, scratch);
+                   res, scratch);
   };
   // kNoEntry means nothing is live (or the only live vector is still
   // mid-publication): the answer is all padding.
-  if (ep != kNoEntry) {
+  // A non-finite query fails closed with no work (see graph/index.h).
+  if (ep != kNoEntry && !FirstNonFinite(MatrixViewF(query, 1, dim_))) {
     storage_.PrepareQuery(query, &scratch->query);
     if (params.filter == nullptr) {
       run_one(params.window, out);

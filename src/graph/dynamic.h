@@ -137,7 +137,10 @@ class DynamicGraphIndex {
   /// selects in-search predicate evaluation vs post-filtering, and both
   /// run under the adaptive widening loop up to `widen_cap` (floored at
   /// the window); the two-level re-rank re-scores only surviving
-  /// candidates. Tombstoned vectors are never returned.
+  /// candidates. Tombstoned vectors are never returned, and never count
+  /// toward the window: the traversal expands them but still ends with
+  /// `window` (floored at k) live candidates. A query holding a NaN or an
+  /// infinity gets an all-padded answer with no work done.
   void Search(const float* query, size_t k, const SearchParams& params,
               SearchResult* out, SearchScratch* scratch,
               uint32_t widen_cap = 0) const;
@@ -183,7 +186,8 @@ class DynamicGraphIndex {
     return num_deleted_.load(std::memory_order_acquire);
   }
   /// Tombstones still navigable by searches (deleted but not yet purged by
-  /// ConsolidateDeletes) — the window over-provision slack.
+  /// ConsolidateDeletes): the load a consolidation would repair. Searches
+  /// do not read it; they skip tombstones per candidate.
   size_t num_tombstones() const {
     return num_tombstones_.load(std::memory_order_acquire);
   }
@@ -262,7 +266,7 @@ class DynamicGraphIndex {
   /// a filtered survivor pool (both expose operator[](i).{id,dist}).
   template <typename Buf>
   void ExtractResults(const Buf& buf, size_t k, bool rerank,
-                      uint32_t rerank_window, size_t tomb, SearchResult* out,
+                      uint32_t rerank_window, SearchResult* out,
                       SearchScratch* scratch) const;
   void UpdateEntryPoint();
   void SetDeleted(uint32_t id, uint8_t flag) {
@@ -278,7 +282,7 @@ class DynamicGraphIndex {
   /// kPurged (ConsolidateDeletes unlinks it and queues it in free_slots_)
   /// -> kLive (Insert recycles it). The tombstone/purged split keeps a
   /// second consolidation from re-queueing an already-free slot, and lets
-  /// the search window slack count only *navigable* tombstones.
+  /// num_tombstones() count only *navigable* tombstones.
   static constexpr uint8_t kLive = 0;
   static constexpr uint8_t kTombstone = 1;
   static constexpr uint8_t kPurged = 2;

@@ -51,7 +51,9 @@ class VamanaIndex : public SearchIndex {
   /// scratch, candidate buffer) that survives across queries, plus the
   /// filter plan of the last filtered query. Filtered queries fail closed
   /// (all padded) without usable metadata; ValidateFor rejects that
-  /// configuration at the boundaries.
+  /// configuration at the boundaries. A query holding a NaN or an infinity
+  /// fails closed too, with no work done: every distance would be NaN,
+  /// which the buffer never rejects, so it would scan nearly every row.
   std::unique_ptr<Searcher> MakeSearcher() const override {
     class Pooled : public Searcher {
      public:
@@ -62,15 +64,14 @@ class VamanaIndex : public SearchIndex {
       void Search(const float* query, size_t k, const SearchOptions& params,
                   uint32_t* ids, float* dists, BatchStats* stats) override {
         const SearchParams sp = ToSearchParams(params, k);
-        if (params.filter != nullptr) {
-          if (!EnsurePlan(params, sp, k)) {
-            res_.ids.clear();
-            res_.dists.clear();
-            res_.distance_computations = 0;
-            res_.hops = 0;
-          } else {
-            index_->SearchFiltered(searcher_, query, k, sp, plan_, &res_);
-          }
+        if (FirstNonFinite(MatrixViewF(query, 1, index_->dim())) ||
+            (params.filter != nullptr && !EnsurePlan(params, sp, k))) {
+          res_.ids.clear();
+          res_.dists.clear();
+          res_.distance_computations = 0;
+          res_.hops = 0;
+        } else if (params.filter != nullptr) {
+          index_->SearchFiltered(searcher_, query, k, sp, plan_, &res_);
         } else {
           searcher_.Search(query, k, index_->built_.entry_point, sp, &res_);
         }

@@ -37,8 +37,8 @@ namespace blink {
 /// the secondary re-score. `rerank_window == 0` keeps the historical
 /// behavior (the whole buffer); otherwise the depth is clamped to at least
 /// k so re-ranking can never return fewer results than requested. `slack`
-/// widens the depth for candidates that will be filtered after re-scoring
-/// (the dynamic path's navigable tombstones).
+/// widens the depth for candidates that will be filtered after re-scoring:
+/// the dynamic path passes the dead (tombstoned) entries of its own pool.
 inline size_t RerankDepth(size_t buffer_size, size_t k, uint32_t rerank_window,
                           size_t slack = 0) {
   if (rerank_window == 0) return buffer_size;

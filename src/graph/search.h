@@ -122,13 +122,26 @@ struct TraversalState {
   size_t hops = 0;
 };
 
+/// Dead predicate of a traversal over a graph without tombstones: static
+/// search, the Vamana builder and the dynamic index's writer.
+struct NoDead {
+  constexpr bool operator()(uint32_t) const { return false; }
+};
+
 /// The one greedy traversal (paper Algorithm 1) behind every graph search:
 /// static queries, the Vamana builder, and the dynamic index's writer and
 /// readers. Fills `st->buffer` (and, for a push-down filter,
-/// `st->passing`) with up to `params.window` candidates in ascending
+/// `st->passing`) with up to `params.window` live candidates in ascending
 /// distance, and counts hops and distances. `params.window` is used as
 /// given, `params.rerank*` are ignored; `query` must be prepared for
 /// `storage` and `entry_point` must be a valid row of `graph`.
+///
+/// `dead(id)` names the ids that stay navigable but are never results (a
+/// dynamic index's tombstones). They enter `st->buffer` as dead entries,
+/// which are expanded but never count toward the window, so the buffer
+/// ends with `params.window` live entries however many tombstones lie
+/// near the query (SearchBuffer, DESIGN.md D16); `st->passing` never
+/// holds them. With the default NoDead the buffer is the plain one.
 ///
 /// Each hop runs in two passes. Pass 1 reads the row through `Rows` and
 /// keeps the ids not yet visited (marking them) in `st->pending`. Pass 2
@@ -140,10 +153,11 @@ struct TraversalState {
 /// distance, so they overlap instead of serializing (DESIGN.md D16).
 /// Prefetches never change what is scored or in which order, so ids and
 /// distances are the same under every schedule.
-template <typename Rows, typename Storage>
+template <typename Rows, typename Storage, typename Dead = NoDead>
 void Traverse(const FlatGraph& graph, const Storage& storage,
               const typename Storage::Query& query, uint32_t entry_point,
-              const SearchParams& params, TraversalState* st) {
+              const SearchParams& params, TraversalState* st,
+              Dead dead = {}) {
   SearchBuffer& buffer = st->buffer;
   buffer.Reset(params.window);
   // In-search push-down keeps a second sorted buffer holding only
@@ -165,8 +179,11 @@ void Traverse(const FlatGraph& graph, const Storage& storage,
   auto score = [&](uint32_t id) {
     const float d = storage.Distance(query, id);
     ++st->distance_computations;
-    buffer.Insert(d, id);
-    if (push_down && params.filter->Pass(id)) st->passing.Insert(d, id);
+    const bool is_dead = dead(id);
+    buffer.Insert(d, id, is_dead);
+    if (push_down && !is_dead && params.filter->Pass(id)) {
+      st->passing.Insert(d, id);
+    }
   };
   score(entry_point);
   if (use_visited) st->visited.CheckAndMark(entry_point);

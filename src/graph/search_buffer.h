@@ -21,32 +21,53 @@
 
 namespace blink {
 
-/// Sorted fixed-capacity candidate buffer ordered by ascending distance.
+/// Sorted candidate buffer ordered by ascending distance, holding up to
+/// `capacity` live entries.
+///
+/// Entries may also be *dead* (a dynamic index's navigable tombstones,
+/// DESIGN.md D9): a dead entry is kept, and expanded, while it is closer
+/// than the capacity-th live entry, but it never counts toward the
+/// capacity. Everything beyond the capacity-th live entry is dropped. So a
+/// traversal through tombstones still ends with `capacity` live entries,
+/// whatever the tombstones' number or placement. Without dead entries the
+/// buffer is the plain fixed-capacity buffer of Algorithm 1.
 class SearchBuffer {
  public:
   struct Entry {
     float dist;
     uint32_t id;
-    uint32_t explored;  // 0 / 1; u32 keeps Entry at 12 bytes, pow-2-friendly
+    uint8_t explored;  // 0 / 1
+    uint8_t dead;      // 0 / 1; Entry stays 12 bytes
   };
 
   explicit SearchBuffer(size_t capacity = 0) { Reset(capacity); }
 
   void Reset(size_t capacity) {
     capacity_ = capacity;
-    entries_.resize(capacity + 1);  // +1 slot simplifies full-buffer insert
+    // +1 slot simplifies full-buffer insert; dead entries grow it further.
+    if (entries_.size() < capacity + 1) entries_.resize(capacity + 1);
     size_ = 0;
+    num_dead_ = 0;
     first_unexplored_ = 0;
   }
 
+  /// Entries held, live and dead.
   size_t size() const { return size_; }
+  /// Dead entries held; size() - num_dead() <= capacity().
+  size_t num_dead() const { return num_dead_; }
   size_t capacity() const { return capacity_; }
   const Entry& operator[](size_t i) const { return entries_[i]; }
 
-  /// Inserts (dist, id) keeping the buffer sorted and capped at capacity.
-  /// Returns false if the candidate was rejected (too far) or a duplicate.
-  bool Insert(float dist, uint32_t id) {
-    if (size_ == capacity_ && dist >= entries_[size_ - 1].dist) return false;
+  /// Inserts a live (dist, id) keeping the buffer sorted and capped at
+  /// capacity. Returns false if the candidate was rejected (too far) or a
+  /// duplicate.
+  bool Insert(float dist, uint32_t id) { return Insert(dist, id, false); }
+
+  /// Inserts (dist, id), dead or live, under the live-capacity rule above.
+  bool Insert(float dist, uint32_t id, bool dead) {
+    // Full: `capacity` live entries, the last of them the last entry.
+    const bool full = size_ - num_dead_ == capacity_;
+    if (full && dist >= entries_[size_ - 1].dist) return false;
     // Binary search for the insertion position (first entry with
     // entry.dist > dist; ties keep insertion order stable).
     size_t lo = 0, hi = size_;
@@ -63,9 +84,22 @@ class SearchBuffer {
     for (size_t p = lo; p > 0 && entries_[p - 1].dist == dist; --p) {
       if (entries_[p - 1].id == id) return false;
     }
-    std::memmove(&entries_[lo + 1], &entries_[lo], (size_ - lo) * sizeof(Entry));
-    entries_[lo] = {dist, id, 0};
-    if (size_ < capacity_) ++size_;
+    if (size_ == entries_.size()) entries_.resize(2 * size_);
+    Entry* const e = entries_.data();
+    std::memmove(e + lo + 1, e + lo, (size_ - lo) * sizeof(Entry));
+    entries_[lo] = {dist, id, 0, static_cast<uint8_t>(dead)};
+    ++size_;
+    if (dead) {
+      ++num_dead_;
+    } else if (size_ - num_dead_ >= capacity_) {
+      // Drop what now lies beyond the capacity-th live entry: the former
+      // last entry (live) when the buffer was full, then any dead tail.
+      if (full) --size_;
+      while (entries_[size_ - 1].dead) {
+        --size_;
+        --num_dead_;
+      }
+    }
     if (lo < first_unexplored_) first_unexplored_ = lo;
     return true;
   }
@@ -86,7 +120,7 @@ class SearchBuffer {
 
   /// Worst (largest) distance currently held, +inf while not full.
   float WorstDist() const {
-    if (size_ < capacity_) return kInf;
+    if (size_ - num_dead_ < capacity_) return kInf;
     return entries_[size_ - 1].dist;
   }
 
@@ -96,6 +130,7 @@ class SearchBuffer {
   std::vector<Entry> entries_;
   size_t capacity_ = 0;
   size_t size_ = 0;
+  size_t num_dead_ = 0;
   size_t first_unexplored_ = 0;
 };
 

@@ -22,6 +22,12 @@ class ShardedIndex::ShardedSearcher : public Searcher {
 
   void Search(const float* query, size_t k, const SearchOptions& params,
               uint32_t* ids, float* dists, BatchStats* stats) override {
+    // A non-finite query fails closed before any centroid distance, as it
+    // does in every shard (graph/index.h).
+    if (FirstNonFinite(MatrixViewF(query, 1, index_->dim()))) {
+      WritePaddedRow(nullptr, nullptr, 0, k, ids, dists);
+      return;
+    }
     const auto& live = index_->live_shards_;
     const MatrixF& centroids = index_->partition_.centroids;
     const size_t d = centroids.cols();

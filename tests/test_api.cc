@@ -236,6 +236,67 @@ TEST(BuildApi, DynamicInsertRejectsNonFiniteVector) {
   }
 }
 
+// --- non-finite queries ----------------------------------------------------
+
+// A query holding a NaN or an infinity made every distance NaN, which the
+// candidate buffer never rejects: it expanded nearly every row and answered
+// NaN distances. Every graph searcher now answers it all padded, with no
+// hops and no distances, while a clean query next to it in the same batch
+// is answered as before.
+void ExpectNonFiniteQueryFailsClosed(IndexKind kind) {
+  const Fixture& f = SharedFixture();
+  auto built = Build(SpecFor(kind, f), f.data.base);
+  ASSERT_TRUE(built.ok()) << KindName(kind);
+  const Index& idx = built.value();
+  const size_t d = f.data.base.cols(), k = 10;
+  SearchOptions p;
+  p.window = 40;
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    MatrixF queries(2, d);
+    for (size_t r = 0; r < 2; ++r) {
+      std::copy_n(f.data.base.row(5), d, queries.row(r));
+    }
+    queries(0, 17) = bad;
+    std::vector<uint32_t> ids(2 * k);
+    std::vector<float> dists(2 * k);
+    BatchStats stats;
+    idx.MakeSearcher()->Search(queries.row(0), k, p, ids.data(), dists.data(),
+                               &stats);
+    for (size_t j = 0; j < k; ++j) {
+      EXPECT_EQ(ids[j], kInvalidId) << KindName(kind) << " " << bad;
+      EXPECT_EQ(dists[j], kInvalidDist) << KindName(kind) << " " << bad;
+    }
+    EXPECT_EQ(stats.hops, 0u) << KindName(kind) << " " << bad;
+    EXPECT_EQ(stats.distance_computations, 0u) << KindName(kind) << " " << bad;
+
+    idx.SearchBatchEx(queries, k, p, ids.data(), dists.data(), nullptr);
+    EXPECT_EQ(ids[0], kInvalidId) << KindName(kind) << " " << bad;
+    for (size_t j = k; j < 2 * k; ++j) {
+      EXPECT_NE(ids[j], kInvalidId) << KindName(kind) << " " << bad;
+      EXPECT_TRUE(std::isfinite(dists[j])) << KindName(kind) << " " << bad;
+    }
+  }
+}
+
+TEST(SearchApi, NonFiniteQueryFailsClosedOnStaticKinds) {
+  for (IndexKind kind : {IndexKind::kStaticF32, IndexKind::kStaticF16,
+                         IndexKind::kStaticLvq}) {
+    ExpectNonFiniteQueryFailsClosed(kind);
+  }
+}
+
+TEST(SearchApi, NonFiniteQueryFailsClosedOnDynamicKinds) {
+  for (IndexKind kind : {IndexKind::kDynamicF32, IndexKind::kDynamicLvq}) {
+    ExpectNonFiniteQueryFailsClosed(kind);
+  }
+}
+
+TEST(SearchApi, NonFiniteQueryFailsClosedOnSharded) {
+  ExpectNonFiniteQueryFailsClosed(IndexKind::kSharded);
+}
+
 // --- the acceptance recall floors through the facade -----------------------
 
 TEST(BuildApi, FacadeRecallFloors) {

@@ -2,8 +2,12 @@
 #include "graph/dynamic.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "data/groundtruth.h"
 #include "data/synthetic.h"
@@ -104,6 +108,42 @@ TEST(Dynamic, DeletedVectorsDisappearFromResults) {
     }
   }
   EXPECT_LT(idx.live_size(), 500u);
+}
+
+// Tombstones clustered around a query: its 50 nearest live rows are
+// deleted, and it is searched at a window of exactly k. Tombstones stay
+// navigable but never count toward the window, so the search still
+// returns k distinct live ids with no padding. A constant window slack
+// smaller than the cluster cannot promise that.
+TEST(Dynamic, ClusteredTombstonesStillFillAWindowOfK) {
+  Dataset data = MakeDeepLike(1500, 8, 712);
+  DynamicIndex idx(96, SmallOpts());
+  for (size_t i = 0; i < 1500; ++i) idx.Insert(data.base.row(i));
+  const size_t k = 10;
+  SearchResult res;
+  for (size_t qi = 0; qi < data.queries.rows(); ++qi) {
+    const float* q = data.queries.row(qi);
+    std::vector<std::pair<float, uint32_t>> exact;
+    for (uint32_t i = 0; i < idx.size(); ++i) {
+      if (!idx.IsDeleted(i)) {
+        exact.push_back({simd::L2Sqr(q, idx.vector(i), idx.dim()), i});
+      }
+    }
+    std::partial_sort(exact.begin(), exact.begin() + 50, exact.end());
+    for (size_t j = 0; j < 50; ++j) {
+      ASSERT_TRUE(idx.Delete(exact[j].second).ok());
+    }
+    idx.Search(q, k, /*window=*/k, &res);
+    ASSERT_EQ(res.ids.size(), k);
+    std::set<uint32_t> distinct;
+    for (uint32_t id : res.ids) {
+      ASSERT_NE(id, kInvalidId) << "query " << qi << " was padded";
+      EXPECT_FALSE(idx.IsDeleted(id)) << "query " << qi << " got " << id;
+      distinct.insert(id);
+    }
+    EXPECT_EQ(distinct.size(), k) << "query " << qi;
+  }
+  EXPECT_EQ(idx.num_tombstones(), 50 * data.queries.rows());
 }
 
 TEST(Dynamic, DoubleDeleteIsAnError) {

@@ -130,6 +130,9 @@ TEST(RerankerEquivalence, StaticOneLevelIsPrimaryOrderPassThrough) {
 // The pre-seam DynamicGraphIndex::Search epilogue: re-score the clamped
 // depth (tombstone slack included), full sort, skim past deleted ids, pad
 // to exactly k. Reads the public SearchScratch left behind by Search().
+// The slack it is given is the search buffer's own dead-entry count, which
+// replaced the index-wide tombstone count when tombstones stopped filling
+// the window.
 void OldDynamicEpilogue(const DynamicLvqIndex& idx,
                         const DynamicLvqIndex::SearchScratch& scratch,
                         size_t k, uint32_t rerank_window, size_t tomb,
@@ -186,18 +189,22 @@ TEST(RerankerEquivalence, DynamicLvq4x8MatchesOldEpilogueUnderTombstones) {
   const size_t k = 10;
   std::vector<uint32_t> want_ids;
   std::vector<float> want_dists;
+  size_t dead_seen = 0;
   for (uint32_t rw : {uint32_t{0}, uint32_t{14}}) {
     DynamicLvqIndex::SearchScratch scratch;
     for (size_t qi = 0; qi < data.queries.rows(); ++qi) {
       SearchResult out;
       idx.Search(data.queries.row(qi), k, /*window=*/48, &out, &scratch,
                  /*rerank=*/true, rw);
-      OldDynamicEpilogue(idx, scratch, k, rw, tomb, &want_ids, &want_dists);
+      const size_t dead = scratch.buffer.num_dead();
+      dead_seen += dead;
+      OldDynamicEpilogue(idx, scratch, k, rw, dead, &want_ids, &want_dists);
       ExpectBitIdentical(out, want_ids, want_dists,
                          "dynamic rw=" + std::to_string(rw) + " query " +
                              std::to_string(qi));
     }
   }
+  EXPECT_GT(dead_seen, 0u) << "no search met a tombstone";
 }
 
 }  // namespace

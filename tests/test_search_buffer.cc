@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "util/prng.h"
 
 namespace blink {
@@ -113,6 +119,160 @@ TEST(SearchBuffer, StressAgainstSortedReference) {
   for (size_t i = 0; i < cap; ++i) {
     EXPECT_FLOAT_EQ(buf[i].dist, ref[i].first) << i;
     EXPECT_EQ(buf[i].id, ref[i].second) << i;
+  }
+}
+
+// --- live-aware capacity (dead entries) ----------------------------------
+
+TEST(SearchBuffer, DeadEntriesDoNotCountTowardCapacity) {
+  SearchBuffer buf(2);
+  EXPECT_TRUE(buf.Insert(1.0f, 1, /*dead=*/true));
+  EXPECT_TRUE(buf.Insert(2.0f, 2, /*dead=*/true));
+  EXPECT_TRUE(buf.Insert(3.0f, 3));
+  EXPECT_GT(buf.WorstDist(), 1e37f);  // one live entry: not full
+  EXPECT_TRUE(buf.Insert(5.0f, 5, /*dead=*/true));
+  EXPECT_TRUE(buf.Insert(4.0f, 4));
+  // Full at two live entries; the dead entry at 5 lay beyond the second.
+  ASSERT_EQ(buf.size(), 4u);
+  EXPECT_EQ(buf.num_dead(), 2u);
+  EXPECT_FLOAT_EQ(buf.WorstDist(), 4.0f);
+  EXPECT_FALSE(buf.Insert(4.5f, 6, /*dead=*/true));  // beyond the window
+  // A closer live entry evicts the second live one and nothing else.
+  EXPECT_TRUE(buf.Insert(0.5f, 7));
+  ASSERT_EQ(buf.size(), 4u);
+  const uint32_t want[] = {7, 1, 2, 3};
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(buf[i].id, want[i]) << i;
+  // Dead entries are expanded like live ones.
+  EXPECT_EQ(buf.NextUnexplored(), 0);
+  buf.MarkExplored(0);
+  EXPECT_EQ(buf.NextUnexplored(), 1);
+  EXPECT_EQ(buf[1].dead, 1u);
+  buf.Reset(2);
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_EQ(buf.num_dead(), 0u);
+}
+
+/// Brute-force model of the live-aware buffer: every distinct candidate
+/// offered so far, stably sorted by distance, cut after the capacity-th
+/// live entry. Explored marks are kept by id.
+class ReferenceBuffer {
+ public:
+  explicit ReferenceBuffer(size_t capacity) : capacity_(capacity) {}
+
+  bool Insert(float dist, uint32_t id, bool dead) {
+    for (const SearchBuffer::Entry& e : offered_) {
+      if (e.id == id) return false;  // offered before: duplicate or cut
+    }
+    const auto pos = std::upper_bound(
+        offered_.begin(), offered_.end(), dist,
+        [](float d, const SearchBuffer::Entry& e) { return d < e.dist; });
+    const size_t at = static_cast<size_t>(pos - offered_.begin());
+    offered_.insert(pos, {dist, id, 0, static_cast<uint8_t>(dead)});
+    return at < Contents().size();
+  }
+
+  std::vector<SearchBuffer::Entry> Contents() const {
+    std::vector<SearchBuffer::Entry> out;
+    size_t live = 0;
+    for (const SearchBuffer::Entry& e : offered_) {
+      if (live == capacity_) break;
+      out.push_back(e);
+      out.back().explored = explored_.count(e.id) ? 1 : 0;
+      live += e.dead ? 0 : 1;
+    }
+    return out;
+  }
+
+  long NextUnexplored() const {
+    const std::vector<SearchBuffer::Entry> c = Contents();
+    for (size_t i = 0; i < c.size(); ++i) {
+      if (!c[i].explored) return static_cast<long>(i);
+    }
+    return -1;
+  }
+
+  void MarkExplored(size_t i) { explored_.insert(Contents()[i].id); }
+
+ private:
+  size_t capacity_;
+  std::vector<SearchBuffer::Entry> offered_;
+  std::set<uint32_t> explored_;
+};
+
+void ExpectSameEntries(const SearchBuffer& got,
+                       const std::vector<SearchBuffer::Entry>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  size_t dead = 0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].id, want[i].id) << what << " id at " << i;
+    ASSERT_EQ(got[i].dist, want[i].dist) << what << " dist at " << i;
+    ASSERT_EQ(got[i].dead, want[i].dead) << what << " dead at " << i;
+    ASSERT_EQ(got[i].explored, want[i].explored) << what << " explored " << i;
+    dead += want[i].dead;
+  }
+  ASSERT_EQ(got.num_dead(), dead) << what;
+}
+
+/// Seeded random inserts (coarse distances, so ties occur; repeated ids,
+/// as a search without a visited set offers them) interleaved with
+/// expansions, against the model. With `dead_permille` = 0 the buffer is
+/// also checked against a plain buffer fed through Insert(dist, id).
+void CheckAgainstReference(size_t capacity, uint32_t dead_permille,
+                           uint64_t seed) {
+  SearchBuffer buf(capacity);
+  SearchBuffer plain(capacity);
+  ReferenceBuffer ref(capacity);
+  Rng rng(seed);
+  std::vector<std::pair<float, bool>> seen;  // by id: (dist, dead)
+  for (size_t op = 0; op < 3000; ++op) {
+    const std::string what = "capacity " + std::to_string(capacity) +
+                             " dead " + std::to_string(dead_permille) +
+                             "/1000 seed " + std::to_string(seed) + " op " +
+                             std::to_string(op);
+    if (rng.Bounded(4) == 0) {
+      const long want = ref.NextUnexplored();
+      ASSERT_EQ(buf.NextUnexplored(), want) << what;
+      if (dead_permille == 0) {
+        ASSERT_EQ(plain.NextUnexplored(), want) << what;
+      }
+      if (want >= 0) {
+        buf.MarkExplored(static_cast<size_t>(want));
+        if (dead_permille == 0) plain.MarkExplored(static_cast<size_t>(want));
+        ref.MarkExplored(static_cast<size_t>(want));
+      }
+    } else {
+      // Re-offer a known id one time in eight, with its own distance.
+      uint32_t id;
+      if (!seen.empty() && rng.Bounded(8) == 0) {
+        id = static_cast<uint32_t>(rng.Bounded(seen.size()));
+      } else {
+        id = static_cast<uint32_t>(seen.size());
+        seen.push_back({static_cast<float>(rng.Bounded(200)) / 8.0f,
+                        rng.Bounded(1000) < dead_permille});
+      }
+      const auto [dist, dead] = seen[id];
+      const bool want = ref.Insert(dist, id, dead);
+      ASSERT_EQ(buf.Insert(dist, id, dead), want) << what;
+      if (dead_permille == 0) {
+        ASSERT_EQ(plain.Insert(dist, id), want) << what;
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectSameEntries(buf, ref.Contents(), what));
+    if (dead_permille == 0) {
+      ASSERT_NO_FATAL_FAILURE(ExpectSameEntries(plain, ref.Contents(), what));
+    }
+  }
+}
+
+TEST(SearchBuffer, LiveAwareMatchesBruteForceReference) {
+  for (size_t capacity : {1, 4, 16}) {
+    for (uint32_t dead_permille : {0u, 300u, 800u}) {
+      for (uint64_t seed : {11u, 12u}) {
+        ASSERT_NO_FATAL_FAILURE(
+            CheckAgainstReference(capacity, dead_permille, seed));
+      }
+    }
   }
 }
 
