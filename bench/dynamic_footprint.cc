@@ -83,13 +83,16 @@ double ChurnRecall(const Index& idx, const Dataset& data,
 
 template <typename Index>
 double ChurnQps(const Index& idx, const Dataset& data) {
-  typename Index::SearchScratch scratch;
-  SearchResult res;
+  GraphSearcher searcher(idx.read_view());
+  SearchOptions options;
+  options.window = kWindow;
+  std::vector<uint32_t> ids(kK);
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     Timer t;
     for (size_t qi = 0; qi < data.queries.rows(); ++qi) {
-      idx.Search(data.queries.row(qi), kK, kWindow, &res, &scratch);
+      searcher.Search(data.queries.row(qi), kK, options, ids.data(), nullptr,
+                      nullptr);
     }
     best = std::max(best,
                     static_cast<double>(data.queries.rows()) / t.Seconds());

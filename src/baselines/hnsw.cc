@@ -204,12 +204,14 @@ double HnswIndex::AverageDegree(int level) const {
 /// and candidate buffer survive across queries.
 class HnswIndex::HnswSearcher : public Searcher {
  public:
-  explicit HnswSearcher(const HnswIndex* index) : index_(index) {
+  explicit HnswSearcher(const HnswIndex* index)
+      : Searcher(index->d_), index_(index) {
     visits_.stamps.assign(index_->n_, 0);
   }
 
-  void Search(const float* q, size_t k, const SearchOptions& params,
-              uint32_t* ids, float* dists, BatchStats* stats) override {
+ private:
+  void SearchFinite(const float* q, size_t k, const SearchOptions& params,
+                    uint32_t* ids, float* dists, BatchStats* stats) override {
     const size_t ef = std::max<size_t>(params.window, k);
     uint64_t computed = 0;
     const uint32_t ep = index_->Descend(q, index_->entry_point_, 0, &computed);
@@ -225,7 +227,6 @@ class HnswIndex::HnswSearcher : public Searcher {
     if (stats != nullptr) stats->distance_computations += computed;
   }
 
- private:
   const HnswIndex* index_;
   VisitStamps visits_;
   std::vector<Candidate> results_;

@@ -163,12 +163,14 @@ size_t PartitionedPqIndex::memory_bytes() const {
 class PartitionedPqIndex::ListSearcher : public Searcher {
  public:
   explicit ListSearcher(const PartitionedPqIndex* index)
-      : x_(*index),
+      : Searcher(index->d_),
+        x_(*index),
         lut_(x_.codec_.num_segments() * x_.codec_.ksub()),
         qres_(x_.d_) {}
 
-  void Search(const float* q, size_t k, const SearchOptions& params,
-              uint32_t* ids, float* dists, BatchStats* stats) override {
+ private:
+  void SearchFinite(const float* q, size_t k, const SearchOptions& params,
+                    uint32_t* ids, float* dists, BatchStats* stats) override {
     const size_t d = x_.d_;
     const size_t probes = std::min<size_t>(
         std::max<uint32_t>(params.nprobe, 1), x_.num_lists());
@@ -235,7 +237,6 @@ class PartitionedPqIndex::ListSearcher : public Searcher {
     if (stats != nullptr) stats->distance_computations += computed;
   }
 
- private:
   const PartitionedPqIndex& x_;  ///< the index searched
   std::vector<float> lut_;
   std::vector<float> qres_;

@@ -224,8 +224,31 @@ class Searcher {
   /// one query, padded per the contract above. The distances are the ones
   /// the index ranked by (see DESIGN.md D7). When `stats` is non-null the
   /// query's work counters are accumulated (+=) into it.
-  virtual void Search(const float* query, size_t k, const SearchOptions& params,
-                      uint32_t* ids, float* dists, BatchStats* stats) = 0;
+  ///
+  /// A query holding a NaN or an infinity fails closed here, for every
+  /// index: an all-padded row and no work. Every distance to it would be
+  /// NaN, which no candidate buffer or heap rejects, so a graph search
+  /// would expand nearly every row and answer NaN distances.
+  void Search(const float* query, size_t k, const SearchOptions& params,
+              uint32_t* ids, float* dists, BatchStats* stats) {
+    if (FirstNonFinite(MatrixViewF(query, 1, dim_))) {
+      WritePaddedRow(nullptr, nullptr, 0, k, ids, dists);
+      return;
+    }
+    SearchFinite(query, k, params, ids, dists, stats);
+  }
+
+ protected:
+  /// `dim` is the index's dimensionality, the length of every query.
+  explicit Searcher(size_t dim) : dim_(dim) {}
+
+ private:
+  /// The index's search of one finite query, under Search's contract.
+  virtual void SearchFinite(const float* query, size_t k,
+                            const SearchOptions& params, uint32_t* ids,
+                            float* dists, BatchStats* stats) = 0;
+
+  size_t dim_;
 };
 
 /// Runs `searcher` over query rows [lo, hi) into the row-major outputs:

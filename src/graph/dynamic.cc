@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <string>
-
-#include "graph/reranker.h"
 
 namespace blink {
 
@@ -196,127 +193,18 @@ void DynamicGraphIndex<Storage>::ConsolidateDeletes() {
 }
 
 template <typename Storage>
-template <typename Buf>
-void DynamicGraphIndex<Storage>::ExtractResults(const Buf& buf, size_t k,
-                                                bool rerank,
-                                                uint32_t rerank_window,
-                                                SearchResult* out,
-                                                SearchScratch* scratch) const {
-  out->ids.clear();
-  out->dists.clear();
-  const bool use_rerank = rerank && storage_.has_second_level();
-  // Partial re-rank depth, widened by the pool's own dead entries: they
-  // are filtered from results after re-ranking, so the depth must cover
-  // them to re-score `rerank_window` live candidates.
-  size_t dead = 0;
-  if (use_rerank && rerank_window != 0) {
-    for (size_t i = 0; i < buf.size(); ++i) dead += buf[i].dead;
-  }
-  const size_t m = use_rerank
-                       ? RerankDepth(buf.size(), k, rerank_window, dead)
-                       : buf.size();
-  if (use_rerank && m > 0) {
-    // Re-score every candidate in the depth through the shared Reranker
-    // seam (graph/reranker.h). The full depth is sorted (not just k) so
-    // the tombstone filter below can skim past any prefix of dead ids.
-    // On the filtered paths `buf` holds only predicate-surviving
-    // candidates, so failing vectors never cost a FullDistance gather.
-    scratch->decode.resize(dim_);
-    RescoreCandidates(storage_, scratch->query, buf, m,
-                      /*sorted_prefix=*/m, scratch->decode.data(),
-                      &scratch->rerank);
-    out->distance_computations += m;
-    scratch->distance_computations += m;
-    EmitRescored(
-        scratch->rerank, k, [this](uint32_t id) { return IsDeleted(id); },
-        &out->ids, &out->dists);
-  } else {
-    for (size_t i = 0; i < m; ++i) {
-      const uint32_t id = buf[i].id;
-      if (IsDeleted(id)) continue;
-      out->ids.push_back(id);
-      out->dists.push_back(buf[i].dist);
-      if (out->ids.size() == k) break;
-    }
-  }
-}
-
-template <typename Storage>
-void DynamicGraphIndex<Storage>::Search(const float* query, size_t k,
-                                        const SearchParams& params,
-                                        SearchResult* out,
-                                        SearchScratch* scratch,
-                                        uint32_t widen_cap) const {
-  out->ids.clear();
-  out->dists.clear();
-  out->distance_computations = 0;
-  out->hops = 0;
-  EpochGuard::ReadLock reader(&epoch_);
-  // Acquire pairs with the entry-point release store: observing an id here
-  // implies its vector bytes are visible. The read lock keeps `ep`
-  // unpurged for the whole search.
-  const uint32_t ep = entry_point_.load(std::memory_order_acquire);
-  // Tombstones stay navigable but never fill the window: the traversal
-  // keeps them as dead buffer entries (SearchBuffer), so each run ends
-  // with `window` live candidates, and the ones it extracts are re-checked
-  // against IsDeleted (a relaxed load) for deletes that land mid-search.
-  const auto dead = [this](uint32_t id) { return IsDeleted(id); };
-  SearchParams sp = params;
-  auto run_one = [&](uint32_t window, SearchResult* res) {
-    sp.window = static_cast<uint32_t>(std::min<size_t>(
-        std::max<size_t>(window, k), std::numeric_limits<uint32_t>::max()));
-    // Readers race the writer, so rows are read through the D6 acquire
-    // protocol (graph.h).
-    Traverse<AcquireRows>(graph_, storage_, scratch->query, ep, sp, scratch,
-                          dead);
-    res->distance_computations = scratch->distance_computations;
-    res->hops = scratch->hops;
-    if (params.filter == nullptr) {
-      ExtractResults(scratch->buffer, k, params.rerank, params.rerank_window,
-                     res, scratch);
-      return;
-    }
-    CollectSurvivors(*scratch, *params.filter, params.filter_push_down,
-                     &scratch->survivors);
-    ExtractResults(scratch->survivors, k, params.rerank, params.rerank_window,
-                   res, scratch);
-  };
-  // kNoEntry means nothing is live (or the only live vector is still
-  // mid-publication): the answer is all padding.
-  // A non-finite query fails closed with no work (see graph/index.h).
-  if (ep != kNoEntry && !FirstNonFinite(MatrixViewF(query, 1, dim_))) {
-    storage_.PrepareQuery(query, &scratch->query);
-    if (params.filter == nullptr) {
-      run_one(params.window, out);
-    } else {
-      RunWidened(k, params.window, std::max(widen_cap, params.window), run_one,
-                 out);
-    }
-  }
-  // Contract (eval/interface.h): exactly k entries on every path, invalid
-  // slots padded with kInvalidId / +inf — including the empty-index case.
-  out->ids.resize(k, kInvalidId);
-  out->dists.resize(k, kInvalidDist);
-}
-
-template <typename Storage>
-void DynamicGraphIndex<Storage>::Search(const float* query, size_t k,
-                                        uint32_t window, SearchResult* out,
-                                        SearchScratch* scratch, bool rerank,
-                                        uint32_t rerank_window) const {
-  SearchParams params;
-  params.window = window;
-  params.rerank = rerank;
-  params.rerank_window = rerank_window;
-  Search(query, k, params, out, scratch);
-}
-
-template <typename Storage>
 void DynamicGraphIndex<Storage>::Search(const float* query, size_t k,
                                         uint32_t window,
                                         SearchResult* out) const {
-  SearchScratch scratch;
-  Search(query, k, window, out, &scratch);
+  SearchOptions options;
+  options.window = window;
+  out->ids.resize(k);
+  out->dists.resize(k);
+  BatchStats stats;
+  GraphSearcher<ReadView>(read_view())
+      .Search(query, k, options, out->ids.data(), out->dists.data(), &stats);
+  out->distance_computations = stats.distance_computations;
+  out->hops = stats.hops;
 }
 
 template <typename Storage>

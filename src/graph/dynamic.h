@@ -44,8 +44,11 @@
 // A torn read of a row mid-publication yields a stale-but-valid neighbor
 // list; greedy search tolerates that (worst case: a wasted hop).
 //
-// Results follow the eval/interface.h padding contract: Search always
-// produces exactly k (id, dist) pairs, padded with kInvalidId/+inf when
+// Search: the index has no searcher of its own. GraphSearcher
+// (graph/search.h), the static index's searcher, reads it through
+// ReadView below; the only differences are the row policy, the dead ids
+// and the read guard. Results follow the eval/interface.h padding
+// contract: exactly k (id, dist) pairs, padded with kInvalidId/+inf when
 // fewer live vectors are reachable.
 #pragma once
 
@@ -88,21 +91,9 @@ class DynamicGraphIndex {
   /// entry_point_ sentinel while no live vector exists. Readers never
   /// dereference it, so an empty (or emptied) index can never lead a
   /// search into a freed slot.
-  static constexpr uint32_t kNoEntry = UINT32_MAX;
+  static constexpr uint32_t kNoEntry = kNoEntryPoint;
 
   using Options = DynamicOptions;
-
-  /// Reusable per-thread search state: the traversal state (candidate
-  /// buffers, visited epochs, work counters of the last search) plus the
-  /// prepared query and re-rank scratch. Create one per serving thread and
-  /// pass it to Search() to amortize per-query allocation; see
-  /// serve/engine.h.
-  struct SearchScratch : TraversalState {
-    typename Storage::Query query;           // prepared per-query state
-    std::vector<float> decode;               // dim floats (two-level re-rank)
-    std::vector<std::pair<float, uint32_t>> rerank;
-    std::vector<SearchBuffer::Entry> survivors;  // filtered extraction pool
-  };
 
   /// An empty storage for this (dim, metric) (float32).
   DynamicGraphIndex(size_t dim, const Options& opts)
@@ -125,30 +116,51 @@ class DynamicGraphIndex {
   /// Thread-safe; briefly blocks readers while purging.
   void ConsolidateDeletes();
 
-  /// k nearest *live* vectors, padded to exactly k entries per the
-  /// eval/interface.h contract (kInvalidId / +inf). Safe to call from any
-  /// number of threads concurrently with writers. `params` carries the
-  /// window, the prefetch schedule, the visited-set switch and the re-rank
-  /// knobs: when the storage has a second level and `params.rerank` is
-  /// set, the top `rerank_window` candidates (all of them when 0) are
-  /// re-scored at full two-level precision before the top-k selection
-  /// (Sec. 3.2). With `params.filter` set (bound to this index's metadata
-  /// store) results are restricted to matching vectors: `filter_push_down`
-  /// selects in-search predicate evaluation vs post-filtering, and both
-  /// run under the adaptive widening loop up to `widen_cap` (floored at
-  /// the window); the two-level re-rank re-scores only surviving
-  /// candidates. Tombstoned vectors are never returned, and never count
-  /// toward the window: the traversal expands them but still ends with
-  /// `window` (floored at k) live candidates. A query holding a NaN or an
-  /// infinity gets an all-padded answer with no work done.
-  void Search(const float* query, size_t k, const SearchParams& params,
-              SearchResult* out, SearchScratch* scratch,
-              uint32_t widen_cap = 0) const;
-  /// Unfiltered shorthand with the default prefetch schedule. The plain
-  /// overload allocates fresh scratch per call.
-  void Search(const float* query, size_t k, uint32_t window,
-              SearchResult* out, SearchScratch* scratch,
-              bool rerank = true, uint32_t rerank_window = 0) const;
+  /// The read view GraphSearcher (graph/search.h) reads this index
+  /// through, so one searcher serves the static and the dynamic index.
+  /// Rows are read by acquire loads (FlatGraph's D6 protocol) and the
+  /// epoch read lock is held for the whole query, so searches run
+  /// concurrently with writers. Tombstones are the dead ids: navigable,
+  /// never results, never counted toward the window (SearchBuffer). With
+  /// no live vector the entry point is kNoEntry and a query is all
+  /// padding, with no work.
+  class ReadView {
+   public:
+    using StorageT = Storage;
+    using Rows = AcquireRows;
+    using Guard = EpochGuard::ReadLock;
+    static constexpr bool kMayBeEmpty = true;
+    /// Re-checked at extraction too, for deletes that land mid-search.
+    struct Dead {
+      const DynamicGraphIndex* index;
+      bool operator()(uint32_t id) const { return index->IsDeleted(id); }
+    };
+
+    explicit ReadView(const DynamicGraphIndex* index) : index_(index) {}
+    size_t dim() const { return index_->dim_; }
+    Guard Lock() const { return Guard(&index_->epoch_); }
+    // The rest are read under Lock().
+    const FlatGraph& graph() const { return index_->graph_; }
+    const Storage& storage() const { return index_->storage_; }
+    const MetadataStore* metadata() const { return index_->metadata_.get(); }
+    /// Acquire pairs with the writer's release store: observing an id
+    /// implies its vector bytes are visible, and the read lock keeps it
+    /// unpurged for the whole query.
+    uint32_t entry_point() const { return index_->entry_point(); }
+    size_t rows() const { return index_->size(); }
+    size_t live_rows() const { return index_->live_size(); }
+    Dead dead() const { return {index_}; }
+
+   private:
+    const DynamicGraphIndex* index_;
+  };
+  ReadView read_view() const { return ReadView(this); }
+
+  /// Convenience for tests and benchmarks: the k nearest *live* vectors
+  /// at `window` and default knobs, through a fresh GraphSearcher (so the
+  /// Searcher contract holds: exactly k entries, padded with kInvalidId /
+  /// +inf, and a non-finite query fails closed). Safe concurrently with
+  /// writers. Serving paths keep a GraphSearcher per thread instead.
   void Search(const float* query, size_t k, uint32_t window,
               SearchResult* out) const;
 
@@ -261,13 +273,6 @@ class DynamicGraphIndex {
   DynamicGraphIndex() = default;  // Restore()
 
   void Grow(size_t min_capacity);
-  /// Shared result epilogue: tombstone-skipping top-k selection with the
-  /// optional two-level re-score, over either the raw candidate buffer or
-  /// a filtered survivor pool (both expose operator[](i).{id,dist}).
-  template <typename Buf>
-  void ExtractResults(const Buf& buf, size_t k, bool rerank,
-                      uint32_t rerank_window, SearchResult* out,
-                      SearchScratch* scratch) const;
   void UpdateEntryPoint();
   void SetDeleted(uint32_t id, uint8_t flag) {
     std::atomic_ref<uint8_t>(deleted_[id])

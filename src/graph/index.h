@@ -47,77 +47,37 @@ class VamanaIndex : public SearchIndex {
            (metadata_ != nullptr ? metadata_->memory_bytes() : 0);
   }
 
-  /// The index's one search path: a GreedySearcher (visited epochs, query
-  /// scratch, candidate buffer) that survives across queries, plus the
-  /// filter plan of the last filtered query. Filtered queries fail closed
-  /// (all padded) without usable metadata; ValidateFor rejects that
-  /// configuration at the boundaries. A query holding a NaN or an infinity
-  /// fails closed too, with no work done: every distance would be NaN,
-  /// which the buffer never rejects, so it would scan nearly every row.
+  /// The index's one search path: a GraphSearcher (graph/search.h) over
+  /// this index's read view, whose visited epochs, query scratch and
+  /// filter plan survive across queries.
   std::unique_ptr<Searcher> MakeSearcher() const override {
-    class Pooled : public Searcher {
-     public:
-      explicit Pooled(const VamanaIndex* index)
-          : index_(index),
-            searcher_(&index->built_.graph, &index->storage_) {}
-
-      void Search(const float* query, size_t k, const SearchOptions& params,
-                  uint32_t* ids, float* dists, BatchStats* stats) override {
-        const SearchParams sp = ToSearchParams(params, k);
-        if (FirstNonFinite(MatrixViewF(query, 1, index_->dim())) ||
-            (params.filter != nullptr && !EnsurePlan(params, sp, k))) {
-          res_.ids.clear();
-          res_.dists.clear();
-          res_.distance_computations = 0;
-          res_.hops = 0;
-        } else if (params.filter != nullptr) {
-          index_->SearchFiltered(searcher_, query, k, sp, plan_, &res_);
-        } else {
-          searcher_.Search(query, k, index_->built_.entry_point, sp, &res_);
-        }
-        WritePaddedRow(res_.ids.data(), res_.dists.data(), res_.ids.size(), k,
-                       ids, dists);
-        if (stats != nullptr) {
-          stats->distance_computations += res_.distance_computations;
-          stats->hops += res_.hops;
-        }
-      }
-
-     private:
-      /// The filter plan (strategy crossover + widen cap) is cached across
-      /// calls keyed on the exact filter configuration, so the pooled
-      /// serving path does not re-estimate selectivity per query. The
-      /// shared_ptr copy keeps the cache key's address from being recycled.
-      bool EnsurePlan(const SearchOptions& p, const SearchParams& sp,
-                      size_t k) {
-        if (plan_.active && plan_filter_ == p.filter &&
-            plan_strategy_ == p.filter_strategy &&
-            plan_cap_request_ == p.filter_widen_cap &&
-            plan_window_ == sp.window && plan_k_ == k) {
-          return true;
-        }
-        plan_ = FilterPlan();
-        if (!index_->MakeFilterPlan(p, sp, k, &plan_)) return false;
-        plan_filter_ = p.filter;
-        plan_strategy_ = p.filter_strategy;
-        plan_cap_request_ = p.filter_widen_cap;
-        plan_window_ = sp.window;
-        plan_k_ = k;
-        return true;
-      }
-
-      const VamanaIndex* index_;
-      GreedySearcher<Storage> searcher_;
-      SearchResult res_;
-      FilterPlan plan_;
-      std::shared_ptr<const Predicate> plan_filter_;
-      FilterStrategy plan_strategy_ = FilterStrategy::kAuto;
-      uint32_t plan_cap_request_ = 0;
-      uint32_t plan_window_ = 0;
-      size_t plan_k_ = 0;
-    };
-    return std::make_unique<Pooled>(this);
+    return std::make_unique<GraphSearcher<ReadView>>(read_view());
   }
+
+  /// The read view GraphSearcher reads this index through: immutable, so
+  /// plain rows, no dead ids and no read guard.
+  class ReadView {
+   public:
+    using StorageT = Storage;
+    using Rows = PlainRows;
+    using Dead = NoDead;
+    static constexpr bool kMayBeEmpty = false;
+
+    explicit ReadView(const VamanaIndex* index) : index_(index) {}
+    size_t dim() const { return index_->storage_.dim(); }
+    NoReadGuard Lock() const { return {}; }
+    const FlatGraph& graph() const { return index_->built_.graph; }
+    const Storage& storage() const { return index_->storage_; }
+    const MetadataStore* metadata() const { return index_->metadata_.get(); }
+    uint32_t entry_point() const { return index_->built_.entry_point; }
+    size_t rows() const { return index_->storage_.size(); }
+    size_t live_rows() const { return rows(); }
+    NoDead dead() const { return {}; }
+
+   private:
+    const VamanaIndex* index_;
+  };
+  ReadView read_view() const { return ReadView(this); }
 
   const Storage& storage() const { return storage_; }
   const FlatGraph& graph() const { return built_.graph; }
@@ -144,56 +104,6 @@ class VamanaIndex : public SearchIndex {
   }
 
  private:
-  /// Resolved execution plan of one filtered query stream.
-  struct FilterPlan {
-    bool active = false;
-    FilterView view;
-    bool push_down = false;
-    uint32_t window0 = 0;
-    uint32_t widen_cap = 0;
-  };
-
-  /// Binds the options' predicate to the attached store and resolves the
-  /// strategy crossover, starting window, and widening cap. False (fail
-  /// closed) when no metadata is attached or the predicate references
-  /// missing columns.
-  bool MakeFilterPlan(const SearchOptions& p, const SearchParams& sp, size_t k,
-                      FilterPlan* plan) const {
-    if (metadata_ == nullptr) return false;
-    if (!p.filter->ValidateFor(metadata_->num_columns()).ok()) return false;
-    plan->active = true;
-    plan->view = FilterView{metadata_.get(), p.filter.get()};
-    plan->push_down = ResolveFilterStrategy(*metadata_, *p.filter,
-                                            p.filter_strategy) ==
-                      FilterStrategy::kInSearch;
-    plan->widen_cap =
-        ResolveWidenCap(p.filter_widen_cap, storage_.size(), sp.window);
-    plan->window0 =
-        plan->push_down
-            ? ResolveInSearchWindow(EstimateSelectivity(*metadata_, *p.filter),
-                                    k, sp.window, plan->widen_cap)
-            : sp.window;
-    return true;
-  }
-
-  /// One filtered query: both strategies run under the shared adaptive
-  /// widening loop (RunWidened) until k survivors or the cap. In-search
-  /// starts from the selectivity-boosted window the plan resolved.
-  void SearchFiltered(GreedySearcher<Storage>& searcher, const float* query,
-                      size_t k, const SearchParams& base,
-                      const FilterPlan& plan, SearchResult* out) const {
-    SearchParams sp = base;
-    sp.filter = &plan.view;
-    sp.filter_push_down = plan.push_down;
-    RunWidened(
-        k, plan.window0, plan.widen_cap,
-        [&](uint32_t w, SearchResult* res) {
-          sp.window = w;
-          searcher.Search(query, k, built_.entry_point, sp, res);
-        },
-        out);
-  }
-
   Storage storage_;
   VamanaBuildParams build_params_;
   BuiltGraph built_;

@@ -4,13 +4,18 @@
 // outgrows the cache, search is bound by memory latency, so the schedule
 // matters more than the kernels: Traverse gathers each hop's unvisited
 // neighbours first and, by default, puts all of their vector fetches in
-// flight before scoring the first one (DESIGN.md D16). GreedySearcher adds
-// the final two-level re-ranking gather when the storage has compressed
-// residuals (Sec. 3.2).
+// flight before scoring the first one (DESIGN.md D16). GraphSearcher, the
+// one searcher of the static and the dynamic index, adds the filter plan
+// and the final two-level re-ranking gather when the storage has
+// compressed residuals (Sec. 3.2).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "eval/interface.h"
@@ -54,20 +59,6 @@ struct SearchParams {
   /// dropped at extraction, callers widen the window adaptively).
   bool filter_push_down = false;
 };
-
-/// The graph-search knobs of `p` for a top-`k` query (window floored at
-/// k). The filter fields stay unset: each index binds the predicate to its
-/// own metadata store.
-inline SearchParams ToSearchParams(const SearchOptions& p, size_t k) {
-  SearchParams sp;
-  sp.window = std::max<uint32_t>(p.window, static_cast<uint32_t>(k));
-  sp.prefetch_offset = p.prefetch_offset;
-  sp.prefetch_step = p.prefetch_step;
-  sp.use_visited_set = p.use_visited_set;
-  sp.rerank = p.rerank;
-  sp.rerank_window = p.rerank_window;
-  return sp;
-}
 
 /// Disposition of one served query. Search paths always produce kOk; the
 /// serving layer uses the other values so a rejected or shutdown-raced
@@ -238,93 +229,6 @@ void Traverse(const FlatGraph& graph, const Storage& storage,
   }
 }
 
-/// The filtered extraction pool of a finished traversal: the passing
-/// buffer (push-down: already predicate-gated) or the predicate-surviving
-/// entries of the traversal buffer (post-filter), in ascending distance.
-inline void CollectSurvivors(const TraversalState& st, const FilterView& filter,
-                             bool push_down,
-                             std::vector<SearchBuffer::Entry>* out) {
-  out->clear();
-  const SearchBuffer& from = push_down ? st.passing : st.buffer;
-  for (size_t i = 0; i < from.size(); ++i) {
-    if (push_down || filter.Pass(from[i].id)) out->push_back(from[i]);
-  }
-}
-
-/// Reusable single-query searcher over one (graph, storage) pair. Not
-/// thread-safe; create one per worker thread (batch parallelism is across
-/// queries, as in the paper).
-template <typename Storage>
-class GreedySearcher {
- public:
-  GreedySearcher(const FlatGraph* graph, const Storage* storage)
-      : graph_(graph), storage_(storage), scratch_(storage->dim()) {}
-
-  /// Runs Algorithm 1 from `entry_point`, returning the k best candidates.
-  void Search(const float* query, size_t k, uint32_t entry_point,
-              const SearchParams& params, SearchResult* out) {
-    SearchParams p = params;
-    p.window = std::max<uint32_t>(params.window, k);
-    storage_->PrepareQuery(query, &query_state_);
-    Traverse<PlainRows>(*graph_, *storage_, query_state_, entry_point, p,
-                        &st_);
-    out->distance_computations = st_.distance_computations;
-    out->hops = st_.hops;
-    ExtractTopK(k, params, out);
-  }
-
-  /// Accumulated candidates of the last search (ids in ascending-distance
-  /// order), the whole window before the top-k extraction.
-  const SearchBuffer& buffer() const { return st_.buffer; }
-
-  const typename Storage::Query& query_state() const { return query_state_; }
-
- private:
-  /// Selects the k results. With a second level present and rerank enabled,
-  /// re-scores the top `rerank_window` candidates (all W when 0) through the
-  /// shared Reranker seam (graph/reranker.h) first. The pool is sorted by
-  /// primary distance, so a partial depth re-ranks the most promising
-  /// prefix. Filtered searches select from the predicate survivors only, so
-  /// the re-rank never spends FullDistance gathers on failing candidates.
-  void ExtractTopK(size_t k, const SearchParams& params, SearchResult* out) {
-    if (params.filter != nullptr) {
-      CollectSurvivors(st_, *params.filter, params.filter_push_down,
-                       &survivors_);
-      EmitTopK(survivors_, k, params, out);
-    } else {
-      EmitTopK(st_.buffer, k, params, out);
-    }
-  }
-
-  template <typename Pool>
-  void EmitTopK(const Pool& pool, size_t k, const SearchParams& params,
-                SearchResult* out) {
-    const size_t m = RerankDepth(pool.size(), k, params.rerank_window);
-    const size_t kk = std::min(k, m);
-    if (params.rerank && storage_->has_second_level() && m > 0) {
-      RescoreCandidates(*storage_, query_state_, pool, m,
-                        /*sorted_prefix=*/kk, scratch_.data(), &rerank_);
-      EmitRescored(
-          rerank_, kk, [](uint32_t) { return false; }, &out->ids, &out->dists);
-      return;
-    }
-    out->ids.resize(kk);
-    out->dists.resize(kk);
-    for (size_t i = 0; i < kk; ++i) {
-      out->ids[i] = pool[i].id;
-      out->dists[i] = pool[i].dist;
-    }
-  }
-
-  const FlatGraph* graph_;
-  const Storage* storage_;
-  TraversalState st_;
-  typename Storage::Query query_state_;
-  std::vector<float> scratch_;
-  std::vector<std::pair<float, uint32_t>> rerank_;
-  std::vector<SearchBuffer::Entry> survivors_;  ///< filtered extraction pool
-};
-
 /// Adaptive widening loop shared by every filtered search path: runs
 /// `run(window, out)` with geometrically growing windows until the result
 /// holds k survivors (out->ids, pre-padding) or the window reaches
@@ -347,5 +251,234 @@ void RunWidened(size_t k, uint32_t window0, uint32_t widen_cap, RunFn&& run,
   out->distance_computations = dc;
   out->hops = hops;
 }
+
+/// Entry point of a graph with nothing to search (a dynamic index with no
+/// live vector), and the read guard of an index no thread mutates.
+inline constexpr uint32_t kNoEntryPoint = UINT32_MAX;
+struct NoReadGuard {};
+
+/// The plan of a filtered query stream (DESIGN.md D15). The selectivity
+/// estimate and the strategy it picks are cached, keyed on the filter,
+/// the requested strategy and the index's live rows, so serving traffic
+/// does not re-sample per query and a mutating index re-samples as it
+/// changes. The widen cap and the start window follow from them per call.
+struct QueryPlan {
+  /// Cache key. The shared_ptr keeps the key's address from being
+  /// recycled; null until the first filtered query.
+  std::shared_ptr<const Predicate> filter;
+  FilterStrategy strategy = FilterStrategy::kAuto;
+  size_t live_rows = 0;
+  double selectivity = 1.0;  ///< unused (1) under explicit post-filtering
+  bool push_down = false;    ///< in-search push-down, else post-filter
+  uint32_t widen_cap = 0;    ///< of the last call
+  uint32_t window0 = 0;      ///< start window of the last call
+};
+
+/// The one graph searcher of the static and the dynamic index (paper
+/// Sec. 5; DESIGN.md D7, D16). It owns the per-thread state (prepared
+/// query, TraversalState, filter plan, re-rank scratch) and reads its
+/// index through a small read view: types StorageT, Rows, Dead; dim();
+/// Lock(), the read guard; and, under it, graph(), storage(), metadata()
+/// (null: filtered queries fail closed), entry_point() (kNoEntryPoint
+/// only if kMayBeEmpty), rows() in use, live_rows() and dead(). Static:
+/// PlainRows / NoDead / NoReadGuard (graph/index.h); dynamic: AcquireRows
+/// / tombstones / the epoch read lock (graph/dynamic.h). Not thread-safe:
+/// one per worker thread, as batch parallelism is across queries.
+template <typename View>
+class GraphSearcher final : public Searcher {
+ public:
+  using Storage = typename View::StorageT;
+
+  explicit GraphSearcher(View view)
+      : Searcher(view.dim()), view_(view), decode_(view.dim()) {}
+
+  /// One query as Searcher::Search runs it, without the padding: a
+  /// filtered query runs under the filter plan and the widening loop, and
+  /// fails closed (no ids, no work) when the index has no usable
+  /// metadata. `out` holds at most k ids and the work counters. The query
+  /// must be finite (Searcher::Search checks that).
+  void Run(const float* query, size_t k, const SearchOptions& options,
+           SearchResult* out) {
+    [[maybe_unused]] const auto guard = view_.Lock();
+    SearchParams sp;
+    sp.window = std::max<uint32_t>(options.window, static_cast<uint32_t>(k));
+    sp.prefetch_offset = options.prefetch_offset;
+    sp.prefetch_step = options.prefetch_step;
+    sp.use_visited_set = options.use_visited_set;
+    sp.rerank = options.rerank;
+    sp.rerank_window = options.rerank_window;
+    if (options.filter != nullptr && !ResolvePlan(options, k, &sp)) {
+      Clear(out);
+      return;
+    }
+    RunLocked(query, k, sp, plan_.widen_cap, out);
+  }
+
+  /// One query at explicit graph knobs, bypassing the filter plan:
+  /// `params.filter` (bound by the caller) and `filter_push_down` are
+  /// used as given, and a filtered query widens from `params.window` up
+  /// to `widen_cap` (no further than the window when 0).
+  void Run(const float* query, size_t k, const SearchParams& params,
+           SearchResult* out, uint32_t widen_cap = 0) {
+    [[maybe_unused]] const auto guard = view_.Lock();
+    RunLocked(query, k, params, widen_cap, out);
+  }
+
+  /// The last traversal's candidate buffer, the whole window in ascending
+  /// distance, before the result epilogue.
+  const SearchBuffer& buffer() const { return st_.buffer; }
+  /// The last query, as prepared for the storage.
+  const typename Storage::Query& query_state() const { return query_; }
+  /// The filter plan of the last filtered query.
+  const QueryPlan& plan() const { return plan_; }
+
+ private:
+  using Dead = typename View::Dead;
+  static constexpr bool kHasDead = !std::is_same_v<Dead, NoDead>;
+
+  void SearchFinite(const float* query, size_t k, const SearchOptions& options,
+                    uint32_t* ids, float* dists, BatchStats* stats) override {
+    Run(query, k, options, &res_);
+    WritePaddedRow(res_.ids.data(), res_.dists.data(), res_.ids.size(), k,
+                   ids, dists);
+    if (stats != nullptr) {
+      stats->distance_computations += res_.distance_computations;
+      stats->hops += res_.hops;
+    }
+  }
+
+  static void Clear(SearchResult* out) {
+    out->ids.clear();
+    out->dists.clear();
+    out->distance_computations = 0;
+    out->hops = 0;
+  }
+
+  /// Binds `options.filter` to the index's metadata and resolves the plan
+  /// into `sp` (filter, strategy, start window; plan_.widen_cap). False
+  /// (fail closed) without metadata or when the predicate names a column
+  /// the store lacks; ValidateFor rejects both at the boundaries.
+  bool ResolvePlan(const SearchOptions& options, size_t k, SearchParams* sp) {
+    const MetadataStore* md = view_.metadata();
+    if (md == nullptr ||
+        !options.filter->ValidateFor(md->num_columns()).ok()) {
+      return false;
+    }
+    const size_t live = view_.live_rows();
+    if (plan_.filter != options.filter ||
+        plan_.strategy != options.filter_strategy || plan_.live_rows != live) {
+      plan_.filter = options.filter;
+      plan_.strategy = options.filter_strategy;
+      plan_.live_rows = live;
+      plan_.selectivity =
+          options.filter_strategy == FilterStrategy::kPostFilter
+              ? 1.0
+              : EstimateSelectivity(*md, *options.filter);
+      plan_.push_down =
+          options.filter_strategy == FilterStrategy::kAuto
+              ? plan_.selectivity <= kInSearchSelectivityCrossover
+              : options.filter_strategy == FilterStrategy::kInSearch;
+    }
+    plan_.widen_cap =
+        ResolveWidenCap(options.filter_widen_cap, live, sp->window);
+    // In-search starts from the selectivity-boosted window (see
+    // ResolveInSearchWindow); post-filtering widens from the caller's.
+    plan_.window0 = plan_.push_down
+                        ? ResolveInSearchWindow(plan_.selectivity, k,
+                                                sp->window, plan_.widen_cap)
+                        : sp->window;
+    filter_ = FilterView{md, options.filter.get()};
+    sp->filter = &filter_;
+    sp->filter_push_down = plan_.push_down;
+    sp->window = plan_.window0;
+    return true;
+  }
+
+  void RunLocked(const float* query, size_t k, SearchParams sp,
+                 uint32_t widen_cap, SearchResult* out) {
+    Clear(out);
+    const uint32_t ep = view_.entry_point();
+    if constexpr (View::kMayBeEmpty) {
+      if (ep == kNoEntryPoint) return;  // nothing live: all padding
+    }
+    const FlatGraph& graph = view_.graph();
+    const Storage& storage = view_.storage();
+    const Dead dead = view_.dead();
+    storage.PrepareQuery(query, &query_);
+    auto run = [&](uint32_t window, SearchResult* res) {
+      sp.window = static_cast<uint32_t>(std::min<size_t>(
+          std::max<size_t>(window, k), std::numeric_limits<uint32_t>::max()));
+      Traverse<typename View::Rows>(graph, storage, query_, ep, sp, &st_,
+                                    dead);
+      res->distance_computations = st_.distance_computations;
+      res->hops = st_.hops;
+      if (sp.filter == nullptr) {
+        Emit(st_.buffer, k, sp, dead, res);
+        return;
+      }
+      // Filtered searches select from the predicate survivors only, so
+      // the re-rank never spends a FullDistance gather on a failing id:
+      // the passing buffer (push-down) or the passing part of the buffer.
+      const SearchBuffer& from = sp.filter_push_down ? st_.passing : st_.buffer;
+      survivors_.clear();
+      for (size_t i = 0; i < from.size(); ++i) {
+        if (sp.filter_push_down || sp.filter->Pass(from[i].id)) {
+          survivors_.push_back(from[i]);
+        }
+      }
+      Emit(survivors_, k, sp, dead, res);
+    };
+    if (sp.filter == nullptr) {
+      run(sp.window, out);
+    } else {
+      RunWidened(k, sp.window, std::max(widen_cap, sp.window), run, out);
+    }
+  }
+
+  /// The one result epilogue: the k nearest entries of `pool` (sorted by
+  /// primary distance) that are not dead now. With a second level and
+  /// `rerank` set, the top `rerank_window` live entries (all when 0) are
+  /// first re-scored at full precision through the Reranker seam (paper
+  /// Sec. 3.2, graph/reranker.h); the depth's slack is the pool's own dead
+  /// count. Without dead ids only the k emitted pairs are sorted,
+  /// otherwise the whole depth, so the dead-id skip may pass any prefix.
+  /// Only primary distances count as distance computations.
+  template <typename Pool>
+  void Emit(const Pool& pool, size_t k, const SearchParams& sp,
+            const Dead& dead, SearchResult* out) {
+    out->ids.clear();
+    out->dists.clear();
+    const Storage& storage = view_.storage();
+    if (sp.rerank && storage.has_second_level() && pool.size() > 0) {
+      size_t slack = 0;
+      if constexpr (kHasDead) {
+        if (sp.rerank_window != 0) {
+          for (size_t i = 0; i < pool.size(); ++i) slack += pool[i].dead;
+        }
+      }
+      const size_t m = RerankDepth(pool.size(), k, sp.rerank_window, slack);
+      RescoreCandidates(storage, query_, pool, m,
+                        /*sorted_prefix=*/kHasDead ? m : k, decode_.data(),
+                        &rerank_);
+      EmitRescored(rerank_, k, dead, &out->ids, &out->dists);
+      return;
+    }
+    for (size_t i = 0; i < pool.size() && out->ids.size() < k; ++i) {
+      if (dead(pool[i].id)) continue;
+      out->ids.push_back(pool[i].id);
+      out->dists.push_back(pool[i].dist);
+    }
+  }
+
+  View view_;
+  TraversalState st_;
+  typename Storage::Query query_;
+  QueryPlan plan_;
+  FilterView filter_;  ///< the plan's filter bound to the metadata
+  SearchResult res_;
+  std::vector<float> decode_;  ///< dim floats (two-level re-rank)
+  std::vector<std::pair<float, uint32_t>> rerank_;
+  std::vector<SearchBuffer::Entry> survivors_;  ///< filtered extraction pool
+};
 
 }  // namespace blink

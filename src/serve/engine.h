@@ -21,8 +21,9 @@
 //
 // The engine serves any SearchIndex. Static indices (VamanaIndex) are
 // immutable and need no coordination; the dynamic index is served through
-// DynamicIndexView below, whose reads ride DynamicIndex's epoch-based read
-// guard so searches proceed concurrently with Insert/Delete/Consolidate.
+// DynamicView below. Both pool the one GraphSearcher (graph/search.h); the
+// dynamic index's read view holds its epoch read guard for each query, so
+// searches proceed concurrently with Insert/Delete/Consolidate.
 #pragma once
 
 #include <atomic>
@@ -37,7 +38,6 @@
 #include <vector>
 
 #include "eval/interface.h"
-#include "filter/metadata.h"
 #include "graph/dynamic.h"
 #include "graph/search.h"
 #include "util/thread_pool.h"
@@ -183,106 +183,12 @@ class ServingEngine {
   std::atomic<uint64_t> rejected_{0};
 };
 
-namespace detail {
-
-/// Pooled searcher over a dynamic index: the SearchScratch (visited
-/// epochs, candidate buffer, prepared query) survives across queries.
-template <typename Storage>
-class DynamicPooledSearcher : public Searcher {
- public:
-  explicit DynamicPooledSearcher(const DynamicGraphIndex<Storage>* index)
-      : index_(index) {}
-
-  void Search(const float* query, size_t k, const SearchOptions& params,
-              uint32_t* ids, float* dists, BatchStats* stats) override {
-    if (params.filter != nullptr) {
-      if (!SearchFiltered(query, k, params)) {
-        // Fail closed (all-padded): a filtered query against an index
-        // without usable metadata must not return unfiltered neighbors.
-        // ValidateFor rejects this configuration at the boundaries.
-        res_.ids.clear();
-        res_.dists.clear();
-        res_.distance_computations = 0;
-        res_.hops = 0;
-      }
-    } else {
-      index_->Search(query, k, ToSearchParams(params, k), &res_, &scratch_);
-    }
-    WritePaddedRow(res_.ids.data(), res_.dists.data(), res_.ids.size(), k,
-                   ids, dists);
-    if (stats != nullptr) {
-      stats->distance_computations += res_.distance_computations;
-      stats->hops += res_.hops;
-    }
-  }
-
- private:
-  bool SearchFiltered(const float* query, size_t k,
-                      const SearchOptions& params) {
-    const MetadataStore* md = index_->metadata();
-    if (md == nullptr ||
-        !params.filter->ValidateFor(md->num_columns()).ok()) {
-      return false;
-    }
-    // Strategy + widen cap resolve per call against the *live* store; the
-    // selectivity estimate is cached keyed on the exact filter config so
-    // steady-state serving traffic does not re-sample per query. Metadata
-    // churn can shift true selectivity away from a cached estimate — the
-    // cost is a suboptimal strategy pick, never a wrong result — so the
-    // cache also expires with the index size.
-    SearchParams sp = ToSearchParams(params, k);
-    const uint32_t window = sp.window;
-    const size_t live = index_->live_size();
-    if (!(plan_valid_ && plan_filter_ == params.filter &&
-          plan_strategy_req_ == params.filter_strategy &&
-          plan_live_ == live)) {
-      plan_selectivity_ = EstimateSelectivity(*md, *params.filter);
-      plan_push_down_ =
-          (params.filter_strategy == FilterStrategy::kAuto
-               ? (plan_selectivity_ <= kInSearchSelectivityCrossover
-                      ? FilterStrategy::kInSearch
-                      : FilterStrategy::kPostFilter)
-               : params.filter_strategy) == FilterStrategy::kInSearch;
-      plan_filter_ = params.filter;
-      plan_strategy_req_ = params.filter_strategy;
-      plan_live_ = live;
-      plan_valid_ = true;
-    }
-    const FilterView view{md, params.filter.get()};
-    const uint32_t cap =
-        ResolveWidenCap(params.filter_widen_cap, live, window);
-    // In-search starts from the selectivity-boosted window (see
-    // ResolveInSearchWindow); post-filtering widens from the caller's.
-    sp.window = plan_push_down_ ? ResolveInSearchWindow(plan_selectivity_, k,
-                                                        window, cap)
-                                : window;
-    sp.filter = &view;
-    sp.filter_push_down = plan_push_down_;
-    index_->Search(query, k, sp, &res_, &scratch_, cap);
-    return true;
-  }
-
-  const DynamicGraphIndex<Storage>* index_;
-  typename DynamicGraphIndex<Storage>::SearchScratch scratch_;
-  SearchResult res_;
-  // Cached filter plan (see SearchFiltered).
-  bool plan_valid_ = false;
-  bool plan_push_down_ = false;
-  double plan_selectivity_ = 1.0;
-  std::shared_ptr<const Predicate> plan_filter_;
-  FilterStrategy plan_strategy_req_ = FilterStrategy::kAuto;
-  size_t plan_live_ = 0;
-};
-
-}  // namespace detail
-
 /// SearchIndex facade over a DynamicGraphIndex of any storage, so the
 /// engine (and the eval harness) can serve a mutating index — float32 or
-/// compressed LVQ — through the same seam. SearchOptions maps through
-/// ToSearchParams like the static index's (window, prefetch schedule,
-/// visited set, re-rank knobs); per-thread SearchScratch is pooled through
-/// MakeSearcher(). Reads are safe concurrently with writers — see
-/// graph/dynamic.h.
+/// compressed LVQ — through the same seam. MakeSearcher() is the static
+/// index's GraphSearcher over the dynamic index's read view, so both
+/// kinds honor the same SearchOptions through the same code. Reads are
+/// safe concurrently with writers — see graph/dynamic.h.
 template <typename Storage>
 class DynamicView : public SearchIndex {
  public:
@@ -299,7 +205,8 @@ class DynamicView : public SearchIndex {
   size_t memory_bytes() const override { return index_->memory_bytes(); }
 
   std::unique_ptr<Searcher> MakeSearcher() const override {
-    return std::make_unique<detail::DynamicPooledSearcher<Storage>>(index_);
+    return std::make_unique<GraphSearcher<typename Index::ReadView>>(
+        index_->read_view());
   }
 
  private:

@@ -13,21 +13,17 @@ namespace blink {
 // ---------------------------------------------------------------------------
 class ShardedIndex::ShardedSearcher : public Searcher {
  public:
-  explicit ShardedSearcher(const ShardedIndex* index) : index_(index) {
+  explicit ShardedSearcher(const ShardedIndex* index)
+      : Searcher(index->dim()), index_(index) {
     searchers_.resize(index_->shards_.size());
     for (uint32_t s : index_->live_shards_) {
       searchers_[s] = index_->shards_[s]->MakeSearcher();
     }
   }
 
-  void Search(const float* query, size_t k, const SearchOptions& params,
-              uint32_t* ids, float* dists, BatchStats* stats) override {
-    // A non-finite query fails closed before any centroid distance, as it
-    // does in every shard (graph/index.h).
-    if (FirstNonFinite(MatrixViewF(query, 1, index_->dim()))) {
-      WritePaddedRow(nullptr, nullptr, 0, k, ids, dists);
-      return;
-    }
+ private:
+  void SearchFinite(const float* query, size_t k, const SearchOptions& params,
+                    uint32_t* ids, float* dists, BatchStats* stats) override {
     const auto& live = index_->live_shards_;
     const MatrixF& centroids = index_->partition_.centroids;
     const size_t d = centroids.cols();
@@ -79,7 +75,6 @@ class ShardedIndex::ShardedSearcher : public Searcher {
                    dists);
   }
 
- private:
   struct Ranked {
     float dist;
     uint32_t shard;

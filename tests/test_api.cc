@@ -240,13 +240,16 @@ TEST(BuildApi, DynamicInsertRejectsNonFiniteVector) {
 
 // A query holding a NaN or an infinity made every distance NaN, which the
 // candidate buffer never rejects: it expanded nearly every row and answered
-// NaN distances. Every graph searcher now answers it all padded, with no
-// hops and no distances, while a clean query next to it in the same batch
-// is answered as before.
-void ExpectNonFiniteQueryFailsClosed(IndexKind kind) {
+// NaN distances. Every searcher, the baselines' too, now answers it all
+// padded, with no hops and no distances (Searcher::Search checks it once
+// for every index), while a clean query next to it in the same batch is
+// answered as before. `name` is a registry name.
+void ExpectNonFiniteQueryFailsClosed(const std::string& name) {
   const Fixture& f = SharedFixture();
-  auto built = Build(SpecFor(kind, f), f.data.base);
-  ASSERT_TRUE(built.ok()) << KindName(kind);
+  // BuildNamed takes the kind from the name.
+  auto built =
+      BuildNamed(name, SpecFor(IndexKind::kStaticF32, f), f.data.base);
+  ASSERT_TRUE(built.ok()) << name;
   const Index& idx = built.value();
   const size_t d = f.data.base.cols(), k = 10;
   SearchOptions p;
@@ -265,17 +268,17 @@ void ExpectNonFiniteQueryFailsClosed(IndexKind kind) {
     idx.MakeSearcher()->Search(queries.row(0), k, p, ids.data(), dists.data(),
                                &stats);
     for (size_t j = 0; j < k; ++j) {
-      EXPECT_EQ(ids[j], kInvalidId) << KindName(kind) << " " << bad;
-      EXPECT_EQ(dists[j], kInvalidDist) << KindName(kind) << " " << bad;
+      EXPECT_EQ(ids[j], kInvalidId) << name << " " << bad;
+      EXPECT_EQ(dists[j], kInvalidDist) << name << " " << bad;
     }
-    EXPECT_EQ(stats.hops, 0u) << KindName(kind) << " " << bad;
-    EXPECT_EQ(stats.distance_computations, 0u) << KindName(kind) << " " << bad;
+    EXPECT_EQ(stats.hops, 0u) << name << " " << bad;
+    EXPECT_EQ(stats.distance_computations, 0u) << name << " " << bad;
 
     idx.SearchBatchEx(queries, k, p, ids.data(), dists.data(), nullptr);
-    EXPECT_EQ(ids[0], kInvalidId) << KindName(kind) << " " << bad;
+    EXPECT_EQ(ids[0], kInvalidId) << name << " " << bad;
     for (size_t j = k; j < 2 * k; ++j) {
-      EXPECT_NE(ids[j], kInvalidId) << KindName(kind) << " " << bad;
-      EXPECT_TRUE(std::isfinite(dists[j])) << KindName(kind) << " " << bad;
+      EXPECT_NE(ids[j], kInvalidId) << name << " " << bad;
+      EXPECT_TRUE(std::isfinite(dists[j])) << name << " " << bad;
     }
   }
 }
@@ -283,18 +286,24 @@ void ExpectNonFiniteQueryFailsClosed(IndexKind kind) {
 TEST(SearchApi, NonFiniteQueryFailsClosedOnStaticKinds) {
   for (IndexKind kind : {IndexKind::kStaticF32, IndexKind::kStaticF16,
                          IndexKind::kStaticLvq}) {
-    ExpectNonFiniteQueryFailsClosed(kind);
+    ExpectNonFiniteQueryFailsClosed(KindName(kind));
   }
 }
 
 TEST(SearchApi, NonFiniteQueryFailsClosedOnDynamicKinds) {
   for (IndexKind kind : {IndexKind::kDynamicF32, IndexKind::kDynamicLvq}) {
-    ExpectNonFiniteQueryFailsClosed(kind);
+    ExpectNonFiniteQueryFailsClosed(KindName(kind));
   }
 }
 
 TEST(SearchApi, NonFiniteQueryFailsClosedOnSharded) {
-  ExpectNonFiniteQueryFailsClosed(IndexKind::kSharded);
+  ExpectNonFiniteQueryFailsClosed(KindName(IndexKind::kSharded));
+}
+
+TEST(SearchApi, NonFiniteQueryFailsClosedOnBaselines) {
+  for (const char* name : {"hnsw", "ivf-pq", "scann"}) {
+    ExpectNonFiniteQueryFailsClosed(name);
+  }
 }
 
 // --- the acceptance recall floors through the facade -----------------------

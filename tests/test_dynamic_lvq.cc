@@ -345,14 +345,16 @@ TEST(DynamicLvq, ConcurrentReadersDuringWrites) {
   for (size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       Rng rng(300 + r);
-      DynamicLvqIndex::SearchScratch scratch;
-      SearchResult res;
+      GraphSearcher searcher(idx.read_view());
+      SearchOptions options;
+      options.window = 48;
+      std::vector<uint32_t> ids(k);
       for (size_t round = 0; round < kRounds; ++round) {
         const size_t pick = rng.Bounded(kStable);
-        idx.Search(data.base.row(pick), k, 48, &res, &scratch);
-        ASSERT_EQ(res.ids.size(), k);
+        searcher.Search(data.base.row(pick), k, options, ids.data(), nullptr,
+                        nullptr);
         ++self_queries;
-        for (uint32_t id : res.ids) {
+        for (uint32_t id : ids) {
           ASSERT_TRUE(id == kInvalidId || id < opts.initial_capacity * 2);
           if (id == stable_ids[pick]) {
             ++self_hits;

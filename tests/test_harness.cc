@@ -31,9 +31,12 @@ class ExactIndex : public SearchIndex {
   /// Brute force over the base rows, one query at a time.
   class Exact : public Searcher {
    public:
-    explicit Exact(const ExactIndex* index) : index_(index) {}
-    void Search(const float* query, size_t k, const SearchOptions&,
-                uint32_t* ids, float* dists, BatchStats*) override {
+    explicit Exact(const ExactIndex* index)
+        : Searcher(index->base_.cols), index_(index) {}
+
+   private:
+    void SearchFinite(const float* query, size_t k, const SearchOptions&,
+                      uint32_t* ids, float* dists, BatchStats*) override {
       const MatrixViewF one(query, 1, index_->base_.cols);
       Matrix<uint32_t> gt =
           ComputeGroundTruth(index_->base_, one, k, index_->metric_);
@@ -47,7 +50,6 @@ class ExactIndex : public SearchIndex {
       WritePaddedRow(gt.data(), gt_dists.data(), k, k, ids, dists);
     }
 
-   private:
     const ExactIndex* index_;
   };
 

@@ -624,9 +624,12 @@ class GateIndex : public SearchIndex {
   /// Parks every query until the gate opens, then answers id 0.
   class Gate : public Searcher {
    public:
-    explicit Gate(const GateIndex* index) : index_(index) {}
-    void Search(const float*, size_t k, const SearchOptions&, uint32_t* ids,
-                float* dists, BatchStats*) override {
+    explicit Gate(const GateIndex* index)
+        : Searcher(index->dim_), index_(index) {}
+
+   private:
+    void SearchFinite(const float*, size_t k, const SearchOptions&,
+                      uint32_t* ids, float* dists, BatchStats*) override {
       {
         std::unique_lock<std::mutex> lk(index_->mu_);
         ++index_->entered_;
@@ -638,7 +641,6 @@ class GateIndex : public SearchIndex {
       WritePaddedRow(&hit, &dist, 1, k, ids, dists);
     }
 
-   private:
     const GateIndex* index_;
   };
 };

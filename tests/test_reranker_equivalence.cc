@@ -1,9 +1,10 @@
 // Reranker-seam equivalence (ISSUE 9 satellite): the refactor moved the
 // two-level re-rank epilogue out of GreedySearcher::ExtractTopK and
-// DynamicGraphIndex::Search into the shared seam (graph/reranker.h). These
+// DynamicGraphIndex::Search into the shared seam (graph/reranker.h); both
+// indexes now run it from GraphSearcher's one result epilogue. These
 // tests pin the seam to the pre-refactor semantics by re-implementing both
 // original epilogues verbatim against the public post-search state
-// (GreedySearcher::buffer() / SearchScratch::buffer) and asserting the
+// (GraphSearcher::buffer() / query_state()) and asserting the
 // production results are byte-identical — ids AND distance bit patterns —
 // on the fixed-seed recall-floor dataset. Every input is deterministic; a
 // failure here means the seam changed behavior, not flakiness.
@@ -46,11 +47,13 @@ void ExpectBitIdentical(const SearchResult& got,
 
 // --- static path ------------------------------------------------------------
 
+using StaticLvqSearcher = GraphSearcher<VamanaIndex<LvqStorage>::ReadView>;
+
 // The pre-seam GreedySearcher::ExtractTopK epilogue: re-score the clamped
 // depth with FullDistance, partial_sort the first min(k, m) pairs, emit
 // them. Reads only the public post-search state.
 void OldStaticEpilogue(const LvqStorage& storage,
-                       const GreedySearcher<LvqStorage>& searcher, size_t k,
+                       const StaticLvqSearcher& searcher, size_t k,
                        uint32_t rerank_window, std::vector<uint32_t>* ids,
                        std::vector<float>* dists) {
   const SearchBuffer& buf = searcher.buffer();
@@ -80,7 +83,7 @@ void OldStaticEpilogue(const LvqStorage& storage,
 TEST(RerankerEquivalence, StaticLvq4x8MatchesOldEpilogue) {
   const Fixture f(MakeDeepLike(1500, 60, 321));
   auto idx = BuildOgLvq(f.data.base, f.data.metric, 4, 8, f.bp);
-  GreedySearcher<LvqStorage> searcher(&idx->graph(), &idx->storage());
+  StaticLvqSearcher searcher(idx->read_view());
   std::vector<uint32_t> want_ids;
   std::vector<float> want_dists;
   // rerank_window 0 (the historical whole-buffer depth) and a partial depth
@@ -92,8 +95,7 @@ TEST(RerankerEquivalence, StaticLvq4x8MatchesOldEpilogue) {
     sp.rerank_window = rw;
     for (size_t qi = 0; qi < f.data.queries.rows(); ++qi) {
       SearchResult out;
-      searcher.Search(f.data.queries.row(qi), f.k, idx->entry_point(), sp,
-                      &out);
+      searcher.Run(f.data.queries.row(qi), f.k, sp, &out);
       OldStaticEpilogue(idx->storage(), searcher, f.k, rw, &want_ids,
                         &want_dists);
       ExpectBitIdentical(out, want_ids, want_dists,
@@ -108,12 +110,12 @@ TEST(RerankerEquivalence, StaticLvq4x8MatchesOldEpilogue) {
 TEST(RerankerEquivalence, StaticOneLevelIsPrimaryOrderPassThrough) {
   const Fixture f(MakeDeepLike(800, 30, 322));
   auto idx = BuildOgLvq(f.data.base, f.data.metric, 8, 0, f.bp);
-  GreedySearcher<LvqStorage> searcher(&idx->graph(), &idx->storage());
+  StaticLvqSearcher searcher(idx->read_view());
   SearchParams sp;
   sp.window = 48;
   for (size_t qi = 0; qi < f.data.queries.rows(); ++qi) {
     SearchResult out;
-    searcher.Search(f.data.queries.row(qi), f.k, idx->entry_point(), sp, &out);
+    searcher.Run(f.data.queries.row(qi), f.k, sp, &out);
     const SearchBuffer& buf = searcher.buffer();
     const size_t kk = std::min(f.k, buf.size());
     ASSERT_EQ(out.ids.size(), kk);
@@ -127,14 +129,20 @@ TEST(RerankerEquivalence, StaticOneLevelIsPrimaryOrderPassThrough) {
 
 // --- dynamic path -----------------------------------------------------------
 
+/// What the frozen dynamic epilogue reads of a finished search.
+struct ReaderState {
+  const SearchBuffer& buffer;
+  const LvqStorage::Query& query;
+};
+
 // The pre-seam DynamicGraphIndex::Search epilogue: re-score the clamped
 // depth (tombstone slack included), full sort, skim past deleted ids, pad
-// to exactly k. Reads the public SearchScratch left behind by Search().
+// to exactly k. Reads the searcher's public state left behind by Run().
 // The slack it is given is the search buffer's own dead-entry count, which
 // replaced the index-wide tombstone count when tombstones stopped filling
 // the window.
 void OldDynamicEpilogue(const DynamicLvqIndex& idx,
-                        const DynamicLvqIndex::SearchScratch& scratch,
+                        const ReaderState& scratch,
                         size_t k, uint32_t rerank_window, size_t tomb,
                         std::vector<uint32_t>* ids,
                         std::vector<float>* dists) {
@@ -191,14 +199,20 @@ TEST(RerankerEquivalence, DynamicLvq4x8MatchesOldEpilogueUnderTombstones) {
   std::vector<float> want_dists;
   size_t dead_seen = 0;
   for (uint32_t rw : {uint32_t{0}, uint32_t{14}}) {
-    DynamicLvqIndex::SearchScratch scratch;
+    GraphSearcher searcher(idx.read_view());
+    SearchParams sp;
+    sp.window = 48;
+    sp.rerank = true;
+    sp.rerank_window = rw;
     for (size_t qi = 0; qi < data.queries.rows(); ++qi) {
       SearchResult out;
-      idx.Search(data.queries.row(qi), k, /*window=*/48, &out, &scratch,
-                 /*rerank=*/true, rw);
-      const size_t dead = scratch.buffer.num_dead();
+      searcher.Run(data.queries.row(qi), k, sp, &out);
+      out.ids.resize(k, kInvalidId);
+      out.dists.resize(k, kInvalidDist);
+      const size_t dead = searcher.buffer().num_dead();
       dead_seen += dead;
-      OldDynamicEpilogue(idx, scratch, k, rw, dead, &want_ids, &want_dists);
+      OldDynamicEpilogue(idx, {searcher.buffer(), searcher.query_state()}, k,
+                         rw, dead, &want_ids, &want_dists);
       ExpectBitIdentical(out, want_ids, want_dists,
                          "dynamic rw=" + std::to_string(rw) + " query " +
                              std::to_string(qi));

@@ -1,5 +1,6 @@
 // Traversal equivalence: every graph search now runs through the one
-// Traverse loop (graph/search.h). Before it, the traversal existed three
+// Traverse loop (graph/search.h), and every index query through the one
+// GraphSearcher. Before it, the traversal existed three
 // times — GreedySearcher::Search (static search and the builder),
 // DynamicGraphIndex::CollectCandidates (the dynamic writer) and
 // DynamicGraphIndex::CollectIntoScratch (the dynamic readers). This suite
@@ -807,7 +808,7 @@ template <typename Storage>
 void CheckStaticSearch(const VamanaIndex<Storage>& idx, MatrixViewF queries,
                        const FilterView* filter, bool push_down,
                        const std::string& name) {
-  GreedySearcher<Storage> now(&idx.graph(), &idx.storage());
+  GraphSearcher now(idx.read_view());
   OldGreedySearcher<Storage> old(&idx.graph(), &idx.storage());
   for (bool visited : {true, false}) {
     for (const auto& sched : Schedules()) {
@@ -823,7 +824,7 @@ void CheckStaticSearch(const VamanaIndex<Storage>& idx, MatrixViewF queries,
                                  " schedule " + ScheduleName(sched) +
                                  " query " + std::to_string(qi);
         SearchResult got, want;
-        now.Search(queries.row(qi), 10, idx.entry_point(), sp, &got);
+        now.Run(queries.row(qi), 10, sp, &got);
         old.Search(queries.row(qi), 10, idx.entry_point(), sp, &want);
         ASSERT_NO_FATAL_FAILURE(ExpectSameResult(got, want, what));
         ASSERT_NO_FATAL_FAILURE(
@@ -896,6 +897,15 @@ TEST(TraverseEquivalence, BuildVamanaGraphIsUnchanged) {
 // through a seeded insert / delete / consolidate / recycle sequence.
 // ===========================================================================
 
+/// A dynamic reader's answer as the frozen search gives it: padded to k.
+template <typename View>
+void RunPadded(GraphSearcher<View>& searcher, const float* query, size_t k,
+               const SearchParams& sp, uint32_t widen_cap, SearchResult* out) {
+  searcher.Run(query, k, sp, out, widen_cap);
+  out->ids.resize(k, kInvalidId);
+  out->dists.resize(k, kInvalidDist);
+}
+
 /// Readers against the frozen one-level loop. The frozen epilogue has no
 /// re-rank, so the comparison runs with `rerank` off (a no-op for storages
 /// without a second level).
@@ -915,7 +925,7 @@ void CheckDynamicSearch(const DynamicGraphIndex<Storage>& idx,
   const uint32_t widen_cap = 512;
   for (const Mode& mode : modes) {
     for (const auto& sched : Schedules()) {
-      typename DynamicGraphIndex<Storage>::SearchScratch scratch;
+      GraphSearcher now(idx.read_view());
       OldReaderScratch<Storage> old_scratch;
       SearchParams sp;
       sp.window = 40;
@@ -929,12 +939,12 @@ void CheckDynamicSearch(const DynamicGraphIndex<Storage>& idx,
                                  ScheduleName(sched) + " query " +
                                  std::to_string(qi);
         SearchResult got, want;
-        idx.Search(queries.row(qi), 10, sp, &got, &scratch, widen_cap);
+        RunPadded(now, queries.row(qi), 10, sp, widen_cap, &got);
         OldDynamicSearch(idx, queries.row(qi), 10, sp.window, mode.filter,
                          mode.push_down, widen_cap, &old_scratch, &want);
         ASSERT_NO_FATAL_FAILURE(ExpectSameResult(got, want, what));
         ASSERT_NO_FATAL_FAILURE(
-            ExpectSameBuffer(scratch.buffer, old_scratch.buffer, what));
+            ExpectSameBuffer(now.buffer(), old_scratch.buffer, what));
       }
     }
   }
@@ -968,7 +978,7 @@ void CheckTombstonedSearch(const DynamicGraphIndex<Storage>& idx,
   size_t got_distances = 0, frozen_distances = 0;
   for (const Mode& mode : modes) {
     for (const auto& sched : Schedules()) {
-      typename DynamicGraphIndex<Storage>::SearchScratch scratch;
+      GraphSearcher now(idx.read_view());
       OldReaderScratch<Storage> old_scratch;
       SearchParams sp;
       sp.window = 40;
@@ -982,7 +992,7 @@ void CheckTombstonedSearch(const DynamicGraphIndex<Storage>& idx,
                                  ScheduleName(sched) + " query " +
                                  std::to_string(qi);
         SearchResult got, frozen;
-        idx.Search(queries.row(qi), k, sp, &got, &scratch, widen_cap);
+        RunPadded(now, queries.row(qi), k, sp, widen_cap, &got);
         OldDynamicSearch(idx, queries.row(qi), k, sp.window, mode.filter,
                          mode.push_down, widen_cap, &old_scratch, &frozen);
         got_distances += got.distance_computations;
@@ -1092,6 +1102,95 @@ TEST(TraverseEquivalence, DynamicLvq8WriterAndReadersMatchFrozenLoops) {
   CheckDynamicSequence<FloatStorage>(
       data, [&] { return FloatStorage(data.base.cols(), data.metric); },
       "f32");
+}
+
+// ===========================================================================
+// The static index against the same rows and graph frozen as a dynamic
+// index: one GraphSearcher, two read views.
+// ===========================================================================
+
+/// Restores a dynamic index, with no deletes, over a copy of `idx`: the
+/// same rows encoded again (encoding is deterministic) and the same rows of
+/// adjacency; `md` is attached to both.
+std::unique_ptr<DynamicLvqIndex> FrozenDynamicCopy(
+    const VamanaIndex<LvqStorage>& idx, MatrixViewF base,
+    const MetadataStore& md) {
+  const LvqStorage& s = idx.storage();
+  LvqStorage storage(base, s.metric(), s.bits1(), s.bits2(), /*padding=*/32);
+  const size_t n = storage.size();
+  FlatGraph graph(n, idx.graph().max_degree(), /*use_huge_pages=*/false);
+  for (size_t i = 0; i < n; ++i) {
+    graph.SetNeighbors(i, idx.graph().neighbors(i), idx.graph().degree(i));
+  }
+  DynamicOptions opts;
+  opts.graph_max_degree = idx.graph().max_degree();
+  opts.metric = s.metric();
+  auto dyn = DynamicLvqIndex::Restore(base.cols, opts, std::move(storage),
+                                      std::move(graph), {}, {}, n, 0,
+                                      idx.entry_point());
+  EXPECT_TRUE(dyn->CheckInvariants().ok());
+  EXPECT_TRUE(
+      dyn->AttachMetadata(std::make_shared<MetadataStore>(md)).ok());
+  return dyn;
+}
+
+TEST(TraverseEquivalence, StaticMatchesFrozenDynamic) {
+  const Fixture f(MakeDeepLike(1000, 30, 408));
+  const MetadataStore md =
+      MakeSyntheticMetadata(f.data.base.rows(), {ColumnType::kF64}, 23);
+  const auto common = std::make_shared<const Predicate>(
+      Predicate::Parse("num0<0.1").value());
+  const auto rare = std::make_shared<const Predicate>(
+      Predicate::Parse("num0<0.03").value());
+  struct Mode {
+    std::shared_ptr<const Predicate> filter;
+    FilterStrategy strategy;
+    const char* name;
+  };
+  const Mode modes[] = {{nullptr, FilterStrategy::kAuto, "unfiltered"},
+                        {common, FilterStrategy::kPostFilter, "post-filter"},
+                        {common, FilterStrategy::kInSearch, "in-search"},
+                        {rare, FilterStrategy::kAuto, "auto (rare)"}};
+  for (int bits2 : {0, 8}) {
+    auto idx = BuildOgLvq(f.data.base, f.data.metric, bits2 == 0 ? 8 : 4,
+                          bits2, f.bp);
+    ASSERT_TRUE(
+        idx->AttachMetadata(std::make_shared<const MetadataStore>(md)).ok());
+    const auto dyn = FrozenDynamicCopy(*idx, f.data.base, md);
+    GraphSearcher fixed(idx->read_view());
+    GraphSearcher frozen(dyn->read_view());
+    size_t in_search = 0;
+    for (const Mode& mode : modes) {
+      for (uint32_t window : {10u, 24u, 64u}) {
+        for (const auto& sched : Schedules()) {
+          SearchOptions o;
+          o.window = window;
+          o.prefetch_offset = sched.first;
+          o.prefetch_step = sched.second;
+          o.filter = mode.filter;
+          o.filter_strategy = mode.strategy;
+          for (size_t qi = 0; qi < f.data.queries.rows(); ++qi) {
+            const std::string what =
+                idx->name() + " " + mode.name + " W" +
+                std::to_string(window) + " schedule " + ScheduleName(sched) +
+                " query " + std::to_string(qi);
+            SearchResult got, want;
+            frozen.Run(f.data.queries.row(qi), 10, o, &got);
+            fixed.Run(f.data.queries.row(qi), 10, o, &want);
+            ASSERT_EQ(got.ids.size(), 10u) << what;
+            ASSERT_NO_FATAL_FAILURE(ExpectSameResult(got, want, what));
+            if (mode.filter == nullptr) continue;
+            ASSERT_EQ(frozen.plan().push_down, fixed.plan().push_down)
+                << what;
+            ASSERT_EQ(frozen.plan().window0, fixed.plan().window0) << what;
+            in_search += fixed.plan().push_down;
+          }
+        }
+      }
+    }
+    // Both strategies ran, and kAuto picked in-search for the rare filter.
+    EXPECT_EQ(in_search, 2 * 3 * 3 * f.data.queries.rows()) << idx->name();
+  }
 }
 
 }  // namespace
