@@ -21,8 +21,8 @@ bool MatchesPredicate(const MetadataStore& s, const Predicate& p,
 }
 
 double EstimateSelectivity(const MetadataStore& s, const Predicate& p,
-                           size_t max_samples) {
-  const size_t n = s.size();
+                           size_t rows, size_t max_samples) {
+  const size_t n = std::min(rows, s.size());
   if (n == 0 || max_samples == 0) return 1.0;
   const size_t samples = std::min(n, max_samples);
   const size_t stride = n / samples;  // >= 1

@@ -178,11 +178,13 @@ struct FilterView {
   bool Pass(uint32_t id) const { return MatchesPredicate(*store, *pred, id); }
 };
 
-/// Estimated fraction of rows matching `p`, from a deterministic strided
-/// sample of at most `max_samples` rows. Laplace-smoothed so it is never
-/// exactly 0 or 1 on a sample.
+/// Estimated fraction of the first `rows` rows (all, by default) matching
+/// `p`, from a deterministic strided sample of at most `max_samples` of
+/// them. Laplace-smoothed so it is never exactly 0 or 1 on a sample. A
+/// dynamic index passes its slots in use: its store also holds the
+/// never-inserted rows up to capacity.
 double EstimateSelectivity(const MetadataStore& s, const Predicate& p,
-                           size_t max_samples = 1024);
+                           size_t rows = SIZE_MAX, size_t max_samples = 1024);
 
 /// Selectivity at or below which in-search push-down beats widened
 /// post-filtering (DESIGN.md D15 crossover rule).

@@ -373,7 +373,7 @@ class GraphSearcher final : public Searcher {
       plan_.selectivity =
           options.filter_strategy == FilterStrategy::kPostFilter
               ? 1.0
-              : EstimateSelectivity(*md, *options.filter);
+              : EstimateSelectivity(*md, *options.filter, view_.rows());
       plan_.push_down =
           options.filter_strategy == FilterStrategy::kAuto
               ? plan_.selectivity <= kInSearchSelectivityCrossover

@@ -21,6 +21,8 @@
 #include "filter/predicate.h"
 #include "filter/serialize.h"
 #include "filter/synthetic.h"
+#include "graph/dynamic.h"
+#include "graph/index.h"
 #include "testutil.h"
 #include "util/mmap_file.h"
 
@@ -28,6 +30,7 @@ namespace blink {
 namespace {
 
 using testutil::ExpectSameIds;
+using testutil::Fixture;
 using testutil::TempPathTest;
 
 // --- predicate grammar ------------------------------------------------------
@@ -230,6 +233,47 @@ TEST(ResolveFilterStrategyTest, CrossoverAndExplicitChoices) {
       FilterStrategy::kPostFilter);
   EXPECT_EQ(ResolveFilterStrategy(s, dense.value(), FilterStrategy::kInSearch),
             FilterStrategy::kInSearch);
+}
+
+// A dynamic index's metadata store holds a row per slot of capacity, and
+// the rows past the slots in use are never-inserted zeros. The filter plan
+// samples only the rows in use, so a static and a dynamic index over the
+// same rows resolve the same kAuto strategy and start window. (Sampling
+// the whole store, 200 rows at capacity 1024 estimated num0<0.02 at ~0.8,
+// and the dynamic index post-filtered where the static one searched
+// in-search.)
+TEST(FilterPlan, DynamicSamplesOnlyTheRowsInUse) {
+  const Fixture f(MakeDeepLike(200, 4, 31));
+  const size_t n = f.data.base.rows();
+  const MetadataStore md = MakeSyntheticMetadata(n, {ColumnType::kF64}, 29);
+  auto fixed = BuildOgLvq(f.data.base, f.data.metric, 8, 0, f.bp);
+  ASSERT_TRUE(
+      fixed->AttachMetadata(std::make_shared<const MetadataStore>(md)).ok());
+  DynamicOptions opts;
+  opts.metric = f.data.metric;
+  opts.initial_capacity = 1024;
+  DynamicLvqIndex dyn(
+      f.data.base.cols(), opts,
+      LvqStorage(LvqDataset(ComputeMean(f.data.base, kDynamicMeanSampleRows),
+                            {.bits = 8}),
+                 f.data.metric));
+  for (size_t i = 0; i < n; ++i) dyn.Insert(f.data.base.row(i));
+  ASSERT_TRUE(dyn.AttachMetadata(std::make_shared<MetadataStore>(md)).ok());
+  ASSERT_EQ(dyn.capacity(), 1024u);
+
+  SearchOptions o;
+  o.window = 16;
+  o.filter = std::make_shared<const Predicate>(
+      Predicate::Parse("num0<0.02").value());
+  GraphSearcher a(fixed->read_view());
+  GraphSearcher b(dyn.read_view());
+  SearchResult res;
+  a.Run(f.data.queries.row(0), 10, o, &res);
+  b.Run(f.data.queries.row(0), 10, o, &res);
+  EXPECT_TRUE(a.plan().push_down);
+  EXPECT_EQ(b.plan().push_down, a.plan().push_down);
+  EXPECT_EQ(b.plan().window0, a.plan().window0);
+  EXPECT_NEAR(b.plan().selectivity, a.plan().selectivity, 1e-12);
 }
 
 // --- serialization ----------------------------------------------------------
