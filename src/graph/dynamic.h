@@ -128,7 +128,6 @@ class DynamicGraphIndex {
    public:
     using StorageT = Storage;
     using Rows = AcquireRows;
-    using Guard = EpochGuard::ReadLock;
     static constexpr bool kMayBeEmpty = true;
     /// Re-checked at extraction too, for deletes that land mid-search.
     struct Dead {
@@ -138,7 +137,9 @@ class DynamicGraphIndex {
 
     explicit ReadView(const DynamicGraphIndex* index) : index_(index) {}
     size_t dim() const { return index_->dim_; }
-    Guard Lock() const { return Guard(&index_->epoch_); }
+    EpochGuard::ReadLock Lock() const {
+      return EpochGuard::ReadLock(&index_->epoch_);
+    }
     // The rest are read under Lock().
     const FlatGraph& graph() const { return index_->graph_; }
     const Storage& storage() const { return index_->storage_; }

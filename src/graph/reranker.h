@@ -13,16 +13,18 @@
 //
 // Every flavor — static LVQ-4x8 residuals, the dynamic index's
 // insert-time-encoded LVQ arena, LeanVec's full-dimension secondary — routes
-// through RescoreCandidates below; none carries its own copy of the loop.
+// through RescoreCandidates below, called from GraphSearcher's one result
+// epilogue (graph/search.h); none carries its own copy of the loop.
 // The capability bit (kCapRerank) and Calibrate phase 3 are derived from the
 // same seam declaratively, via SpecCapabilities (api/spec.cc).
 //
 // Determinism note: the re-scored (dist, id) pairs compare by a strict
 // total order (ids are unique), so a partial_sort whose prefix covers the
-// emitted results yields exactly the same prefix as a full sort. Callers
-// therefore pass the cheapest `sorted_prefix` that covers what they emit:
-// the static path sorts only k, the dynamic path sorts the whole depth
-// because the tombstone filter may skip past any prefix.
+// emitted results yields exactly the same prefix as a full sort. The
+// epilogue therefore passes the cheapest `sorted_prefix` that covers what
+// it emits: only k over a graph without dead ids (the static index), the
+// whole depth otherwise (the dynamic index), because the dead-id skip may
+// pass any prefix.
 #pragma once
 
 #include <algorithm>
@@ -38,7 +40,7 @@ namespace blink {
 /// behavior (the whole buffer); otherwise the depth is clamped to at least
 /// k so re-ranking can never return fewer results than requested. `slack`
 /// widens the depth for candidates that will be filtered after re-scoring:
-/// the dynamic path passes the dead (tombstoned) entries of its own pool.
+/// the epilogue passes the dead (tombstoned) entries of its own pool.
 inline size_t RerankDepth(size_t buffer_size, size_t k, uint32_t rerank_window,
                           size_t slack = 0) {
   if (rerank_window == 0) return buffer_size;
@@ -50,7 +52,7 @@ inline size_t RerankDepth(size_t buffer_size, size_t k, uint32_t rerank_window,
 /// candidates, re-scores each with FullDistance, and sorts the first
 /// `sorted_prefix` pairs (the rest stay unordered — see the determinism
 /// note above). `buffer` is any sorted candidate sequence exposing
-/// `operator[](i).id` (SearchBuffer on both the static and dynamic paths);
+/// `operator[](i).id` (a SearchBuffer or a filtered survivor pool);
 /// `decode_scratch` must hold storage.dim() floats.
 template <typename Storage, typename Buffer>
 void RescoreCandidates(const Storage& storage,
@@ -72,8 +74,8 @@ void RescoreCandidates(const Storage& storage,
 }
 
 /// Emits re-scored pairs in ascending distance order, skipping those the
-/// predicate rejects (dynamic tombstones; the static path passes a
-/// constant-false predicate), until `k` results are out or the pairs run
+/// predicate rejects (the read view's dead ids: dynamic tombstones, none
+/// for the static index), until `k` results are out or the pairs run
 /// dry. `ids`/`dists` are cleared first; padding to exactly k is the
 /// caller's contract, not this helper's.
 template <typename SkipPred>
