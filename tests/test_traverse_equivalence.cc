@@ -1,6 +1,6 @@
 // Traversal equivalence: every graph search now runs through the one
 // Traverse loop (graph/search.h), and every index query through the one
-// GraphSearcher. Before it, the traversal existed three
+// GraphSearcher. Before Traverse, the traversal existed three
 // times — GreedySearcher::Search (static search and the builder),
 // DynamicGraphIndex::CollectCandidates (the dynamic writer) and
 // DynamicGraphIndex::CollectIntoScratch (the dynamic readers). This suite
@@ -1111,7 +1111,7 @@ TEST(TraverseEquivalence, DynamicLvq8WriterAndReadersMatchFrozenLoops) {
 
 /// Restores a dynamic index, with no deletes, over a copy of `idx`: the
 /// same rows encoded again (encoding is deterministic) and the same rows of
-/// adjacency; `md` is attached to both.
+/// adjacency, with `md` attached.
 std::unique_ptr<DynamicLvqIndex> FrozenDynamicCopy(
     const VamanaIndex<LvqStorage>& idx, MatrixViewF base,
     const MetadataStore& md) {
