@@ -1,8 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
+#include <latch>
 
 #include "util/env.h"
 
@@ -12,6 +11,17 @@ namespace blink {
 // ServingEngine.
 // ---------------------------------------------------------------------------
 
+/// One SearchBatch call. Lives on the caller's stack until every slice has
+/// counted `done` down.
+struct ServingEngine::SyncCall {
+  MatrixViewF queries;
+  size_t k;
+  const SearchOptions& params;
+  uint32_t* ids;
+  float* dists;
+  std::latch done;
+};
+
 ServingEngine::ServingEngine(const SearchIndex* index,
                              const ServingOptions& options)
     : index_(index), opts_(options) {
@@ -19,18 +29,18 @@ ServingEngine::ServingEngine(const SearchIndex* index,
   // Degenerate values are rejected with a Status at the configuration
   // boundary (ServingOptions::Validate, called by Index::Serve and the
   // server tools). The clamps below are last-resort defense for direct
-  // constructions that skipped Validate — a 0 here would dispatch empty
+  // constructions that skipped Validate — a 0 here would take empty
   // batches forever / never admit a query.
   if (opts_.max_batch == 0) opts_.max_batch = 1;
   if (opts_.queue_capacity == 0) opts_.queue_capacity = 1;
-  pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
   searchers_.reserve(opts_.num_threads);
-  free_.reserve(opts_.num_threads);
   for (size_t i = 0; i < opts_.num_threads; ++i) {
     searchers_.push_back(index_->MakeSearcher());
-    free_.push_back(searchers_.back().get());
   }
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
+  workers_.reserve(opts_.num_threads);
+  for (size_t i = 0; i < opts_.num_threads; ++i) {
+    workers_.emplace_back([this, s = searchers_[i].get()] { WorkerLoop(s); });
+  }
 }
 
 ServingEngine::~ServingEngine() {
@@ -39,25 +49,9 @@ ServingEngine::~ServingEngine() {
     stop_ = true;
   }
   queue_cv_.notify_all();
-  dispatcher_.join();  // flushes the remaining queue into final batches
-  Drain();
-  pool_.reset();  // runs any still-pending batch tasks before joining
-}
-
-Searcher* ServingEngine::AcquireSearcher() {
-  std::unique_lock<std::mutex> lk(free_mu_);
-  free_cv_.wait(lk, [this] { return !free_.empty(); });
-  Searcher* s = free_.back();
-  free_.pop_back();
-  return s;
-}
-
-void ServingEngine::ReleaseSearcher(Searcher* s) {
-  {
-    std::unique_lock<std::mutex> lk(free_mu_);
-    free_.push_back(s);
-  }
-  free_cv_.notify_one();
+  capacity_cv_.notify_all();
+  for (std::thread& w : workers_) w.join();  // they serve the queue out first
+  Drain();  // a Submit racing the stop may still hold its reservation
 }
 
 void ServingEngine::SearchBatch(MatrixViewF queries, size_t k,
@@ -65,15 +59,24 @@ void ServingEngine::SearchBatch(MatrixViewF queries, size_t k,
                                 float* dists, BatchStats* stats) {
   const size_t nq = queries.rows;
   if (nq == 0) return;
+  const size_t num_slices = std::min(workers_.size(), nq);
+  std::vector<BatchStats> slice_stats(num_slices);
+  SyncCall call{queries, k, params, ids, dists,
+                std::latch(static_cast<std::ptrdiff_t>(num_slices))};
+  {
+    std::unique_lock<std::mutex> lk(queue_mu_);
+    for (size_t w = 0; w < num_slices; ++w) {
+      queue_.push_back(Slice{&call, nq * w / num_slices,
+                             nq * (w + 1) / num_slices, &slice_stats[w]});
+    }
+  }
+  for (size_t w = 0; w < num_slices; ++w) queue_cv_.notify_one();
+  call.done.wait();
   BatchStats total;
-  RunBatchSlices(
-      nq, searchers_.size(), pool_.get(), &total,
-      [&](size_t lo, size_t hi, BatchStats* slice_stats) {
-        Searcher* searcher = AcquireSearcher();
-        SearchRows(*searcher, queries, lo, hi, k, params, ids, dists,
-                   slice_stats);
-        ReleaseSearcher(searcher);
-      });
+  for (const BatchStats& s : slice_stats) {
+    total.distance_computations += s.distance_computations;
+    total.hops += s.hops;
+  }
   queries_.fetch_add(nq, std::memory_order_relaxed);
   distance_computations_.fetch_add(total.distance_computations,
                                    std::memory_order_relaxed);
@@ -86,16 +89,14 @@ void ServingEngine::SearchBatch(MatrixViewF queries, size_t k,
 
 std::future<SearchResult> ServingEngine::Submit(const float* query, size_t k,
                                                 const SearchOptions& params) {
-  Request req;
-  req.query.assign(query, query + index_->dim());
-  req.k = k;
-  req.params = params;
+  Request req{{query, query + index_->dim()}, k, params, {}};
   std::future<SearchResult> fut = req.promise.get_future();
   inflight_.fetch_add(1, std::memory_order_relaxed);
   {
     std::unique_lock<std::mutex> lk(queue_mu_);
-    capacity_cv_.wait(
-        lk, [this] { return queue_.size() < opts_.queue_capacity || stop_; });
+    capacity_cv_.wait(lk, [this] {
+      return queued_async_ < opts_.queue_capacity || stop_;
+    });
     if (stop_) {  // engine shutting down: fail fast, contract-shaped
       lk.unlock();
       // Padded like a real answer so result-shape invariants hold, but
@@ -106,17 +107,13 @@ std::future<SearchResult> ServingEngine::Submit(const float* query, size_t k,
       empty.dists.assign(k, kInvalidDist);
       empty.outcome = SearchOutcome::kShutdown;
       req.promise.set_value(std::move(empty));
-      // Same completion protocol as ProcessBatch: a concurrent Drain()
-      // waiting on this query must be woken.
-      if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::unique_lock<std::mutex> drain_lk(drain_mu_);
-        drain_cv_.notify_all();
-      }
+      Retire(1);
       return fut;
     }
     queue_.push_back(std::move(req));
+    ++queued_async_;
   }
-  queue_cv_.notify_all();
+  queue_cv_.notify_one();
   return fut;
 }
 
@@ -124,9 +121,9 @@ ServingEngine::SubmitOutcome ServingEngine::TrySubmit(
     const float* query, size_t k, const SearchOptions& params,
     std::future<SearchResult>* out) {
   // Admission bound: queued + executing. (Submit's producer backpressure
-  // waits on the queue alone, which the dispatcher drains eagerly into the
-  // worker pool; an admission decision has to count the work that is
-  // already past the queue or the bound is porous under load.)
+  // waits on the queue alone, which the workers take from eagerly; an
+  // admission decision has to count the work a worker already holds or
+  // the bound is porous under load.)
   for (;;) {
     uint64_t cur = inflight_.load(std::memory_order_relaxed);
     if (cur >= opts_.queue_capacity) {
@@ -140,95 +137,105 @@ ServingEngine::SubmitOutcome ServingEngine::TrySubmit(
       break;
     }
   }
-  Request req;
-  req.query.assign(query, query + index_->dim());
-  req.k = k;
-  req.params = params;
+  Request req{{query, query + index_->dim()}, k, params, {}};
   std::future<SearchResult> fut = req.promise.get_future();
   {
     std::unique_lock<std::mutex> lk(queue_mu_);
     if (stop_) {
       lk.unlock();
-      // Roll the reservation back (waking a concurrent Drain if we were
-      // the last) — the caller gets the rejection, not a future.
-      if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::unique_lock<std::mutex> drain_lk(drain_mu_);
-        drain_cv_.notify_all();
-      }
+      // Roll the reservation back — the caller gets the rejection, not a
+      // future.
+      Retire(1);
       return SubmitOutcome::kRejectedShutdown;
     }
     queue_.push_back(std::move(req));
+    ++queued_async_;
   }
-  queue_cv_.notify_all();
+  queue_cv_.notify_one();
   *out = std::move(fut);
   return SubmitOutcome::kAccepted;
 }
 
 size_t ServingEngine::queue_depth() const {
   std::unique_lock<std::mutex> lk(queue_mu_);
-  return queue_.size();
+  return queued_async_;
 }
 
-void ServingEngine::DispatcherLoop() {
+void ServingEngine::WorkerLoop(Searcher* searcher) {
+  std::vector<Request> batch;
+  batch.reserve(opts_.max_batch);
   for (;;) {
-    std::vector<Request> batch;
+    Slice slice{};
     {
       std::unique_lock<std::mutex> lk(queue_mu_);
       queue_cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty() && stop_) return;
-      // Micro-batching: linger briefly for more queries unless the batch is
-      // already full or we are shutting down.
-      if (queue_.size() < opts_.max_batch && !stop_) {
-        queue_cv_.wait_for(
-            lk, std::chrono::microseconds(opts_.batch_linger_us),
-            [this] { return queue_.size() >= opts_.max_batch || stop_; });
-      }
-      const size_t take = std::min(queue_.size(), opts_.max_batch);
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
+      if (queue_.empty()) return;  // stopping, and nothing is left to serve
+      if (const Slice* s = std::get_if<Slice>(&queue_.front())) {
+        slice = *s;
         queue_.pop_front();
+      } else {
+        // A fair share: when queries pile up, every worker takes some, and
+        // a lone query is taken alone.
+        const size_t share =
+            std::min(opts_.max_batch, (queue_.size() + opts_.num_threads - 1) /
+                                          opts_.num_threads);
+        while (batch.size() < share && !queue_.empty() &&
+               std::holds_alternative<Request>(queue_.front())) {
+          batch.push_back(std::move(std::get<Request>(queue_.front())));
+          queue_.pop_front();
+        }
+        queued_async_ -= batch.size();
       }
+      // A notify may have been spent on this worker; hand the rest on.
+      if (!queue_.empty()) queue_cv_.notify_one();
     }
-    capacity_cv_.notify_all();
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    // shared_ptr because ThreadPool tasks are std::function (copyable) and
-    // Request is move-only (promise).
-    auto b = std::make_shared<std::vector<Request>>(std::move(batch));
-    pool_->Submit([this, b] { ProcessBatch(std::move(*b)); });
+    if (slice.call != nullptr) {
+      RunSlice(*searcher, slice);
+    } else {
+      capacity_cv_.notify_all();
+      RunRequests(*searcher, batch);
+      batch.clear();
+    }
   }
 }
 
-void ServingEngine::ProcessBatch(std::vector<Request> batch) {
-  Searcher* searcher = AcquireSearcher();
-  std::vector<SearchResult> results(batch.size());
-  BatchStats stats;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    SearchResult& res = results[i];
-    res.ids.resize(batch[i].k);
-    res.dists.resize(batch[i].k);
+void ServingEngine::RunSlice(Searcher& searcher, const Slice& slice) {
+  SyncCall& call = *slice.call;
+  SearchRows(searcher, call.queries, slice.lo, slice.hi, call.k, call.params,
+             call.ids, call.dists, slice.stats);
+  call.done.count_down();  // the caller may unwind `call` from here on
+}
+
+void ServingEngine::RunRequests(Searcher& searcher,
+                                std::vector<Request>& batch) {
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  for (Request& req : batch) {
+    SearchResult res;
+    res.ids.resize(req.k);
+    res.dists.resize(req.k);
     BatchStats qs;
-    searcher->Search(batch[i].query.data(), batch[i].k, batch[i].params,
-                     res.ids.data(), res.dists.data(), &qs);
+    searcher.Search(req.query.data(), req.k, req.params, res.ids.data(),
+                    res.dists.data(), &qs);
     res.distance_computations = qs.distance_computations;
     res.hops = qs.hops;
-    stats.distance_computations += qs.distance_computations;
-    stats.hops += qs.hops;
+    // Counters before the promise: a client must see its query counted
+    // once its future resolves.
+    queries_.fetch_add(1, std::memory_order_relaxed);
+    distance_computations_.fetch_add(qs.distance_computations,
+                                     std::memory_order_relaxed);
+    hops_.fetch_add(qs.hops, std::memory_order_relaxed);
+    req.promise.set_value(std::move(res));
   }
-  ReleaseSearcher(searcher);
-  // Counters before promises (a client must see its query counted once its
-  // future resolves); promises before the inflight decrement (Drain()
-  // guarantees resolved futures).
-  queries_.fetch_add(batch.size(), std::memory_order_relaxed);
-  distance_computations_.fetch_add(stats.distance_computations,
-                                   std::memory_order_relaxed);
-  hops_.fetch_add(stats.hops, std::memory_order_relaxed);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    batch[i].promise.set_value(std::move(results[i]));
-  }
-  if (inflight_.fetch_sub(batch.size(), std::memory_order_acq_rel) ==
-      batch.size()) {
-    std::unique_lock<std::mutex> lk(drain_mu_);
+  // Promises before the in-flight decrement: Drain() guarantees resolved
+  // futures.
+  Retire(batch.size());
+}
+
+void ServingEngine::Retire(uint64_t n) {
+  // Under drain_mu_, so a Drain() that sees zero (the destructor's, say)
+  // cannot return while this thread still touches the engine.
+  std::lock_guard<std::mutex> lk(drain_mu_);
+  if (inflight_.fetch_sub(n, std::memory_order_acq_rel) == n) {
     drain_cv_.notify_all();
   }
 }

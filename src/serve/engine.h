@@ -7,17 +7,21 @@
 //   1. Searcher pools. SearchBatch (eval/interface.h) makes a fresh
 //      Searcher — and its visited array and scratch — per slice per call,
 //      which is pure overhead when requests arrive as many small batches.
-//      The engine owns `num_threads` reusable Searcher instances
-//      (SearchIndex::MakeSearcher()) whose state stays warm across
+//      The engine runs `num_threads` worker threads, each owning one
+//      Searcher (SearchIndex::MakeSearcher()) whose state stays warm across
 //      requests: the visited epochs in particular make "reset" a counter
 //      bump instead of an O(n) zeroing. Both run the same per-slice loop
 //      (SearchRows).
 //
-//   2. An async submission path with micro-batching. Submit() enqueues one
-//      query and returns a future; a dispatcher thread collects queries for
-//      up to `batch_linger_us` (or until `max_batch` are waiting) and ships
-//      them to the worker pool as one task, amortizing queue and wakeup
-//      costs under high concurrency — the FAISS-style batching argument.
+//   2. One request queue that the workers pull from. Submit() enqueues one
+//      query and returns a future; SearchBatch() enqueues its batch as at
+//      most `num_threads` slices and waits for them. An idle worker takes
+//      a fair share of whatever is queued — min(max_batch,
+//      ceil(queued / num_threads)) async queries, or one sync slice — so no
+//      query waits on a timer or behind another query while a worker is
+//      idle. Micro-batches form on their own only when queries arrive
+//      faster than the workers drain them, which is when the FAISS-style
+//      batching argument (amortized queue and wakeup costs) pays.
 //
 // The engine serves any SearchIndex. Static indices (VamanaIndex) are
 // immutable and need no coordination; the dynamic index is served through
@@ -35,23 +39,22 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "eval/interface.h"
 #include "graph/dynamic.h"
 #include "graph/search.h"
-#include "util/thread_pool.h"
 
 namespace blink {
 
 struct ServingOptions {
-  size_t num_threads = 0;      ///< searcher-pool size; 0 = env NumThreads()
-  size_t max_batch = 32;       ///< async micro-batch: dispatch at this many
-  size_t batch_linger_us = 100;  ///< ... or this long after the first query
+  size_t num_threads = 0;  ///< worker/searcher count; 0 = env NumThreads()
+  size_t max_batch = 32;   ///< most async queries one worker takes at once
   size_t queue_capacity = 1 << 16;  ///< async backpressure bound
 
   /// OK iff the options describe a servable configuration. Degenerate
-  /// values (`max_batch == 0` dispatches empty batches forever;
+  /// values (`max_batch == 0` would take empty batches forever;
   /// `queue_capacity == 0` can never admit a query) are rejected here —
   /// Index::Serve() and the server tools call this at the configuration
   /// boundary and return the Status instead of standing up a broken
@@ -60,7 +63,7 @@ struct ServingOptions {
   Status Validate() const {
     if (max_batch == 0) {
       return Status::InvalidArgument(
-          "ServingOptions::max_batch must be >= 1 (0 would dispatch empty "
+          "ServingOptions::max_batch must be >= 1 (0 would take empty "
           "micro-batches forever)");
     }
     if (queue_capacity == 0) {
@@ -72,10 +75,6 @@ struct ServingOptions {
       return Status::InvalidArgument(
           "ServingOptions::num_threads out of range (> 4096)");
     }
-    if (batch_linger_us > 10'000'000) {
-      return Status::InvalidArgument(
-          "ServingOptions::batch_linger_us out of range (> 10s)");
-    }
     return Status::OK();
   }
 };
@@ -83,7 +82,7 @@ struct ServingOptions {
 /// Aggregate counters since engine construction (monotonic, thread-safe).
 struct ServingCounters {
   uint64_t queries = 0;
-  uint64_t batches = 0;  ///< async micro-batches dispatched
+  uint64_t batches = 0;  ///< async micro-batches taken by the workers
   uint64_t distance_computations = 0;
   uint64_t hops = 0;
   uint64_t rejected = 0;  ///< TrySubmit admissions refused (overload)
@@ -98,11 +97,12 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Synchronous batch search across the pooled searchers. Writes row-major
-  /// ids (queries.rows x k, padded with kInvalidId) and, when given,
-  /// per-query dists (+inf padding) and aggregate stats for this call.
-  /// Thread-safe: any number of client threads may call concurrently; they
-  /// share the searcher pool.
+  /// Synchronous batch search on the workers: the batch is cut into at most
+  /// `num_threads` slices, queued, and awaited. Writes row-major ids
+  /// (queries.rows x k, padded with kInvalidId) and, when given, per-query
+  /// dists (+inf padding) and aggregate stats for this call. Thread-safe:
+  /// any number of client threads may call concurrently. Its slices do not
+  /// count toward inflight(), queue_depth() or `queue_capacity`.
   void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions& params,
                    uint32_t* ids, float* dists = nullptr,
                    BatchStats* stats = nullptr);
@@ -131,49 +131,52 @@ class ServingEngine {
   void Drain();
 
   const SearchIndex& index() const { return *index_; }
-  size_t num_threads() const { return searchers_.size(); }
+  size_t num_threads() const { return workers_.size(); }
   ServingCounters counters() const;
   /// Async queries admitted but not yet resolved (queued + executing).
   size_t inflight() const {
     return inflight_.load(std::memory_order_relaxed);
   }
-  /// Async queries waiting for the dispatcher (a subset of inflight()).
+  /// Async queries waiting for a worker (a subset of inflight()).
   size_t queue_depth() const;
 
  private:
+  /// A queued async query: owns a copy of the query and the promise.
   struct Request {
     std::vector<float> query;
     size_t k;
     SearchOptions params;
     std::promise<SearchResult> promise;
   };
+  struct SyncCall;  // one SearchBatch call (engine.cc)
+  /// Rows [lo, hi) of a SearchBatch call, searched by one worker.
+  struct Slice {
+    SyncCall* call;
+    size_t lo, hi;
+    BatchStats* stats;
+  };
 
-  Searcher* AcquireSearcher();
-  void ReleaseSearcher(Searcher* s);
-  void DispatcherLoop();
-  void ProcessBatch(std::vector<Request> batch);
+  void WorkerLoop(Searcher* searcher);
+  void RunSlice(Searcher& searcher, const Slice& slice);
+  void RunRequests(Searcher& searcher, std::vector<Request>& batch);
+  /// Resolves `n` async queries against the in-flight count, waking Drain()
+  /// when the count reaches zero.
+  void Retire(uint64_t n);
 
   const SearchIndex* index_;
   ServingOptions opts_;
-  std::unique_ptr<ThreadPool> pool_;
 
-  // Searcher pool: a free-list guarded by a mutex; Acquire blocks until one
-  // is available (deadlock-free: a slice holds at most one searcher).
-  std::vector<std::unique_ptr<Searcher>> searchers_;
-  std::vector<Searcher*> free_;
-  std::mutex free_mu_;
-  std::condition_variable free_cv_;
-
-  // Async queue + dispatcher.
-  std::deque<Request> queue_;
-  mutable std::mutex queue_mu_;  // mutable: queue_depth() is a const probe
-  std::condition_variable queue_cv_;      // dispatcher wakeups
-  std::condition_variable capacity_cv_;   // producer backpressure
+  // The one queue the workers pull from: async queries and sync slices in
+  // arrival order.
+  std::deque<std::variant<Request, Slice>> queue_;
+  size_t queued_async_ = 0;        // Requests in queue_ (guarded by queue_mu_)
+  mutable std::mutex queue_mu_;    // mutable: queue_depth() is a const probe
+  std::condition_variable queue_cv_;     // worker wakeups
+  std::condition_variable capacity_cv_;  // producer backpressure
   bool stop_ = false;
-  std::atomic<uint64_t> inflight_{0};     // queued + executing async queries
+  std::atomic<uint64_t> inflight_{0};    // queued + executing async queries
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
-  std::thread dispatcher_;
 
   // Counters.
   std::atomic<uint64_t> queries_{0};
@@ -181,6 +184,11 @@ class ServingEngine {
   std::atomic<uint64_t> distance_computations_{0};
   std::atomic<uint64_t> hops_{0};
   std::atomic<uint64_t> rejected_{0};
+
+  // One searcher per worker; workers_[i] owns searchers_[i]. Last, after
+  // everything the workers touch.
+  std::vector<std::unique_ptr<Searcher>> searchers_;
+  std::vector<std::thread> workers_;
 };
 
 /// SearchIndex facade over a DynamicGraphIndex of any storage, so the

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -41,34 +40,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t num_threads() const { return workers_.size(); }
-
-  /// Task-queue mode: enqueues one task for asynchronous execution on a
-  /// worker thread. Tasks run in FIFO order relative to other Submit()s but
-  /// interleave with ParallelFor helper tasks. Pending tasks are drained
-  /// (not dropped) by the destructor. Thread-safe.
-  void Submit(std::function<void()> task) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      tasks_.push([this, t = std::move(task)] {
-        t();
-        {
-          std::unique_lock<std::mutex> done_lk(mu_);
-          ++completed_;
-        }
-        idle_cv_.notify_all();
-      });
-      ++submitted_;
-    }
-    cv_.notify_one();
-  }
-
-  /// Blocks until every task enqueued with Submit() before this call has
-  /// finished executing. (ParallelFor blocks on its own; this is the
-  /// equivalent fence for task-queue mode.)
-  void WaitIdle() {
-    std::unique_lock<std::mutex> lk(mu_);
-    idle_cv_.wait(lk, [this] { return completed_ == submitted_; });
-  }
 
   /// Runs fn(i) for i in [0, n), work-stealing in chunks across the pool
   /// (plus the calling thread). Blocks until every dispatched task has
@@ -144,9 +115,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::condition_variable idle_cv_;  // signals Submit-task completion
-  uint64_t submitted_ = 0;           // Submit() tasks enqueued (guarded by mu_)
-  uint64_t completed_ = 0;           // Submit() tasks finished (guarded by mu_)
   bool stop_ = false;
 };
 

@@ -1,5 +1,6 @@
 // Serving engine tests: pooled-searcher correctness against the direct
-// paths, async micro-batching, the ISSUE 2 multi-threaded stress test —
+// paths, async micro-batching and work conservation (an idle worker never
+// leaves a query waiting), the ISSUE 2 multi-threaded stress test —
 // concurrent SearchBatch from many threads while a writer mutates the
 // dynamic index — plus the serving-path hardening of ISSUE 8: options
 // validation, deterministic TrySubmit admission control, the shutdown
@@ -9,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -377,9 +380,6 @@ TEST(ServingOptions, ValidateRejectsDegenerateConfigurations) {
   o.num_threads = (1u << 12) + 1;
   EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
 
-  o = ServingOptions{};
-  o.batch_linger_us = 10'000'001;
-  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 /// A SearchIndex stub whose searchers park inside the search until the
@@ -387,11 +387,14 @@ TEST(ServingOptions, ValidateRejectsDegenerateConfigurations) {
 /// while a test probes admission control or shutdown. With
 /// `block_first_only`, only the first query ever parks; the rest answer
 /// immediately (the shutdown test needs later queries to resolve while the
-/// first pins the engine's in-flight count).
+/// first pins the engine's in-flight count). Past the gate a query answers
+/// id 0, or, when the gate wraps an `inner` index, that index's answer.
 class GateIndex : public SearchIndex {
  public:
   explicit GateIndex(size_t dim, bool block_first_only = false)
       : dim_(dim), block_first_only_(block_first_only) {}
+  explicit GateIndex(const SearchIndex* inner)
+      : dim_(inner->dim()), block_first_only_(false), inner_(inner) {}
 
   std::string name() const override { return "gate-stub"; }
   size_t size() const override { return 1; }
@@ -417,6 +420,7 @@ class GateIndex : public SearchIndex {
  private:
   size_t dim_;
   bool block_first_only_;
+  const SearchIndex* inner_ = nullptr;
   // mutable: searchers reach the gate through a const index.
   mutable std::mutex mu_;
   mutable std::condition_variable entered_cv_;
@@ -425,15 +429,19 @@ class GateIndex : public SearchIndex {
   mutable bool open_ = false;
 
   /// Parks the query (every one, or only the first) until the gate opens,
-  /// then answers id 0.
+  /// then answers.
   class Gate : public Searcher {
    public:
     explicit Gate(const GateIndex* index)
-        : Searcher(index->dim_), index_(index) {}
+        : Searcher(index->dim_),
+          index_(index),
+          inner_(index->inner_ != nullptr ? index->inner_->MakeSearcher()
+                                          : nullptr) {}
 
    private:
-    void SearchFinite(const float*, size_t k, const SearchOptions&,
-                      uint32_t* ids, float* dists, BatchStats*) override {
+    void SearchFinite(const float* query, size_t k,
+                      const SearchOptions& params, uint32_t* ids,
+                      float* dists, BatchStats* stats) override {
       {
         std::unique_lock<std::mutex> lk(index_->mu_);
         const uint64_t ticket = index_->entered_++;
@@ -442,12 +450,17 @@ class GateIndex : public SearchIndex {
           index_->gate_cv_.wait(lk, [&] { return index_->open_; });
         }
       }
+      if (inner_ != nullptr) {
+        inner_->Search(query, k, params, ids, dists, stats);
+        return;
+      }
       const uint32_t hit = 0;
       const float dist = 0.0f;
       WritePaddedRow(&hit, &dist, 1, k, ids, dists);
     }
 
     const GateIndex* index_;
+    std::unique_ptr<Searcher> inner_;
   };
 };
 
@@ -537,6 +550,115 @@ TEST(ServingEngine, SubmitDuringShutdownIsTaggedNotZeroHit) {
   destroyer.join();
   SearchResult res = pinned.get();
   EXPECT_EQ(res.outcome, SearchOutcome::kOk);  // admitted before stop
+}
+
+// Two workers, two queries submitted back to back: whichever query reaches
+// the gate first parks, and the idle worker must answer the other one while
+// it is still parked. (An engine that gathers both into one micro-batch
+// runs them in order on one worker, so the second waits on the gate.)
+TEST(ServingEngine, IdleWorkerTakesQueryQueuedBehindParkedOne) {
+  GateIndex gate(/*dim=*/8, /*block_first_only=*/true);
+  ServingOptions opts;
+  opts.num_threads = 2;
+  ServingEngine engine(&gate, opts);
+  const std::vector<float> q(8, 0.5f);
+  RuntimeParams p;
+
+  std::future<SearchResult> a = engine.Submit(q.data(), 3, p);
+  std::future<SearchResult> b = engine.Submit(q.data(), 3, p);
+  auto ready = [](std::future<SearchResult>& f, std::chrono::milliseconds t) {
+    return f.wait_for(t) == std::future_status::ready;
+  };
+  std::future<SearchResult>* parked = nullptr;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (parked == nullptr && std::chrono::steady_clock::now() < deadline) {
+    if (ready(a, std::chrono::milliseconds(5))) {
+      parked = &b;
+    } else if (ready(b, std::chrono::milliseconds(0))) {
+      parked = &a;
+    }
+  }
+  const bool still_parked =
+      parked != nullptr && !ready(*parked, std::chrono::milliseconds(0));
+  gate.OpenGate();  // before any assertion can return, or the dtor hangs
+  EXPECT_NE(parked, nullptr) << "the second query waited behind the first";
+  EXPECT_TRUE(still_parked);
+  EXPECT_EQ(a.get().outcome, SearchOutcome::kOk);
+  EXPECT_EQ(b.get().outcome, SearchOutcome::kOk);
+}
+
+// A burst queued behind parked workers drains in micro-batches of at most
+// max_batch, and every answer is bit-identical to a direct Searcher's.
+TEST(ServingEngine, BurstBehindParkedWorkersBatchesBitIdentically) {
+  StaticFixture f;
+  GateIndex gate(f.index.get());
+  const size_t k = 10, kBurst = 64;
+  ServingOptions opts;
+  opts.num_threads = 2;
+  opts.max_batch = 8;
+  ServingEngine engine(&gate, opts);
+  RuntimeParams p;
+  p.window = 32;
+
+  std::vector<std::future<SearchResult>> futures;
+  for (size_t qi = 0; qi < kBurst; ++qi) {
+    futures.push_back(engine.Submit(f.data.queries.row(qi), k, p));
+  }
+  gate.WaitEntered(2);  // both workers hold a query at the gate
+  gate.OpenGate();
+
+  std::unique_ptr<Searcher> direct = f.index->MakeSearcher();
+  std::vector<uint32_t> ids(k);
+  std::vector<float> dists(k);
+  for (size_t qi = 0; qi < kBurst; ++qi) {
+    const SearchResult res = futures[qi].get();
+    ASSERT_EQ(res.outcome, SearchOutcome::kOk);
+    direct->Search(f.data.queries.row(qi), k, p, ids.data(), dists.data(),
+                   nullptr);
+    ASSERT_EQ(res.ids, ids) << "query " << qi;
+    ASSERT_EQ(std::memcmp(res.dists.data(), dists.data(), k * sizeof(float)),
+              0)
+        << "query " << qi;
+  }
+  const uint64_t batches = engine.counters().batches;
+  EXPECT_GE(batches, (kBurst + opts.max_batch - 1) / opts.max_batch);
+  EXPECT_LE(batches, kBurst);
+}
+
+// SearchBatch runs on the same workers but is not async traffic: while an
+// admitted query pins queue_capacity = 1, a sync batch still completes,
+// and it leaves inflight(), queue_depth() and the admission bound as they
+// were.
+TEST(ServingEngine, SyncSlicesBypassAsyncAdmission) {
+  GateIndex gate(/*dim=*/8, /*block_first_only=*/true);
+  ServingOptions opts;
+  opts.num_threads = 2;
+  opts.queue_capacity = 1;
+  ServingEngine engine(&gate, opts);
+  const std::vector<float> q(8, 0.5f);
+  RuntimeParams p;
+
+  std::future<SearchResult> admitted;
+  ASSERT_EQ(engine.TrySubmit(q.data(), 3, p, &admitted),
+            ServingEngine::SubmitOutcome::kAccepted);
+  gate.WaitEntered(1);  // parked on one worker
+
+  MatrixF queries(4, 8);
+  std::fill(queries.data(), queries.data() + queries.size(), 0.25f);
+  Matrix<uint32_t> ids(4, 3);
+  engine.SearchBatch(queries, 3, p, ids.data());
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(ids(i, 0), 0u);
+  EXPECT_EQ(engine.inflight(), 1u);
+  EXPECT_EQ(engine.queue_depth(), 0u);
+  std::future<SearchResult> rejected;
+  EXPECT_EQ(engine.TrySubmit(q.data(), 3, p, &rejected),
+            ServingEngine::SubmitOutcome::kRejectedOverload);
+
+  gate.OpenGate();
+  EXPECT_EQ(admitted.get().outcome, SearchOutcome::kOk);
+  engine.Drain();
+  EXPECT_EQ(engine.inflight(), 0u);
 }
 
 /// One small facade build for the GenerationHolder tests.

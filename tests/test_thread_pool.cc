@@ -108,60 +108,5 @@ TEST(ThreadPool, ExecutesOnMultipleThreadsWhenAvailable) {
   EXPECT_GE(tids.size(), 1u);
 }
 
-TEST(ThreadPool, SubmitRunsTask) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.Submit([&] { ran.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPool, SubmitManyFromManyThreads) {
-  ThreadPool pool(4);
-  std::atomic<size_t> count{0};
-  std::vector<std::thread> producers;
-  for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        pool.Submit([&] { count.fetch_add(1); });
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 2000u);
-}
-
-TEST(ThreadPool, SubmitInterleavesWithParallelFor) {
-  ThreadPool pool(3);
-  std::atomic<size_t> submitted_done{0};
-  std::atomic<size_t> pfor_done{0};
-  for (int round = 0; round < 20; ++round) {
-    pool.Submit([&] { submitted_done.fetch_add(1); });
-    pool.ParallelFor(64, [&](size_t) { pfor_done.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(submitted_done.load(), 20u);
-  EXPECT_EQ(pfor_done.load(), 20u * 64u);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingSubmits) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&] { ran.fetch_add(1); });
-    }
-    // no WaitIdle: the destructor must finish the queue, not drop it
-  }
-  EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ThreadPool, WaitIdleWithNothingSubmittedReturns) {
-  ThreadPool pool(2);
-  pool.WaitIdle();
-  SUCCEED();
-}
-
 }  // namespace
 }  // namespace blink

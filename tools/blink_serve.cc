@@ -78,7 +78,8 @@
 // sync  — each client calls ServingEngine::SearchBatch with B queries per
 //         request (the request is the latency unit).
 // async — each client Submit()s one query at a time and waits on the
-//         future; the engine micro-batches across clients.
+//         future; an idle engine worker takes it at once, and queries
+//         that pile up are taken in micro-batches.
 //
 // SIGINT/SIGTERM in any mode stops the load gracefully: in-flight requests
 // finish and the final stats still print.
