@@ -6,7 +6,7 @@
 //   body    := u8 type | payload
 //
 // Request payloads
-//   kSearchRequest:
+//   kSearchRequest:                          (1 <= k <= kMaxWireK)
 //     u32 k | u32 window | u32 nprobe_shards | u32 rerank_window |
 //     u8 rerank | u8 flags | u8 reserved[2] | u32 num_queries | u32 dim |
 //     f32 data[num_queries * dim] | [filter]
@@ -167,19 +167,18 @@ class WireReader {
 
 // --- framing over a TcpConn -------------------------------------------------
 
-/// Writes one frame (length prefix + type + payload).
+/// Writes one frame (length prefix + type + payload) with one send: under
+/// TCP_NODELAY a separate header send would go out as its own segment.
 inline Status WriteFrame(TcpConn& conn, FrameType type,
                          const std::vector<uint8_t>& payload) {
   const uint64_t body = 1 + payload.size();
   if (body > UINT32_MAX) return Status::InvalidArgument("frame too large");
-  WireWriter head;
-  head.U32(static_cast<uint32_t>(body));
-  head.U8(static_cast<uint8_t>(type));
-  BLINK_RETURN_NOT_OK(conn.WriteFull(head.buf().data(), head.buf().size()));
-  if (!payload.empty()) {
-    BLINK_RETURN_NOT_OK(conn.WriteFull(payload.data(), payload.size()));
-  }
-  return Status::OK();
+  WireWriter frame;
+  frame.buf().reserve(sizeof(uint32_t) + body);
+  frame.U32(static_cast<uint32_t>(body));
+  frame.U8(static_cast<uint8_t>(type));
+  frame.Bytes(payload.data(), payload.size());
+  return conn.WriteFull(frame.buf().data(), frame.buf().size());
 }
 
 /// Reads the body of a frame whose u32 length prefix was already consumed
@@ -235,6 +234,12 @@ inline constexpr uint8_t kSearchFlagHasFilter = 1u << 0;
 /// Range-count bound for the filter block: far above any sane predicate,
 /// small enough to reject garbage before allocating.
 inline constexpr uint32_t kMaxWireFilterRanges = 64;
+/// Largest k a search request may ask for: far above any real top-k, and
+/// small enough that a full request's answer (ServerOptions'
+/// max_queries_per_request rows of k ids and distances) fits in a
+/// kDefaultMaxFrameBytes frame. A larger k is a kBadRequest, not a
+/// response of mostly padding.
+inline constexpr uint32_t kMaxWireK = 1024;
 
 inline std::vector<uint8_t> EncodeSearchRequest(MatrixViewF queries,
                                                 uint32_t k,

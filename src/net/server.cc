@@ -237,7 +237,8 @@ bool BlinkServer::HandleSearch(TcpConn& conn,
   std::shared_ptr<ServingGeneration> gen = holder_->Current();
   // A non-finite query would score NaN against every row and scan the
   // whole index, so it is a client error like a wrong dimension.
-  if (!decoded.ok() || req.k == 0 || req.num_queries == 0 ||
+  if (!decoded.ok() || req.k == 0 || req.k > kMaxWireK ||
+      req.num_queries == 0 ||
       req.num_queries > opts_.max_queries_per_request ||
       req.dim != gen->index.dim() ||
       FirstNonFinite(req.view()).has_value()) {

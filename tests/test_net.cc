@@ -385,6 +385,49 @@ TEST_F(NetServerTest, RejectsBadRequestsWithoutDroppingTheConnection) {
   server->Stop();
 }
 
+// A k far above any real top-k used to be answered with one frame of
+// almost all padding (k = 4,194,304 made a 32 MiB response for one
+// query). Above kMaxWireK the server answers kBadRequest, counts it, and
+// keeps serving the connection.
+TEST_F(NetServerTest, RejectsOversizedKWithoutDroppingTheConnection) {
+  Dataset data = MakeDeepLike(400, 4, 916);
+  ServerOptions opts;
+  opts.serving.num_threads = 1;
+  Result<std::unique_ptr<BlinkServer>> started =
+      BlinkServer::Start(BuildNetIndex(data), opts);
+  ASSERT_TRUE(started.ok());
+  std::unique_ptr<BlinkServer> server = std::move(started).value();
+  Result<BlinkClient> connected = BlinkClient::Connect("127.0.0.1",
+                                                       server->port());
+  ASSERT_TRUE(connected.ok());
+  BlinkClient client = std::move(connected).value();
+  SearchOptions p;
+  p.window = 32;
+  SearchResponse res;
+
+  MatrixF one(1, data.base.cols());
+  std::copy(data.queries.row(0), data.queries.row(0) + one.cols(), one.row(0));
+  ASSERT_TRUE(client.Search(one, 4'194'304, p, &res).ok());
+  EXPECT_EQ(res.status, WireStatus::kBadRequest);
+  EXPECT_EQ(res.num_queries, 0u);
+  EXPECT_TRUE(res.ids.empty());
+
+  // The bound itself is a legal k, and the connection still answers.
+  ASSERT_TRUE(client.Search(one, net::kMaxWireK, p, &res).ok());
+  EXPECT_EQ(res.status, WireStatus::kOk);
+  ASSERT_EQ(res.k, net::kMaxWireK);
+  EXPECT_NE(res.ids[0], kInvalidId);
+
+  StatusTextResponse stats;
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  Result<json::Value> doc = json::Parse(stats.text);
+  ASSERT_TRUE(doc.ok());
+  const json::Value* rejected = doc.value().Find("bad_requests");
+  ASSERT_NE(rejected, nullptr);
+  EXPECT_EQ(rejected->as_number(), 1.0);
+  server->Stop();
+}
+
 // A query with a NaN or an infinite coordinate would score NaN against
 // every row and scan the whole index: the server answers kBadRequest,
 // counts it, and keeps serving the connection.
