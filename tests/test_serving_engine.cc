@@ -1,11 +1,11 @@
 // Serving engine tests: pooled-searcher correctness against the direct
 // paths, async micro-batching and work conservation (an idle worker never
-// leaves a query waiting), the ISSUE 2 multi-threaded stress test —
-// concurrent SearchBatch from many threads while a writer mutates the
-// dynamic index — plus the serving-path hardening of ISSUE 8: options
-// validation, deterministic TrySubmit admission control, the shutdown
-// outcome tag, and GenerationHolder hot-swap semantics. Runs under the
-// ASan and TSan CI jobs.
+// leaves a query waiting), a multi-threaded stress test — concurrent
+// SearchBatch from many threads while a writer mutates the dynamic index —
+// plus the serving-path hardening: options validation, deterministic
+// TrySubmit admission control, the shutdown outcome tag, and
+// GenerationHolder hot-swap semantics. Runs under the ASan and TSan CI
+// jobs.
 #include "serve/engine.h"
 
 #include <gtest/gtest.h>
