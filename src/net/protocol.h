@@ -167,18 +167,17 @@ class WireReader {
 
 // --- framing over a TcpConn -------------------------------------------------
 
-/// Writes one frame (length prefix + type + payload) with one send: under
-/// TCP_NODELAY a separate header send would go out as its own segment.
+/// Writes one frame (length prefix + type + payload) as one gathering
+/// send of the 5-byte header and the payload, without copying the payload.
 inline Status WriteFrame(TcpConn& conn, FrameType type,
                          const std::vector<uint8_t>& payload) {
   const uint64_t body = 1 + payload.size();
   if (body > UINT32_MAX) return Status::InvalidArgument("frame too large");
-  WireWriter frame;
-  frame.buf().reserve(sizeof(uint32_t) + body);
-  frame.U32(static_cast<uint32_t>(body));
-  frame.U8(static_cast<uint8_t>(type));
-  frame.Bytes(payload.data(), payload.size());
-  return conn.WriteFull(frame.buf().data(), frame.buf().size());
+  WireWriter head;
+  head.U32(static_cast<uint32_t>(body));
+  head.U8(static_cast<uint8_t>(type));
+  return conn.WriteFull(head.buf().data(), head.buf().size(),
+                        payload.data(), payload.size());
 }
 
 /// Reads the body of a frame whose u32 length prefix was already consumed

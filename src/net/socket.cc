@@ -5,8 +5,10 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -32,20 +34,42 @@ void SetNoDelay(int fd) {
 // ---------------------------------------------------------------------------
 
 Status TcpConn::WriteFull(const void* buf, size_t n) {
+  return WriteFull(buf, n, nullptr, 0);
+}
+
+Status TcpConn::WriteFull(const void* head, size_t head_n, const void* body,
+                          size_t body_n) {
   if (fd_ < 0) return Status::IOError("write on closed connection");
-  const char* p = static_cast<const char*>(buf);
-  while (n > 0) {
+  iovec iov[2] = {{const_cast<void*>(head), head_n},
+                  {const_cast<void*>(body), body_n}};
+  iovec* cur = iov;
+  size_t count = 2;
+  for (;;) {
+    // Skip fully written (and empty) buffers.
+    while (count > 0 && cur->iov_len == 0) {
+      ++cur;
+      --count;
+    }
+    if (count == 0) return Status::OK();
+    msghdr msg{};
+    msg.msg_iov = cur;
+    msg.msg_iovlen = count;
     // MSG_NOSIGNAL: a peer that hung up must surface as EPIPE, not kill
-    // the process with SIGPIPE.
-    const ssize_t w = ::send(fd_, p, n, MSG_NOSIGNAL);
+    // the process with SIGPIPE (writev has no such flag).
+    const ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
-      return Errno("send");
+      return Errno("sendmsg");
     }
-    p += w;
-    n -= static_cast<size_t>(w);
+    // Drop what was sent; the loop head skips the emptied buffers.
+    size_t left = static_cast<size_t>(w);
+    for (iovec* v = cur; left > 0; ++v) {
+      const size_t step = std::min(left, v->iov_len);
+      v->iov_base = static_cast<char*>(v->iov_base) + step;
+      v->iov_len -= step;
+      left -= step;
+    }
   }
-  return Status::OK();
 }
 
 Status TcpConn::ReadFull(void* buf, size_t n) {

@@ -45,6 +45,11 @@ class TcpConn {
   /// Writes exactly `n` bytes (retrying short writes/EINTR; EPIPE is an
   /// IOError, never a signal).
   Status WriteFull(const void* buf, size_t n);
+  /// Writes `head` then `body` like one buffer, with one gathering send
+  /// per attempt and no copy: under TCP_NODELAY a separate header send
+  /// would go out as its own segment.
+  Status WriteFull(const void* head, size_t head_n, const void* body,
+                   size_t body_n);
 
   /// Reads exactly `n` bytes. A connection closed mid-read (or before the
   /// first byte) is an IOError; use ReadFullOrEof when a clean EOF at
