@@ -34,7 +34,7 @@ Result<bool> ResolveKnob(TuneKnob knob, bool capable, const char* what) {
 }
 
 // Measures one configuration over the whole sample. Recall is deterministic
-// (RunBatchSlices partitions by query, so thread count never changes
+// (SearchBatch partitions by query, so thread count never changes
 // results); QPS is a single wall-clock reading, indicative only.
 class Measurer {
  public:

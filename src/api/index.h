@@ -125,10 +125,10 @@ class Index {
                         size_t num_values);
 
   // --- serving -------------------------------------------------------------
-  /// Stands up a ServingEngine over this index (searcher pool + async
-  /// micro-batching). Validates `options` first — degenerate settings
-  /// (max_batch == 0, queue_capacity == 0) return InvalidArgument instead
-  /// of an engine that spins or hangs. The handle must outlive the engine.
+  /// Stands up a ServingEngine over this index (pooled searchers pulling
+  /// from one request queue). Validates `options` first — degenerate
+  /// settings (queue_capacity == 0) return InvalidArgument instead of an
+  /// engine that hangs. The handle must outlive the engine.
   Result<std::unique_ptr<ServingEngine>> Serve(
       const ServingOptions& options) const;
 

@@ -156,6 +156,12 @@ using RuntimeParams = SearchOptions;
 struct BatchStats {
   uint64_t distance_computations = 0;
   uint64_t hops = 0;  ///< graph nodes expanded
+
+  BatchStats& operator+=(const BatchStats& o) {
+    distance_computations += o.distance_computations;
+    hops += o.hops;
+    return *this;
+  }
 };
 
 /// Padding sentinels for queries with fewer than k reachable results: the
@@ -181,35 +187,30 @@ inline void WritePaddedRow(const uint32_t* src_ids, const float* src_dists,
   }
 }
 
-/// Shared partition-and-reduce loop of every batch-search path: splits
-/// [0, nq) into at most `max_slices` contiguous slices, runs
-/// `slice_fn(lo, hi, &slice_stats)` for each — across `pool`
-/// when more than one slice, inline otherwise — and reduces the per-slice
-/// stats into `*stats` (may be null).
-template <typename SliceFn>
-inline void RunBatchSlices(size_t nq, size_t max_slices, ThreadPool* pool,
-                           BatchStats* stats, SliceFn&& slice_fn) {
-  if (nq == 0) return;
-  const size_t num_slices =
-      std::max<size_t>(1, std::min(max_slices, nq));
-  std::vector<BatchStats> slice_stats(num_slices);
-  auto run = [&](size_t w) {
-    const size_t lo = nq * w / num_slices;
-    const size_t hi = nq * (w + 1) / num_slices;
-    slice_fn(lo, hi, &slice_stats[w]);
-  };
-  if (num_slices > 1 && pool != nullptr) {
-    pool->ParallelFor(num_slices, run);
-  } else {
-    for (size_t w = 0; w < num_slices; ++w) run(w);
+/// The slice layout and stats reduction every batch path shares
+/// (SearchBatch below and ServingEngine::SearchBatch): [0, nq) cut into at
+/// most `max_slices` contiguous slices, slice w being [lo(w), hi(w)), each
+/// with its own BatchStats that Total() sums.
+class BatchSlices {
+ public:
+  BatchSlices(size_t nq, size_t max_slices)
+      : nq_(nq), stats_(std::min(std::max<size_t>(1, max_slices), nq)) {}
+
+  size_t count() const { return stats_.size(); }
+  size_t lo(size_t w) const { return nq_ * w / count(); }
+  size_t hi(size_t w) const { return nq_ * (w + 1) / count(); }
+  BatchStats* stats(size_t w) { return &stats_[w]; }
+
+  BatchStats Total() const {
+    BatchStats total;
+    for (const BatchStats& s : stats_) total += s;
+    return total;
   }
-  if (stats != nullptr) {
-    for (const BatchStats& s : slice_stats) {
-      stats->distance_computations += s.distance_computations;
-      stats->hops += s.hops;
-    }
-  }
-}
+
+ private:
+  size_t nq_;
+  std::vector<BatchStats> stats_;
+};
 
 /// Per-thread search state plus the query logic that uses it: the one
 /// place each index writes its search. State (visited epochs, candidate
@@ -290,13 +291,19 @@ inline void SearchBatch(const SearchIndex& index, MatrixViewF queries,
                         size_t k, const SearchOptions& params, uint32_t* ids,
                         float* dists = nullptr, BatchStats* stats = nullptr,
                         ThreadPool* pool = nullptr) {
-  RunBatchSlices(queries.rows, pool != nullptr ? pool->num_threads() : 1, pool,
-                 stats,
-                 [&](size_t lo, size_t hi, BatchStats* slice_stats) {
-                   std::unique_ptr<Searcher> searcher = index.MakeSearcher();
-                   SearchRows(*searcher, queries, lo, hi, k, params, ids,
-                              dists, slice_stats);
-                 });
+  BatchSlices slices(queries.rows,
+                     pool != nullptr ? pool->num_threads() : 1);
+  auto run = [&](size_t w) {
+    std::unique_ptr<Searcher> searcher = index.MakeSearcher();
+    SearchRows(*searcher, queries, slices.lo(w), slices.hi(w), k, params, ids,
+               dists, slices.stats(w));
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(slices.count(), run);
+  } else {
+    for (size_t w = 0; w < slices.count(); ++w) run(w);
+  }
+  if (stats != nullptr) *stats += slices.Total();
 }
 
 }  // namespace blink

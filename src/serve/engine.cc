@@ -1,7 +1,7 @@
 #include "serve/engine.h"
 
-#include <algorithm>
 #include <latch>
+#include <optional>
 
 #include "util/env.h"
 
@@ -29,9 +29,8 @@ ServingEngine::ServingEngine(const SearchIndex* index,
   // Degenerate values are rejected with a Status at the configuration
   // boundary (ServingOptions::Validate, called by Index::Serve and the
   // server tools). The clamps below are last-resort defense for direct
-  // constructions that skipped Validate — a 0 here would take empty
-  // batches forever / never admit a query.
-  if (opts_.max_batch == 0) opts_.max_batch = 1;
+  // constructions that skipped Validate — a 0 here would never admit a
+  // query.
   if (opts_.queue_capacity == 0) opts_.queue_capacity = 1;
   searchers_.reserve(opts_.num_threads);
   for (size_t i = 0; i < opts_.num_threads; ++i) {
@@ -59,32 +58,24 @@ void ServingEngine::SearchBatch(MatrixViewF queries, size_t k,
                                 float* dists, BatchStats* stats) {
   const size_t nq = queries.rows;
   if (nq == 0) return;
-  const size_t num_slices = std::min(workers_.size(), nq);
-  std::vector<BatchStats> slice_stats(num_slices);
+  BatchSlices slices(nq, workers_.size());
   SyncCall call{queries, k, params, ids, dists,
-                std::latch(static_cast<std::ptrdiff_t>(num_slices))};
+                std::latch(static_cast<std::ptrdiff_t>(slices.count()))};
   {
     std::unique_lock<std::mutex> lk(queue_mu_);
-    for (size_t w = 0; w < num_slices; ++w) {
-      queue_.push_back(Slice{&call, nq * w / num_slices,
-                             nq * (w + 1) / num_slices, &slice_stats[w]});
+    for (size_t w = 0; w < slices.count(); ++w) {
+      slices_.push_back(
+          Slice{&call, slices.lo(w), slices.hi(w), slices.stats(w)});
     }
   }
-  for (size_t w = 0; w < num_slices; ++w) queue_cv_.notify_one();
+  for (size_t w = 0; w < slices.count(); ++w) queue_cv_.notify_one();
   call.done.wait();
-  BatchStats total;
-  for (const BatchStats& s : slice_stats) {
-    total.distance_computations += s.distance_computations;
-    total.hops += s.hops;
-  }
+  const BatchStats total = slices.Total();
   queries_.fetch_add(nq, std::memory_order_relaxed);
   distance_computations_.fetch_add(total.distance_computations,
                                    std::memory_order_relaxed);
   hops_.fetch_add(total.hops, std::memory_order_relaxed);
-  if (stats != nullptr) {
-    stats->distance_computations += total.distance_computations;
-    stats->hops += total.hops;
-  }
+  if (stats != nullptr) *stats += total;
 }
 
 std::future<SearchResult> ServingEngine::Submit(const float* query, size_t k,
@@ -95,7 +86,7 @@ std::future<SearchResult> ServingEngine::Submit(const float* query, size_t k,
   {
     std::unique_lock<std::mutex> lk(queue_mu_);
     capacity_cv_.wait(lk, [this] {
-      return queued_async_ < opts_.queue_capacity || stop_;
+      return requests_.size() < opts_.queue_capacity || stop_;
     });
     if (stop_) {  // engine shutting down: fail fast, contract-shaped
       lk.unlock();
@@ -107,11 +98,10 @@ std::future<SearchResult> ServingEngine::Submit(const float* query, size_t k,
       empty.dists.assign(k, kInvalidDist);
       empty.outcome = SearchOutcome::kShutdown;
       req.promise.set_value(std::move(empty));
-      Retire(1);
+      Retire();
       return fut;
     }
-    queue_.push_back(std::move(req));
-    ++queued_async_;
+    requests_.push_back(std::move(req));
   }
   queue_cv_.notify_one();
   return fut;
@@ -145,11 +135,10 @@ ServingEngine::SubmitOutcome ServingEngine::TrySubmit(
       lk.unlock();
       // Roll the reservation back — the caller gets the rejection, not a
       // future.
-      Retire(1);
+      Retire();
       return SubmitOutcome::kRejectedShutdown;
     }
-    queue_.push_back(std::move(req));
-    ++queued_async_;
+    requests_.push_back(std::move(req));
   }
   queue_cv_.notify_one();
   *out = std::move(fut);
@@ -158,43 +147,35 @@ ServingEngine::SubmitOutcome ServingEngine::TrySubmit(
 
 size_t ServingEngine::queue_depth() const {
   std::unique_lock<std::mutex> lk(queue_mu_);
-  return queued_async_;
+  return requests_.size();
 }
 
 void ServingEngine::WorkerLoop(Searcher* searcher) {
-  std::vector<Request> batch;
-  batch.reserve(opts_.max_batch);
   for (;;) {
     Slice slice{};
+    std::optional<Request> req;
     {
       std::unique_lock<std::mutex> lk(queue_mu_);
-      queue_cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping, and nothing is left to serve
-      if (const Slice* s = std::get_if<Slice>(&queue_.front())) {
-        slice = *s;
-        queue_.pop_front();
+      queue_cv_.wait(lk, [this] {
+        return stop_ || !slices_.empty() || !requests_.empty();
+      });
+      if (!slices_.empty()) {
+        slice = slices_.front();
+        slices_.pop_front();
+      } else if (!requests_.empty()) {
+        req.emplace(std::move(requests_.front()));
+        requests_.pop_front();
       } else {
-        // A fair share: when queries pile up, every worker takes some, and
-        // a lone query is taken alone.
-        const size_t share =
-            std::min(opts_.max_batch, (queue_.size() + opts_.num_threads - 1) /
-                                          opts_.num_threads);
-        while (batch.size() < share && !queue_.empty() &&
-               std::holds_alternative<Request>(queue_.front())) {
-          batch.push_back(std::move(std::get<Request>(queue_.front())));
-          queue_.pop_front();
-        }
-        queued_async_ -= batch.size();
+        return;  // stopping, and nothing is left to serve
       }
       // A notify may have been spent on this worker; hand the rest on.
-      if (!queue_.empty()) queue_cv_.notify_one();
+      if (!slices_.empty() || !requests_.empty()) queue_cv_.notify_one();
     }
-    if (slice.call != nullptr) {
-      RunSlice(*searcher, slice);
+    if (req) {
+      capacity_cv_.notify_one();
+      RunRequest(*searcher, *req);
     } else {
-      capacity_cv_.notify_all();
-      RunRequests(*searcher, batch);
-      batch.clear();
+      RunSlice(*searcher, slice);
     }
   }
 }
@@ -206,36 +187,33 @@ void ServingEngine::RunSlice(Searcher& searcher, const Slice& slice) {
   call.done.count_down();  // the caller may unwind `call` from here on
 }
 
-void ServingEngine::RunRequests(Searcher& searcher,
-                                std::vector<Request>& batch) {
+void ServingEngine::RunRequest(Searcher& searcher, Request& req) {
   batches_.fetch_add(1, std::memory_order_relaxed);
-  for (Request& req : batch) {
-    SearchResult res;
-    res.ids.resize(req.k);
-    res.dists.resize(req.k);
-    BatchStats qs;
-    searcher.Search(req.query.data(), req.k, req.params, res.ids.data(),
-                    res.dists.data(), &qs);
-    res.distance_computations = qs.distance_computations;
-    res.hops = qs.hops;
-    // Counters before the promise: a client must see its query counted
-    // once its future resolves.
-    queries_.fetch_add(1, std::memory_order_relaxed);
-    distance_computations_.fetch_add(qs.distance_computations,
-                                     std::memory_order_relaxed);
-    hops_.fetch_add(qs.hops, std::memory_order_relaxed);
-    req.promise.set_value(std::move(res));
-  }
-  // Promises before the in-flight decrement: Drain() guarantees resolved
+  SearchResult res;
+  res.ids.resize(req.k);
+  res.dists.resize(req.k);
+  BatchStats qs;
+  searcher.Search(req.query.data(), req.k, req.params, res.ids.data(),
+                  res.dists.data(), &qs);
+  res.distance_computations = qs.distance_computations;
+  res.hops = qs.hops;
+  // Counters before the promise: a client must see its query counted once
+  // its future resolves.
+  queries_.fetch_add(1, std::memory_order_relaxed);
+  distance_computations_.fetch_add(qs.distance_computations,
+                                   std::memory_order_relaxed);
+  hops_.fetch_add(qs.hops, std::memory_order_relaxed);
+  req.promise.set_value(std::move(res));
+  // Promise before the in-flight decrement: Drain() guarantees resolved
   // futures.
-  Retire(batch.size());
+  Retire();
 }
 
-void ServingEngine::Retire(uint64_t n) {
+void ServingEngine::Retire() {
   // Under drain_mu_, so a Drain() that sees zero (the destructor's, say)
   // cannot return while this thread still touches the engine.
   std::lock_guard<std::mutex> lk(drain_mu_);
-  if (inflight_.fetch_sub(n, std::memory_order_acq_rel) == n) {
+  if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     drain_cv_.notify_all();
   }
 }

@@ -16,12 +16,10 @@
 //   2. One request queue that the workers pull from. Submit() enqueues one
 //      query and returns a future; SearchBatch() enqueues its batch as at
 //      most `num_threads` slices and waits for them. An idle worker takes
-//      a fair share of whatever is queued — min(max_batch,
-//      ceil(queued / num_threads)) async queries, or one sync slice — so no
-//      query waits on a timer or behind another query while a worker is
-//      idle. Micro-batches form on their own only when queries arrive
-//      faster than the workers drain them, which is when the FAISS-style
-//      batching argument (amortized queue and wakeup costs) pays.
+//      one item at a time: a sync slice if any is queued (its caller is
+//      blocked on it, so a SearchBatch waits only for the queries the
+//      workers already hold), else the oldest async query. So no query
+//      waits on a timer, or behind another query while a worker is idle.
 //
 // The engine serves any SearchIndex. Static indices (VamanaIndex) are
 // immutable and need no coordination; the dynamic index is served through
@@ -39,7 +37,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "eval/interface.h"
@@ -50,22 +47,15 @@ namespace blink {
 
 struct ServingOptions {
   size_t num_threads = 0;  ///< worker/searcher count; 0 = env NumThreads()
-  size_t max_batch = 32;   ///< most async queries one worker takes at once
   size_t queue_capacity = 1 << 16;  ///< async backpressure bound
 
   /// OK iff the options describe a servable configuration. Degenerate
-  /// values (`max_batch == 0` would take empty batches forever;
-  /// `queue_capacity == 0` can never admit a query) are rejected here —
-  /// Index::Serve() and the server tools call this at the configuration
-  /// boundary and return the Status instead of standing up a broken
-  /// engine. (The constructor additionally clamps as a last-resort
-  /// defense for direct, pre-Validate constructions.)
+  /// values (`queue_capacity == 0` can never admit a query) are rejected
+  /// here — Index::Serve() and the server tools call this at the
+  /// configuration boundary and return the Status instead of standing up
+  /// a broken engine. (The constructor additionally clamps as a
+  /// last-resort defense for direct, pre-Validate constructions.)
   Status Validate() const {
-    if (max_batch == 0) {
-      return Status::InvalidArgument(
-          "ServingOptions::max_batch must be >= 1 (0 would take empty "
-          "micro-batches forever)");
-    }
     if (queue_capacity == 0) {
       return Status::InvalidArgument(
           "ServingOptions::queue_capacity must be >= 1 (0 can never admit "
@@ -82,7 +72,7 @@ struct ServingOptions {
 /// Aggregate counters since engine construction (monotonic, thread-safe).
 struct ServingCounters {
   uint64_t queries = 0;
-  uint64_t batches = 0;  ///< async micro-batches taken by the workers
+  uint64_t batches = 0;  ///< async takes by the workers (one query each)
   uint64_t distance_computations = 0;
   uint64_t hops = 0;
   uint64_t rejected = 0;  ///< TrySubmit admissions refused (overload)
@@ -98,11 +88,12 @@ class ServingEngine {
   ServingEngine& operator=(const ServingEngine&) = delete;
 
   /// Synchronous batch search on the workers: the batch is cut into at most
-  /// `num_threads` slices, queued, and awaited. Writes row-major ids
-  /// (queries.rows x k, padded with kInvalidId) and, when given, per-query
-  /// dists (+inf padding) and aggregate stats for this call. Thread-safe:
-  /// any number of client threads may call concurrently. Its slices do not
-  /// count toward inflight(), queue_depth() or `queue_capacity`.
+  /// `num_threads` slices, queued ahead of any async query, and awaited.
+  /// Writes row-major ids (queries.rows x k, padded with kInvalidId) and,
+  /// when given, per-query dists (+inf padding) and aggregate stats for
+  /// this call. Thread-safe: any number of client threads may call
+  /// concurrently. Its slices do not count toward inflight(),
+  /// queue_depth() or `queue_capacity`.
   void SearchBatch(MatrixViewF queries, size_t k, const SearchOptions& params,
                    uint32_t* ids, float* dists = nullptr,
                    BatchStats* stats = nullptr);
@@ -158,18 +149,18 @@ class ServingEngine {
 
   void WorkerLoop(Searcher* searcher);
   void RunSlice(Searcher& searcher, const Slice& slice);
-  void RunRequests(Searcher& searcher, std::vector<Request>& batch);
-  /// Resolves `n` async queries against the in-flight count, waking Drain()
+  void RunRequest(Searcher& searcher, Request& req);
+  /// Resolves one async query against the in-flight count, waking Drain()
   /// when the count reaches zero.
-  void Retire(uint64_t n);
+  void Retire();
 
   const SearchIndex* index_;
   ServingOptions opts_;
 
-  // The one queue the workers pull from: async queries and sync slices in
-  // arrival order.
-  std::deque<std::variant<Request, Slice>> queue_;
-  size_t queued_async_ = 0;        // Requests in queue_ (guarded by queue_mu_)
+  // The queue the workers pull from, under one mutex: sync slices, taken
+  // first, and async queries, each in arrival order.
+  std::deque<Slice> slices_;
+  std::deque<Request> requests_;
   mutable std::mutex queue_mu_;    // mutable: queue_depth() is a const probe
   std::condition_variable queue_cv_;     // worker wakeups
   std::condition_variable capacity_cv_;  // producer backpressure

@@ -701,7 +701,6 @@ TEST(NetServer, OverloadIsAnsweredInBand) {
 
   ServerOptions opts;
   opts.serving.num_threads = 1;
-  opts.serving.max_batch = 1;
   opts.serving.queue_capacity = 1;
   Result<std::unique_ptr<BlinkServer>> started =
       BlinkServer::Start(std::move(index), opts);

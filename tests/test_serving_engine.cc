@@ -1,6 +1,7 @@
 // Serving engine tests: pooled-searcher correctness against the direct
-// paths, async micro-batching and work conservation (an idle worker never
-// leaves a query waiting), a multi-threaded stress test — concurrent
+// paths, async submission and work conservation (an idle worker never
+// leaves a query waiting, and a sync batch goes ahead of an async
+// backlog), a multi-threaded stress test — concurrent
 // SearchBatch from many threads while a writer mutates the dynamic index —
 // plus the serving-path hardening: options validation, deterministic
 // TrySubmit admission control, the shutdown outcome tag, and
@@ -92,7 +93,6 @@ TEST(ServingEngine, AsyncMatchesSync) {
   Matrix<uint32_t> sync_ids(nq, k);
   ServingOptions opts;
   opts.num_threads = 4;
-  opts.max_batch = 7;  // force multi-query micro-batches
   ServingEngine engine(f.index.get(), opts);
   engine.SearchBatch(f.data.queries, k, p, sync_ids.data());
 
@@ -110,7 +110,7 @@ TEST(ServingEngine, AsyncMatchesSync) {
       ASSERT_EQ(res.ids[j], sync_ids(qi, j)) << "query " << qi;
     }
   }
-  EXPECT_GT(engine.counters().batches, 0u);
+  EXPECT_EQ(engine.counters().batches, nq);  // one take per async query
 }
 
 TEST(ServingEngine, AsyncManyClientThreads) {
@@ -318,7 +318,6 @@ TEST(ServingEngine, AsyncSubmitRacingWriter) {
   DynamicIndexView view(&dyn);
   ServingOptions opts;
   opts.num_threads = 2;
-  opts.max_batch = 4;
   ServingEngine engine(&view, opts);
   RuntimeParams p;
   p.window = 48;
@@ -369,10 +368,6 @@ TEST(ServingOptions, ValidateRejectsDegenerateConfigurations) {
   EXPECT_TRUE(ServingOptions{}.Validate().ok());
 
   ServingOptions o;
-  o.max_batch = 0;
-  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
-
-  o = ServingOptions{};
   o.queue_capacity = 0;
   EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
 
@@ -387,8 +382,9 @@ TEST(ServingOptions, ValidateRejectsDegenerateConfigurations) {
 /// while a test probes admission control or shutdown. With
 /// `block_first_only`, only the first query ever parks; the rest answer
 /// immediately (the shutdown test needs later queries to resolve while the
-/// first pins the engine's in-flight count). Past the gate a query answers
-/// id 0, or, when the gate wraps an `inner` index, that index's answer.
+/// first pins the engine's in-flight count). Release(n) lets n parked
+/// queries through a closed gate. Past the gate a query answers id 0, or,
+/// when the gate wraps an `inner` index, that index's answer.
 class GateIndex : public SearchIndex {
  public:
   explicit GateIndex(size_t dim, bool block_first_only = false)
@@ -417,6 +413,12 @@ class GateIndex : public SearchIndex {
     gate_cv_.notify_all();
   }
 
+  void Release(uint64_t n) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    permits_ += n;
+    gate_cv_.notify_all();
+  }
+
  private:
   size_t dim_;
   bool block_first_only_;
@@ -426,6 +428,7 @@ class GateIndex : public SearchIndex {
   mutable std::condition_variable entered_cv_;
   mutable std::condition_variable gate_cv_;
   mutable uint64_t entered_ = 0;
+  mutable uint64_t permits_ = 0;
   mutable bool open_ = false;
 
   /// Parks the query (every one, or only the first) until the gate opens,
@@ -447,7 +450,9 @@ class GateIndex : public SearchIndex {
         const uint64_t ticket = index_->entered_++;
         index_->entered_cv_.notify_all();
         if (!index_->block_first_only_ || ticket == 0) {
-          index_->gate_cv_.wait(lk, [&] { return index_->open_; });
+          index_->gate_cv_.wait(
+              lk, [&] { return index_->open_ || index_->permits_ > 0; });
+          if (!index_->open_) --index_->permits_;
         }
       }
       if (inner_ != nullptr) {
@@ -472,7 +477,6 @@ TEST(ServingEngine, TrySubmitRejectsOverloadDeterministically) {
   GateIndex gate(/*dim=*/8);
   ServingOptions opts;
   opts.num_threads = 1;
-  opts.max_batch = 1;
   opts.queue_capacity = 1;
   ServingEngine engine(&gate, opts);
   const std::vector<float> q(8, 0.5f);
@@ -512,7 +516,6 @@ TEST(ServingEngine, SubmitDuringShutdownIsTaggedNotZeroHit) {
   GateIndex gate(/*dim=*/8, /*block_first_only=*/true);
   ServingOptions opts;
   opts.num_threads = 2;
-  opts.max_batch = 1;
   auto engine = std::make_unique<ServingEngine>(&gate, opts);
   const std::vector<float> q(8, 0.5f);
   RuntimeParams p;
@@ -588,15 +591,14 @@ TEST(ServingEngine, IdleWorkerTakesQueryQueuedBehindParkedOne) {
   EXPECT_EQ(b.get().outcome, SearchOutcome::kOk);
 }
 
-// A burst queued behind parked workers drains in micro-batches of at most
-// max_batch, and every answer is bit-identical to a direct Searcher's.
-TEST(ServingEngine, BurstBehindParkedWorkersBatchesBitIdentically) {
+// A burst queued behind parked workers drains one query per take, and
+// every answer is bit-identical to a direct Searcher's.
+TEST(ServingEngine, BurstBehindParkedWorkersDrainsBitIdentically) {
   StaticFixture f;
   GateIndex gate(f.index.get());
   const size_t k = 10, kBurst = 64;
   ServingOptions opts;
   opts.num_threads = 2;
-  opts.max_batch = 8;
   ServingEngine engine(&gate, opts);
   RuntimeParams p;
   p.window = 32;
@@ -621,9 +623,51 @@ TEST(ServingEngine, BurstBehindParkedWorkersBatchesBitIdentically) {
               0)
         << "query " << qi;
   }
-  const uint64_t batches = engine.counters().batches;
-  EXPECT_GE(batches, (kBurst + opts.max_batch - 1) / opts.max_batch);
-  EXPECT_LE(batches, kBurst);
+  EXPECT_EQ(engine.counters().batches, kBurst);
+}
+
+// A SearchBatch goes ahead of an async backlog: with both workers parked
+// and 64 async queries queued behind them, the gate lets one query through
+// at a time until the sync call returns. Its two slices run as soon as
+// workers free up, so only a few backlog queries pass first. (An engine
+// that queued the slices behind the backlog would need all 64 released.)
+TEST(ServingEngine, SyncBatchOvertakesAsyncBacklog) {
+  GateIndex gate(/*dim=*/8);
+  const size_t kBacklog = 64;
+  ServingOptions opts;
+  opts.num_threads = 2;
+  ServingEngine engine(&gate, opts);
+  const std::vector<float> q(8, 0.5f);
+  RuntimeParams p;
+
+  std::vector<std::future<SearchResult>> backlog;
+  for (size_t i = 0; i < kBacklog; ++i) {
+    backlog.push_back(engine.Submit(q.data(), 3, p));
+  }
+  gate.WaitEntered(2);  // both workers parked; the rest is queued
+  EXPECT_EQ(engine.queue_depth(), kBacklog - 2);
+
+  MatrixF queries(2, 8);
+  std::fill(queries.data(), queries.data() + queries.size(), 0.25f);
+  Matrix<uint32_t> ids(2, 3);
+  std::atomic<bool> sync_done{false};
+  std::thread caller([&] {
+    engine.SearchBatch(queries, 3, p, ids.data());
+    sync_done.store(true);
+  });
+  // One query through the gate per millisecond, so the caller has queued
+  // its slices long before the backlog could drain.
+  size_t released = 0;
+  while (!sync_done.load() && released < kBacklog + 2) {
+    gate.Release(1);
+    ++released;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.OpenGate();
+  caller.join();
+  EXPECT_LT(released, kBacklog / 2) << "the sync batch waited for the backlog";
+  for (size_t i = 0; i < 2; ++i) EXPECT_EQ(ids(i, 0), 0u);
+  for (auto& fut : backlog) EXPECT_EQ(fut.get().outcome, SearchOutcome::kOk);
 }
 
 // SearchBatch runs on the same workers but is not async traffic: while an

@@ -79,7 +79,7 @@
 //         request (the request is the latency unit).
 // async — each client Submit()s one query at a time and waits on the
 //         future; an idle engine worker takes it at once, and queries
-//         that pile up are taken in micro-batches.
+//         that pile up wait in arrival order for the next idle worker.
 //
 // SIGINT/SIGTERM in any mode stops the load gracefully: in-flight requests
 // finish and the final stats still print.
@@ -137,7 +137,6 @@ struct LoadResult {
   size_t queries = 0;
   size_t rejected = 0;
   double elapsed = 0.0;
-  uint64_t batches = 0;
   double dists_per_query = 0.0;
 };
 
@@ -195,7 +194,6 @@ LoadResult RunLoad(ServingEngine& engine, MatrixViewF queries, size_t k,
     r.rejected += c.rejected;
   }
   const ServingCounters after = engine.counters();
-  r.batches = after.batches - before.batches;
   const uint64_t q = after.queries - before.queries;
   r.dists_per_query =
       q > 0 ? static_cast<double>(after.distance_computations -
@@ -942,11 +940,9 @@ int main(int argc, char** argv) {
     LoadResult r = RunLoad(*engine, queries, k, params, clients, duration,
                            async_mode, batch, &results, &answered);
     const double qps = static_cast<double>(r.queries) / r.elapsed;
-    std::printf("\nwindow %u%s: %zu queries in %.2fs  (%zu requests, %llu "
-                "micro-batches)\n",
+    std::printf("\nwindow %u%s: %zu queries in %.2fs  (%zu requests)\n",
                 params.window, label, r.queries, r.elapsed,
-                r.latencies_ms.size(),
-                static_cast<unsigned long long>(r.batches));
+                r.latencies_ms.size());
     std::printf("QPS               %10.0f\n", qps);
     if (r.rejected > 0) {
       std::printf("rejected          %10zu  (excluded from recall)\n",
