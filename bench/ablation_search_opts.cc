@@ -89,7 +89,7 @@ int main() {
   // --- D5: visited set on/off ---
   std::printf("D5: visited-set ablation (W=40)\n");
   for (bool visited : {true, false}) {
-    std::vector<RuntimeParams> s = WindowSweep({40});
+    std::vector<SearchOptions> s = WindowSweep({40});
     s[0].use_visited_set = visited;
     auto pts = RunSweep(*idx, data.queries, gt, s, opts);
     std::printf("  visited=%-5s QPS=%8.0f recall=%.4f\n",
@@ -99,7 +99,7 @@ int main() {
   // --- D4: sorted linear buffer vs binary heap ---
   std::printf("\nD4: queue-structure ablation (W=40, visited set on for both)\n");
   {
-    std::vector<RuntimeParams> s = WindowSweep({40});
+    std::vector<SearchOptions> s = WindowSweep({40});
     s[0].use_visited_set = true;
     auto pts = RunSweep(*idx, data.queries, gt, s, opts);
     std::printf("  sorted-linear-buffer QPS=%8.0f recall=%.4f\n", pts[0].qps,
@@ -128,7 +128,7 @@ int main() {
   std::printf("\nD3: two-level re-rank ablation (LVQ-4x8, W=40)\n");
   auto idx2 = BuildOgLvq(data.base, data.metric, 4, 8, GraphParams(32, data.metric));
   for (bool rerank : {true, false}) {
-    std::vector<RuntimeParams> s = WindowSweep({40});
+    std::vector<SearchOptions> s = WindowSweep({40});
     s[0].rerank = rerank;
     auto pts = RunSweep(*idx2, data.queries, gt, s, opts);
     std::printf("  rerank=%-5s QPS=%8.0f recall=%.4f\n", rerank ? "on" : "off",

@@ -34,7 +34,7 @@ inline VamanaBuildParams GraphParams(uint32_t R, Metric metric) {
 }
 
 /// Default window sweep used for QPS/recall curves.
-inline std::vector<RuntimeParams> DefaultWindowSweep() {
+inline std::vector<SearchOptions> DefaultWindowSweep() {
   return WindowSweep({10, 14, 20, 28, 40, 56, 80, 112, 160, 224});
 }
 

@@ -20,7 +20,7 @@ struct Row {
 };
 
 Row Eval(const SearchIndex& idx, const Dataset& data,
-         const Matrix<uint32_t>& gt, const std::vector<RuntimeParams>& sweep) {
+         const Matrix<uint32_t>& gt, const std::vector<SearchOptions>& sweep) {
   HarnessOptions opts;
   opts.best_of = 3;
   auto pts = RunSweep(idx, data.queries, gt, sweep, opts);

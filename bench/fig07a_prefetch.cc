@@ -29,7 +29,7 @@ int main() {
   std::printf("%-18s %-12s %-10s\n", "offset_step", "QPS", "recall");
   double baseline = 0.0;
   for (const auto& [off, step] : grid) {
-    std::vector<RuntimeParams> setting = WindowSweep({40});
+    std::vector<SearchOptions> setting = WindowSweep({40});
     setting[0].prefetch_offset = off;
     setting[0].prefetch_step = step;
     HarnessOptions opts;

@@ -38,7 +38,7 @@ double PeakReadBandwidth() {
 template <typename Index>
 void Measure(const Index& idx, const Dataset& data, size_t vector_bytes,
              double peak) {
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 40;
   const size_t adj_bytes = (idx.graph().max_degree() + 1) * sizeof(uint32_t);
   std::unique_ptr<Searcher> searcher = idx.MakeSearcher();

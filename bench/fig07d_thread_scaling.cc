@@ -16,7 +16,7 @@ void Scaling(const Index& idx, const Dataset& data,
              [[maybe_unused]] const Matrix<uint32_t>& gt,
              const std::vector<size_t>& thread_counts) {
   std::printf("%-16s", idx.storage().encoding_name().c_str());
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 40;
   Matrix<uint32_t> ids(data.queries.rows(), 10);
   double single = 0.0;

@@ -34,7 +34,7 @@ void Sweep() {
   auto index = BuildOgLvq(data.base, data.metric, 8, 0, bp, &build_pool);
   std::printf("index %s: n=%zu, %zu queries\n\n", index->name().c_str(), n, nq);
 
-  RuntimeParams params;
+  SearchOptions params;
   params.window = 32;
 
   std::printf("%-8s %-8s %12s %12s %9s\n", "threads", "batch", "percall_qps",

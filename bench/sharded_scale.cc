@@ -57,9 +57,9 @@ void Run() {
       if (p <= S && (nprobes.empty() || nprobes.back() != p)) nprobes.push_back(p);
     }
     for (uint32_t nprobe : nprobes) {
-      std::vector<RuntimeParams> settings =
+      std::vector<SearchOptions> settings =
           WindowSweep({10, 14, 20, 28, 40, 56, 80, 112});
-      for (RuntimeParams& p : settings) p.nprobe_shards = nprobe;
+      for (SearchOptions& p : settings) p.nprobe_shards = nprobe;
       auto pts = RunSweep(*idx, data.queries, gt, settings, opts);
       char label[64];
       std::snprintf(label, sizeof(label), "S=%zu nprobe=%u", S, nprobe);

@@ -25,7 +25,7 @@ struct TableRow {
 
 MethodResult Eval(const SearchIndex& idx, const Dataset& data,
                   const Matrix<uint32_t>& gt,
-                  const std::vector<RuntimeParams>& sweep,
+                  const std::vector<SearchOptions>& sweep,
                   std::vector<SweepPoint>* batch_curve = nullptr) {
   HarnessOptions batch;
   batch.best_of = 3;

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", reopened.status().ToString().c_str());
     return 1;
   }
-  RuntimeParams params;
+  SearchOptions params;
   params.window = 64;
   Matrix<uint32_t> ids(data.queries.rows(), 10);
   reopened.value().SearchBatch(data.queries, 10, params, ids.data());

@@ -5,6 +5,8 @@
 //
 // Run:  ./build/examples/image_search
 #include <cstdio>
+#include <cstdlib>
+#include <utility>
 
 #include "blink.h"
 
@@ -26,14 +28,25 @@ int main() {
   Dataset data = MakeDeepLike(n, nq);
   Matrix<uint32_t> gt = ComputeGroundTruth(data.base, data.queries, k, data.metric);
 
-  VamanaBuildParams bp;
-  bp.graph_max_degree = 32;
-  bp.window_size = 64;
-  bp.alpha = 1.2f;
-
-  auto f32 = BuildVamanaF32(data.base, data.metric, bp);
-  auto f16 = BuildVamanaF16(data.base, data.metric, bp);
-  auto lvq8 = BuildOgLvq(data.base, data.metric, 8, 0, bp);
+  // One spec per encoding; everything else (graph, metric) is shared.
+  auto build = [&](IndexKind kind) {
+    IndexSpec spec;
+    spec.kind = kind;
+    spec.metric = data.metric;
+    spec.graph.graph_max_degree = 32;
+    spec.graph.window_size = 64;
+    spec.graph.alpha = 1.2f;
+    Result<Index> built = Build(spec, data.base);
+    if (!built.ok()) {
+      std::fprintf(stderr, "build failed: %s\n",
+                   built.status().ToString().c_str());
+      std::exit(1);
+    }
+    return std::move(built).value();
+  };
+  const Index f32 = build(IndexKind::kStaticF32);
+  const Index f16 = build(IndexKind::kStaticF16);
+  const Index lvq8 = build(IndexKind::kStaticLvq);  // LVQ-8 by default
 
   // Find each encoding's throughput at 0.9 recall by sweeping the window.
   const auto sweep = WindowSweep({10, 16, 24, 32, 48, 64, 96, 128});
@@ -41,14 +54,14 @@ int main() {
   opts.k = k;
   opts.best_of = 3;
 
-  auto eval = [&](const SearchIndex& idx) -> Row {
-    auto pts = RunSweep(idx, data.queries, gt, sweep, opts);
+  auto eval = [&](const Index& idx) -> Row {
+    auto pts = RunSweep(idx.AsSearchIndex(), data.queries, gt, sweep, opts);
     const SweepPoint* at = PointAtRecall(pts, 0.9);
     return {"", at != nullptr ? at->qps : 0.0, at != nullptr ? at->recall : 0.0,
             idx.memory_bytes() / 1048576.0};
   };
 
-  Row rows[3] = {eval(*f32), eval(*f16), eval(*lvq8)};
+  Row rows[3] = {eval(f32), eval(f16), eval(lvq8)};
   rows[0].label = "float32";
   rows[1].label = "float16";
   rows[2].label = "LVQ-8";

@@ -43,7 +43,7 @@ int main() {
 
   // The rerank ablation: the same two-level index searched without its
   // second level loses accuracy at identical traversal cost.
-  std::vector<RuntimeParams> one_point = WindowSweep({32});
+  std::vector<SearchOptions> one_point = WindowSweep({32});
   auto with_rr = RunSweep(*lvq48, data.queries, gt, one_point, opts);
   one_point[0].rerank = false;
   auto without_rr = RunSweep(*lvq48, data.queries, gt, one_point, opts);

@@ -1,9 +1,10 @@
 // Quickstart: build an OG-LVQ index and search it.
 //
 //   1. Get your vectors into a row-major float matrix.
-//   2. Pick a metric and an LVQ setting (LVQ-8 is the sweet spot for
-//      d <= ~200; LVQ-4x8 for very high dimensionality).
-//   3. Build with BuildOgLvq and query with SearchBatch.
+//   2. Describe the index in an IndexSpec: a kind, a metric and an LVQ
+//      setting (LVQ-8 is the sweet spot for d <= ~200; LVQ-4x8 for very
+//      high dimensionality).
+//   3. Build it, then query the Index handle with SearchBatch.
 //
 // Run:  ./build/examples/quickstart
 #include <cstdio>
@@ -19,25 +20,33 @@ int main() {
   std::printf("dataset %s: n=%zu d=%zu metric=%s\n", data.name.c_str(),
               data.base.rows(), data.base.cols(), MetricName(data.metric));
 
-  // Build an OG-LVQ index: LVQ-8 compression, graph out-degree R = 32.
-  VamanaBuildParams bp;
-  bp.graph_max_degree = 32;
-  bp.window_size = 64;
-  bp.alpha = 1.2f;
-  auto index = BuildOgLvq(data.base, data.metric, /*bits1=*/8, /*bits2=*/0, bp);
-  std::printf("built %s in %.2fs  (%.1f MiB: vectors %.1f + graph %.1f)\n",
-              index->name().c_str(), index->build_seconds(),
-              index->memory_bytes() / 1048576.0,
-              index->storage().memory_bytes() / 1048576.0,
-              index->graph().memory_bytes() / 1048576.0);
+  // An OG-LVQ index: LVQ-8 compression, graph out-degree R = 32.
+  IndexSpec spec;
+  spec.kind = IndexKind::kStaticLvq;
+  spec.metric = data.metric;
+  spec.bits1 = 8;
+  spec.bits2 = 0;
+  spec.graph.graph_max_degree = 32;
+  spec.graph.window_size = 64;
+  spec.graph.alpha = 1.2f;
+  Timer build_timer;
+  Result<Index> built = Build(spec, data.base);
+  if (!built.ok()) {
+    std::fprintf(stderr, "build failed: %s\n",
+                 built.status().ToString().c_str());
+    return 1;
+  }
+  const Index& index = built.value();
+  std::printf("built %s in %.2fs  (%.1f MiB)\n", index.name().c_str(),
+              build_timer.Seconds(), index.memory_bytes() / 1048576.0);
 
   // Search: W (the window) trades accuracy for speed.
   const size_t k = 10;
-  RuntimeParams params;
+  SearchOptions params;
   params.window = 32;
   Matrix<uint32_t> ids(data.queries.rows(), k);
   Timer t;
-  SearchBatch(*index, data.queries, k, params, ids.data());
+  index.SearchBatch(data.queries, k, params, ids.data());
   const double qps = data.queries.rows() / t.Seconds();
 
   // Check accuracy against exact ground truth.

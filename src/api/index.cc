@@ -1,6 +1,7 @@
 #include "api/index.h"
 
 #include <filesystem>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -423,18 +424,6 @@ Index WrapSearchIndex(std::unique_ptr<SearchIndex> index,
 
 namespace {
 
-/// Loads a heap-backed metadata sidecar when one exists at `meta_path`;
-/// a missing sidecar is not an error (null store, filterless artifact).
-Result<std::shared_ptr<const MetadataStore>> LoadSidecar(
-    const std::string& meta_path) {
-  if (!IsMetadataFile(meta_path)) {
-    return std::shared_ptr<const MetadataStore>();
-  }
-  Result<MetadataStore> md = LoadMetadata(meta_path);
-  if (!md.ok()) return md.status();
-  return std::make_shared<const MetadataStore>(std::move(md).value());
-}
-
 Result<Index> OpenSharded(const std::string& path, const OpenOptions& opts) {
   bool self_described = false;
   auto idx = LoadShardedIndex(path, opts.fallback_metric, opts.fallback_graph,
@@ -448,9 +437,9 @@ Result<Index> OpenSharded(const std::string& path, const OpenOptions& opts) {
   spec.graph = idx.value()->build_params();
   spec.partition.num_shards = idx.value()->num_shards();
   Capabilities caps = SpecCapabilities(spec);
-  // The sidecar always heap-loads here (even under kMap): attaching
-  // slices it into per-shard owned copies anyway.
-  auto md = LoadSidecar(path + "/metadata.meta");
+  // The sidecar is copied even under kMap: attaching slices it into
+  // per-shard owned stores anyway.
+  auto md = OpenMetadataSidecar(path + "/metadata.meta", /*view=*/false);
   if (!md.ok()) return md.status();
   if (md.value() != nullptr) {
     BLINK_RETURN_NOT_OK(idx.value()->AttachMetadata(std::move(md).value()));
@@ -461,133 +450,96 @@ Result<Index> OpenSharded(const std::string& path, const OpenOptions& opts) {
   return Index(std::move(flavor));
 }
 
-Result<Index> OpenDynamic(const std::string& path, const OpenOptions& opts) {
-  Result<DynamicKind> kind = PeekDynamicKind(path);
-  if (!kind.ok()) return kind.status();
+/// One dynamic open per storage type; `load` is that storage's BLDY loader.
+template <typename Storage, typename Loader>
+Result<Index> OpenDynamic(const std::string& path, const OpenOptions& opts,
+                          IndexKind kind, Loader load) {
   DynamicOptions dopts;
   dopts.metric = opts.fallback_metric;
   dopts.alpha = opts.fallback_graph.alpha;
   dopts.build_window = opts.fallback_graph.window_size;
   dopts.initial_capacity = opts.dynamic_initial_capacity;
-  bool self_described = false;
-  // Dynamic metadata is owned and mutable; the sidecar heap-loads and the
-  // index resizes it up to capacity on attach.
-  auto md = LoadSidecar(path + ".meta");
+  // Dynamic metadata is owned and mutable: the sidecar is copied, and the
+  // index resizes the store up to capacity on attach.
+  auto md = OpenMetadataSidecar(path + ".meta", /*view=*/false);
   if (!md.ok()) return md.status();
-  auto owned_md = [&]() -> std::shared_ptr<MetadataStore> {
-    if (md.value() == nullptr) return nullptr;
-    return std::make_shared<MetadataStore>(md.value()->OwnedCopy());
-  };
-  if (kind.value() == DynamicKind::kF32) {
-    auto idx = LoadDynamicF32(path, dopts, &self_described);
-    if (!idx.ok()) return idx.status();
-    IndexSpec spec =
-        detail::DynamicSpecOf(*idx.value(), IndexKind::kDynamicF32);
-    spec.dynamic.initial_capacity = opts.dynamic_initial_capacity;
-    Capabilities caps = SpecCapabilities(spec);
-    if (auto store = owned_md(); store != nullptr) {
-      BLINK_RETURN_NOT_OK(idx.value()->AttachMetadata(std::move(store)));
-      caps |= kCapFilter;
-    }
-    return Index(std::make_unique<detail::DynamicFlavor<FloatStorage>>(
-        std::move(idx).value(), std::move(spec), caps, self_described));
-  }
-  auto idx = LoadDynamicLvq(path, dopts, &self_described);
+  bool self_described = false;
+  auto idx = load(path, dopts, &self_described);
   if (!idx.ok()) return idx.status();
-  IndexSpec spec = detail::DynamicSpecOf(*idx.value(), IndexKind::kDynamicLvq);
+  IndexSpec spec = detail::DynamicSpecOf(*idx.value(), kind);
   spec.dynamic.initial_capacity = opts.dynamic_initial_capacity;
-  spec.bits1 = idx.value()->storage().bits1();
-  spec.bits2 = idx.value()->storage().bits2();
+  if constexpr (std::is_same_v<Storage, LvqStorage>) {
+    spec.bits1 = idx.value()->storage().bits1();
+    spec.bits2 = idx.value()->storage().bits2();
+  }
   Capabilities caps = SpecCapabilities(spec);
-  if (auto store = owned_md(); store != nullptr) {
-    BLINK_RETURN_NOT_OK(idx.value()->AttachMetadata(std::move(store)));
+  if (md.value() != nullptr) {
+    BLINK_RETURN_NOT_OK(idx.value()->AttachMetadata(std::move(md).value()));
     caps |= kCapFilter;
   }
-  return Index(std::make_unique<detail::DynamicFlavor<LvqStorage>>(
+  return Index(std::make_unique<detail::DynamicFlavor<Storage>>(
       std::move(idx).value(), std::move(spec), caps, self_described));
 }
 
-template <typename Storage>
-Result<Index> MakeStatic(Storage storage, BuiltGraph graph, IndexSpec spec,
-                         bool self_described, std::vector<MmapFile> mappings,
-                         std::shared_ptr<const MetadataStore> metadata) {
-  spec.graph.graph_max_degree = graph.graph.max_degree();
-  auto idx = std::make_unique<VamanaIndex<Storage>>(
-      std::move(storage), std::move(graph), spec.graph);
-  Capabilities caps = SpecCapabilities(spec);
-  if (metadata != nullptr) {
-    BLINK_RETURN_NOT_OK(idx->AttachMetadata(std::move(metadata)));
-    caps |= kCapFilter;
+Result<Index> OpenDynamic(const std::string& path, const OpenOptions& opts) {
+  Result<DynamicKind> kind = PeekDynamicKind(path);
+  if (!kind.ok()) return kind.status();
+  if (kind.value() == DynamicKind::kF32) {
+    return OpenDynamic<FloatStorage>(path, opts, IndexKind::kDynamicF32,
+                                     LoadDynamicF32);
   }
-  return Index(std::make_unique<detail::StaticFlavor<Storage>>(
-      std::move(idx), std::move(spec), caps, self_described,
-      std::move(mappings)));
+  return OpenDynamic<LvqStorage>(path, opts, IndexKind::kDynamicLvq,
+                                 LoadDynamicLvq);
 }
 
-/// Static open (DESIGN.md D12): maps `<prefix>.graph`, `.vecs` and any
-/// `.meta` sidecar once, sniffs the encoding from the mapped bytes, and
-/// runs each container's one parser. The parsers view the mapped sections
-/// in place only under kMap with both bundle files in the aligned v3
-/// layout — then the flavor keeps the mappings alive next to the index.
-/// Otherwise (kLoad, or a v1/v2 bundle under kMap) they copy into owned
-/// arenas and the mappings drop when Open returns; the spec records the
-/// mode in effect.
+/// Static open (DESIGN.md D12): the bundle's one opener, then its
+/// encoding's one parser and the `.meta` sidecar under the same placement.
+/// A view (kMap over a v3 bundle) keeps the mappings alive in the flavor;
+/// a copy (kLoad, or a v1/v2 bundle under kMap) drops them when Open
+/// returns. The spec records the mode in effect.
 Result<Index> OpenStatic(const std::string& prefix, const OpenOptions& opts) {
-  const bool map_mode = opts.load_mode == LoadMode::kMap;
-  MmapFile::Options mopts;
-  mopts.random = map_mode;  // greedy search touches pages in graph order
-  mopts.huge_pages = map_mode && opts.use_huge_pages;
-  const std::string graph_path = prefix + ".graph";
-  const std::string vecs_path = prefix + ".vecs";
-  Result<MmapFile> gmap = MmapFile::Map(graph_path, mopts);
-  if (!gmap.ok()) return gmap.status();
-  Result<MmapFile> vmap = MmapFile::Map(vecs_path, mopts);
-  if (!vmap.ok()) return vmap.status();
-  const Placement place{.view = map_mode && IsAlignedArtifact(gmap.value()) &&
-                                IsAlignedArtifact(vmap.value()),
-                        .use_huge_pages = opts.use_huge_pages};
-
-  IndexMeta meta;
-  bool has_meta = false;
-  Result<BuiltGraph> graph =
-      ReadGraph(gmap.value(), graph_path, place, &meta, &has_meta);
-  if (!graph.ok()) return graph.status();
+  Result<StaticBundle> opened = OpenStaticBundle(
+      prefix,
+      {.view = opts.load_mode == LoadMode::kMap,
+       .use_huge_pages = opts.use_huge_pages},
+      opts.fallback_metric, opts.fallback_graph);
+  if (!opened.ok()) return opened.status();
+  StaticBundle& b = opened.value();
   IndexSpec spec;
-  spec.metric = has_meta ? meta.metric : opts.fallback_metric;
-  spec.graph = has_meta ? meta.params : opts.fallback_graph;
-  spec.load_mode = place.view ? LoadMode::kMap : LoadMode::kLoad;
+  spec.metric = b.metric;
+  spec.graph = b.params;
+  spec.load_mode = b.place.view ? LoadMode::kMap : LoadMode::kLoad;
 
-  // The metadata sidecar follows the bundle's placement: a view's column
-  // pointers alias the mapping, which the flavor then keeps alive too.
-  std::vector<MmapFile> mappings;
-  std::shared_ptr<const MetadataStore> metadata;
-  const std::string meta_path = prefix + ".meta";
-  if (IsMetadataFile(meta_path)) {
-    Result<MmapFile> mmeta = MmapFile::Map(meta_path, mopts);
-    if (!mmeta.ok()) return mmeta.status();
-    Result<MetadataStore> md = MapMetadata(mmeta.value());
-    if (!md.ok()) return md.status();
-    metadata = std::make_shared<const MetadataStore>(
-        place.view ? std::move(md).value() : md.value().OwnedCopy());
-    if (place.view) mappings.push_back(std::move(mmeta).value());
-  }
+  // A viewed sidecar's columns alias its mapping, which the returned
+  // store keeps alive.
+  auto metadata = OpenMetadataSidecar(prefix + ".meta", b.place.view,
+                                      opts.use_huge_pages);
+  if (!metadata.ok()) return metadata.status();
 
-  const MmapFile& vm = vmap.value();
-  Result<VecsEncoding> enc = PeekVecsEncoding(vm, vecs_path);
-  if (!enc.ok()) return enc.status();
-  auto make = [&](auto storage) {
-    if (place.view) {
-      mappings.push_back(std::move(gmap).value());
-      mappings.push_back(std::move(vmap).value());
+  const MmapFile& vm = b.vecs_file;
+  const std::string& vecs_path = b.vecs_path;
+  auto make = [&](auto storage) -> Result<Index> {
+    using Storage = decltype(storage);
+    auto idx = std::make_unique<VamanaIndex<Storage>>(
+        std::move(storage), std::move(b.graph), spec.graph);
+    Capabilities caps = SpecCapabilities(spec);
+    if (metadata.value() != nullptr) {
+      BLINK_RETURN_NOT_OK(idx->AttachMetadata(std::move(metadata).value()));
+      caps |= kCapFilter;
     }
-    return MakeStatic(std::move(storage), std::move(graph).value(),
-                      std::move(spec), has_meta, std::move(mappings),
-                      std::move(metadata));
+    std::vector<MmapFile> mappings;
+    if (b.place.view) {
+      mappings.push_back(std::move(b.graph_file));
+      mappings.push_back(std::move(b.vecs_file));
+    }
+    return Index(std::make_unique<detail::StaticFlavor<Storage>>(
+        std::move(idx), std::move(spec), caps, b.self_described,
+        std::move(mappings)));
   };
-  switch (enc.value()) {
+  switch (b.encoding) {
     case VecsEncoding::kLvq1:
     case VecsEncoding::kLvq2: {
-      auto ds = ReadLvq(vm, vecs_path, place);
+      auto ds = ReadLvq(vm, vecs_path, b.place);
       if (!ds.ok()) return ds.status();
       spec.kind = IndexKind::kStaticLvq;
       spec.bits1 = ds.value().bits();
@@ -595,26 +547,26 @@ Result<Index> OpenStatic(const std::string& prefix, const OpenOptions& opts) {
       return make(LvqStorage(std::move(ds).value(), spec.metric));
     }
     case VecsEncoding::kFloat32: {
-      auto st = ReadFloatVecs(vm, vecs_path, spec.metric, place);
+      auto st = ReadFloatVecs(vm, vecs_path, spec.metric, b.place);
       if (!st.ok()) return st.status();
       spec.kind = IndexKind::kStaticF32;
       return make(std::move(st).value());
     }
     case VecsEncoding::kFloat16: {
-      auto st = ReadF16Vecs(vm, vecs_path, spec.metric, place);
+      auto st = ReadF16Vecs(vm, vecs_path, spec.metric, b.place);
       if (!st.ok()) return st.status();
       spec.kind = IndexKind::kStaticF16;
       return make(std::move(st).value());
     }
     case VecsEncoding::kLeanVecF32: {
-      auto st = ReadLeanVecVecs(vm, vecs_path, spec.metric, place);
+      auto st = ReadLeanVecVecs(vm, vecs_path, spec.metric, b.place);
       if (!st.ok()) return st.status();
       spec.kind = IndexKind::kStaticLeanVec;
       spec.leanvec_dim = st.value().primary_dim();
       return make(std::move(st).value());
     }
     case VecsEncoding::kLeanVecLvq: {
-      auto st = ReadLeanVecLvqVecs(vm, vecs_path, spec.metric, place);
+      auto st = ReadLeanVecLvqVecs(vm, vecs_path, spec.metric, b.place);
       if (!st.ok()) return st.status();
       spec.kind = IndexKind::kStaticLeanVecLvq;
       spec.leanvec_dim = st.value().primary_dim();

@@ -147,10 +147,6 @@ struct SearchOptions {
   }
 };
 
-/// Deprecated name of SearchOptions, kept so out-of-tree callers compile;
-/// new code should spell SearchOptions.
-using RuntimeParams = SearchOptions;
-
 /// Aggregate work counters of a batch (or of one searcher's lifetime).
 /// Indices that do not track a counter leave it at zero.
 struct BatchStats {

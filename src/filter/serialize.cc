@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "util/binio.h"
 
@@ -91,16 +92,6 @@ Status SaveMetadata(const std::string& path, const MetadataStore& store,
   return out.Commit();
 }
 
-Result<MetadataStore> LoadMetadata(const std::string& path) {
-  // Heap mode reuses the mmap parser on a transient private mapping, then
-  // copies every cell into owned storage.
-  auto map = MmapFile::Map(path);
-  BLINK_RETURN_NOT_OK(map.status());
-  auto view = MapMetadata(map.value());
-  BLINK_RETURN_NOT_OK(view.status());
-  return view.value().OwnedCopy();
-}
-
 Result<MetadataStore> MapMetadata(const MmapFile& map) {
   binio::ByteReader c(map.data(), map.size());
   MetaHeader h;
@@ -126,13 +117,29 @@ Result<MetadataStore> MapMetadata(const MmapFile& map) {
                                      std::move(cols));
 }
 
-bool IsMetadataFile(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  uint32_t magic = 0;
-  const bool ok = std::fread(&magic, sizeof(magic), 1, f) == 1;
-  std::fclose(f);
-  return ok && magic == kMetaMagic;
+Result<std::shared_ptr<MetadataStore>> OpenMetadataSidecar(
+    const std::string& path, bool view, bool use_huge_pages) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec) && !ec) {
+    return std::shared_ptr<MetadataStore>();
+  }
+  MmapFile::Options mopts;
+  mopts.random = view;
+  mopts.huge_pages = view && use_huge_pages;
+  Result<MmapFile> map = MmapFile::Map(path, mopts);
+  if (!map.ok()) return map.status();
+  Result<MetadataStore> md = MapMetadata(map.value());
+  if (!md.ok()) return Status::IOError(path + ": " + md.status().message());
+  if (!view) return std::make_shared<MetadataStore>(md.value().OwnedCopy());
+  // The view's columns point into the mapping: one allocation owns both,
+  // and the returned pointer aliases the store inside it.
+  struct Mapped {
+    MmapFile map;
+    MetadataStore store;
+  };
+  auto mapped = std::make_shared<Mapped>(
+      Mapped{std::move(map).value(), std::move(md).value()});
+  return std::shared_ptr<MetadataStore>(mapped, &mapped->store);
 }
 
 }  // namespace blink

@@ -3,8 +3,10 @@
 // A metadata store persists as a sidecar next to the index artifact
 // (<prefix>.meta for static/dynamic, <dir>/metadata.meta for sharded) so
 // filterless v1–v3 artifacts keep opening unchanged: a missing sidecar
-// simply means "no metadata". The sidecar itself is v3-style self-
-// describing, every section 64-byte aligned and mmap-clean:
+// simply means "no metadata". A sidecar that is present must parse — a
+// wrong magic fails Open() like a corrupt body, so a damaged file never
+// silently drops the filter capability. The sidecar itself is v3-style
+// self-describing, every section 64-byte aligned and mmap-clean:
 //
 //   offset  field
 //   ------  -----------------------------------------------------------
@@ -21,11 +23,13 @@
 //   .       ... one aligned run per remaining column
 //
 // Saving goes through binio::AtomicFile (tmp + fsync + rename), matching
-// every other artifact writer. Loading offers the same two modes as the
-// index bundles: LoadMetadata copies to an owned store, MapMetadata wraps
-// an MmapFile with zero copies (MetadataStore::FromExternal).
+// every other artifact writer. MapMetadata is the one parser: it wraps an
+// MmapFile with zero copies (MetadataStore::FromExternal). Every Open()
+// path reads its sidecar through OpenMetadataSidecar, which views the
+// mapping or copies it out, as the index bundles do.
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "filter/metadata.h"
@@ -44,15 +48,17 @@ inline Status SaveMetadata(const std::string& path,
   return SaveMetadata(path, store, store.size());
 }
 
-/// Heap-loads a metadata sidecar (kLoad mode).
-Result<MetadataStore> LoadMetadata(const std::string& path);
-
 /// Zero-copy view into `map` (kMap mode); the caller keeps `map` alive for
 /// the store's lifetime, exactly like the mapped index bundles.
 Result<MetadataStore> MapMetadata(const MmapFile& map);
 
-/// True when `path` exists and starts with the BLMD magic — the Open()
-/// probe deciding whether an artifact has a metadata sidecar.
-bool IsMetadataFile(const std::string& path);
+/// Opens the metadata sidecar at `path`. No file there means no metadata:
+/// the result is null. A file that is there is parsed or fails with
+/// IOError. With `view` the store aliases a random-access mapping (with
+/// huge-page advice per `use_huge_pages`) that the returned pointer keeps
+/// alive; otherwise every cell is copied into an owned store, which the
+/// caller may mutate.
+Result<std::shared_ptr<MetadataStore>> OpenMetadataSidecar(
+    const std::string& path, bool view, bool use_huge_pages = true);
 
 }  // namespace blink

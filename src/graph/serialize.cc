@@ -63,13 +63,13 @@ bool WriteSectionPad(FILE* f) {
   return WriteAll(f, zeros, kSectionAlign - rem);
 }
 
-/// Maps `path` for a parse whose sections are copied out and the mapping
-/// then dropped (kLoad): the copy reads front to back, so the kernel's
-/// default readahead is kept.
-Result<MmapFile> MapForCopy(const std::string& path) {
+/// Maps `path` for a parse that ends in `place`. A view is searched in
+/// graph order (MADV_RANDOM, plus the huge-page hint); a copy reads front
+/// to back, so the kernel's default readahead is kept.
+Result<MmapFile> MapFor(const std::string& path, const Placement& place) {
   MmapFile::Options opts;
-  opts.random = false;
-  opts.huge_pages = false;
+  opts.random = place.view;
+  opts.huge_pages = place.view && place.use_huge_pages;
   return MmapFile::Map(path, opts);
 }
 
@@ -301,6 +301,33 @@ FloatStorage PlaceRows(const uint8_t* rows, size_t n, size_t d, Metric metric,
   return FloatStorage(MatrixViewF(f, n, d), metric, place.use_huge_pages);
 }
 
+/// The encoding of a mapped `.vecs` file. Sniffed once, so a corrupt
+/// payload reports its own error instead of a retry's under another
+/// encoding.
+Result<VecsEncoding> PeekVecsEncoding(const MmapFile& map,
+                                      const std::string& path) {
+  ByteReader r(map.data(), map.size());
+  uint32_t magic = 0;
+  if (!r.Read(&magic)) {
+    return Status::IOError(path + ": truncated vecs file");
+  }
+  if (magic == kLeanVecMagic) {
+    uint32_t version = 0, kind = 0;
+    if (!r.Read(&version) || !r.Read(&kind) || kind > kLeanVecKindLvq) {
+      return Status::IOError(path + ": corrupt LeanVec header");
+    }
+    return kind == kLeanVecKindLvq ? VecsEncoding::kLeanVecLvq
+                                   : VecsEncoding::kLeanVecF32;
+  }
+  switch (magic) {
+    case kLvqMagic: return VecsEncoding::kLvq1;
+    case kLvq2Magic: return VecsEncoding::kLvq2;
+    case kF32Magic: return VecsEncoding::kFloat32;
+    case kF16Magic: return VecsEncoding::kFloat16;
+    default: return Status::IOError(path + ": unrecognized vecs magic");
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -456,7 +483,7 @@ Result<BuiltGraph> ReadGraph(const MmapFile& map, const std::string& path,
 
 Result<BuiltGraph> LoadGraph(const std::string& path, bool use_huge_pages,
                              IndexMeta* meta, bool* has_meta) {
-  Result<MmapFile> map = MapForCopy(path);
+  Result<MmapFile> map = MapFor(path, {});
   if (!map.ok()) return map.status();
   return ReadGraph(map.value(), path, {.use_huge_pages = use_huge_pages},
                    meta, has_meta);
@@ -495,7 +522,7 @@ Result<LvqDataset> ReadLvq(const MmapFile& map, const std::string& path,
 }
 
 Result<LvqDataset> LoadLvq(const std::string& path, bool use_huge_pages) {
-  Result<MmapFile> map = MapForCopy(path);
+  Result<MmapFile> map = MapFor(path, {});
   if (!map.ok()) return map.status();
   return ReadLvq(map.value(), path, {.use_huge_pages = use_huge_pages});
 }
@@ -613,34 +640,40 @@ Result<LeanVecLvqStorage> ReadLeanVecLvqVecs(const MmapFile& map,
                            LvqStorage(std::move(secondary).value(), metric));
 }
 
-Result<VecsEncoding> PeekVecsEncoding(const MmapFile& map,
-                                      const std::string& path) {
-  ByteReader r(map.data(), map.size());
-  uint32_t magic = 0;
-  if (!r.Read(&magic)) {
-    return Status::IOError(path + ": truncated vecs file");
-  }
-  if (magic == kLeanVecMagic) {
-    uint32_t version = 0, kind = 0;
-    if (!r.Read(&version) || !r.Read(&kind) || kind > kLeanVecKindLvq) {
-      return Status::IOError(path + ": corrupt LeanVec header");
-    }
-    return kind == kLeanVecKindLvq ? VecsEncoding::kLeanVecLvq
-                                   : VecsEncoding::kLeanVecF32;
-  }
-  switch (magic) {
-    case kLvqMagic: return VecsEncoding::kLvq1;
-    case kLvq2Magic: return VecsEncoding::kLvq2;
-    case kF32Magic: return VecsEncoding::kFloat32;
-    case kF16Magic: return VecsEncoding::kFloat16;
-    default: return Status::IOError(path + ": unrecognized vecs magic");
-  }
-}
-
 bool IsAlignedArtifact(const MmapFile& map) {
   ByteReader r(map.data(), map.size());
   uint32_t magic = 0, version = 0;
   return r.Read(&magic) && r.Read(&version) && version == kVersionAligned;
+}
+
+Result<StaticBundle> OpenStaticBundle(const std::string& prefix,
+                                      const Placement& request, Metric metric,
+                                      const VamanaBuildParams& bp) {
+  StaticBundle b;
+  const std::string graph_path = prefix + ".graph";
+  b.vecs_path = prefix + ".vecs";
+  Result<MmapFile> gmap = MapFor(graph_path, request);
+  if (!gmap.ok()) return gmap.status();
+  Result<MmapFile> vmap = MapFor(b.vecs_path, request);
+  if (!vmap.ok()) return vmap.status();
+  b.graph_file = std::move(gmap).value();
+  b.vecs_file = std::move(vmap).value();
+  b.place = {.view = request.view && IsAlignedArtifact(b.graph_file) &&
+                     IsAlignedArtifact(b.vecs_file),
+             .use_huge_pages = request.use_huge_pages};
+
+  IndexMeta meta;
+  Result<BuiltGraph> graph =
+      ReadGraph(b.graph_file, graph_path, b.place, &meta, &b.self_described);
+  if (!graph.ok()) return graph.status();
+  b.graph = std::move(graph).value();
+  b.metric = b.self_described ? meta.metric : metric;
+  b.params = b.self_described ? meta.params : bp;
+  b.params.graph_max_degree = b.graph.graph.max_degree();
+  Result<VecsEncoding> enc = PeekVecsEncoding(b.vecs_file, b.vecs_path);
+  if (!enc.ok()) return enc.status();
+  b.encoding = enc.value();
+  return b;
 }
 
 // ---------------------------------------------------------------------------
@@ -839,7 +872,7 @@ Result<DynHeader> ParseDynPrologue(ByteReader* r, uint32_t want_kind,
 }  // namespace
 
 bool IsDynamicIndexFile(const std::string& path) {
-  Result<MmapFile> map = MapForCopy(path);
+  Result<MmapFile> map = MapFor(path, {});
   if (!map.ok()) return false;
   ByteReader r(map.value().data(), map.value().size());
   uint32_t magic = 0;
@@ -847,7 +880,7 @@ bool IsDynamicIndexFile(const std::string& path) {
 }
 
 Result<DynamicKind> PeekDynamicKind(const std::string& path) {
-  Result<MmapFile> map = MapForCopy(path);
+  Result<MmapFile> map = MapFor(path, {});
   if (!map.ok()) return map.status();
   ByteReader r(map.value().data(), map.value().size());
   Result<DynHeader> header = ReadDynHeader(&r, path);
@@ -892,7 +925,7 @@ Status SaveDynamic(const std::string& path, const DynamicLvqIndex& index) {
 Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(const std::string& path,
                                                      DynamicOptions opts,
                                                      bool* self_described) {
-  Result<MmapFile> map = MapForCopy(path);
+  Result<MmapFile> map = MapFor(path, {});
   if (!map.ok()) return map.status();
   ByteReader r(map.value().data(), map.value().size());
   Result<DynHeader> header =
@@ -925,7 +958,7 @@ Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(const std::string& path,
 
 Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
     const std::string& path, DynamicOptions opts, bool* self_described) {
-  Result<MmapFile> map = MapForCopy(path);
+  Result<MmapFile> map = MapFor(path, {});
   if (!map.ok()) return map.status();
   ByteReader r(map.value().data(), map.value().size());
   Result<DynHeader> header =
@@ -971,46 +1004,6 @@ Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
                                std::move(free_slots), h.n, h.num_deleted,
                                h.entry),
       path);
-}
-
-// ---------------------------------------------------------------------------
-// Static LVQ bundles (the sharded index's per-shard format).
-// ---------------------------------------------------------------------------
-
-Result<std::unique_ptr<VamanaIndex<LvqStorage>>> LoadOgLvqIndex(
-    const std::string& prefix, Metric metric, const VamanaBuildParams& bp,
-    bool use_huge_pages) {
-  IndexMeta meta;
-  bool has_meta = false;
-  Result<BuiltGraph> graph =
-      LoadGraph(prefix + ".graph", use_huge_pages, &meta, &has_meta);
-  if (!graph.ok()) return graph.status();
-  // A version-2 graph header carries the build-time configuration; the
-  // caller's values are only the fallback for version-1 artifacts. Either
-  // way the on-disk graph knows its own degree — don't let the caller's
-  // defaults misreport it (e.g. in name()).
-  VamanaBuildParams actual = has_meta ? meta.params : bp;
-  actual.graph_max_degree = graph.value().graph.max_degree();
-  const Metric actual_metric = has_meta ? meta.metric : metric;
-  // The encoding is sniffed once, so a corrupt two-level payload reports
-  // its own error instead of a one-level retry's.
-  const std::string vecs = prefix + ".vecs";
-  Result<MmapFile> map = MapForCopy(vecs);
-  if (!map.ok()) return map.status();
-  Result<VecsEncoding> enc = PeekVecsEncoding(map.value(), vecs);
-  if (!enc.ok()) return enc.status();
-  auto make = [&](auto ds) -> Result<std::unique_ptr<VamanaIndex<LvqStorage>>> {
-    if (!ds.ok()) return ds.status();
-    return std::make_unique<VamanaIndex<LvqStorage>>(
-        LvqStorage(std::move(ds).value(), actual_metric),
-        std::move(graph).value(), actual);
-  };
-  const Placement copy{.use_huge_pages = use_huge_pages};
-  switch (enc.value()) {
-    case VecsEncoding::kLvq1:
-    case VecsEncoding::kLvq2: return make(ReadLvq(map.value(), vecs, copy));
-    default: return Status::IOError(vecs + ": not an LVQ payload");
-  }
 }
 
 }  // namespace blink

@@ -6,7 +6,8 @@
 // little-endian and versioned, with the same "BLNK" magic family as
 // util/io.h. Writers stream through stdio; every reader parses a read-only
 // mapping of the file (util/mmap_file.h) through one bounds-checked cursor
-// (binio::ByteReader).
+// (binio::ByteReader). A static bundle has one opener, OpenStaticBundle,
+// shared by api::Open and the sharded per-shard loader.
 //
 // Format versions (DESIGN.md D10/D12 have the full tables):
 //   graph "BLAG"     v1: header + variable-length adjacency rows.
@@ -157,9 +158,9 @@ Status SaveVecs(const std::string& path, const F16Storage& storage);
 Status SaveVecs(const std::string& path, const LeanVecStorage& storage);
 Status SaveVecs(const std::string& path, const LeanVecLvqStorage& storage);
 
-/// The storage encoding of a mapped `.vecs` file, sniffed from its magic
-/// (plus the kind tag for "BLLV") — how Open() decides which static flavor
-/// to reconstruct.
+/// The storage encoding of a `.vecs` file, sniffed from its magic (plus
+/// the kind tag for "BLLV") — how Open() decides which static flavor to
+/// reconstruct.
 enum class VecsEncoding {
   kLvq1,
   kLvq2,
@@ -168,8 +169,6 @@ enum class VecsEncoding {
   kLeanVecF32,
   kLeanVecLvq,
 };
-Result<VecsEncoding> PeekVecsEncoding(const MmapFile& map,
-                                      const std::string& path);
 
 /// Saves a complete static index as `<prefix>.graph` + `<prefix>.vecs`.
 /// The graph file embeds the metric and build params, so the bundle
@@ -182,12 +181,30 @@ Status SaveIndexBundle(const std::string& prefix,
                    IndexMeta{index.storage().metric(), index.build_params()});
 }
 
-/// Loads an LVQ bundle (copy placement). `metric` and `bp` are fallbacks
-/// for version-1 artifacts; a version-2+ graph header overrides both (the
-/// artifact is the single source of truth for its own configuration).
-Result<std::unique_ptr<VamanaIndex<LvqStorage>>> LoadOgLvqIndex(
-    const std::string& prefix, Metric metric, const VamanaBuildParams& bp,
-    bool use_huge_pages = true);
+/// A static bundle as its one opener leaves it: both files mapped, the
+/// graph parsed, the encoding sniffed and the placement settled. The
+/// caller parses `vecs_file` with `encoding`'s reader under `place` and,
+/// when `place.view`, keeps both mappings alive as long as the index.
+struct StaticBundle {
+  BuiltGraph graph;
+  Metric metric = Metric::kL2;  ///< the v2+ header's, else the fallback
+  VamanaBuildParams params;     ///< likewise; max degree from the graph
+  bool self_described = false;  ///< the graph header carried metric + params
+  VecsEncoding encoding = VecsEncoding::kLvq1;
+  Placement place;  ///< a view only when asked for and both files are v3
+  std::string vecs_path;
+  MmapFile graph_file;
+  MmapFile vecs_file;
+};
+
+/// Opens `<prefix>.graph` and `.vecs`: the one opener of a static bundle,
+/// used by api::Open and by the sharded per-shard loader. `metric` and
+/// `bp` are the fallbacks for a version-1 graph; a version-2+ header
+/// overrides both (the artifact is the source of truth for its own
+/// configuration).
+Result<StaticBundle> OpenStaticBundle(const std::string& prefix,
+                                      const Placement& request, Metric metric,
+                                      const VamanaBuildParams& bp);
 
 /// True when `path` is a dynamic-index ("BLDY") file.
 bool IsDynamicIndexFile(const std::string& path);

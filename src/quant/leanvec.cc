@@ -18,6 +18,13 @@ Result<LeanVecModel> TrainLeanVec(MatrixViewF sample, size_t reduced_dim,
         "LeanVec: reduced_dim " + std::to_string(reduced_dim) +
         " exceeds data dimension " + std::to_string(d));
   }
+  // Every row is checked, not only the trained prefix: the builders pass
+  // the whole dataset, and each of its rows is projected and stored.
+  if (const auto bad = FirstNonFinite(sample)) {
+    return Status::InvalidArgument(
+        "LeanVec: non-finite value at row " + std::to_string(bad->first) +
+        ", column " + std::to_string(bad->second));
+  }
   const size_t n = std::min(sample.rows, max_sample_rows);
 
   LeanVecModel model;
@@ -30,10 +37,6 @@ Result<LeanVecModel> TrainLeanVec(MatrixViewF sample, size_t reduced_dim,
     }
     for (size_t j = 0; j < d; ++j) {
       model.mean[j] = static_cast<float>(acc[j] / static_cast<double>(n));
-      if (!std::isfinite(model.mean[j])) {
-        return Status::InvalidArgument(
-            "LeanVec: training sample contains non-finite values");
-      }
     }
   }
 
@@ -41,13 +44,7 @@ Result<LeanVecModel> TrainLeanVec(MatrixViewF sample, size_t reduced_dim,
   for (size_t i = 0; i < n; ++i) {
     const float* src = sample.row(i);
     float* dst = centered.row(i);
-    for (size_t j = 0; j < d; ++j) {
-      if (!std::isfinite(src[j])) {
-        return Status::InvalidArgument(
-            "LeanVec: training sample contains non-finite values");
-      }
-      dst[j] = src[j] - model.mean[j];
-    }
+    for (size_t j = 0; j < d; ++j) dst[j] = src[j] - model.mean[j];
   }
 
   // Sample covariance (unnormalized — scale does not move eigenvectors),

@@ -54,7 +54,9 @@ inline size_t DefaultLeanVecDim(size_t d) {
 /// Learns a LeanVec projection from (a sample of) the data: mean, sample
 /// covariance via GramProduct, JacobiSvd, top-d' eigenvector selection.
 /// Fails with a Status — never silent NaN columns — when the sample is
-/// empty or non-finite, when reduced_dim is out of (0, d], or when the
+/// empty, when any of its rows is non-finite (all rows are checked, not
+/// only the first `max_sample_rows`, so the builders below reject a bad
+/// row anywhere), when reduced_dim is out of (0, d], or when the
 /// SVD returns a degenerate basis column (validated per column: finite
 /// entries, unit norm). Rank-deficient samples (duplicate rows,
 /// zero-variance dims) are fine: one-sided Jacobi keeps V orthonormal

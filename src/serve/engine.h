@@ -212,9 +212,4 @@ class DynamicView : public SearchIndex {
   const Index* index_;
 };
 
-/// The float32 view (the pre-D9 DynamicIndexView).
-using DynamicIndexView = DynamicView<FloatStorage>;
-/// View over the compressed dynamic index.
-using DynamicLvqIndexView = DynamicView<LvqStorage>;
-
 }  // namespace blink

@@ -154,22 +154,42 @@ Result<std::unique_ptr<ShardedIndex>> LoadShardedIndex(
     }
   }
 
+  if (bits1 < 1 || bits1 > 16 || bits2 > 16) {
+    return Status::IOError(path + ": manifest LVQ bits out of range");
+  }
+
+  // Shards are static LVQ bundles, copied; the manifest's configuration is
+  // the fallback for a version-1 shard graph.
   std::vector<std::unique_ptr<ShardedIndex::Shard>> shards(S);
   for (uint64_t s = 0; s < S; ++s) {
     const size_t m = part.shard_to_global[s].size();
     if (m == 0) continue;
-    auto shard = LoadOgLvqIndex(ShardPrefix(dir, s), actual_metric, actual_bp,
-                                use_huge_pages);
-    if (!shard.ok()) return shard.status();
-    if (shard.value()->size() != m || shard.value()->dim() != d) {
-      return Status::IOError(ShardPrefix(dir, s) +
+    const std::string prefix = ShardPrefix(dir, s);
+    Result<StaticBundle> opened = OpenStaticBundle(
+        prefix, {.use_huge_pages = use_huge_pages}, actual_metric, actual_bp);
+    if (!opened.ok()) return opened.status();
+    StaticBundle& b = opened.value();
+    if (b.encoding != VecsEncoding::kLvq1 &&
+        b.encoding != VecsEncoding::kLvq2) {
+      return Status::IOError(b.vecs_path + ": not an LVQ payload");
+    }
+    Result<LvqDataset> ds = ReadLvq(b.vecs_file, b.vecs_path, b.place);
+    if (!ds.ok()) return ds.status();
+    if (ds.value().size() != m || ds.value().dim() != d) {
+      return Status::IOError(prefix +
                              ": shard size/dim disagrees with manifest");
     }
-    shards[s] = std::move(shard).value();
+    if (ds.value().bits() != static_cast<int>(bits1) ||
+        ds.value().bits2() != static_cast<int>(bits2)) {
+      return Status::IOError(prefix +
+                             ": shard LVQ encoding disagrees with manifest");
+    }
+    shards[s] = std::make_unique<ShardedIndex::Shard>(
+        LvqStorage(std::move(ds).value(), b.metric), std::move(b.graph),
+        b.params);
   }
   return std::make_unique<ShardedIndex>(std::move(shards), std::move(part),
-                                        actual_metric, static_cast<int>(bits1),
-                                        static_cast<int>(bits2));
+                                        actual_metric);
 }
 
 }  // namespace blink

@@ -104,13 +104,10 @@ class ShardedIndex::ShardedSearcher : public Searcher {
 // ShardedIndex.
 // ---------------------------------------------------------------------------
 ShardedIndex::ShardedIndex(std::vector<std::unique_ptr<Shard>> shards,
-                           Partition partition, Metric metric, int bits1,
-                           int bits2)
+                           Partition partition, Metric metric)
     : shards_(std::move(shards)),
       partition_(std::move(partition)),
       metric_(metric),
-      bits1_(bits1),
-      bits2_(bits2),
       probe_counts_(new std::atomic<uint64_t>[shards_.size()]) {
   for (size_t s = 0; s < shards_.size(); ++s) {
     probe_counts_[s].store(0, std::memory_order_relaxed);
@@ -204,9 +201,8 @@ std::unique_ptr<ShardedIndex> BuildShardedLvq(MatrixViewF data, Metric metric,
     for (size_t s = 0; s < S; ++s) build_shard(s, nullptr);
   }
 
-  auto index = std::make_unique<ShardedIndex>(
-      std::move(shards), std::move(partition), metric, params.bits1,
-      params.bits2);
+  auto index = std::make_unique<ShardedIndex>(std::move(shards),
+                                              std::move(partition), metric);
   index->set_build_seconds(timer.Seconds());
   return index;
 }

@@ -44,7 +44,7 @@ class ShardedIndex : public SearchIndex {
   /// Adopts pre-built shards (the loader's path). `shards[s]` may be null
   /// only when partition.shard_to_global[s] is empty.
   ShardedIndex(std::vector<std::unique_ptr<Shard>> shards,
-               Partition partition, Metric metric, int bits1, int bits2);
+               Partition partition, Metric metric);
 
   std::string name() const override;
   size_t size() const override { return partition_.total_size(); }
@@ -60,11 +60,18 @@ class ShardedIndex : public SearchIndex {
   const Shard* shard(size_t s) const { return shards_[s].get(); }
   const Partition& partition() const { return partition_; }
   Metric metric() const { return metric_; }
-  int bits1() const { return bits1_; }
-  int bits2() const { return bits2_; }
-  /// Graph build params of the shards (from the first live shard; every
-  /// shard is built with the same configuration). Defaults when all shards
+  /// LVQ encoding and graph build params of the shards (from the first
+  /// live shard; every shard is built with the same configuration, and the
+  /// loader checks each against the manifest). Defaults when all shards
   /// are empty.
+  int bits1() const {
+    return live_shards_.empty() ? ShardedBuildParams{}.bits1
+                                : shards_[live_shards_[0]]->storage().bits1();
+  }
+  int bits2() const {
+    return live_shards_.empty() ? ShardedBuildParams{}.bits2
+                                : shards_[live_shards_[0]]->storage().bits2();
+  }
   VamanaBuildParams build_params() const {
     return live_shards_.empty() ? VamanaBuildParams{}
                                 : shards_[live_shards_[0]]->build_params();
@@ -102,8 +109,6 @@ class ShardedIndex : public SearchIndex {
   std::vector<std::unique_ptr<Shard>> shards_;
   Partition partition_;
   Metric metric_;
-  int bits1_;
-  int bits2_;
   std::vector<uint32_t> live_shards_;  ///< shards with at least one vector
   std::shared_ptr<const MetadataStore> metadata_;  ///< global-id store
   double build_seconds_ = 0.0;

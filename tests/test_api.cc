@@ -120,7 +120,7 @@ TEST(BuildApi, EveryKindBuildsAndSearches) {
     EXPECT_EQ(idx.has(kCapInsert), IsDynamicKind(kind)) << KindName(kind);
     EXPECT_EQ(idx.has(kCapShardProbe), kind == IndexKind::kSharded);
 
-    RuntimeParams p;
+    SearchOptions p;
     p.window = 64;
     const double recall =
         testutil::RecallOf(idx.AsSearchIndex(), f, p);
@@ -310,7 +310,7 @@ TEST(SearchApi, NonFiniteQueryFailsClosedOnBaselines) {
 
 TEST(BuildApi, FacadeRecallFloors) {
   const Fixture& f = SharedFixture();
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   p.nprobe_shards = 2;
   for (IndexKind kind : {IndexKind::kStaticLvq, IndexKind::kSharded,
@@ -329,7 +329,7 @@ class ApiRoundTrip : public TempPathTest {};
 
 TEST_F(ApiRoundTrip, EveryKindReopensIdentically) {
   const Fixture& f = SharedFixture();
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 48;
   for (IndexKind kind : kAllKinds) {
     SCOPED_TRACE(KindName(kind));
@@ -417,7 +417,7 @@ TEST(ApiServe, EngineServesFacadeIndex) {
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   auto engine = std::move(served).value();
   ASSERT_NE(engine, nullptr);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   Matrix<uint32_t> ids(f.data.queries.rows(), f.k);
   engine->SearchBatch(f.data.queries, f.k, p, ids.data());
@@ -434,7 +434,7 @@ TEST(ApiSearch, ShardedSearchBatchExSurvivesMerge) {
   Matrix<uint32_t> ids(nq, f.k);
   MatrixF dists(nq, f.k);
   BatchStats stats;
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   built.value().SearchBatchEx(f.data.queries, f.k, p, ids.data(),
                               dists.data(), &stats);
@@ -459,14 +459,14 @@ TEST(Registry, BuildsFacadeKindsByName) {
 TEST(Registry, BaselinesComeBackSearchOnly) {
   const Fixture& f = SharedFixture();
   const IndexSpec spec = SpecFor(IndexKind::kStaticF32, f);
-  RuntimeParams graph_params;
+  SearchOptions graph_params;
   graph_params.window = 64;
-  RuntimeParams probe_params;
+  SearchOptions probe_params;
   probe_params.nprobe = 16;
   probe_params.reorder_k = 50;
   struct Case {
     const char* name;
-    RuntimeParams params;
+    SearchOptions params;
     double floor;
   };
   for (const Case& c : {Case{"hnsw", graph_params, 0.9},
@@ -492,9 +492,9 @@ TEST(Registry, BaselinesComeBackSearchOnly) {
 TEST(Registry, BaselinesReportRankedDistancesAndWork) {
   const Fixture& f = SharedFixture();
   const IndexSpec spec = SpecFor(IndexKind::kStaticF32, f);
-  RuntimeParams graph_params;
+  SearchOptions graph_params;
   graph_params.window = 64;
-  RuntimeParams probe_params;
+  SearchOptions probe_params;
   probe_params.nprobe = 16;
   probe_params.reorder_k = 50;
   ThreadPool pool(2);

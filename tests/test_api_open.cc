@@ -275,6 +275,96 @@ TEST_F(OpenRobustness, ShardedWithTruncatedTwoLevelShardFails) {
       << r.status().ToString();
 }
 
+// The manifest's LVQ bits must lie in [1, 16] and agree with every
+// shard's own encoding. A forged pair used to open, report the manifest's
+// numbers in spec() (77 fails IndexSpec::Validate) and be saved back.
+TEST_F(OpenRobustness, ShardedManifestBitsMustMatchShards) {
+  const V1World w;
+  IndexSpec spec;
+  spec.kind = IndexKind::kSharded;
+  spec.metric = w.data.metric;
+  spec.graph = w.bp;
+  spec.partition.num_shards = 2;
+  auto built = Build(spec, w.data.base);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string dir = DirPath("forged_bits");
+  ASSERT_TRUE(built.value().Save(dir).ok());
+  const auto manifest = ReadFile(dir + "/manifest");
+  for (const auto& [bits1, bits2] :
+       {std::pair<uint32_t, uint32_t>{77, 3}, {4, 0}}) {
+    auto forged = manifest;
+    // bits1 and bits2 follow the magic, the version, S, n and d.
+    std::memcpy(forged.data() + 32, &bits1, sizeof(bits1));
+    std::memcpy(forged.data() + 36, &bits2, sizeof(bits2));
+    WriteFile(dir + "/manifest", forged.data(), forged.size());
+    auto r = Open(dir);
+    EXPECT_FALSE(r.ok()) << bits1 << "/" << bits2 << " over LVQ-8 shards";
+    if (r.ok()) continue;
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError)
+        << r.status().ToString();
+  }
+  WriteFile(dir + "/manifest", manifest.data(), manifest.size());
+  auto intact = Open(dir);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  EXPECT_EQ(intact.value().spec().bits1, 8);
+  EXPECT_EQ(intact.value().spec().bits2, 0);
+}
+
+// A sidecar that is present must parse. One with a wrong magic used to be
+// skipped, so the index opened without metadata and lost kCapFilter, while
+// a corrupt body already failed.
+TEST_F(OpenRobustness, SidecarWithWrongMagicFailsOpen) {
+  const V1World w;
+  auto md = std::make_shared<const MetadataStore>(
+      MakeSyntheticMetadata(w.data.base.rows(), {ColumnType::kF64}, 5));
+  struct Case {
+    IndexKind kind;
+    std::string path;
+    std::string sidecar;
+  };
+  const std::string stat = Path("bad_meta_static");
+  (void)Path("bad_meta_static.graph");
+  (void)Path("bad_meta_static.vecs");
+  (void)Path("bad_meta_static.meta");
+  const std::string dyn = Path("bad_meta_dynamic");
+  (void)Path("bad_meta_dynamic.meta");
+  const std::string sharded = DirPath("bad_meta_sharded");
+  for (const Case& c :
+       {Case{IndexKind::kStaticLvq, stat, stat + ".meta"},
+        Case{IndexKind::kSharded, sharded, sharded + "/metadata.meta"},
+        Case{IndexKind::kDynamicLvq, dyn, dyn + ".meta"}}) {
+    SCOPED_TRACE(KindName(c.kind));
+    IndexSpec spec;
+    spec.kind = c.kind;
+    spec.metric = w.data.metric;
+    spec.graph = w.bp;
+    spec.partition.num_shards = 2;
+    auto built = Build(spec, w.data.base);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ASSERT_TRUE(built.value().AttachMetadata(md).ok());
+    ASSERT_TRUE(built.value().Save(c.path).ok());
+    auto intact = Open(c.path);
+    ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+    EXPECT_TRUE(intact.value().has(kCapFilter));
+
+    auto bytes = ReadFile(c.sidecar);
+    ASSERT_GE(bytes.size(), 4u);
+    bytes[0] ^= 0x5A;
+    WriteFile(c.sidecar, bytes.data(), bytes.size());
+    for (LoadMode mode : {LoadMode::kLoad, LoadMode::kMap}) {
+      OpenOptions opts;
+      opts.load_mode = mode;
+      auto r = Open(c.path, opts);
+      EXPECT_FALSE(r.ok()) << "a corrupt sidecar was skipped";
+      if (r.ok()) continue;
+      EXPECT_EQ(r.status().code(), StatusCode::kIOError)
+          << r.status().ToString();
+      EXPECT_NE(r.status().message().find(c.sidecar), std::string::npos)
+          << r.status().ToString();
+    }
+  }
+}
+
 // --- version-1 back-compat fixtures ----------------------------------------
 
 TEST(OpenBackCompat, V1StaticBundleLoadsWithFallbacks) {
@@ -290,18 +380,6 @@ TEST(OpenBackCompat, V1StaticBundleLoadsWithFallbacks) {
   EXPECT_EQ(idx.value().size(), 64u);
   EXPECT_EQ(idx.value().dim(), w.data.base.cols());
   EXPECT_EQ(idx.value().spec().bits1, 8);
-
-  // Byte-identical to the legacy per-flavor loader on the same artifact.
-  auto legacy = LoadOgLvqIndex(kDataDir + "/v1_static_lvq", w.data.metric,
-                               w.bp, false);
-  ASSERT_TRUE(legacy.ok());
-  RuntimeParams p;
-  p.window = 16;
-  const auto via_open = testutil::SearchIds(idx.value().AsSearchIndex(),
-                                            w.data.queries, 5, p);
-  const auto via_legacy =
-      testutil::SearchIds(*legacy.value(), w.data.queries, 5, p);
-  testutil::ExpectSameIds(via_open, via_legacy, "v1 static");
 }
 
 TEST(OpenBackCompat, V1ShardedDirLoadsWithFallbacks) {
@@ -316,7 +394,7 @@ TEST(OpenBackCompat, V1ShardedDirLoadsWithFallbacks) {
   EXPECT_EQ(idx.value().kind(), IndexKind::kSharded);
   EXPECT_EQ(idx.value().size(), 64u);
   EXPECT_EQ(idx.value().spec().partition.num_shards, 2u);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 16;
   const auto ids = testutil::SearchIds(idx.value().AsSearchIndex(),
                                        w.data.queries, 5, p);

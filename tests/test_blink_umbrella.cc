@@ -28,7 +28,7 @@ TEST(BlinkUmbrella, BuildSearchRecallRoundTrip) {
   EXPECT_GT(index->memory_bytes(), 0u);
 
   const size_t k = 10;
-  RuntimeParams params;
+  SearchOptions params;
   params.window = 40;
   Matrix<uint32_t> ids(data.queries.rows(), k);
   SearchBatch(*index, data.queries, k, params, ids.data());

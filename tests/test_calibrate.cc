@@ -260,12 +260,5 @@ TEST(SearchOptionsTest, ResolvedForNeutralizesMissingCapabilities) {
   EXPECT_EQ(full.rerank_window, 10u);  // clamped into [k, window]
 }
 
-TEST(SearchOptionsTest, DeprecatedAliasStillCompiles) {
-  RuntimeParams legacy;  // the pre-redesign spelling
-  legacy.window = 48;
-  SearchOptions& modern = legacy;
-  EXPECT_EQ(modern.window, 48u);
-}
-
 }  // namespace
 }  // namespace blink

@@ -51,8 +51,8 @@ std::unique_ptr<VamanaIndex<FloatStorage>> BuildFixedIndex(
   return BuildVamanaF32(data.base, data.metric, bp, /*pool=*/nullptr);
 }
 
-RuntimeParams Params() {
-  RuntimeParams p;
+SearchOptions Params() {
+  SearchOptions p;
   p.window = 32;
   return p;
 }

@@ -215,9 +215,9 @@ TEST_F(DynamicLvqSerializeTest, SaveLoadSearchEquivalence) {
     ASSERT_EQ(loaded.value()->size(), idx.size());
 
     // Byte-identical search results through the serving view.
-    DynamicLvqIndexView orig_view(&idx);
-    DynamicLvqIndexView load_view(loaded.value().get());
-    RuntimeParams p;
+    DynamicView<LvqStorage> orig_view(&idx);
+    DynamicView<LvqStorage> load_view(loaded.value().get());
+    SearchOptions p;
     p.window = 48;
     Matrix<uint32_t> a = testutil::SearchIds(orig_view, data.queries, 10, p);
     Matrix<uint32_t> b = testutil::SearchIds(load_view, data.queries, 10, p);

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -297,11 +298,20 @@ TEST_F(MetadataSerialization, SaveLoadRoundTripsEveryCell) {
       MakeSyntheticMetadata(777, {ColumnType::kI64, ColumnType::kF64}, 5);
   const std::string p = Path("meta_roundtrip.meta");
   ASSERT_TRUE(SaveMetadata(p, s, s.size()).ok());
-  EXPECT_TRUE(IsMetadataFile(p));
-  auto loaded = LoadMetadata(p);
+  auto loaded = OpenMetadataSidecar(p, /*view=*/false);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded.value().external());
-  ExpectSameCells(s, loaded.value());
+  EXPECT_FALSE(loaded.value()->external());
+  ExpectSameCells(s, *loaded.value());
+  auto viewed = OpenMetadataSidecar(p, /*view=*/true);
+  ASSERT_TRUE(viewed.ok()) << viewed.status().ToString();
+  EXPECT_TRUE(viewed.value()->external());
+  ExpectSameCells(s, *viewed.value());
+}
+
+TEST_F(MetadataSerialization, MissingSidecarMeansNoMetadata) {
+  auto none = OpenMetadataSidecar(Path("meta_missing.meta"), /*view=*/false);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none.value(), nullptr);
 }
 
 TEST_F(MetadataSerialization, MappedViewMatchesEveryCell) {
@@ -351,9 +361,9 @@ TEST_F(MetadataSerialization, ReSaveIsByteIdentical) {
   const std::string p1 = Path("meta_bytes_1.meta");
   const std::string p2 = Path("meta_bytes_2.meta");
   ASSERT_TRUE(SaveMetadata(p1, s, s.size()).ok());
-  auto loaded = LoadMetadata(p1);
+  auto loaded = OpenMetadataSidecar(p1, /*view=*/false);
   ASSERT_TRUE(loaded.ok());
-  ASSERT_TRUE(SaveMetadata(p2, loaded.value(), loaded.value().size()).ok());
+  ASSERT_TRUE(SaveMetadata(p2, *loaded.value(), loaded.value()->size()).ok());
   std::ifstream f1(p1, std::ios::binary), f2(p2, std::ios::binary);
   std::vector<char> b1((std::istreambuf_iterator<char>(f1)),
                        std::istreambuf_iterator<char>());
@@ -376,14 +386,20 @@ TEST_F(MetadataSerialization, TruncatedAndForeignFilesAreRejected) {
     std::ofstream out(t, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(cut));
     out.close();
-    EXPECT_FALSE(LoadMetadata(t).ok()) << "cut at " << cut;
+    EXPECT_FALSE(OpenMetadataSidecar(t, /*view=*/false).ok())
+        << "cut at " << cut;
   }
   const std::string garbage = Path("meta_garbage");
   std::ofstream g(garbage, std::ios::binary);
   g << "not a metadata sidecar";
   g.close();
-  EXPECT_FALSE(IsMetadataFile(garbage));
-  EXPECT_FALSE(LoadMetadata(garbage).ok());
+  for (bool view : {false, true}) {
+    auto bad = OpenMetadataSidecar(garbage, view);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kIOError);
+    EXPECT_NE(bad.status().message().find(garbage), std::string::npos)
+        << bad.status().ToString();
+  }
 }
 
 // --- filtered recall vs brute-force-filtered ground truth -------------------
@@ -626,6 +642,10 @@ void RoundTripFlavor(IndexKind kind, const std::string& path,
 }
 
 TEST_F(FilterFacade, StaticRoundTripLoadAndMap) {
+  for (const char* suffix : {".graph", ".vecs", ".meta"}) {
+    Path(std::string("filter_static") + suffix);  // registered for teardown
+    Path(std::string("filter_static_map") + suffix);
+  }
   RoundTripFlavor(IndexKind::kStaticLvq, Path("filter_static"),
                   LoadMode::kLoad);
   RoundTripFlavor(IndexKind::kStaticLvq, Path("filter_static_map"),
@@ -638,6 +658,7 @@ TEST_F(FilterFacade, ShardedRoundTrip) {
 }
 
 TEST_F(FilterFacade, DynamicRoundTrip) {
+  Path("filter_dynamic.meta");  // registered for teardown
   RoundTripFlavor(IndexKind::kDynamicLvq, Path("filter_dynamic"),
                   LoadMode::kLoad);
 }
@@ -685,13 +706,13 @@ TEST_F(FilterFacade, DetachRemovesStaleSidecarOnSave) {
   Path("filter_stale.vecs");
   Path("filter_stale.meta");
   ASSERT_TRUE(built.value().Save(p).ok());
-  EXPECT_TRUE(IsMetadataFile(p + ".meta"));
+  EXPECT_TRUE(std::filesystem::exists(p + ".meta"));
 
   // Detach and re-save: the stale sidecar must not survive to resurrect
   // old metadata on the next Open.
   ASSERT_TRUE(built.value().AttachMetadata(nullptr).ok());
   ASSERT_TRUE(built.value().Save(p).ok());
-  EXPECT_FALSE(IsMetadataFile(p + ".meta"));
+  EXPECT_FALSE(std::filesystem::exists(p + ".meta"));
   Result<Index> opened = Open(p);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened.value().metadata(), nullptr);
@@ -708,7 +729,7 @@ TEST_F(FilterFacade, FilterlessArtifactsOpenUnchanged) {
   Path("filter_none.graph");
   Path("filter_none.vecs");
   ASSERT_TRUE(built.value().Save(p).ok());
-  EXPECT_FALSE(IsMetadataFile(p + ".meta"));
+  EXPECT_FALSE(std::filesystem::exists(p + ".meta"));
   Result<Index> opened = Open(p);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened.value().metadata(), nullptr);

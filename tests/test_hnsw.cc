@@ -16,7 +16,7 @@ struct HnswFixture {
       ComputeGroundTruth(data.base, data.queries, 10, data.metric);
 
   double Recall(const HnswIndex& idx, uint32_t ef) const {
-    RuntimeParams rp;
+    SearchOptions rp;
     rp.window = ef;
     Matrix<uint32_t> ids(data.queries.rows(), 10);
     SearchBatch(idx, data.queries, 10, rp, ids.data());
@@ -76,7 +76,7 @@ TEST(Hnsw, DeterministicGivenSeed) {
   p.ef_construction = 50;
   HnswIndex a(data.base, data.metric, p);
   HnswIndex b(data.base, data.metric, p);
-  RuntimeParams rp;
+  SearchOptions rp;
   rp.window = 32;
   Matrix<uint32_t> ia(10, 10), ib(10, 10);
   SearchBatch(a, data.queries, 10, rp, ia.data());
@@ -94,7 +94,7 @@ TEST(Hnsw, InnerProductMetric) {
   p.M = 16;
   p.ef_construction = 100;
   HnswIndex idx(data.base, data.metric, p);
-  RuntimeParams rp;
+  SearchOptions rp;
   rp.window = 96;
   Matrix<uint32_t> ids(data.queries.rows(), 10);
   SearchBatch(idx, data.queries, 10, rp, ids.data());
@@ -107,7 +107,7 @@ TEST(Hnsw, ThreadedSearchMatchesSerial) {
   p.M = 8;
   p.ef_construction = 50;
   HnswIndex idx(f.data.base, f.data.metric, p);
-  RuntimeParams rp;
+  SearchOptions rp;
   rp.window = 48;
   Matrix<uint32_t> serial(f.data.queries.rows(), 10);
   Matrix<uint32_t> threaded(f.data.queries.rows(), 10);
@@ -125,7 +125,7 @@ TEST(Hnsw, TinyDataset) {
   Dataset data = MakeDeepLike(3, 2, 73);
   HnswParams p;
   HnswIndex idx(data.base, data.metric, p);
-  RuntimeParams rp;
+  SearchOptions rp;
   rp.window = 4;
   Matrix<uint32_t> ids(2, 3);
   SearchBatch(idx, data.queries, 3, rp, ids.data());

@@ -78,7 +78,7 @@ TEST(Index, VisitedSetDoesNotChangeAccuracy) {
   for (size_t i = 0; i < f.data.base.rows(); ++i) {
     dyn.Insert(f.data.base.row(i));
   }
-  const DynamicIndexView view(&dyn);
+  const DynamicView<FloatStorage> view(&dyn);
   EXPECT_NEAR(RecallOf(view, f, 48, true, false),
               RecallOf(view, f, 48, true, true), 0.02);
 }
@@ -95,7 +95,7 @@ void ExpectPrefetchInvariant(const SearchIndex& idx, MatrixViewF queries,
   const std::pair<uint32_t, uint32_t> schedules[] = {
       {0, 0}, {4, 8}, {1, 2}, {0, 64}};  // first = no prefetch
   for (const auto& [offset, step] : schedules) {
-    RuntimeParams p;
+    SearchOptions p;
     p.window = 40;
     p.prefetch_offset = offset;
     p.prefetch_step = step;
@@ -161,10 +161,10 @@ TEST(Index, PrefetchSettingsDoNotChangeDynamicResults) {
   };
   ASSERT_TRUE(f32.AttachMetadata(md()).ok());
   ASSERT_TRUE(lvq.AttachMetadata(md()).ok());
-  ExpectPrefetchInvariantAllModes(DynamicIndexView(&f32), f.data.queries,
-                                  "dynamic-f32");
-  ExpectPrefetchInvariantAllModes(DynamicLvqIndexView(&lvq), f.data.queries,
-                                  "dynamic-lvq");
+  ExpectPrefetchInvariantAllModes(DynamicView<FloatStorage>(&f32),
+                                  f.data.queries, "dynamic-f32");
+  ExpectPrefetchInvariantAllModes(DynamicView<LvqStorage>(&lvq),
+                                  f.data.queries, "dynamic-lvq");
 }
 
 TEST(Index, InnerProductMetricWorks) {
@@ -177,7 +177,7 @@ TEST(Index, BatchMatchesSingleQuerySearch) {
   Fixture f(MakeDeepLike(1500, 20, 27));
   auto idx = BuildOgLvq(f.data.base, f.data.metric, 8, 0, f.bp);
   const size_t k = 10;
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 32;
   Matrix<uint32_t> batch(f.data.queries.rows(), k);
   SearchBatch(*idx, f.data.queries, k, p, batch.data());
@@ -196,7 +196,7 @@ TEST(Index, ThreadedBatchMatchesSerialBatch) {
   Fixture f(MakeDeepLike(1500, 40, 28));
   auto idx = BuildOgLvq(f.data.base, f.data.metric, 8, 0, f.bp);
   const size_t k = 10;
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 32;
   Matrix<uint32_t> serial(f.data.queries.rows(), k);
   Matrix<uint32_t> threaded(f.data.queries.rows(), k);
@@ -232,7 +232,7 @@ TEST(Index, NamesIdentifyConfiguration) {
 TEST(Index, KLargerThanWindowIsClamped) {
   Fixture f(MakeDeepLike(500, 10, 31));
   auto idx = BuildOgLvq(f.data.base, f.data.metric, 8, 0, f.bp);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 4;  // < k
   const size_t k = 10;
   Matrix<uint32_t> ids(f.data.queries.rows(), k);

@@ -13,7 +13,7 @@ namespace {
 struct World : testutil::Fixture {
   static constexpr size_t kK = 10;
   explicit World(Dataset d) : testutil::Fixture(std::move(d), kK) {}
-  double Recall(const SearchIndex& idx, const RuntimeParams& p) const {
+  double Recall(const SearchIndex& idx, const SearchOptions& p) const {
     return testutil::RecallOf(idx, *this, p);
   }
 };
@@ -22,9 +22,9 @@ TEST(Integration, EveryIndexFamilyReachesHighRecall) {
   World w(MakeDeepLike(3000, 50, 300));
   const VamanaBuildParams& bp = w.bp;  // R=24, W=48 fixture defaults
 
-  RuntimeParams graph_p;
+  SearchOptions graph_p;
   graph_p.window = 64;
-  RuntimeParams probe_p;
+  SearchOptions probe_p;
   probe_p.nprobe = 24;
   probe_p.reorder_k = 200;
 
@@ -54,7 +54,7 @@ TEST(Integration, EveryIndexFamilyReachesHighRecall) {
   ssp.partition.num_shards = 4;
   ssp.graph = bp;
   auto sharded = BuildShardedLvq(w.data.base, w.data.metric, ssp);
-  RuntimeParams sharded_p = graph_p;
+  SearchOptions sharded_p = graph_p;
   sharded_p.nprobe_shards = 2;
   EXPECT_GE(w.Recall(*sharded, sharded_p), 0.9) << sharded->name();
 }
@@ -75,7 +75,7 @@ TEST(Integration, MiniFig4_GraphsBuiltFromLvq4AreAsGoodAsFloat32) {
             : BuildVamana(LvqStorage(w.data.base, w.data.metric, bits), bp);
     VamanaIndex<FloatStorage> idx(FloatStorage(w.data.base, w.data.metric),
                                   std::move(g), bp);
-    RuntimeParams p;
+    SearchOptions p;
     p.window = 48;
     return w.Recall(idx, p);
   };
@@ -123,7 +123,7 @@ TEST(Integration, InnerProductPipelineEndToEnd) {
   bp.window_size = 48;
   bp.alpha = 0.95f;  // the paper's IP relaxation
   auto idx = BuildOgLvq(w.data.base, w.data.metric, 8, 0, bp);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 96;
   EXPECT_GE(w.Recall(*idx, p), 0.85);
 }
@@ -138,7 +138,7 @@ TEST(Integration, VarianceModifiedDatasetStillSearchable) {
   bp.graph_max_degree = 24;
   bp.window_size = 48;
   auto idx = BuildOgLvq(w.data.base, w.data.metric, 8, 0, bp);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   EXPECT_GE(w.Recall(*idx, p), 0.85);
 }
@@ -177,7 +177,7 @@ TEST(Integration, SerializationRoundTripForGeneratedData) {
   bp.window_size = 32;
   auto a = BuildOgLvq(data.base, data.metric, 8, 0, bp);
   auto b = BuildOgLvq(r.value(), data.metric, 8, 0, bp);
-  RuntimeParams rp;
+  SearchOptions rp;
   rp.window = 32;
   Matrix<uint32_t> ia(10, 10), ib(10, 10);
   SearchBatch(*a, data.queries, 10, rp, ia.data());

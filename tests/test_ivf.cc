@@ -24,7 +24,7 @@ struct IvfFixture {
 
   double Recall(const IvfPqIndex& idx, uint32_t nprobe,
                 uint32_t reorder) const {
-    RuntimeParams rp;
+    SearchOptions rp;
     rp.nprobe = nprobe;
     rp.reorder_k = reorder;
     Matrix<uint32_t> ids(data.queries.rows(), 10);
@@ -86,7 +86,7 @@ TEST(IvfPq, InnerProductMetric) {
   p.nlist = 32;
   p.pq.num_segments = 96;
   IvfPqIndex idx(data.base, data.metric, p);
-  RuntimeParams rp;
+  SearchOptions rp;
   rp.nprobe = 32;
   rp.reorder_k = 200;
   Matrix<uint32_t> ids(data.queries.rows(), 10);

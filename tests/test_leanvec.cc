@@ -71,6 +71,24 @@ TEST(LeanVecTrainer, NonFiniteSampleIsRejected) {
   EXPECT_FALSE(r2.ok());
 }
 
+// The trainer samples the first 16,384 rows, but the builders project and
+// store every row, so a non-finite row past the sample must fail too.
+TEST(LeanVecTrainer, NonFiniteRowPastTheSampleIsRejected) {
+  MatrixF data = GaussianSample(16400, 16, 9);
+  data(16390, 5) = std::numeric_limits<float>::quiet_NaN();
+  auto f32 = BuildLeanVecStorage(MatrixViewF(data), Metric::kL2, 4, nullptr);
+  ASSERT_FALSE(f32.ok());
+  EXPECT_NE(f32.status().message().find("row 16390, column 5"),
+            std::string::npos)
+      << f32.status().ToString();
+  auto lvq =
+      BuildLeanVecLvqStorage(MatrixViewF(data), Metric::kL2, 4, nullptr);
+  ASSERT_FALSE(lvq.ok());
+  EXPECT_NE(lvq.status().message().find("row 16390, column 5"),
+            std::string::npos)
+      << lvq.status().ToString();
+}
+
 TEST(LeanVecTrainer, ReducedDimAboveDataDimIsRejected) {
   MatrixF s = GaussianSample(32, 16, 2);
   auto r = TrainLeanVec(MatrixViewF(s), 17);
@@ -166,7 +184,7 @@ class LeanVecRoundTrip : public testutil::TempPathTest {};
 
 void SearchIdsAndDists(const Index& index, const Fixture& f,
                        Matrix<uint32_t>* ids, Matrix<float>* dists) {
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 48;
   *ids = Matrix<uint32_t>(f.data.queries.rows(), f.k);
   *dists = Matrix<float>(f.data.queries.rows(), f.k);

@@ -20,7 +20,7 @@ using TinyFixture = testutil::TinyWorld;  // corpus 5, 4 queries, seed 99
 
 TEST(Padding, SearchBatchPadsToK) {
   TinyFixture f;
-  RuntimeParams p;
+  SearchOptions p;
   const size_t nq = f.data.queries.rows();
   Matrix<uint32_t> ids(nq, kK);
   SearchBatch(*f.index, f.data.queries, kK, p, ids.data());
@@ -31,7 +31,7 @@ TEST(Padding, SearchBatchPadsToK) {
 
 TEST(Padding, SearchBatchExPadsIdsAndDists) {
   TinyFixture f;
-  RuntimeParams p;
+  SearchOptions p;
   const size_t nq = f.data.queries.rows();
   Matrix<uint32_t> ids(nq, kK);
   MatrixF dists(nq, kK);
@@ -45,7 +45,7 @@ TEST(Padding, SearchBatchExPadsIdsAndDists) {
 
 TEST(Padding, PooledSearcherPadsToK) {
   TinyFixture f;
-  RuntimeParams p;
+  SearchOptions p;
   auto searcher = f.index->MakeSearcher();
   std::vector<uint32_t> ids(kK);
   std::vector<float> dists(kK);
@@ -56,7 +56,7 @@ TEST(Padding, PooledSearcherPadsToK) {
 
 TEST(Padding, ServingEnginePadsSyncAndAsync) {
   TinyFixture f;
-  RuntimeParams p;
+  SearchOptions p;
   ServingOptions opts;
   opts.num_threads = 2;
   ServingEngine engine(f.index.get(), opts);
@@ -143,15 +143,15 @@ TEST(Padding, MassDeletionDoesNotCrowdOutLiveResults) {
   EXPECT_EQ(live, k) << "tombstones crowded out live results";
 }
 
-TEST(Padding, DynamicIndexViewPadsToK) {
+TEST(Padding, DynamicViewPadsToK) {
   Dataset data = MakeDeepLike(kCorpus, 3, 101);
   DynamicIndex::Options o;
   o.graph_max_degree = 4;
   o.build_window = 8;
   DynamicIndex dyn(96, o);
   for (size_t i = 0; i < kCorpus; ++i) dyn.Insert(data.base.row(i));
-  DynamicIndexView view(&dyn);
-  RuntimeParams p;
+  DynamicView<FloatStorage> view(&dyn);
+  SearchOptions p;
   const size_t nq = data.queries.rows();
   Matrix<uint32_t> ids(nq, kK);
   MatrixF dists(nq, kK);

@@ -161,7 +161,7 @@ TEST_P(FamilyProperty, GraphSearchBeatsRandomByFar) {
   bp.window_size = 48;
   bp.alpha = data.metric == Metric::kL2 ? 1.2f : 0.95f;
   auto idx = BuildOgLvq(data.base, data.metric, 8, 0, bp);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   Matrix<uint32_t> ids(data.queries.rows(), 10);
   SearchBatch(*idx, data.queries, 10, p, ids.data());

@@ -24,7 +24,7 @@ const Fixture& SharedFixture() {
 TEST(RecallFloor, VamanaLvq8AtWindow64) {
   const Fixture& f = SharedFixture();
   auto idx = BuildOgLvq(f.data.base, f.data.metric, 8, 0, f.bp);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   const double recall = testutil::RecallOf(*idx, f, p);
   // Measured 0.993 (Release, avx512); the floor leaves ~4 points of
@@ -35,7 +35,7 @@ TEST(RecallFloor, VamanaLvq8AtWindow64) {
 TEST(RecallFloor, VamanaLvq4x8RerankAtWindow64) {
   const Fixture& f = SharedFixture();
   auto idx = BuildOgLvq(f.data.base, f.data.metric, 4, 8, f.bp);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   const double recall = testutil::RecallOf(*idx, f, p);
   // Measured 1.000: the two-level rerank recovers the 4-bit level-1 loss.
@@ -49,7 +49,7 @@ TEST(RecallFloor, ShardedS4Nprobe2AtWindow64) {
   sp.graph = f.bp;
   sp.bits1 = 8;
   auto idx = BuildShardedLvq(f.data.base, f.data.metric, sp);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   p.nprobe_shards = 2;
   const double recall = testutil::RecallOf(*idx, f, p);

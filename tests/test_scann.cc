@@ -17,7 +17,7 @@ struct ScannFixture {
       ComputeGroundTruth(data.base, data.queries, 10, data.metric);
 
   double Recall(const ScannIndex& idx, uint32_t nprobe, uint32_t reorder) const {
-    RuntimeParams rp;
+    SearchOptions rp;
     rp.nprobe = nprobe;
     rp.reorder_k = reorder;
     Matrix<uint32_t> ids(data.queries.rows(), 10);
@@ -81,7 +81,7 @@ TEST(Scann, InnerProductMetric) {
       ComputeGroundTruth(data.base, data.queries, 10, data.metric);
   ScannParams p;
   ScannIndex idx(data.base, data.metric, p);
-  RuntimeParams rp;
+  SearchOptions rp;
   rp.nprobe = static_cast<uint32_t>(idx.n_leaves());
   rp.reorder_k = 300;
   Matrix<uint32_t> ids(data.queries.rows(), 10);

@@ -9,6 +9,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "api/index.h"
 #include "testutil.h"
 #include "util/binio.h"
 #include "util/mmap_file.h"
@@ -119,13 +120,15 @@ TEST_F(SerializeTest, FullIndexBundleServesIdenticalResults) {
   const std::string prefix = BundlePrefix("bundle");
   ASSERT_TRUE(SaveIndexBundle(prefix, *built).ok());
 
-  auto loaded = LoadOgLvqIndex(prefix, data.metric, bp, false);
+  OpenOptions opts;
+  opts.use_huge_pages = false;
+  auto loaded = Open(prefix, opts);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 40;
   const size_t k = 10;
   ExpectSameIds(SearchIds(*built, data.queries, k, p),
-                SearchIds(*loaded.value(), data.queries, k, p),
+                SearchIds(loaded.value().AsSearchIndex(), data.queries, k, p),
                 "bundle round trip");
 }
 
@@ -137,13 +140,16 @@ TEST_F(SerializeTest, TwoLevelBundleRoundTrips) {
   auto built = BuildOgLvq(data.base, data.metric, 4, 8, bp);
   const std::string prefix = BundlePrefix("bundle2");
   ASSERT_TRUE(SaveIndexBundle(prefix, *built).ok());
-  auto loaded = LoadOgLvqIndex(prefix, data.metric, bp, false);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded.value()->storage().has_second_level());
-  RuntimeParams p;
+  OpenOptions opts;
+  opts.use_huge_pages = false;
+  auto loaded = Open(prefix, opts);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().spec().bits1, 4);
+  EXPECT_EQ(loaded.value().spec().bits2, 8);
+  SearchOptions p;
   p.window = 32;
   ExpectSameIds(SearchIds(*built, data.queries, 10, p),
-                SearchIds(*loaded.value(), data.queries, 10, p),
+                SearchIds(loaded.value().AsSearchIndex(), data.queries, 10, p),
                 "two-level bundle round trip");
 }
 

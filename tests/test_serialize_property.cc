@@ -6,6 +6,7 @@
 
 #include <tuple>
 
+#include "api/index.h"
 #include "graph/serialize.h"
 #include "shard/serialize.h"
 #include "testutil.h"
@@ -80,13 +81,15 @@ TEST_F(SerializePropertyTest, SingleBundleRoundTripIsByteIdentical) {
     Path("prop_single_" + std::to_string(case_id) + ".graph");
     Path("prop_single_" + std::to_string(case_id) + ".vecs");
     ASSERT_TRUE(SaveIndexBundle(prefix, *built).ok());
-    auto loaded = LoadOgLvqIndex(prefix, Metric::kL2, bp, false);
+    OpenOptions opts;
+    opts.use_huge_pages = false;
+    auto loaded = Open(prefix, opts);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    RuntimeParams p;
+    SearchOptions p;
     p.window = 2 * c.R;
     const size_t k = std::min<size_t>(10, c.n);
     ExpectSameIds(SearchIds(*built, queries, k, p),
-                  SearchIds(*loaded.value(), queries, k, p),
+                  SearchIds(loaded.value().AsSearchIndex(), queries, k, p),
                   "single bundle round trip");
     ++case_id;
   }
@@ -116,7 +119,7 @@ TEST_F(SerializePropertyTest, ShardedManifestRoundTripIsByteIdentical) {
     ASSERT_EQ(loaded.value()->num_shards(), S);
     ASSERT_EQ(loaded.value()->bits1(), c.bits1);
     ASSERT_EQ(loaded.value()->bits2(), c.bits2);
-    RuntimeParams p;
+    SearchOptions p;
     p.window = 2 * c.R;
     const size_t k = std::min<size_t>(10, c.n);
     for (uint32_t nprobe : {0u, 1u, 2u}) {

@@ -47,7 +47,7 @@ struct StaticFixture : testutil::Fixture {
 TEST(ServingEngine, SyncMatchesDirectSearchBatch) {
   StaticFixture f;
   const size_t k = 10, nq = f.data.queries.rows();
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 32;
   Matrix<uint32_t> direct(nq, k), served(nq, k);
   SearchBatch(*f.index, f.data.queries, k, p, direct.data());
@@ -68,7 +68,7 @@ TEST(ServingEngine, SyncMatchesDirectSearchBatch) {
 TEST(ServingEngine, SyncReportsDistsAndStats) {
   StaticFixture f;
   const size_t k = 10, nq = f.data.queries.rows();
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 32;
   Matrix<uint32_t> ids(nq, k);
   MatrixF dists(nq, k);
@@ -88,7 +88,7 @@ TEST(ServingEngine, SyncReportsDistsAndStats) {
 TEST(ServingEngine, AsyncMatchesSync) {
   StaticFixture f;
   const size_t k = 10, nq = f.data.queries.rows();
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 32;
   Matrix<uint32_t> sync_ids(nq, k);
   ServingOptions opts;
@@ -116,7 +116,7 @@ TEST(ServingEngine, AsyncMatchesSync) {
 TEST(ServingEngine, AsyncManyClientThreads) {
   StaticFixture f;
   const size_t k = 10, nq = f.data.queries.rows();
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 32;
   ServingOptions opts;
   opts.num_threads = 2;
@@ -140,7 +140,7 @@ TEST(ServingEngine, AsyncManyClientThreads) {
 
 TEST(ServingEngine, DrainWaitsForAllSubmitted) {
   StaticFixture f;
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 16;
   ServingOptions opts;
   opts.num_threads = 2;
@@ -157,20 +157,20 @@ TEST(ServingEngine, DrainWaitsForAllSubmitted) {
   }
 }
 
-TEST(ServingEngine, ServesDynamicIndexView) {
+TEST(ServingEngine, ServesDynamicView) {
   Dataset data = MakeDeepLike(1200, 40, 809);
   DynamicIndex::Options o;
   o.graph_max_degree = 16;
   o.build_window = 48;
   DynamicIndex dyn(96, o);
   for (size_t i = 0; i < 1200; ++i) dyn.Insert(data.base.row(i));
-  DynamicIndexView view(&dyn);
+  DynamicView<FloatStorage> view(&dyn);
   EXPECT_EQ(view.size(), 1200u);
   EXPECT_EQ(view.dim(), 96u);
   EXPECT_GT(view.memory_bytes(), 0u);
 
   const size_t k = 10, nq = data.queries.rows();
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   ServingOptions opts;
   opts.num_threads = 4;
@@ -206,11 +206,11 @@ TEST(ServingEngine, ConcurrentReadWriteStress) {
     stable_ids.push_back(dyn.Insert(data.base.row(i)));
   }
 
-  DynamicIndexView view(&dyn);
+  DynamicView<FloatStorage> view(&dyn);
   ServingOptions opts;
   opts.num_threads = 4;
   ServingEngine engine(&view, opts);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
 
   // Writer: churn the kChurn extra vectors through insert/delete cycles
@@ -315,11 +315,11 @@ TEST(ServingEngine, AsyncSubmitRacingWriter) {
   DynamicIndex dyn(kDim, o);
   for (size_t i = 0; i < 600; ++i) dyn.Insert(data.base.row(i));
 
-  DynamicIndexView view(&dyn);
+  DynamicView<FloatStorage> view(&dyn);
   ServingOptions opts;
   opts.num_threads = 2;
   ServingEngine engine(&view, opts);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 48;
 
   std::atomic<bool> stop_writer{false};
@@ -480,7 +480,7 @@ TEST(ServingEngine, TrySubmitRejectsOverloadDeterministically) {
   opts.queue_capacity = 1;
   ServingEngine engine(&gate, opts);
   const std::vector<float> q(8, 0.5f);
-  RuntimeParams p;
+  SearchOptions p;
 
   std::future<SearchResult> admitted;
   ASSERT_EQ(engine.TrySubmit(q.data(), 3, p, &admitted),
@@ -518,7 +518,7 @@ TEST(ServingEngine, SubmitDuringShutdownIsTaggedNotZeroHit) {
   opts.num_threads = 2;
   auto engine = std::make_unique<ServingEngine>(&gate, opts);
   const std::vector<float> q(8, 0.5f);
-  RuntimeParams p;
+  SearchOptions p;
 
   // The hammer loop uses a raw pointer: unique_ptr::reset() nulls the
   // stored pointer before the destructor runs, and the destructor itself
@@ -565,7 +565,7 @@ TEST(ServingEngine, IdleWorkerTakesQueryQueuedBehindParkedOne) {
   opts.num_threads = 2;
   ServingEngine engine(&gate, opts);
   const std::vector<float> q(8, 0.5f);
-  RuntimeParams p;
+  SearchOptions p;
 
   std::future<SearchResult> a = engine.Submit(q.data(), 3, p);
   std::future<SearchResult> b = engine.Submit(q.data(), 3, p);
@@ -600,7 +600,7 @@ TEST(ServingEngine, BurstBehindParkedWorkersDrainsBitIdentically) {
   ServingOptions opts;
   opts.num_threads = 2;
   ServingEngine engine(&gate, opts);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 32;
 
   std::vector<std::future<SearchResult>> futures;
@@ -638,7 +638,7 @@ TEST(ServingEngine, SyncBatchOvertakesAsyncBacklog) {
   opts.num_threads = 2;
   ServingEngine engine(&gate, opts);
   const std::vector<float> q(8, 0.5f);
-  RuntimeParams p;
+  SearchOptions p;
 
   std::vector<std::future<SearchResult>> backlog;
   for (size_t i = 0; i < kBacklog; ++i) {
@@ -681,7 +681,7 @@ TEST(ServingEngine, SyncSlicesBypassAsyncAdmission) {
   opts.queue_capacity = 1;
   ServingEngine engine(&gate, opts);
   const std::vector<float> q(8, 0.5f);
-  RuntimeParams p;
+  SearchOptions p;
 
   std::future<SearchResult> admitted;
   ASSERT_EQ(engine.TrySubmit(q.data(), 3, p, &admitted),
@@ -791,7 +791,7 @@ TEST(GenerationHolder, SwapCutsOverAndOldGenerationSurvivesHeldRefs) {
   // The pre-swap generation we still hold answers correctly after the
   // cutover — the in-flight-request guarantee.
   const size_t k = 5, nq = data.queries.rows();
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 32;
   Matrix<uint32_t> old_ids(nq, k), new_ids(nq, k);
   gen1->engine->SearchBatch(data.queries, k, p, old_ids.data());

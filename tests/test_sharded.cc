@@ -123,7 +123,7 @@ TEST(Sharded, S4Nprobe2RecallWithin2PercentOfUnsharded) {
   auto flat = BuildOgLvq(f.data.base, f.data.metric, 8, 0, f.bp, &pool);
   auto sharded = BuildShardedLvq(f.data.base, f.data.metric,
                                  ShardParams(f, 4), &pool);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   const double flat_recall = testutil::RecallOf(*flat, f, p);
   p.nprobe_shards = 2;
@@ -135,7 +135,7 @@ TEST(Sharded, S4Nprobe2RecallWithin2PercentOfUnsharded) {
 TEST(Sharded, ProbingMoreShardsDoesNotHurtRecall) {
   Fixture f = DeepFixture(2000, 80, 43);
   auto idx = BuildShardedLvq(f.data.base, f.data.metric, ShardParams(f, 4));
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 48;
   p.nprobe_shards = 1;
   const double r1 = testutil::RecallOf(*idx, f, p);
@@ -154,7 +154,7 @@ TEST(Sharded, ParallelBuildMatchesSerialBuild) {
   ShardedBuilder builder(ShardParams(f, 4));
   auto serial = builder.Build(f.data.base, f.data.metric, nullptr);
   auto parallel = builder.Build(f.data.base, f.data.metric, &pool);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 40;
   p.nprobe_shards = 2;
   ExpectSameIds(SearchIds(*serial, f.data.queries, f.k, p),
@@ -165,7 +165,7 @@ TEST(Sharded, ParallelBuildMatchesSerialBuild) {
 TEST(Sharded, ThreadedBatchMatchesSerialBatch) {
   Fixture f = DeepFixture(1200, 40, 45);
   auto idx = BuildShardedLvq(f.data.base, f.data.metric, ShardParams(f, 4));
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 40;
   p.nprobe_shards = 2;
   ThreadPool pool(4);
@@ -177,7 +177,7 @@ TEST(Sharded, ThreadedBatchMatchesSerialBatch) {
 TEST(Sharded, PooledSearcherMatchesBatchPath) {
   Fixture f = DeepFixture(1000, 20, 46);
   auto idx = BuildShardedLvq(f.data.base, f.data.metric, ShardParams(f, 3));
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 40;
   p.nprobe_shards = 2;
   Matrix<uint32_t> batch = SearchIds(*idx, f.data.queries, f.k, p);
@@ -196,7 +196,7 @@ TEST(Sharded, PooledSearcherMatchesBatchPath) {
 TEST(Sharded, SearchBatchExReportsDistsAndStats) {
   Fixture f = DeepFixture(900, 25, 47);
   auto idx = BuildShardedLvq(f.data.base, f.data.metric, ShardParams(f, 3));
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 32;
   p.nprobe_shards = 2;
   const size_t nq = f.data.queries.rows();
@@ -216,7 +216,7 @@ TEST(Sharded, SearchBatchExReportsDistsAndStats) {
 TEST(Sharded, InnerProductMetricWorks) {
   Fixture f(MakeDprLike(1500, 50, 48));
   auto idx = BuildShardedLvq(f.data.base, f.data.metric, ShardParams(f, 3));
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   p.nprobe_shards = 2;
   // IP partitions prune less cleanly than L2 (high-norm vectors matter to
@@ -230,7 +230,7 @@ TEST(Sharded, RoundRobinPartitionStillSearches) {
   Fixture f = DeepFixture(1000, 30, 49);
   auto idx = BuildShardedLvq(f.data.base, f.data.metric,
                              ShardParams(f, 4, PartitionMethod::kRoundRobin));
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 48;
   p.nprobe_shards = 0;  // round-robin shards carry no geometry: probe all
   EXPECT_GE(testutil::RecallOf(*idx, f, p), 0.9);
@@ -242,7 +242,7 @@ TEST(Sharded, ServingEngineServesShardedIndexUnchanged) {
   ServingOptions opts;
   opts.num_threads = 2;
   ServingEngine engine(idx.get(), opts);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 48;
   p.nprobe_shards = 2;
   const size_t nq = f.data.queries.rows();
@@ -266,7 +266,7 @@ TEST_F(ShardedSerializeTest, RoundTripServesIdenticalResults) {
   ASSERT_TRUE(IsShardedIndexDir(dir));
   auto loaded = LoadShardedIndex(dir, f.data.metric, f.bp, false);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 40;
   p.nprobe_shards = 2;
   ExpectSameIds(SearchIds(*built, f.data.queries, f.k, p),
@@ -347,7 +347,7 @@ struct TinySharded {
 
 TEST(ShardedPadding, SearchBatchPadsToK) {
   TinySharded t(3);
-  RuntimeParams p;
+  SearchOptions p;
   const size_t nq = t.data.queries.rows();
   Matrix<uint32_t> ids(nq, kPadK);
   SearchBatch(*t.index, t.data.queries, kPadK, p, ids.data());
@@ -358,7 +358,7 @@ TEST(ShardedPadding, SearchBatchPadsToK) {
 
 TEST(ShardedPadding, SearchBatchExPadsIdsAndDists) {
   TinySharded t(3);
-  RuntimeParams p;
+  SearchOptions p;
   const size_t nq = t.data.queries.rows();
   Matrix<uint32_t> ids(nq, kPadK);
   MatrixF dists(nq, kPadK);
@@ -374,7 +374,7 @@ TEST(ShardedPadding, EmptyShardsAreSkippedAndStillPad) {
   // More shards than points: some shards are empty and must simply be
   // skipped by the probe without disturbing the padding.
   TinySharded t(8);
-  RuntimeParams p;
+  SearchOptions p;
   p.nprobe_shards = 6;  // probes clamp to the live shard count
   Matrix<uint32_t> ids(t.data.queries.rows(), kPadK);
   MatrixF dists(t.data.queries.rows(), kPadK);
@@ -389,7 +389,7 @@ TEST(ShardedPadding, NprobeSubsetPadsWithPartialReachableSet) {
   // Probing 1 of 3 round-robin shards reaches only that shard's ~2 points;
   // the merge must pad the rest of the row.
   TinySharded t(3);
-  RuntimeParams p;
+  SearchOptions p;
   p.nprobe_shards = 1;
   auto searcher = t.index->MakeSearcher();
   std::vector<uint32_t> ids(kPadK);
@@ -412,7 +412,7 @@ TEST(ShardedPadding, NprobeSubsetPadsWithPartialReachableSet) {
 
 TEST(ShardedPadding, ServingEnginePadsSyncAndAsync) {
   TinySharded t(3);
-  RuntimeParams p;
+  SearchOptions p;
   ServingOptions opts;
   opts.num_threads = 2;
   ServingEngine engine(t.index.get(), opts);
@@ -435,7 +435,7 @@ TEST(ShardedPadding, GlobalIdsAreWellFormedAcrossTheRemap) {
   Fixture f = DeepFixture(300, 20, 53, /*k=*/10, /*R=*/8, /*W=*/16);
   auto idx = BuildShardedLvq(f.data.base, f.data.metric,
                              ShardParams(f, 3, PartitionMethod::kRoundRobin));
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 64;
   Matrix<uint32_t> ids = SearchIds(*idx, f.data.queries, f.k, p);
   const double recall = MeanRecallAtK(ids, f.gt, f.k);

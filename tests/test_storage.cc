@@ -190,7 +190,7 @@ TEST(Storages, SearchResultStatsArePopulated) {
   bp.graph_max_degree = 16;
   bp.window_size = 32;
   auto idx = BuildOgLvq(data.base, data.metric, 8, 0, bp);
-  RuntimeParams p;
+  SearchOptions p;
   p.window = 24;
   auto searcher = idx->MakeSearcher();
   uint32_t ids[10];

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -51,7 +52,7 @@ inline Fixture DeepFixture(size_t n, size_t nq, uint64_t seed, size_t k = 10,
 
 /// Mean recall@k of `idx` over the fixture's queries with explicit params.
 inline double RecallOf(const SearchIndex& idx, const Fixture& f,
-                       const RuntimeParams& p) {
+                       const SearchOptions& p) {
   Matrix<uint32_t> ids(f.data.queries.rows(), f.k);
   SearchBatch(idx, f.data.queries, f.k, p, ids.data());
   return MeanRecallAtK(ids, f.gt, f.k);
@@ -61,7 +62,7 @@ inline double RecallOf(const SearchIndex& idx, const Fixture& f,
 inline double RecallAtWindow(const SearchIndex& idx, const Fixture& f,
                              uint32_t window, bool rerank = true,
                              bool use_visited_set = false) {
-  RuntimeParams p;
+  SearchOptions p;
   p.window = window;
   p.rerank = rerank;
   p.use_visited_set = use_visited_set;
@@ -85,21 +86,21 @@ struct TinyWorld {
 
 /// gtest fixture owning temp files/directories; everything registered via
 /// Path()/DirPath() is removed in TearDown (files by remove, directories
-/// recursively).
+/// recursively). Paths carry the process id: ctest runs a suite's
+/// per-SIMD-backend reruns in parallel, and one process rewriting a file
+/// another has mapped would kill the reader with SIGBUS.
 class TempPathTest : public ::testing::Test {
  protected:
   /// A fresh temp file path (not created), removed on teardown.
   std::string Path(const std::string& name) {
-    const std::string p = testing::TempDir() + "blink_test_" + name;
-    files_.push_back(p);
-    return p;
+    files_.push_back(TempName(name));
+    return files_.back();
   }
 
   /// A fresh temp directory path (not created), removed recursively.
   std::string DirPath(const std::string& name) {
-    const std::string p = testing::TempDir() + "blink_test_" + name;
-    dirs_.push_back(p);
-    return p;
+    dirs_.push_back(TempName(name));
+    return dirs_.back();
   }
 
   void TearDown() override {
@@ -109,6 +110,11 @@ class TempPathTest : public ::testing::Test {
   }
 
  private:
+  static std::string TempName(const std::string& name) {
+    return testing::TempDir() + "blink_test_" + std::to_string(::getpid()) +
+           "_" + name;
+  }
+
   std::vector<std::string> files_;
   std::vector<std::string> dirs_;
 };
@@ -147,7 +153,7 @@ inline void ExpectSameIds(const Matrix<uint32_t>& a, const Matrix<uint32_t>& b,
 
 /// One batch search into a freshly allocated id matrix.
 inline Matrix<uint32_t> SearchIds(const SearchIndex& idx, MatrixViewF queries,
-                                  size_t k, const RuntimeParams& p,
+                                  size_t k, const SearchOptions& p,
                                   ThreadPool* pool = nullptr) {
   Matrix<uint32_t> ids(queries.rows, k);
   SearchBatch(idx, queries, k, p, ids.data(), nullptr, nullptr, pool);
