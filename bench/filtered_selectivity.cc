@@ -116,11 +116,10 @@ int main() {
     Matrix<uint32_t> fgt = ComputeFilteredGroundTruth(
         data.base, data.queries, k, data.metric, *md, *pred, &pool);
     const double est = EstimateSelectivity(*md, *pred);
-    const FilterStrategy picked =
-        ResolveFilterStrategy(*md, *pred, FilterStrategy::kAuto);
+    const FilterPlan picked =
+        PlanFilter(FilterStrategy::kAuto, est, md->size(), k, 40, 0);
     std::printf("selectivity %.3f (%s, estimated %.4f, auto -> %s)\n",
-                c.selectivity, c.expr, est,
-                picked == FilterStrategy::kInSearch ? "insearch" : "post");
+                c.selectivity, c.expr, est, picked.name());
 
     double auto_recall = 0.0;
     for (const auto& s : strategies) {

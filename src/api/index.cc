@@ -450,10 +450,12 @@ Result<Index> OpenSharded(const std::string& path, const OpenOptions& opts) {
   return Index(std::move(flavor));
 }
 
-/// One dynamic open per storage type; `load` is that storage's BLDY loader.
+/// One dynamic open per storage type, over the one mapping of the sniffed
+/// file; `load` is that storage's BLDY loader.
 template <typename Storage, typename Loader>
-Result<Index> OpenDynamic(const std::string& path, const OpenOptions& opts,
+Result<Index> OpenDynamic(const DynamicFile& file, const OpenOptions& opts,
                           IndexKind kind, Loader load) {
+  const std::string& path = file.path;
   DynamicOptions dopts;
   dopts.metric = opts.fallback_metric;
   dopts.alpha = opts.fallback_graph.alpha;
@@ -464,7 +466,7 @@ Result<Index> OpenDynamic(const std::string& path, const OpenOptions& opts,
   auto md = OpenMetadataSidecar(path + ".meta", /*view=*/false);
   if (!md.ok()) return md.status();
   bool self_described = false;
-  auto idx = load(path, dopts, &self_described);
+  auto idx = load(file, dopts, &self_described);
   if (!idx.ok()) return idx.status();
   IndexSpec spec = detail::DynamicSpecOf(*idx.value(), kind);
   spec.dynamic.initial_capacity = opts.dynamic_initial_capacity;
@@ -481,15 +483,19 @@ Result<Index> OpenDynamic(const std::string& path, const OpenOptions& opts,
       std::move(idx).value(), std::move(spec), caps, self_described));
 }
 
-Result<Index> OpenDynamic(const std::string& path, const OpenOptions& opts) {
-  Result<DynamicKind> kind = PeekDynamicKind(path);
-  if (!kind.ok()) return kind.status();
-  if (kind.value() == DynamicKind::kF32) {
-    return OpenDynamic<FloatStorage>(path, opts, IndexKind::kDynamicF32,
-                                     LoadDynamicF32);
+Result<Index> OpenDynamic(const DynamicFile& file, const OpenOptions& opts) {
+  if (file.kind == DynamicKind::kF32) {
+    return OpenDynamic<FloatStorage>(
+        file, opts, IndexKind::kDynamicF32,
+        [](const DynamicFile& f, DynamicOptions o, bool* sd) {
+          return LoadDynamicF32(f, o, sd);
+        });
   }
-  return OpenDynamic<LvqStorage>(path, opts, IndexKind::kDynamicLvq,
-                                 LoadDynamicLvq);
+  return OpenDynamic<LvqStorage>(
+      file, opts, IndexKind::kDynamicLvq,
+      [](const DynamicFile& f, DynamicOptions o, bool* sd) {
+        return LoadDynamicLvq(f, o, sd);
+      });
 }
 
 /// Static open (DESIGN.md D12): the bundle's one opener, then its
@@ -587,7 +593,10 @@ Result<Index> Open(const std::string& path, const OpenOptions& options) {
     return Status::IOError(path + ": directory has no sharded-index manifest");
   }
   if (std::filesystem::is_regular_file(path, ec)) {
-    if (IsDynamicIndexFile(path)) return OpenDynamic(path, options);
+    bool is_bldy = false;
+    Result<DynamicFile> dynamic = SniffDynamicFile(path, &is_bldy);
+    if (dynamic.ok()) return OpenDynamic(dynamic.value(), options);
+    if (is_bldy) return dynamic.status();
     return Status::IOError(path +
                            ": not a recognized index artifact (expected a "
                            "BLDY dynamic-index file, a sharded-index "

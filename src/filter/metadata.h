@@ -69,10 +69,20 @@ class MetadataStore {
                : static_cast<int64_t>(std::bit_cast<double>(raw));
   }
   double NumericF64(size_t c, uint32_t id) const {
-    const uint64_t raw = LoadCell(ColData(c) + id);
-    return types_[c] == ColumnType::kF64
+    return AsF64(types_[c], LoadCell(ColData(c) + id));
+  }
+  /// A raw cell of a column of type `t`, read as f64.
+  static double AsF64(ColumnType t, uint64_t raw) {
+    return t == ColumnType::kF64
                ? std::bit_cast<double>(raw)
                : static_cast<double>(static_cast<int64_t>(raw));
+  }
+  /// The one read of a cell (of tags_data() or column_data()): relaxed,
+  /// so readers race writers cleanly.
+  static uint64_t LoadCell(const uint64_t* p) {
+    // atomic_ref<const T> is C++26; the const_cast is load-only.
+    return std::atomic_ref<uint64_t>(*const_cast<uint64_t*>(p))
+        .load(std::memory_order_relaxed);
   }
 
   /// Stores `v` converted to the column's type (i64 columns truncate
@@ -149,11 +159,6 @@ class MetadataStore {
   const uint64_t* ColData(size_t c) const {
     return tags_ext_ != nullptr ? cols_ext_[c] : cols_[c].data();
   }
-  static uint64_t LoadCell(const uint64_t* p) {
-    // atomic_ref<const T> is C++26; the const_cast is load-only.
-    return std::atomic_ref<uint64_t>(*const_cast<uint64_t*>(p))
-        .load(std::memory_order_relaxed);
-  }
   static void StoreCell(uint64_t* p, uint64_t v) {
     std::atomic_ref<uint64_t>(*p).store(v, std::memory_order_relaxed);
   }
@@ -169,6 +174,13 @@ class MetadataStore {
 /// Evaluates `p` against row `id` of `s`. Tag semantics: any → at least one
 /// shared bit, all → superset, none → disjoint; ranges conjoin.
 bool MatchesPredicate(const MetadataStore& s, const Predicate& p, uint32_t id);
+
+/// The ids in [0, rows) whose rows match `p`, ascending, written to the
+/// front of `*ids` (grown to `rows` if shorter); returns their count. The
+/// scan plan's pass over every row: column at a time, the tag column over
+/// every row and then each range over the rows still passing.
+size_t MatchingRows(const MetadataStore& s, const Predicate& p, size_t rows,
+                    std::vector<uint32_t>* ids);
 
 /// A predicate bound to a store for per-candidate evaluation inside the
 /// greedy search loop (see SearchParams::filter).
@@ -190,25 +202,39 @@ double EstimateSelectivity(const MetadataStore& s, const Predicate& p,
 /// post-filtering (DESIGN.md D15 crossover rule).
 inline constexpr double kInSearchSelectivityCrossover = 0.05;
 
-/// Resolves kAuto via the selectivity crossover; echoes explicit choices.
-FilterStrategy ResolveFilterStrategy(const MetadataStore& s,
-                                     const Predicate& p,
-                                     FilterStrategy requested);
+/// How one filtered query runs (DESIGN.md D15), as PlanFilter decides:
+///  - kPostFilter: traverse unfiltered from `window0` (the caller's
+///    window), drop failing candidates at extraction, widen on too few
+///    survivors;
+///  - kInSearch: push-down traversal from a `window0` boosted by the
+///    selectivity, widening likewise;
+///  - kScan: no traversal; score every passing live row (the exact
+///    filtered top-k) into a buffer of `window0` entries.
+/// Traversals widen geometrically up to `widen_cap`.
+struct FilterPlan {
+  enum Kind : uint8_t { kPostFilter, kInSearch, kScan };
+  Kind kind = kPostFilter;
+  uint32_t window0 = 0;
+  uint32_t widen_cap = 0;
+  const char* name() const;  ///< "post-filter", "in-search" or "scan"
+};
 
-/// The window cap for adaptive widening: an explicit request is honored
-/// (floored at the starting window); 0 = auto = the index size, clamped to
-/// the same 2^20 bound SearchOptions::Validate enforces for windows.
-uint32_t ResolveWidenCap(uint32_t requested, size_t index_size,
-                         uint32_t window0);
-
-/// Starting window for the in-search (push-down) strategy. The traversal is
-/// routed by unfiltered proximity, so the k-th passing neighbor sits at
-/// unfiltered rank ~k/selectivity; a window of that order (with 1.5x
-/// headroom) is needed for the passing buffer to collect high-quality
-/// survivors. Post-filtering self-corrects by widening on survivor count;
-/// in-search would otherwise stop at the first window holding k survivors
-/// of arbitrary quality (DESIGN.md D15). Clamped to [window0, widen_cap].
-uint32_t ResolveInSearchWindow(double selectivity, size_t k, uint32_t window0,
-                               uint32_t widen_cap);
+/// The one filter plan, for a query asking for `k` results at `window`
+/// (>= k) over `live_rows` live rows, `selectivity` of which are estimated
+/// to pass (EstimateSelectivity; unused under kPostFilter).
+///  - widen_cap: `requested_widen_cap` floored at `window`; 0 = auto = the
+///    live rows, clamped to the 2^20 window bound of SearchOptions.
+///  - In-search start window: the traversal is routed by unfiltered
+///    proximity, so the k-th passing neighbour sits at unfiltered rank
+///    ~k/selectivity; a window of that order (1.5x headroom), clamped to
+///    [window, widen_cap], lets the passing buffer collect good survivors
+///    instead of stopping at the first window holding k of any quality.
+///  - kAuto scans when the estimated passing rows (selectivity x
+///    live_rows) fit in that start window, pushes down at or below
+///    kInSearchSelectivityCrossover, and post-filters above it. Explicit
+///    strategies are honoured.
+FilterPlan PlanFilter(FilterStrategy requested, double selectivity,
+                      size_t live_rows, size_t k, uint32_t window,
+                      uint32_t requested_widen_cap);
 
 }  // namespace blink

@@ -72,8 +72,11 @@ struct Predicate {
     bool hi_strict = false;  ///< true: value < hi, false: value <= hi
     double lo = -std::numeric_limits<double>::infinity();
     double hi = std::numeric_limits<double>::infinity();
+    bool operator==(const Range&) const = default;
   };
   std::vector<Range> ranges;
+
+  bool operator==(const Predicate&) const = default;
 
   /// True when no constraint is set (matches everything).
   bool Trivial() const {

@@ -184,8 +184,10 @@ class DynamicGraphIndex {
                         size_t num_values);
 
   size_t dim() const { return dim_; }
-  /// Slots in use (including tombstones awaiting consolidation).
-  size_t size() const { return n_.load(std::memory_order_relaxed); }
+  /// Slots in use (including tombstones awaiting consolidation). Acquire
+  /// pairs with Insert's release: a reader that observes a fresh slot
+  /// also observes its vector bytes (the filtered scan reads every slot).
+  size_t size() const { return n_.load(std::memory_order_acquire); }
   /// Live (searchable) vectors. Acquire pairs with Insert's release when a
   /// slot goes live, so a reader that observes the count also observes the
   /// slot's vector bytes.
@@ -211,10 +213,12 @@ class DynamicGraphIndex {
     return capacity_;
   }
   uint32_t max_degree() const { return opts_.graph_max_degree; }
+  /// Acquire pairs with the release that makes a recycled slot live, so
+  /// a reader that sees it live also sees its new vector and metadata.
   bool IsDeleted(uint32_t id) const {
     return std::atomic_ref<uint8_t>(
                const_cast<uint8_t&>(deleted_[id]))
-               .load(std::memory_order_relaxed) != 0;
+               .load(std::memory_order_acquire) != 0;
   }
   /// Resident bytes of vectors + adjacency + tombstone flags.
   /// ReadLock-guarded like capacity().
@@ -277,7 +281,7 @@ class DynamicGraphIndex {
   void UpdateEntryPoint();
   void SetDeleted(uint32_t id, uint8_t flag) {
     std::atomic_ref<uint8_t>(deleted_[id])
-        .store(flag, std::memory_order_relaxed);
+        .store(flag, std::memory_order_release);
   }
   uint8_t DeletedFlag(uint32_t id) const {
     return std::atomic_ref<uint8_t>(const_cast<uint8_t&>(deleted_[id]))

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -103,15 +102,20 @@ struct AcquireRows {
 
 /// Per-searcher state of Traverse: the candidate buffers, the visited
 /// stamps, the unvisited neighbours of the current hop, and the work
-/// counters of the last run. Reused across queries, never shared.
-struct TraversalState {
-  SearchBuffer buffer;
-  SearchBuffer passing;  ///< predicate-passing results (push-down mode)
+/// counters of the last run (of all its steps, when resumed). Reused
+/// across queries, never shared. A WideningState's traversal can be
+/// resumed at a wider window.
+template <typename Buffer>
+struct BasicTraversalState {
+  Buffer buffer;
+  Buffer passing;  ///< predicate-passing results (push-down mode)
   VisitedSet visited;
   std::vector<uint32_t> pending;  ///< unvisited neighbours of one hop
   size_t distance_computations = 0;
   size_t hops = 0;
 };
+using TraversalState = BasicTraversalState<SearchBuffer>;
+using WideningState = BasicTraversalState<WideningBuffer>;
 
 /// Dead predicate of a traversal over a graph without tombstones: static
 /// search, the Vamana builder and the dynamic index's writer.
@@ -144,30 +148,27 @@ struct NoDead {
 /// distance, so they overlap instead of serializing (DESIGN.md D16).
 /// Prefetches never change what is scored or in which order, so ids and
 /// distances are the same under every schedule.
-template <typename Rows, typename Storage, typename Dead = NoDead>
+///
+/// With `resume` set, a WideningState's last traversal is widened to
+/// `params.window` and continued, keeping its buffers, visited stamps and
+/// counters. It ends with the buffers, ids and distance bits of a fresh
+/// traversal at that window, scoring every node once (DESIGN.md D16). The
+/// buffers' SetLimit must cover the widest window asked for.
+template <typename Rows, typename Storage, typename Dead = NoDead,
+          typename Buffer = SearchBuffer>
 void Traverse(const FlatGraph& graph, const Storage& storage,
               const typename Storage::Query& query, uint32_t entry_point,
-              const SearchParams& params, TraversalState* st,
-              Dead dead = {}) {
-  SearchBuffer& buffer = st->buffer;
-  buffer.Reset(params.window);
+              const SearchParams& params, BasicTraversalState<Buffer>* st,
+              Dead dead = {}, bool resume = false) {
+  Buffer& buffer = st->buffer;
   // In-search push-down keeps a second sorted buffer holding only
   // predicate-passing candidates: the traversal (buffer) still routes
   // through failing vertices so connectivity is preserved, while the
   // result set is drawn from passing at extraction.
   const bool push_down = params.filter != nullptr && params.filter_push_down;
-  if (push_down) st->passing.Reset(params.window);
   const bool use_visited = params.use_visited_set;
-  if (use_visited) {
-    if (st->visited.size() != graph.size()) st->visited.Resize(graph.size());
-    st->visited.NextQuery();
-  }
-  st->pending.resize(graph.max_degree());
-  uint32_t* pending = st->pending.data();
-  st->distance_computations = 0;
-  st->hops = 0;
-
-  auto score = [&](uint32_t id) {
+  // Inlined like SearchBuffer::Insert: the per-candidate work.
+  auto score = [&](uint32_t id) __attribute__((always_inline)) {
     const float d = storage.Distance(query, id);
     ++st->distance_computations;
     const bool is_dead = dead(id);
@@ -176,8 +177,26 @@ void Traverse(const FlatGraph& graph, const Storage& storage,
       st->passing.Insert(d, id);
     }
   };
-  score(entry_point);
-  if (use_visited) st->visited.CheckAndMark(entry_point);
+  if constexpr (Buffer::kWidening) {
+    if (resume) {
+      buffer.Widen(params.window);
+      if (push_down) st->passing.Widen(params.window);
+    }
+  }
+  if (!Buffer::kWidening || !resume) {
+    buffer.Reset(params.window);
+    if (push_down) st->passing.Reset(params.window);
+    if (use_visited) {
+      if (st->visited.size() != graph.size()) st->visited.Resize(graph.size());
+      st->visited.NextQuery();
+    }
+    st->distance_computations = 0;
+    st->hops = 0;
+    score(entry_point);
+    if (use_visited) st->visited.CheckAndMark(entry_point);
+  }
+  st->pending.resize(graph.max_degree());
+  uint32_t* pending = st->pending.data();
 
   // Safety bound: without a visited set a node can be re-expanded after
   // buffer eviction; convergence is monotone but we cap hops anyway.
@@ -229,54 +248,20 @@ void Traverse(const FlatGraph& graph, const Storage& storage,
   }
 }
 
-/// Adaptive widening loop shared by every filtered search path: runs
-/// `run(window, out)` with geometrically growing windows until the result
-/// holds k survivors (out->ids, pre-padding) or the window reaches
-/// `widen_cap` (see ResolveWidenCap in filter/metadata.h). Work counters
-/// accumulate across retries so QPS/work accounting reflects total cost.
-template <typename RunFn>
-void RunWidened(size_t k, uint32_t window0, uint32_t widen_cap, RunFn&& run,
-                SearchResult* out) {
-  size_t dc = 0;
-  size_t hops = 0;
-  uint32_t w = std::max<uint32_t>(window0, 1);
-  for (;;) {
-    run(w, out);
-    dc += out->distance_computations;
-    hops += out->hops;
-    if (out->ids.size() >= k || w >= widen_cap) break;
-    w = static_cast<uint32_t>(
-        std::min<uint64_t>(widen_cap, uint64_t{w} * 2));
-  }
-  out->distance_computations = dc;
-  out->hops = hops;
-}
-
 /// Entry point of a graph with nothing to search (a dynamic index with no
 /// live vector), and the read guard of an index no thread mutates.
 inline constexpr uint32_t kNoEntryPoint = UINT32_MAX;
 struct NoReadGuard {};
 
-/// The plan of a filtered query stream (DESIGN.md D15). The selectivity
-/// estimate and the strategy it picks are cached, keyed on the filter,
-/// the requested strategy and the index's live rows, so serving traffic
-/// does not re-sample per query and a mutating index re-samples as it
-/// changes. The widen cap and the start window follow from them per call.
-struct QueryPlan {
-  /// Cache key. The shared_ptr keeps the key's address from being
-  /// recycled; null until the first filtered query.
-  std::shared_ptr<const Predicate> filter;
-  FilterStrategy strategy = FilterStrategy::kAuto;
-  size_t live_rows = 0;
+/// The plan of a filtered query (DESIGN.md D15): PlanFilter's answer and
+/// the selectivity estimate it was made from.
+struct QueryPlan : FilterPlan {
   double selectivity = 1.0;  ///< unused (1) under explicit post-filtering
-  bool push_down = false;    ///< in-search push-down, else post-filter
-  uint32_t widen_cap = 0;    ///< of the last call
-  uint32_t window0 = 0;      ///< start window of the last call
 };
 
 /// The one graph searcher of the static and the dynamic index (paper
 /// Sec. 5; DESIGN.md D7, D16). It owns the per-thread state (prepared
-/// query, TraversalState, filter plan, re-rank scratch) and reads its
+/// query, traversal states, filter plan, re-rank scratch) and reads its
 /// index through a small read view: types StorageT, Rows, Dead; dim();
 /// Lock(), the read guard; and, under it, graph(), storage(), metadata()
 /// (null: filtered queries fail closed), entry_point() (kNoEntryPoint
@@ -293,10 +278,11 @@ class GraphSearcher final : public Searcher {
       : Searcher(view.dim()), view_(view), decode_(view.dim()) {}
 
   /// One query as Searcher::Search runs it, without the padding: a
-  /// filtered query runs under the filter plan and the widening loop, and
-  /// fails closed (no ids, no work) when the index has no usable
-  /// metadata. `out` holds at most k ids and the work counters. The query
-  /// must be finite (Searcher::Search checks that).
+  /// filtered query runs under the filter plan (a scan, or a traversal
+  /// widened until it has k survivors), and fails closed (no ids, no
+  /// work) when the index has no usable metadata. `out` holds at most k
+  /// ids and the work counters. The query must be finite
+  /// (Searcher::Search checks that).
   void Run(const float* query, size_t k, const SearchOptions& options,
            SearchResult* out) {
     [[maybe_unused]] const auto guard = view_.Lock();
@@ -309,6 +295,10 @@ class GraphSearcher final : public Searcher {
     sp.rerank_window = options.rerank_window;
     if (options.filter != nullptr && !ResolvePlan(options, k, &sp)) {
       Clear(out);
+      return;
+    }
+    if (options.filter != nullptr && plan_.kind == FilterPlan::kScan) {
+      Scan(query, k, sp, out);
       return;
     }
     RunLocked(query, k, sp, plan_.widen_cap, out);
@@ -324,9 +314,11 @@ class GraphSearcher final : public Searcher {
     RunLocked(query, k, params, widen_cap, out);
   }
 
-  /// The last traversal's candidate buffer, the whole window in ascending
-  /// distance, before the result epilogue.
+  /// The candidate buffer of the last unfiltered traversal (or scan), the
+  /// whole window in ascending distance, before the result epilogue.
   const SearchBuffer& buffer() const { return st_.buffer; }
+  /// The same for the last filtered traversal, at its last window.
+  const WideningBuffer& widened_buffer() const { return wide_.buffer; }
   /// The last query, as prepared for the storage.
   const typename Storage::Query& query_state() const { return query_; }
   /// The filter plan of the last filtered query.
@@ -355,43 +347,42 @@ class GraphSearcher final : public Searcher {
   }
 
   /// Binds `options.filter` to the index's metadata and resolves the plan
-  /// into `sp` (filter, strategy, start window; plan_.widen_cap). False
-  /// (fail closed) without metadata or when the predicate names a column
-  /// the store lacks; ValidateFor rejects both at the boundaries.
+  /// (PlanFilter) into plan_ and `sp`: filter, push-down, start window.
+  /// False (fail closed) without metadata or when the predicate names a
+  /// column the store lacks; ValidateFor rejects both at the boundaries.
   bool ResolvePlan(const SearchOptions& options, size_t k, SearchParams* sp) {
     const MetadataStore* md = view_.metadata();
-    if (md == nullptr ||
-        !options.filter->ValidateFor(md->num_columns()).ok()) {
+    const Predicate& filter = *options.filter;
+    if (md == nullptr || !filter.ValidateFor(md->num_columns()).ok()) {
       return false;
     }
     const size_t live = view_.live_rows();
-    if (plan_.filter != options.filter ||
-        plan_.strategy != options.filter_strategy || plan_.live_rows != live) {
-      plan_.filter = options.filter;
-      plan_.strategy = options.filter_strategy;
-      plan_.live_rows = live;
-      plan_.selectivity =
-          options.filter_strategy == FilterStrategy::kPostFilter
-              ? 1.0
-              : EstimateSelectivity(*md, *options.filter, view_.rows());
-      plan_.push_down =
-          options.filter_strategy == FilterStrategy::kAuto
-              ? plan_.selectivity <= kInSearchSelectivityCrossover
-              : options.filter_strategy == FilterStrategy::kInSearch;
+    plan_.selectivity = 1.0;
+    if (options.filter_strategy != FilterStrategy::kPostFilter) {
+      plan_.selectivity = CachedSelectivity(*md, filter, live);
     }
-    plan_.widen_cap =
-        ResolveWidenCap(options.filter_widen_cap, live, sp->window);
-    // In-search starts from the selectivity-boosted window (see
-    // ResolveInSearchWindow); post-filtering widens from the caller's.
-    plan_.window0 = plan_.push_down
-                        ? ResolveInSearchWindow(plan_.selectivity, k,
-                                                sp->window, plan_.widen_cap)
-                        : sp->window;
-    filter_ = FilterView{md, options.filter.get()};
+    static_cast<FilterPlan&>(plan_) =
+        PlanFilter(options.filter_strategy, plan_.selectivity, live, k,
+                   sp->window, options.filter_widen_cap);
+    filter_ = FilterView{md, &filter};
     sp->filter = &filter_;
-    sp->filter_push_down = plan_.push_down;
+    sp->filter_push_down = plan_.kind == FilterPlan::kInSearch;
     sp->window = plan_.window0;
     return true;
+  }
+
+  /// EstimateSelectivity over the rows in use, cached for the last few
+  /// predicates by value (a server decodes a fresh Predicate per request)
+  /// and the live rows (a mutating index re-samples as it changes).
+  double CachedSelectivity(const MetadataStore& md, const Predicate& filter,
+                           size_t live) {
+    for (const Estimate& e : estimates_) {
+      if (e.live_rows == live && e.filter == filter) return e.selectivity;
+    }
+    if (estimates_.size() == 4) estimates_.erase(estimates_.begin());
+    estimates_.push_back(
+        {filter, live, EstimateSelectivity(md, filter, view_.rows())});
+    return estimates_.back().selectivity;
   }
 
   void RunLocked(const float* query, size_t k, SearchParams sp,
@@ -405,34 +396,70 @@ class GraphSearcher final : public Searcher {
     const Storage& storage = view_.storage();
     const Dead dead = view_.dead();
     storage.PrepareQuery(query, &query_);
-    auto run = [&](uint32_t window, SearchResult* res) {
-      sp.window = static_cast<uint32_t>(std::min<size_t>(
-          std::max<size_t>(window, k), std::numeric_limits<uint32_t>::max()));
+    auto window_for = [k](uint32_t w) {
+      return static_cast<uint32_t>(std::min<size_t>(
+          std::max<size_t>(w, k), std::numeric_limits<uint32_t>::max()));
+    };
+    if (sp.filter == nullptr) {
+      sp.window = window_for(sp.window);
       Traverse<typename View::Rows>(graph, storage, query_, ep, sp, &st_,
                                     dead);
-      res->distance_computations = st_.distance_computations;
-      res->hops = st_.hops;
-      if (sp.filter == nullptr) {
-        Emit(st_.buffer, k, sp, dead, res);
-        return;
-      }
-      // Filtered searches select from the predicate survivors only, so
-      // the re-rank never spends a FullDistance gather on a failing id:
-      // the passing buffer (push-down) or the passing part of the buffer.
-      const SearchBuffer& from = sp.filter_push_down ? st_.passing : st_.buffer;
+      out->distance_computations = st_.distance_computations;
+      out->hops = st_.hops;
+      Emit(st_.buffer, k, sp, dead, out);
+      return;
+    }
+    // Filtered: widen geometrically until the result holds k survivors or
+    // the window reaches the cap, resuming one traversal (DESIGN.md D16).
+    const uint32_t cap = std::max(widen_cap, sp.window);
+    wide_.buffer.SetLimit(window_for(cap));
+    wide_.passing.SetLimit(window_for(cap));
+    uint32_t w = std::max<uint32_t>(sp.window, 1);
+    for (bool resume = false;; resume = true) {
+      sp.window = window_for(w);
+      Traverse<typename View::Rows>(graph, storage, query_, ep, sp, &wide_,
+                                    dead, resume);
+      // Select from the predicate survivors only, so the re-rank never
+      // spends a FullDistance gather on a failing id: the passing buffer
+      // (push-down) or the passing part of the buffer.
+      const WideningBuffer& from =
+          sp.filter_push_down ? wide_.passing : wide_.buffer;
       survivors_.clear();
       for (size_t i = 0; i < from.size(); ++i) {
         if (sp.filter_push_down || sp.filter->Pass(from[i].id)) {
           survivors_.push_back(from[i]);
         }
       }
-      Emit(survivors_, k, sp, dead, res);
-    };
-    if (sp.filter == nullptr) {
-      run(sp.window, out);
-    } else {
-      RunWidened(k, sp.window, std::max(widen_cap, sp.window), run, out);
+      Emit(survivors_, k, sp, dead, out);
+      if (out->ids.size() >= k || w >= cap) break;
+      w = static_cast<uint32_t>(std::min<uint64_t>(cap, uint64_t{w} * 2));
     }
+    out->distance_computations = wide_.distance_computations;
+    out->hops = wide_.hops;
+  }
+
+  /// The scan plan (DESIGN.md D15): no traversal. Every live row in use
+  /// that passes is scored into the buffer, whose capacity (the plan's
+  /// start window) the estimated passing rows fit, and the same epilogue
+  /// gives the exact filtered top-k, with no hops.
+  void Scan(const float* query, size_t k, const SearchParams& sp,
+            SearchResult* out) {
+    const Storage& storage = view_.storage();
+    const Dead dead = view_.dead();
+    storage.PrepareQuery(query, &query_);
+    st_.buffer.Reset(sp.window);
+    const size_t passing = MatchingRows(*filter_.store, *filter_.pred,
+                                        view_.rows(), &matches_);
+    size_t scored = 0;
+    for (size_t i = 0; i < passing; ++i) {
+      const uint32_t id = matches_[i];
+      if (dead(id)) continue;
+      st_.buffer.Insert(storage.Distance(query_, id), id);
+      ++scored;
+    }
+    Clear(out);
+    out->distance_computations = scored;
+    Emit(st_.buffer, k, sp, dead, out);
   }
 
   /// The one result epilogue: the k nearest entries of `pool` (sorted by
@@ -470,15 +497,24 @@ class GraphSearcher final : public Searcher {
     }
   }
 
+  struct Estimate {
+    Predicate filter;
+    size_t live_rows;
+    double selectivity;
+  };
+
   View view_;
-  TraversalState st_;
+  TraversalState st_;    ///< unfiltered traversals and scans
+  WideningState wide_;   ///< filtered (widened) traversals
   typename Storage::Query query_;
   QueryPlan plan_;
+  std::vector<Estimate> estimates_;  ///< the last four, oldest first
   FilterView filter_;  ///< the plan's filter bound to the metadata
   SearchResult res_;
   std::vector<float> decode_;  ///< dim floats (two-level re-rank)
   std::vector<std::pair<float, uint32_t>> rerank_;
   std::vector<SearchBuffer::Entry> survivors_;  ///< filtered extraction pool
+  std::vector<uint32_t> matches_;  ///< a scan's passing rows
 };
 
 }  // namespace blink

@@ -15,11 +15,27 @@
 // and can be detected during insertion at negligible cost.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 namespace blink {
+
+/// One candidate of a SearchBuffer.
+struct SearchEntry {
+  float dist;
+  uint32_t id;
+  uint8_t explored;  // 0 / 1
+  uint8_t dead;      // 0 / 1; SearchEntry stays 12 bytes
+};
+
+/// A candidate of a WideningBuffer: also its insertion number, which
+/// orders equal distances once entries have left the sorted window.
+struct WideningEntry : SearchEntry {
+  uint32_t seq;
+};
 
 /// Sorted candidate buffer ordered by ascending distance, holding up to
 /// `capacity` live entries.
@@ -31,16 +47,22 @@ namespace blink {
 /// traversal through tombstones still ends with `capacity` live entries,
 /// whatever the tombstones' number or placement. Without dead entries the
 /// buffer is the plain fixed-capacity buffer of Algorithm 1.
-class SearchBuffer {
+///
+/// The widening flavor (WideningBuffer, DESIGN.md D16) drops nothing: what
+/// falls off the window, or is offered past it, is *spilled* unsorted, and
+/// Widen() raises the capacity and takes back the spilled entries now
+/// inside it. Ties order by insertion, as in the window, so after the same
+/// inserts a widened buffer holds exactly what a fresh buffer of the wider
+/// capacity holds. The window itself is sorted and inserted into exactly
+/// as in the plain flavor; spilling stops once the capacity reaches the
+/// limit, the widest window a caller may ask for.
+template <bool kWiden>
+class BasicSearchBuffer {
  public:
-  struct Entry {
-    float dist;
-    uint32_t id;
-    uint8_t explored;  // 0 / 1
-    uint8_t dead;      // 0 / 1; Entry stays 12 bytes
-  };
+  using Entry = std::conditional_t<kWiden, WideningEntry, SearchEntry>;
+  static constexpr bool kWidening = kWiden;
 
-  explicit SearchBuffer(size_t capacity = 0) { Reset(capacity); }
+  explicit BasicSearchBuffer(size_t capacity = 0) { Reset(capacity); }
 
   void Reset(size_t capacity) {
     capacity_ = capacity;
@@ -49,6 +71,10 @@ class SearchBuffer {
     size_ = 0;
     num_dead_ = 0;
     first_unexplored_ = 0;
+    if constexpr (kWiden) {
+      spill_.clear();
+      seq_ = 0;
+    }
   }
 
   /// Entries held, live and dead.
@@ -64,10 +90,18 @@ class SearchBuffer {
   bool Insert(float dist, uint32_t id) { return Insert(dist, id, false); }
 
   /// Inserts (dist, id), dead or live, under the live-capacity rule above.
-  bool Insert(float dist, uint32_t id, bool dead) {
+  /// Always inlined: it is the traversal's per-candidate cost, and GCC's
+  /// unit-growth budget otherwise left it out of line in translation
+  /// units that instantiate many traversals.
+  [[gnu::always_inline]] bool Insert(float dist, uint32_t id, bool dead) {
     // Full: `capacity` live entries, the last of them the last entry.
     const bool full = size_ - num_dead_ == capacity_;
-    if (full && dist >= entries_[size_ - 1].dist) return false;
+    if (full && dist >= entries_[size_ - 1].dist) {
+      if constexpr (kWiden) {
+        Spill({{dist, id, 0, static_cast<uint8_t>(dead)}, seq_++});
+      }
+      return false;
+    }
     // Binary search for the insertion position (first entry with
     // entry.dist > dist; ties keep insertion order stable).
     size_t lo = 0, hi = size_;
@@ -87,17 +121,26 @@ class SearchBuffer {
     if (size_ == entries_.size()) entries_.resize(2 * size_);
     Entry* const e = entries_.data();
     std::memmove(e + lo + 1, e + lo, (size_ - lo) * sizeof(Entry));
-    entries_[lo] = {dist, id, 0, static_cast<uint8_t>(dead)};
+    if constexpr (kWiden) {
+      entries_[lo] = {{dist, id, 0, static_cast<uint8_t>(dead)}, seq_++};
+    } else {
+      entries_[lo] = {dist, id, 0, static_cast<uint8_t>(dead)};
+    }
     ++size_;
     if (dead) {
       ++num_dead_;
     } else if (size_ - num_dead_ >= capacity_) {
       // Drop what now lies beyond the capacity-th live entry: the former
       // last entry (live) when the buffer was full, then any dead tail.
-      if (full) --size_;
+      // The widening flavor spills them instead.
+      if (full) {
+        --size_;
+        if constexpr (kWiden) Spill(entries_[size_]);
+      }
       while (entries_[size_ - 1].dead) {
         --size_;
         --num_dead_;
+        if constexpr (kWiden) Spill(entries_[size_]);
       }
     }
     if (lo < first_unexplored_) first_unexplored_ = lo;
@@ -124,15 +167,79 @@ class SearchBuffer {
     return entries_[size_ - 1].dist;
   }
 
+  /// Widening flavor: the widest capacity Widen() will be asked for.
+  /// Entries leaving the window are spilled only while the capacity is
+  /// below it. Kept across Reset().
+  void SetLimit(size_t limit)
+    requires kWiden
+  {
+    limit_ = limit;
+  }
+
+  /// Widening flavor: raises the capacity to `capacity` (>= capacity())
+  /// and appends, in (distance, insertion) order, the spilled entries that
+  /// now rank up to the capacity-th live entry, explored flags kept. Every
+  /// spilled entry ranks after every windowed one, so the window stays
+  /// sorted. A spilled duplicate of a taken id (re-offered without a
+  /// visited set) is dropped, as Insert() would have.
+  void Widen(size_t capacity)
+    requires kWiden
+  {
+    capacity_ = capacity;
+    const size_t old_size = size_;
+    auto ranks_before = [](const Entry& a, const Entry& b) {
+      return a.dist < b.dist || (a.dist == b.dist && a.seq < b.seq);
+    };
+    // Take the spill front to back in rounds of the live entries still
+    // missing: a dead entry taken costs a further round.
+    size_t taken = 0;
+    while (size_ - num_dead_ < capacity_ && taken < spill_.size()) {
+      const auto first = spill_.begin() + static_cast<long>(taken);
+      const size_t want = capacity_ - (size_ - num_dead_);
+      const auto last = first + static_cast<long>(
+                                    std::min(want, spill_.size() - taken));
+      std::nth_element(first, last - 1, spill_.end(), ranks_before);
+      std::sort(first, last - 1, ranks_before);
+      for (auto it = first; it != last; ++it, ++taken) Append(*it);
+    }
+    spill_.erase(spill_.begin(), spill_.begin() + static_cast<long>(taken));
+    if (capacity_ >= limit_) spill_.clear();
+    if (old_size < first_unexplored_) first_unexplored_ = old_size;
+  }
+
  private:
   static constexpr float kInf = 3.4e38f;
+
+  void Spill(const Entry& e) {
+    if (capacity_ < limit_) spill_.push_back(e);
+  }
+
+  /// Widen(): appends a taken entry unless it duplicates one held.
+  void Append(const Entry& e) {
+    for (size_t p = size_; p > 0 && entries_[p - 1].dist == e.dist; --p) {
+      if (entries_[p - 1].id == e.id) return;
+    }
+    if (size_ == entries_.size()) entries_.resize(2 * size_ + 1);
+    entries_[size_++] = e;
+    num_dead_ += e.dead;
+  }
 
   std::vector<Entry> entries_;
   size_t capacity_ = 0;
   size_t size_ = 0;
   size_t num_dead_ = 0;
   size_t first_unexplored_ = 0;
+  // Widening flavor only (empty otherwise).
+  std::vector<Entry> spill_;
+  size_t limit_ = 0;
+  uint32_t seq_ = 0;
 };
+
+/// The candidate buffer of Algorithm 1.
+using SearchBuffer = BasicSearchBuffer<false>;
+/// The buffer of a widened (filtered) search, which Traverse can resume at
+/// a wider window (DESIGN.md D16).
+using WideningBuffer = BasicSearchBuffer<true>;
 
 /// O(1)-reset visited tracking: per-node epoch stamps. Marking is a store;
 /// a query bump invalidates all previous marks at once.

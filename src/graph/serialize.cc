@@ -687,19 +687,7 @@ Result<StaticBundle> OpenStaticBundle(const std::string& prefix,
 
 namespace {
 
-struct DynHeader {
-  uint32_t kind = 0;
-  uint64_t dim = 0;
-  uint64_t n = 0;
-  uint64_t num_deleted = 0;
-  uint32_t entry = 0;
-  uint32_t max_degree = 0;
-  // Version-2 fields.
-  bool has_meta = false;
-  Metric metric = Metric::kL2;
-  float alpha = 1.2f;
-  uint32_t build_window = 64;
-};
+using detail::DynHeader;
 
 /// The version-2 header describing `index` (either storage kind).
 template <typename Index>
@@ -844,16 +832,15 @@ Result<std::unique_ptr<Index>> CheckRestored(std::unique_ptr<Index> index,
   return index;
 }
 
-/// Parses the header of a BLDY file, checks its storage kind and applies
-/// its configuration: version-2 headers override the caller's options —
-/// the artifact is the single source of truth for metric / alpha / build
-/// window.
-Result<DynHeader> ParseDynPrologue(ByteReader* r, uint32_t want_kind,
-                                   DynamicOptions* opts, bool* self_described,
-                                   const std::string& path) {
-  Result<DynHeader> header = ReadDynHeader(r, path);
-  if (!header.ok()) return header.status();
-  const DynHeader& h = header.value();
+/// Checks a sniffed BLDY file's storage kind and applies its
+/// configuration: version-2 headers override the caller's options — the
+/// artifact is the single source of truth for metric / alpha / build
+/// window. Returns a reader positioned at the payload.
+Result<ByteReader> ParseDynPrologue(const DynamicFile& file,
+                                    uint32_t want_kind, DynamicOptions* opts,
+                                    bool* self_described) {
+  const DynHeader& h = file.header;
+  const std::string& path = file.path;
   if (h.kind != want_kind) {
     return Status::InvalidArgument(
         path + (want_kind == kDynKindF32 ? ": not a float32 dynamic index"
@@ -866,27 +853,31 @@ Result<DynHeader> ParseDynPrologue(ByteReader* r, uint32_t want_kind,
     opts->build_window = h.build_window;
   }
   if (self_described != nullptr) *self_described = h.has_meta;
-  return header;
+  ByteReader r(file.map.data(), file.map.size());
+  r.Take(file.header_bytes);
+  return r;
 }
 
 }  // namespace
 
-bool IsDynamicIndexFile(const std::string& path) {
-  Result<MmapFile> map = MapFor(path, {});
-  if (!map.ok()) return false;
-  ByteReader r(map.value().data(), map.value().size());
-  uint32_t magic = 0;
-  return r.Read(&magic) && magic == kDynMagic;
-}
-
-Result<DynamicKind> PeekDynamicKind(const std::string& path) {
+Result<DynamicFile> SniffDynamicFile(const std::string& path, bool* is_bldy) {
+  if (is_bldy != nullptr) *is_bldy = false;
   Result<MmapFile> map = MapFor(path, {});
   if (!map.ok()) return map.status();
-  ByteReader r(map.value().data(), map.value().size());
+  DynamicFile file;
+  file.path = path;
+  file.map = std::move(map).value();
+  ByteReader r(file.map.data(), file.map.size());
+  uint32_t magic = 0;
+  if (is_bldy != nullptr) *is_bldy = r.Read(&magic) && magic == kDynMagic;
+  r = ByteReader(file.map.data(), file.map.size());
   Result<DynHeader> header = ReadDynHeader(&r, path);
   if (!header.ok()) return header.status();
-  return header.value().kind == kDynKindLvq ? DynamicKind::kLvq
-                                            : DynamicKind::kF32;
+  file.header = header.value();
+  file.header_bytes = file.map.size() - r.remaining();
+  file.kind = file.header.kind == kDynKindLvq ? DynamicKind::kLvq
+                                              : DynamicKind::kF32;
+  return file;
 }
 
 Status SaveDynamic(const std::string& path, const DynamicIndex& index) {
@@ -922,16 +913,15 @@ Status SaveDynamic(const std::string& path, const DynamicLvqIndex& index) {
   return f.Commit();
 }
 
-Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(const std::string& path,
+Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(const DynamicFile& file,
                                                      DynamicOptions opts,
                                                      bool* self_described) {
-  Result<MmapFile> map = MapFor(path, {});
-  if (!map.ok()) return map.status();
-  ByteReader r(map.value().data(), map.value().size());
-  Result<DynHeader> header =
-      ParseDynPrologue(&r, kDynKindF32, &opts, self_described, path);
-  if (!header.ok()) return header.status();
-  const DynHeader h = header.value();
+  Result<ByteReader> reader =
+      ParseDynPrologue(file, kDynKindF32, &opts, self_described);
+  if (!reader.ok()) return reader.status();
+  ByteReader r = reader.value();
+  const DynHeader& h = file.header;
+  const std::string& path = file.path;
   // Rows must fit in the file before h.n sizes any allocation (forged
   // headers fail with a Status, not an OOM).
   const uint8_t* rows = r.Take(h.n * h.dim * sizeof(float));
@@ -957,14 +947,13 @@ Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(const std::string& path,
 }
 
 Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
-    const std::string& path, DynamicOptions opts, bool* self_described) {
-  Result<MmapFile> map = MapFor(path, {});
-  if (!map.ok()) return map.status();
-  ByteReader r(map.value().data(), map.value().size());
-  Result<DynHeader> header =
-      ParseDynPrologue(&r, kDynKindLvq, &opts, self_described, path);
-  if (!header.ok()) return header.status();
-  const DynHeader h = header.value();
+    const DynamicFile& file, DynamicOptions opts, bool* self_described) {
+  Result<ByteReader> reader =
+      ParseDynPrologue(file, kDynKindLvq, &opts, self_described);
+  if (!reader.ok()) return reader.status();
+  ByteReader r = reader.value();
+  const DynHeader& h = file.header;
+  const std::string& path = file.path;
   uint32_t bits1 = 0, bits2 = 0;
   uint64_t padding = 0;
   if (!r.Read(&bits1) || !r.Read(&bits2) || !r.Read(&padding) || bits1 < 1 ||
@@ -1004,6 +993,21 @@ Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
                                std::move(free_slots), h.n, h.num_deleted,
                                h.entry),
       path);
+}
+
+Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(const std::string& path,
+                                                     DynamicOptions opts,
+                                                     bool* self_described) {
+  Result<DynamicFile> file = SniffDynamicFile(path);
+  if (!file.ok()) return file.status();
+  return LoadDynamicF32(file.value(), opts, self_described);
+}
+
+Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
+    const std::string& path, DynamicOptions opts, bool* self_described) {
+  Result<DynamicFile> file = SniffDynamicFile(path);
+  if (!file.ok()) return file.status();
+  return LoadDynamicLvq(file.value(), opts, self_described);
 }
 
 }  // namespace blink

@@ -206,12 +206,42 @@ Result<StaticBundle> OpenStaticBundle(const std::string& prefix,
                                       const Placement& request, Metric metric,
                                       const VamanaBuildParams& bp);
 
-/// True when `path` is a dynamic-index ("BLDY") file.
-bool IsDynamicIndexFile(const std::string& path);
-
-/// Storage kind of a BLDY file without loading the payload.
+/// Storage kind of a BLDY file.
 enum class DynamicKind { kF32, kLvq };
-Result<DynamicKind> PeekDynamicKind(const std::string& path);
+
+namespace detail {
+/// The header of a BLDY file (graph/serialize.cc writes and parses it).
+struct DynHeader {
+  uint32_t kind = 0;
+  uint64_t dim = 0;
+  uint64_t n = 0;
+  uint64_t num_deleted = 0;
+  uint32_t entry = 0;
+  uint32_t max_degree = 0;
+  // Version-2 fields.
+  bool has_meta = false;
+  Metric metric = Metric::kL2;
+  float alpha = 1.2f;
+  uint32_t build_window = 64;
+};
+}  // namespace detail
+
+/// A dynamic-index ("BLDY") file read once: its mapping and parsed
+/// header. Open sniffs a file, dispatches on `kind` and loads the index
+/// from the same mapping.
+struct DynamicFile {
+  std::string path;
+  MmapFile map;
+  DynamicKind kind = DynamicKind::kF32;
+  detail::DynHeader header;
+  size_t header_bytes = 0;  ///< the payload follows the header
+};
+
+/// Maps `path` and parses its BLDY header. `*is_bldy` (if non-null) tells
+/// whether the file mapped and carries the BLDY magic, so a caller can
+/// tell a foreign file from a corrupt dynamic index.
+Result<DynamicFile> SniffDynamicFile(const std::string& path,
+                                     bool* is_bldy = nullptr);
 
 /// Saves a dynamic index (storage rows, tombstone flags, free-slot list,
 /// adjacency, entry point) as one file, version 2: the header embeds the
@@ -228,6 +258,13 @@ Status SaveDynamic(const std::string& path, const DynamicLvqIndex& index);
 /// loader checks that the file's encoding matches the requested index
 /// flavor (float32 vs LVQ). `*self_described` (if non-null) reports
 /// whether the file carried its own configuration.
+Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(
+    const DynamicFile& file, DynamicOptions opts,
+    bool* self_described = nullptr);
+Result<std::unique_ptr<DynamicLvqIndex>> LoadDynamicLvq(
+    const DynamicFile& file, DynamicOptions opts,
+    bool* self_described = nullptr);
+/// The same, sniffing `path` first.
 Result<std::unique_ptr<DynamicIndex>> LoadDynamicF32(
     const std::string& path, DynamicOptions opts,
     bool* self_described = nullptr);

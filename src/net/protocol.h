@@ -6,7 +6,8 @@
 //   body    := u8 type | payload
 //
 // Request payloads
-//   kSearchRequest:                          (1 <= k <= kMaxWireK)
+//   kSearchRequest:                          (1 <= k <= kMaxWireK;
+//                                   window, widen_cap <= kMaxWireWindow)
 //     u32 k | u32 window | u32 nprobe_shards | u32 rerank_window |
 //     u8 rerank | u8 flags | u8 reserved[2] | u32 num_queries | u32 dim |
 //     f32 data[num_queries * dim] | [filter]
@@ -239,6 +240,12 @@ inline constexpr uint32_t kMaxWireFilterRanges = 64;
 /// kDefaultMaxFrameBytes frame. A larger k is a kBadRequest, not a
 /// response of mostly padding.
 inline constexpr uint32_t kMaxWireK = 1024;
+/// Largest `window` and filter `widen_cap` a search request may ask for
+/// (0, auto, is always legal). A filtered search keeps what falls off its
+/// window up to the widen cap, so the cap bounds the buffer one request
+/// can make the server hold; 2^16 is far above any calibrated window. A
+/// larger value is a kBadRequest.
+inline constexpr uint32_t kMaxWireWindow = 1u << 16;
 
 inline std::vector<uint8_t> EncodeSearchRequest(MatrixViewF queries,
                                                 uint32_t k,

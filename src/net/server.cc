@@ -238,6 +238,8 @@ bool BlinkServer::HandleSearch(TcpConn& conn,
   // A non-finite query would score NaN against every row and scan the
   // whole index, so it is a client error like a wrong dimension.
   if (!decoded.ok() || req.k == 0 || req.k > kMaxWireK ||
+      req.options.window > kMaxWireWindow ||
+      req.options.filter_widen_cap > kMaxWireWindow ||
       req.num_queries == 0 ||
       req.num_queries > opts_.max_queries_per_request ||
       req.dim != gen->index.dim() ||

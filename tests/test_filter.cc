@@ -6,13 +6,16 @@
 // (TSan target).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/index.h"
@@ -24,6 +27,7 @@
 #include "filter/synthetic.h"
 #include "graph/dynamic.h"
 #include "graph/index.h"
+#include "shard/sharded_index.h"
 #include "testutil.h"
 #include "util/mmap_file.h"
 
@@ -154,7 +158,15 @@ TEST(MatchesPredicate, TagAndRangeSemantics) {
   auto match = [&](const char* text, uint32_t id) {
     auto p = Predicate::Parse(text);
     EXPECT_TRUE(p.ok()) << text;
-    return MatchesPredicate(s, p.value(), id);
+    const bool matches = MatchesPredicate(s, p.value(), id);
+    // The scan's column-at-a-time pass agrees with the row test.
+    std::vector<uint32_t> ids;
+    const auto end = ids.begin() + static_cast<long>(
+                                       MatchingRows(s, p.value(), 4, &ids));
+    EXPECT_TRUE(std::is_sorted(ids.begin(), end)) << text;
+    EXPECT_EQ(std::find(ids.begin(), end, id) != end, matches)
+        << text << " row " << id;
+    return matches;
   };
 
   // any: at least one shared bit.
@@ -180,6 +192,12 @@ TEST(MatchesPredicate, TagAndRangeSemantics) {
   // Conjunction across clause kinds.
   EXPECT_TRUE(match("tag:any=2 num0>=25 num1<0.75", 2));
   EXPECT_FALSE(match("tag:any=2 num0>=25 num1<0.5", 2));
+
+  // NaN cells fail every range.
+  s.SetNumeric(1, 3, std::nan(""));
+  EXPECT_FALSE(match("num1<1", 3));
+  EXPECT_FALSE(match("num1>=0", 3));
+  EXPECT_TRUE(match("num0>0", 3));
 }
 
 TEST(MatchesPredicate, TrivialPredicateMatchesEverything) {
@@ -188,6 +206,8 @@ TEST(MatchesPredicate, TrivialPredicateMatchesEverything) {
   EXPECT_TRUE(p.Trivial());
   EXPECT_TRUE(MatchesPredicate(s, p, 0));
   EXPECT_TRUE(MatchesPredicate(s, p, 1));
+  std::vector<uint32_t> ids;
+  EXPECT_EQ(MatchingRows(s, p, 2, &ids), 2u);
 }
 
 // --- store operations -------------------------------------------------------
@@ -219,21 +239,36 @@ TEST(MetadataStore, SelectivityEstimateTracksTruth) {
   EXPECT_NEAR(EstimateSelectivity(s, p.value()), truth, 0.06);
 }
 
-TEST(ResolveFilterStrategyTest, CrossoverAndExplicitChoices) {
-  MetadataStore s = MakeSyntheticMetadata(4096, {ColumnType::kF64}, 7);
-  auto sparse = Predicate::Parse("num0<0.01");
-  auto dense = Predicate::Parse("num0<0.5");
-  ASSERT_TRUE(sparse.ok() && dense.ok());
-  EXPECT_EQ(ResolveFilterStrategy(s, sparse.value(), FilterStrategy::kAuto),
-            FilterStrategy::kInSearch);
-  EXPECT_EQ(ResolveFilterStrategy(s, dense.value(), FilterStrategy::kAuto),
-            FilterStrategy::kPostFilter);
-  // Explicit requests are echoed regardless of selectivity.
-  EXPECT_EQ(
-      ResolveFilterStrategy(s, sparse.value(), FilterStrategy::kPostFilter),
-      FilterStrategy::kPostFilter);
-  EXPECT_EQ(ResolveFilterStrategy(s, dense.value(), FilterStrategy::kInSearch),
-            FilterStrategy::kInSearch);
+TEST(FilterPlan, ScanCrossoverAndExplicitChoices) {
+  const size_t live = 100000, k = 10;
+  const uint32_t w = 32;
+  auto plan = [&](FilterStrategy s, double sel, uint32_t cap = 0) {
+    return PlanFilter(s, sel, live, k, w, cap);
+  };
+  // kAuto: 0.001 passes ~100 rows, within the boosted start window of
+  // 1.5 * 10 / 0.001 = 15000: scan them. 0.01 passes ~1000 rows, within
+  // its window of 1500: a scan too. 0.03 passes ~3000 rows, past its
+  // window of 500: in-search. 0.5 is above the crossover: post-filter.
+  EXPECT_EQ(plan(FilterStrategy::kAuto, 0.001).kind, FilterPlan::kScan);
+  EXPECT_EQ(plan(FilterStrategy::kAuto, 0.001).window0, 15000u);
+  EXPECT_EQ(plan(FilterStrategy::kAuto, 0.01).kind, FilterPlan::kScan);
+  EXPECT_EQ(plan(FilterStrategy::kAuto, 0.03).kind, FilterPlan::kInSearch);
+  EXPECT_EQ(plan(FilterStrategy::kAuto, 0.03).window0, 500u);
+  EXPECT_EQ(plan(FilterStrategy::kAuto, 0.5).kind, FilterPlan::kPostFilter);
+  EXPECT_EQ(plan(FilterStrategy::kAuto, 0.5).window0, w);
+  // The auto cap is the live rows; an explicit one is floored at the
+  // window, and bounds the boosted window.
+  EXPECT_EQ(plan(FilterStrategy::kAuto, 0.5).widen_cap, live);
+  EXPECT_EQ(plan(FilterStrategy::kAuto, 0.5, 8).widen_cap, w);
+  EXPECT_EQ(plan(FilterStrategy::kAuto, 0.03, 300).window0, 300u);
+  // Explicit requests are honoured whatever the selectivity, and never
+  // scan.
+  EXPECT_EQ(plan(FilterStrategy::kPostFilter, 0.001).kind,
+            FilterPlan::kPostFilter);
+  EXPECT_EQ(plan(FilterStrategy::kInSearch, 0.001).kind,
+            FilterPlan::kInSearch);
+  EXPECT_EQ(plan(FilterStrategy::kInSearch, 0.5).kind, FilterPlan::kInSearch);
+  EXPECT_EQ(plan(FilterStrategy::kInSearch, 0.5).window0, w);
 }
 
 // A dynamic index's metadata store holds a row per slot of capacity, and
@@ -271,10 +306,240 @@ TEST(FilterPlan, DynamicSamplesOnlyTheRowsInUse) {
   SearchResult res;
   a.Run(f.data.queries.row(0), 10, o, &res);
   b.Run(f.data.queries.row(0), 10, o, &res);
-  EXPECT_TRUE(a.plan().push_down);
-  EXPECT_EQ(b.plan().push_down, a.plan().push_down);
+  EXPECT_NE(a.plan().kind, FilterPlan::kPostFilter);
+  EXPECT_EQ(b.plan().kind, a.plan().kind);
   EXPECT_EQ(b.plan().window0, a.plan().window0);
   EXPECT_NEAR(b.plan().selectivity, a.plan().selectivity, 1e-12);
+}
+
+// Equal predicates held in distinct objects (as a server decodes one per
+// request) share one cached selectivity estimate. The store is mutated
+// between the two queries so that a fresh estimate would differ.
+TEST(FilterPlan, EqualPredicatesShareOneEstimate) {
+  const Fixture f(MakeDeepLike(1000, 2, 33));
+  auto md = std::make_shared<MetadataStore>(
+      MakeSyntheticMetadata(1000, {ColumnType::kF64}, 35));
+  auto idx = BuildOgLvq(f.data.base, f.data.metric, 8, 0, f.bp);
+  ASSERT_TRUE(idx->AttachMetadata(md).ok());
+  GraphSearcher searcher(idx->read_view());
+  SearchOptions o;
+  o.filter = std::make_shared<const Predicate>(
+      Predicate::Parse("num0<0.3").value());
+  SearchResult res;
+  searcher.Run(f.data.queries.row(0), 10, o, &res);
+  const double first = searcher.plan().selectivity;
+  for (uint32_t id = 0; id < 1000; ++id) md->SetNumeric(0, id, 0.0);
+  ASSERT_NEAR(EstimateSelectivity(*md, *o.filter), 1.0, 0.01);
+  o.filter = std::make_shared<const Predicate>(
+      Predicate::Parse("num0<0.3").value());
+  searcher.Run(f.data.queries.row(1), 10, o, &res);
+  EXPECT_EQ(searcher.plan().selectivity, first);
+  // A different predicate is estimated afresh.
+  o.filter = std::make_shared<const Predicate>(
+      Predicate::Parse("num0<0.31").value());
+  searcher.Run(f.data.queries.row(1), 10, o, &res);
+  EXPECT_NEAR(searcher.plan().selectivity, 1.0, 0.01);
+}
+
+// --- the scan plan -----------------------------------------------------------
+
+/// The exact filtered top-k of `query` over rows [0, rows) that pass and
+/// are live, by `dist(prepared query, id)`, ties by id: the scan's answer.
+template <typename Storage, typename Dead, typename Dist>
+SearchResult BruteForceFiltered(const Storage& storage,
+                                const MetadataStore& md,
+                                const Predicate& pred, size_t rows, Dead dead,
+                                Dist dist, const float* query, size_t k) {
+  typename Storage::Query q;
+  storage.PrepareQuery(query, &q);
+  std::vector<std::pair<float, uint32_t>> all;
+  for (uint32_t id = 0; id < rows; ++id) {
+    if (!dead(id) && MatchesPredicate(md, pred, id)) {
+      all.push_back({dist(q, id), id});
+    }
+  }
+  std::sort(all.begin(), all.end());
+  SearchResult r;
+  r.distance_computations = all.size();
+  for (size_t i = 0; i < std::min(k, all.size()); ++i) {
+    r.ids.push_back(all[i].second);
+    r.dists.push_back(all[i].first);
+  }
+  return r;
+}
+
+void ExpectSameScan(const SearchResult& got, const SearchResult& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.ids, want.ids) << what;
+  ASSERT_EQ(got.dists.size(), want.dists.size()) << what;
+  for (size_t i = 0; i < want.dists.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got.dists[i]),
+              std::bit_cast<uint32_t>(want.dists[i]))
+        << what << " rank " << i;
+  }
+  ASSERT_EQ(got.distance_computations, want.distance_computations) << what;
+  ASSERT_EQ(got.hops, 0u) << what;
+}
+
+/// Every query of `queries` through a searcher of `view` under kAuto must
+/// plan a scan and return `brute(query)`; `k` may exceed the passing rows.
+template <typename View, typename Brute>
+void CheckScan(View view, MatrixViewF queries, const char* filter, size_t k,
+               Brute brute, const std::string& name) {
+  GraphSearcher searcher(view);
+  SearchOptions o;
+  o.window = 16;
+  o.filter = std::make_shared<const Predicate>(
+      Predicate::Parse(filter).value());
+  for (size_t qi = 0; qi < queries.rows; ++qi) {
+    SearchResult got;
+    searcher.Run(queries.row(qi), k, o, &got);
+    const std::string what = name + " query " + std::to_string(qi);
+    ASSERT_EQ(searcher.plan().kind, FilterPlan::kScan) << what;
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameScan(got, brute(*o.filter, queries.row(qi), k), what));
+  }
+}
+
+TEST(FilterScan, StaticMatchesBruteForce) {
+  const Fixture f(MakeDeepLike(2000, 10, 41));
+  const auto md = std::make_shared<const MetadataStore>(
+      MakeSyntheticMetadata(2000, {ColumnType::kF64}, 43));
+  for (int bits2 : {0, 8}) {
+    auto idx = BuildOgLvq(f.data.base, f.data.metric, bits2 == 0 ? 8 : 4,
+                          bits2, f.bp);
+    ASSERT_TRUE(idx->AttachMetadata(md).ok());
+    const LvqStorage& storage = idx->storage();
+    std::vector<float> decode(storage.dim());
+    // Two levels: the epilogue re-ranks every scanned row at full
+    // precision, so the answer is exact under the full distance.
+    auto dist = [&](const LvqStorage::Query& q, uint32_t id) {
+      return bits2 == 0 ? storage.Distance(q, id)
+                        : storage.FullDistance(q, id, decode.data());
+    };
+    auto brute = [&](const Predicate& p, const float* q, size_t k) {
+      return BruteForceFiltered(storage, *md, p, storage.size(), NoDead{},
+                                dist, q, k);
+    };
+    CheckScan(idx->read_view(), f.data.queries, "num0<0.02", 10, brute,
+              idx->name());
+    // About two rows pass: the answer is what passes, padded by Search.
+    CheckScan(idx->read_view(), f.data.queries, "num0<0.001", 10, brute,
+              idx->name() + " (fewer than k pass)");
+    GraphSearcher searcher(idx->read_view());
+    SearchOptions o;
+    o.filter = std::make_shared<const Predicate>(
+        Predicate::Parse("num0<0.001").value());
+    const SearchResult want =
+        brute(*o.filter, f.data.queries.row(0), 10);
+    ASSERT_LT(want.ids.size(), 10u);
+    std::vector<uint32_t> ids(10);
+    std::vector<float> dists(10);
+    searcher.Search(f.data.queries.row(0), 10, o, ids.data(), dists.data(),
+                    nullptr);
+    for (size_t r = 0; r < 10; ++r) {
+      EXPECT_EQ(ids[r], r < want.ids.size() ? want.ids[r] : kInvalidId) << r;
+      if (r >= want.ids.size()) {
+        EXPECT_TRUE(std::isinf(dists[r])) << r;
+      }
+    }
+  }
+}
+
+TEST(FilterScan, DynamicSkipsTombstonesAndFreeSlots) {
+  const Dataset data = MakeDeepLike(1600, 8, 45);
+  DynamicOptions opts;
+  opts.graph_max_degree = 16;
+  opts.build_window = 32;
+  opts.metric = data.metric;
+  DynamicLvqIndex idx(
+      data.base.cols(), opts,
+      LvqStorage(LvqDataset(ComputeMean(data.base, kDynamicMeanSampleRows),
+                            {.bits = 8}),
+                 data.metric));
+  for (size_t i = 0; i < 1200; ++i) idx.Insert(data.base.row(i));
+  auto md = std::make_shared<MetadataStore>(
+      MakeSyntheticMetadata(1200, {ColumnType::kF64}, 47));
+  ASSERT_TRUE(idx.AttachMetadata(md).ok());
+  auto brute = [&](const Predicate& p, const float* q, size_t k) {
+    const LvqStorage& s = idx.storage();
+    return BruteForceFiltered(
+        s, *md, p, idx.size(), [&](uint32_t id) { return idx.IsDeleted(id); },
+        [&](const LvqStorage::Query& pq, uint32_t id) {
+          return s.Distance(pq, id);
+        },
+        q, k);
+  };
+  // Delete every third passing row, so tombstones sit among the answers.
+  const Predicate pred = Predicate::Parse("num0<0.03").value();
+  size_t passing = 0;
+  for (uint32_t id = 0; id < 1200; ++id) {
+    if (MatchesPredicate(*md, pred, id) && passing++ % 3 == 0) {
+      ASSERT_TRUE(idx.Delete(id).ok());
+    }
+  }
+  ASSERT_GT(idx.num_tombstones(), 0u);
+  CheckScan(idx.read_view(), data.queries, "num0<0.03", 10, brute,
+            "tombstoned");
+  idx.ConsolidateDeletes();
+  CheckScan(idx.read_view(), data.queries, "num0<0.03", 10, brute,
+            "consolidated");
+  // Recycle the freed slots with new vectors whose metadata passes.
+  for (size_t i = 1200; i < 1600; ++i) {
+    const uint32_t id = idx.Insert(data.base.row(i));
+    const double v = i % 2 == 0 ? 0.01 : 0.9;
+    ASSERT_TRUE(idx.UpsertMetadata(id, 0, &v, 1).ok());
+  }
+  ASSERT_EQ(idx.num_deleted(), 0u);
+  CheckScan(idx.read_view(), data.queries, "num0<0.03", 10, brute,
+            "recycled");
+}
+
+TEST(FilterScan, ShardedMatchesBruteForceOverShards) {
+  const Fixture f(MakeDeepLike(2400, 8, 49));
+  ShardedBuildParams params;
+  params.partition.num_shards = 3;
+  params.graph = f.bp;
+  auto idx = BuildShardedLvq(f.data.base, f.data.metric, params);
+  const auto md = std::make_shared<const MetadataStore>(
+      MakeSyntheticMetadata(2400, {ColumnType::kF64}, 51));
+  ASSERT_TRUE(idx->AttachMetadata(md).ok());
+  const Predicate pred = Predicate::Parse("num0<0.02").value();
+  auto searcher = idx->MakeSearcher();
+  SearchOptions o;
+  o.window = 16;
+  o.filter = std::make_shared<const Predicate>(pred);
+  const size_t k = 10;
+  for (size_t qi = 0; qi < f.data.queries.rows(); ++qi) {
+    const float* q = f.data.queries.row(qi);
+    std::vector<std::pair<float, uint32_t>> all;
+    for (size_t s = 0; s < idx->num_shards(); ++s) {
+      const auto& global = idx->partition().shard_to_global[s];
+      const LvqStorage& storage = idx->shard(s)->storage();
+      LvqStorage::Query pq;
+      storage.PrepareQuery(q, &pq);
+      for (uint32_t l = 0; l < global.size(); ++l) {
+        if (MatchesPredicate(*md, pred, global[l])) {
+          all.push_back({storage.Distance(pq, l), global[l]});
+        }
+      }
+    }
+    std::sort(all.begin(), all.end());
+    std::vector<uint32_t> ids(k);
+    std::vector<float> dists(k);
+    BatchStats stats;
+    searcher->Search(q, k, o, ids.data(), dists.data(), &stats);
+    EXPECT_EQ(stats.hops, 0u) << "query " << qi;
+    // Every passing row once, plus the shard ranking's centroid distances.
+    EXPECT_EQ(stats.distance_computations, all.size() + idx->num_shards())
+        << "query " << qi;
+    for (size_t r = 0; r < k; ++r) {
+      ASSERT_EQ(ids[r], all[r].second) << "query " << qi << " rank " << r;
+      ASSERT_EQ(std::bit_cast<uint32_t>(dists[r]),
+                std::bit_cast<uint32_t>(all[r].first))
+          << "query " << qi << " rank " << r;
+    }
+  }
 }
 
 // --- serialization ----------------------------------------------------------
@@ -876,6 +1141,67 @@ TEST(FilterDynamic, ConcurrentUpsertVsFilteredSearch) {
   stop.store(true);
   writer.join();
   churner.join();
+}
+
+// Scans beside a writer that deletes, re-inserts into the freed slots and
+// upserts metadata: the scan reads every slot in use, so slot liveness and
+// fresh rows must be published to it (dynamic.h's acquire/release pairs).
+// Runs under -DBLINK_TSAN=ON in the tsan job.
+TEST(FilterDynamic, ConcurrentScanVsDeleteAndUpsert) {
+  const Dataset data = MakeDeepLike(800, 4, 53);
+  DynamicOptions opts;
+  opts.graph_max_degree = 16;
+  opts.build_window = 32;
+  opts.metric = data.metric;
+  opts.initial_capacity = 1024;  // no Grow during the race
+  DynamicLvqIndex idx(
+      data.base.cols(), opts,
+      LvqStorage(LvqDataset(ComputeMean(data.base, kDynamicMeanSampleRows),
+                            {.bits = 8}),
+                 data.metric));
+  for (size_t i = 0; i < 600; ++i) idx.Insert(data.base.row(i));
+  ASSERT_TRUE(idx.AttachMetadata(std::make_shared<MetadataStore>(
+                                     MakeSyntheticMetadata(
+                                         600, {ColumnType::kF64}, 55)))
+                  .ok());
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    std::vector<uint32_t> extra;
+    uint64_t i = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const uint32_t id = static_cast<uint32_t>(i % 600);
+      const double v = SyntheticF64(55, i, 0);
+      (void)idx.UpsertMetadata(id, SyntheticTags(55, i), &v, 1);
+      if (extra.size() < 16) {
+        const uint32_t fresh = idx.Insert(data.base.row(600 + i % 200));
+        const double pass = 0.01;
+        (void)idx.UpsertMetadata(fresh, 0, &pass, 1);
+        extra.push_back(fresh);
+      } else {
+        for (uint32_t e : extra) (void)idx.Delete(e);
+        extra.clear();
+        idx.ConsolidateDeletes();
+      }
+      ++i;
+    }
+  });
+
+  GraphSearcher searcher(idx.read_view());
+  SearchOptions o;
+  o.window = 16;
+  o.filter = std::make_shared<const Predicate>(
+      Predicate::Parse("num0<0.02").value());
+  size_t scans = 0;
+  for (int iter = 0; iter < 200; ++iter) {
+    SearchResult res;
+    searcher.Run(data.queries.row(iter % 4), 10, o, &res);
+    scans += searcher.plan().kind == FilterPlan::kScan;
+    for (uint32_t id : res.ids) ASSERT_LT(id, idx.size());
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_GT(scans, 0u);
 }
 
 }  // namespace

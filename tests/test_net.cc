@@ -478,6 +478,60 @@ TEST_F(NetServerTest, RejectsNonFiniteQueriesWithoutDroppingTheConnection) {
   server->Stop();
 }
 
+// A filtered search keeps what falls off its window up to the widen cap,
+// so a window or widen cap above kMaxWireWindow is a kBadRequest, counted,
+// on a connection that keeps serving; the bound itself is legal.
+TEST_F(NetServerTest, RejectsOversizedWindowAndWidenCap) {
+  Dataset data = MakeDeepLike(400, 4, 917);
+  Index index = BuildNetIndex(data);
+  ASSERT_TRUE(index
+                  .AttachMetadata(std::make_shared<const MetadataStore>(
+                      MakeSyntheticMetadata(data.base.rows(),
+                                            {ColumnType::kF64}, 79)))
+                  .ok());
+  ServerOptions opts;
+  opts.serving.num_threads = 1;
+  Result<std::unique_ptr<BlinkServer>> started =
+      BlinkServer::Start(std::move(index), opts);
+  ASSERT_TRUE(started.ok());
+  std::unique_ptr<BlinkServer> server = std::move(started).value();
+  Result<BlinkClient> connected = BlinkClient::Connect("127.0.0.1",
+                                                       server->port());
+  ASSERT_TRUE(connected.ok());
+  BlinkClient client = std::move(connected).value();
+  MatrixF one(1, data.base.cols());
+  std::copy(data.queries.row(0), data.queries.row(0) + one.cols(), one.row(0));
+  SearchOptions p;
+  p.filter = std::make_shared<Predicate>(
+      std::move(Predicate::Parse("num0<0.3")).value());
+  p.filter_strategy = FilterStrategy::kPostFilter;
+  SearchResponse res;
+
+  p.window = 32;
+  p.filter_widen_cap = net::kMaxWireWindow + 1;
+  ASSERT_TRUE(client.Search(one, 5, p, &res).ok());
+  EXPECT_EQ(res.status, WireStatus::kBadRequest);
+  p.filter_widen_cap = 0;
+  p.window = net::kMaxWireWindow + 1;
+  ASSERT_TRUE(client.Search(one, 5, p, &res).ok());
+  EXPECT_EQ(res.status, WireStatus::kBadRequest);
+
+  p.window = net::kMaxWireWindow;
+  p.filter_widen_cap = net::kMaxWireWindow;
+  ASSERT_TRUE(client.Search(one, 5, p, &res).ok());
+  EXPECT_EQ(res.status, WireStatus::kOk);
+  EXPECT_NE(res.ids[0], kInvalidId);
+
+  StatusTextResponse stats;
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  Result<json::Value> doc = json::Parse(stats.text);
+  ASSERT_TRUE(doc.ok());
+  const json::Value* rejected = doc.value().Find("bad_requests");
+  ASSERT_NE(rejected, nullptr);
+  EXPECT_EQ(rejected->as_number(), 2.0);
+  server->Stop();
+}
+
 TEST_F(NetServerTest, LoopbackFilteredSearchMatchesDirectPath) {
   Dataset data = MakeDeepLike(1200, 24, 913);
   Index index = BuildNetIndex(data);

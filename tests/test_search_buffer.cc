@@ -193,13 +193,18 @@ class ReferenceBuffer {
 
   void MarkExplored(size_t i) { explored_.insert(Contents()[i].id); }
 
+  /// Raises the capacity: the contents grow by the candidates it now
+  /// admits, which a widening buffer must take back from its spill.
+  void Widen(size_t capacity) { capacity_ = capacity; }
+
  private:
   size_t capacity_;
   std::vector<SearchBuffer::Entry> offered_;
   std::set<uint32_t> explored_;
 };
 
-void ExpectSameEntries(const SearchBuffer& got,
+template <typename Buffer>
+void ExpectSameEntries(const Buffer& got,
                        const std::vector<SearchBuffer::Entry>& want,
                        const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
@@ -274,6 +279,86 @@ TEST(SearchBuffer, LiveAwareMatchesBruteForceReference) {
       }
     }
   }
+}
+
+// --- the widening buffer ----------------------------------------------------
+
+/// The widening buffer against the same model, with widenings interleaved:
+/// after every operation it must hold exactly what the model's prefix at
+/// the current capacity holds, explored marks included, so a spilled
+/// entry comes back in its place and with its mark. Equal distances are
+/// common here, so the spill's insertion order is exercised.
+void CheckWideningAgainstReference(size_t capacity, size_t limit,
+                                   uint32_t dead_permille, uint64_t seed) {
+  WideningBuffer buf;
+  buf.SetLimit(limit);
+  buf.Reset(capacity);
+  ReferenceBuffer ref(capacity);
+  Rng rng(seed);
+  std::vector<std::pair<float, bool>> seen;  // by id: (dist, dead)
+  size_t widenings = 0;
+  for (size_t op = 0; op < 3000; ++op) {
+    const std::string what = "capacity " + std::to_string(capacity) +
+                             " dead " + std::to_string(dead_permille) +
+                             "/1000 seed " + std::to_string(seed) + " op " +
+                             std::to_string(op);
+    const uint64_t roll = rng.Bounded(64);
+    if (roll == 0 && capacity < limit) {
+      capacity = std::min(limit, capacity + 1 + rng.Bounded(capacity));
+      buf.Widen(capacity);
+      ref.Widen(capacity);
+      ++widenings;
+    } else if (roll < 16) {
+      const long want = ref.NextUnexplored();
+      ASSERT_EQ(buf.NextUnexplored(), want) << what;
+      if (want >= 0) {
+        buf.MarkExplored(static_cast<size_t>(want));
+        ref.MarkExplored(static_cast<size_t>(want));
+      }
+    } else {
+      uint32_t id;
+      if (!seen.empty() && rng.Bounded(8) == 0) {
+        id = static_cast<uint32_t>(rng.Bounded(seen.size()));
+      } else {
+        id = static_cast<uint32_t>(seen.size());
+        seen.push_back({static_cast<float>(rng.Bounded(200)) / 8.0f,
+                        rng.Bounded(1000) < dead_permille});
+      }
+      const auto [dist, dead] = seen[id];
+      ASSERT_EQ(buf.Insert(dist, id, dead), ref.Insert(dist, id, dead))
+          << what;
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectSameEntries(buf, ref.Contents(), what));
+  }
+  EXPECT_GT(widenings, 0u);
+}
+
+TEST(WideningBuffer, WidenMatchesAFreshWiderBuffer) {
+  for (size_t capacity : {1, 4, 16}) {
+    for (uint32_t dead_permille : {0u, 300u, 800u}) {
+      for (uint64_t seed : {21u, 22u}) {
+        ASSERT_NO_FATAL_FAILURE(CheckWideningAgainstReference(
+            capacity, 64 * capacity, dead_permille, seed));
+      }
+    }
+  }
+}
+
+TEST(WideningBuffer, SpillsNothingAtItsLimit) {
+  WideningBuffer buf;
+  buf.SetLimit(2);
+  buf.Reset(1);
+  EXPECT_TRUE(buf.Insert(2.0f, 2));
+  EXPECT_TRUE(buf.Insert(1.0f, 1));   // spills id 2
+  EXPECT_FALSE(buf.Insert(3.0f, 3));  // spilled
+  buf.Widen(2);                       // the limit: takes id 2 back
+  ASSERT_EQ(buf.size(), 2u);
+  EXPECT_EQ(buf[1].id, 2u);
+  EXPECT_TRUE(buf.Insert(0.5f, 5));  // drops id 2 for good
+  buf.Widen(2);
+  ASSERT_EQ(buf.size(), 2u);
+  EXPECT_EQ(buf[0].id, 5u);
+  EXPECT_EQ(buf[1].id, 1u);
 }
 
 TEST(VisitedSet, MarksAndResets) {

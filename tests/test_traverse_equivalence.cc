@@ -47,7 +47,8 @@ uint32_t Bits(float f) {
   return u;
 }
 
-void ExpectSameResult(const SearchResult& got, const SearchResult& want,
+/// The same ids and distance bits, whatever the work.
+void ExpectSameAnswer(const SearchResult& got, const SearchResult& want,
                       const std::string& what) {
   ASSERT_EQ(got.ids.size(), want.ids.size()) << what;
   ASSERT_EQ(got.dists.size(), want.dists.size()) << what;
@@ -56,11 +57,17 @@ void ExpectSameResult(const SearchResult& got, const SearchResult& want,
     ASSERT_EQ(Bits(got.dists[i]), Bits(want.dists[i]))
         << what << " dist bits at rank " << i;
   }
+}
+
+void ExpectSameResult(const SearchResult& got, const SearchResult& want,
+                      const std::string& what) {
+  ASSERT_NO_FATAL_FAILURE(ExpectSameAnswer(got, want, what));
   ASSERT_EQ(got.distance_computations, want.distance_computations) << what;
   ASSERT_EQ(got.hops, want.hops) << what;
 }
 
-void ExpectSameBuffer(const SearchBuffer& got, const SearchBuffer& want,
+template <typename GotBuffer, typename WantBuffer>
+void ExpectSameBuffer(const GotBuffer& got, const WantBuffer& want,
                       const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (size_t i = 0; i < want.size(); ++i) {
@@ -433,6 +440,35 @@ BuiltGraph OldBuildVamana(const Storage& storage,
     }
   }
   return out;
+}
+
+// ===========================================================================
+// Frozen copy of the restarting widening loop (RunWidened) that filtered
+// searches ran before GraphSearcher resumed one traversal: every window
+// step started over from the entry point.
+// ===========================================================================
+
+/// Adaptive widening loop shared by every filtered search path: runs
+/// `run(window, out)` with geometrically growing windows until the result
+/// holds k survivors (out->ids, pre-padding) or the window reaches
+/// `widen_cap` (see ResolveWidenCap in filter/metadata.h). Work counters
+/// accumulate across retries so QPS/work accounting reflects total cost.
+template <typename RunFn>
+void RunWidened(size_t k, uint32_t window0, uint32_t widen_cap, RunFn&& run,
+                SearchResult* out) {
+  size_t dc = 0;
+  size_t hops = 0;
+  uint32_t w = std::max<uint32_t>(window0, 1);
+  for (;;) {
+    run(w, out);
+    dc += out->distance_computations;
+    hops += out->hops;
+    if (out->ids.size() >= k || w >= widen_cap) break;
+    w = static_cast<uint32_t>(
+        std::min<uint64_t>(widen_cap, uint64_t{w} * 2));
+  }
+  out->distance_computations = dc;
+  out->hops = hops;
 }
 
 // ===========================================================================
@@ -827,8 +863,13 @@ void CheckStaticSearch(const VamanaIndex<Storage>& idx, MatrixViewF queries,
         now.Run(queries.row(qi), 10, sp, &got);
         old.Search(queries.row(qi), 10, idx.entry_point(), sp, &want);
         ASSERT_NO_FATAL_FAILURE(ExpectSameResult(got, want, what));
-        ASSERT_NO_FATAL_FAILURE(
-            ExpectSameBuffer(now.buffer(), old.buffer(), what));
+        if (filter == nullptr) {
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectSameBuffer(now.buffer(), old.buffer(), what));
+        } else {
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectSameBuffer(now.widened_buffer(), old.buffer(), what));
+        }
       }
     }
   }
@@ -908,7 +949,9 @@ void RunPadded(GraphSearcher<View>& searcher, const float* query, size_t k,
 
 /// Readers against the frozen one-level loop. The frozen epilogue has no
 /// re-rank, so the comparison runs with `rerank` off (a no-op for storages
-/// without a second level).
+/// without a second level). Filtered modes widen: the frozen loop starts
+/// over at every window, the searcher resumes, so there the ids, distance
+/// bits and final buffer must match while the work may only be smaller.
 template <typename Storage>
 void CheckDynamicSearch(const DynamicGraphIndex<Storage>& idx,
                         MatrixViewF queries, const std::string& name) {
@@ -942,9 +985,18 @@ void CheckDynamicSearch(const DynamicGraphIndex<Storage>& idx,
         RunPadded(now, queries.row(qi), 10, sp, widen_cap, &got);
         OldDynamicSearch(idx, queries.row(qi), 10, sp.window, mode.filter,
                          mode.push_down, widen_cap, &old_scratch, &want);
-        ASSERT_NO_FATAL_FAILURE(ExpectSameResult(got, want, what));
+        if (mode.filter == nullptr) {
+          ASSERT_NO_FATAL_FAILURE(ExpectSameResult(got, want, what));
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectSameBuffer(now.buffer(), old_scratch.buffer, what));
+          continue;
+        }
+        ASSERT_LE(got.distance_computations, want.distance_computations)
+            << what;
+        ASSERT_LE(got.hops, want.hops) << what;
+        ASSERT_NO_FATAL_FAILURE(ExpectSameAnswer(got, want, what));
         ASSERT_NO_FATAL_FAILURE(
-            ExpectSameBuffer(now.buffer(), old_scratch.buffer, what));
+            ExpectSameBuffer(now.widened_buffer(), old_scratch.buffer, what));
       }
     }
   }
@@ -1180,17 +1232,146 @@ TEST(TraverseEquivalence, StaticMatchesFrozenDynamic) {
             ASSERT_EQ(got.ids.size(), 10u) << what;
             ASSERT_NO_FATAL_FAILURE(ExpectSameResult(got, want, what));
             if (mode.filter == nullptr) continue;
-            ASSERT_EQ(frozen.plan().push_down, fixed.plan().push_down)
-                << what;
+            ASSERT_EQ(frozen.plan().kind, fixed.plan().kind) << what;
             ASSERT_EQ(frozen.plan().window0, fixed.plan().window0) << what;
-            in_search += fixed.plan().push_down;
+            in_search += fixed.plan().kind != FilterPlan::kPostFilter;
           }
         }
       }
     }
-    // Both strategies ran, and kAuto picked in-search for the rare filter.
+    // Both strategies ran, and kAuto did not post-filter the rare filter
+    // (~30 passing rows: it scans them).
     EXPECT_EQ(in_search, 2 * 3 * 3 * f.data.queries.rows()) << idx->name();
   }
+}
+
+// ===========================================================================
+// Resumed widening against the frozen restarting loop, at every window step.
+// ===========================================================================
+
+/// Filtered searches of `now` widened from window 10 with the cap at each
+/// window step in turn, so every step's answer is seen. At each cap the
+/// resumed search must give the ids, distance bits and final buffer of the
+/// frozen RunWidened over `restart` (one traversal from the entry point at
+/// the given window), for post-filtering and push-down, with the visited
+/// set on and off. Its work must be no more than the restarting loop's,
+/// and in fact exactly that of the last step alone: every node is scored
+/// (and expanded) once.
+template <typename View, typename Restart>
+void CheckResumeAtEveryStep(GraphSearcher<View>& now, MatrixViewF queries,
+                            const FilterView* filter, Restart restart,
+                            const std::string& name) {
+  const uint32_t w0 = 10;
+  const size_t k = 10;
+  size_t widened = 0;
+  for (bool push_down : {false, true}) {
+    for (bool visited : {true, false}) {
+      SearchParams sp;
+      sp.window = w0;
+      sp.filter = filter;
+      sp.filter_push_down = push_down;
+      sp.use_visited_set = visited;
+      for (uint32_t cap = w0; cap <= 320; cap *= 2) {
+        for (size_t qi = 0; qi < queries.rows; ++qi) {
+          const std::string what =
+              name + (push_down ? " push-down" : " post-filter") +
+              " visited=" + std::to_string(visited) + " cap " +
+              std::to_string(cap) + " query " + std::to_string(qi);
+          SearchResult got, want, last;
+          now.Run(queries.row(qi), k, sp, &got, cap);
+          const SearchBuffer* last_buffer = nullptr;
+          RunWidened(
+              k, w0, cap,
+              [&](uint32_t w, SearchResult* res) {
+                SearchParams p = sp;
+                p.window = w;
+                last_buffer = &restart(queries.row(qi), k, p, res);
+                last = *res;
+              },
+              &want);
+          ASSERT_NO_FATAL_FAILURE(ExpectSameAnswer(got, want, what));
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectSameBuffer(now.widened_buffer(), *last_buffer, what));
+          ASSERT_LE(got.distance_computations, want.distance_computations)
+              << what;
+          ASSERT_EQ(got.distance_computations, last.distance_computations)
+              << what;
+          ASSERT_EQ(got.hops, last.hops) << what;
+          widened += got.distance_computations < want.distance_computations;
+        }
+      }
+    }
+  }
+  EXPECT_GT(widened, 0u) << name << ": no query widened";
+}
+
+template <typename Storage>
+void CheckStaticResume(const VamanaIndex<Storage>& idx, MatrixViewF queries,
+                       const std::string& name) {
+  const MetadataStore md =
+      MakeSyntheticMetadata(idx.storage().size(), {ColumnType::kF64}, 31);
+  const Predicate pred = Predicate::Parse("num0<0.1").value();
+  const FilterView view{&md, &pred};
+  GraphSearcher now(idx.read_view());
+  OldGreedySearcher<Storage> old(&idx.graph(), &idx.storage());
+  auto restart = [&](const float* q, size_t k, const SearchParams& p,
+                     SearchResult* res) -> const SearchBuffer& {
+    old.Search(q, k, idx.entry_point(), p, res);
+    return old.buffer();
+  };
+  CheckResumeAtEveryStep(now, queries, &view, restart, name);
+}
+
+TEST(TraverseEquivalence, StaticResumeMatchesRestartAtEveryStep) {
+  const Fixture f(MakeDeepLike(1200, 20, 409));
+  CheckStaticResume(*BuildVamanaF32(f.data.base, f.data.metric, f.bp),
+                    f.data.queries, "f32");
+  CheckStaticResume(*BuildOgLvq(f.data.base, f.data.metric, 8, 0, f.bp),
+                    f.data.queries, "lvq8");
+  CheckStaticResume(*BuildOgLvq(f.data.base, f.data.metric, 4, 8, f.bp),
+                    f.data.queries, "lvq4x8");
+}
+
+/// The dynamic index under navigable tombstones. The restarting reference
+/// is one fresh traversal per step: the searcher with no widening.
+TEST(TraverseEquivalence, DynamicTombstonedResumeMatchesRestartAtEveryStep) {
+  const Dataset data = MakeDeepLike(900, 20, 410);
+  DynamicOptions opts;
+  opts.graph_max_degree = 16;
+  opts.build_window = 40;
+  opts.metric = data.metric;
+  DynamicLvqIndex idx(
+      data.base.cols(), opts,
+      LvqStorage(LvqDataset(ComputeMean(data.base, kDynamicMeanSampleRows),
+                            {.bits = 8}),
+                 data.metric));
+  for (size_t i = 0; i < data.base.rows(); ++i) idx.Insert(data.base.row(i));
+  Rng rng(411);
+  for (uint32_t id = 0; id < data.base.rows(); ++id) {
+    if (id == 0 || rng.Bounded(5) == 0) {
+      ASSERT_TRUE(idx.Delete(id).ok());
+    }
+  }
+  ASSERT_GT(idx.num_tombstones(), 0u);
+  ASSERT_TRUE(idx.AttachMetadata(std::make_shared<MetadataStore>(
+                                     MakeSyntheticMetadata(
+                                         idx.size(), {ColumnType::kF64}, 37)))
+                  .ok());
+  const Predicate pred = Predicate::Parse("num0<0.1").value();
+  const FilterView view{idx.metadata(), &pred};
+  GraphSearcher now(idx.read_view());
+  GraphSearcher fresh(idx.read_view());
+  SearchBuffer copy;
+  auto restart = [&](const float* q, size_t k, const SearchParams& p,
+                     SearchResult* res) -> const SearchBuffer& {
+    fresh.Run(q, k, p, res, /*widen_cap=*/0);
+    // The step's buffer, as a plain buffer for the comparison.
+    const WideningBuffer& b = fresh.widened_buffer();
+    copy.Reset(b.size());
+    for (size_t i = 0; i < b.size(); ++i) copy.Insert(b[i].dist, b[i].id);
+    return copy;
+  };
+  CheckResumeAtEveryStep(now, data.queries, &view, restart, "dynamic lvq8");
 }
 
 }  // namespace

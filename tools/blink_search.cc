@@ -176,12 +176,12 @@ int main(int argc, char** argv) {
     }
     filter_ptr = std::make_shared<const Predicate>(filter);
     const double sel = EstimateSelectivity(*md, filter);
-    const FilterStrategy resolved =
-        ResolveFilterStrategy(*md, filter, filter_strategy);
-    std::printf("filter '%s': estimated selectivity %.4f, strategy %s\n",
-                filter.ToString().c_str(), sel,
-                resolved == FilterStrategy::kInSearch ? "in-search"
-                                                      : "post-filter");
+    const uint32_t w0 = std::max(windows.front(), static_cast<uint32_t>(k));
+    const FilterPlan plan = PlanFilter(filter_strategy, sel, md->size(), k,
+                                       w0, filter_widen_cap);
+    std::printf("filter '%s': estimated selectivity %.4f, plan %s from "
+                "window %u\n",
+                filter.ToString().c_str(), sel, plan.name(), plan.window0);
   }
   auto queries = ReadFvecs(query_path);
   if (!queries.ok()) {

@@ -818,12 +818,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     filter_ptr = std::make_shared<const Predicate>(filter);
-    std::printf("filter '%s': estimated selectivity %.4f, strategy %s\n",
-                filter.ToString().c_str(), EstimateSelectivity(*md, filter),
-                ResolveFilterStrategy(*md, filter, filter_strategy) ==
-                        FilterStrategy::kInSearch
-                    ? "in-search"
-                    : "post-filter");
+    const double sel = EstimateSelectivity(*md, filter);
+    const uint32_t w0 =
+        std::max(windows.empty() ? 32u : windows[0], static_cast<uint32_t>(k));
+    const FilterPlan plan = PlanFilter(filter_strategy, sel, md->size(), k,
+                                       w0, filter_widen_cap);
+    std::printf("filter '%s': estimated selectivity %.4f, plan %s from "
+                "window %u\n",
+                filter.ToString().c_str(), sel, plan.name(), plan.window0);
   }
 
   std::printf("blink_serve: nq=%zu d=%zu k=%zu | engine threads=%zu "
