@@ -12,7 +12,6 @@
 //
 // Scales with BLINK_SCALE like every bench.
 #include <map>
-#include <set>
 
 #include "common.h"
 
@@ -55,13 +54,11 @@ std::map<uint32_t, size_t> RunChurn(Index* idx, const Dataset& data) {
   return live;
 }
 
-/// Brute-force recall@k of the index over its live set (float ground truth).
-template <typename Index>
-double ChurnRecall(const Index& idx, const Dataset& data,
-                   const std::map<uint32_t, size_t>& live) {
+/// The exact k nearest live ids of every query (float brute force).
+Matrix<uint32_t> LiveGroundTruth(const Dataset& data,
+                                 const std::map<uint32_t, size_t>& live) {
   const size_t dim = data.base.cols();
-  double total = 0.0;
-  SearchResult res;
+  Matrix<uint32_t> gt(data.queries.rows(), kK);
   for (size_t qi = 0; qi < data.queries.rows(); ++qi) {
     const float* q = data.queries.row(qi);
     std::vector<std::pair<float, uint32_t>> exact;
@@ -70,38 +67,18 @@ double ChurnRecall(const Index& idx, const Dataset& data,
       exact.push_back({simd::L2Sqr(q, data.base.row(row), dim), id});
     }
     std::sort(exact.begin(), exact.end());
-    const size_t kk = std::min(kK, exact.size());
-    std::set<uint32_t> gt;
-    for (size_t j = 0; j < kk; ++j) gt.insert(exact[j].second);
-    idx.Search(q, kK, kWindow, &res);
-    size_t hits = 0;
-    for (uint32_t id : res.ids) hits += gt.count(id);
-    total += static_cast<double>(hits) / static_cast<double>(kk);
-  }
-  return total / static_cast<double>(data.queries.rows());
-}
-
-template <typename Index>
-double ChurnQps(const Index& idx, const Dataset& data) {
-  GraphSearcher searcher(idx.read_view());
-  SearchOptions options;
-  options.window = kWindow;
-  std::vector<uint32_t> ids(kK);
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    Timer t;
-    for (size_t qi = 0; qi < data.queries.rows(); ++qi) {
-      searcher.Search(data.queries.row(qi), kK, options, ids.data(), nullptr,
-                      nullptr);
+    for (size_t j = 0; j < kK; ++j) {
+      gt(qi, j) = j < exact.size() ? exact[j].second : kInvalidId;
     }
-    best = std::max(best,
-                    static_cast<double>(data.queries.rows()) / t.Seconds());
   }
-  return best;
+  return gt;
 }
 
-template <typename Index>
-ChurnResult Measure(Index* idx, const std::string& name, const Dataset& data) {
+/// Search QPS (one query at a time through one warm searcher, best of 3)
+/// and recall@k over the live set.
+template <typename Storage>
+ChurnResult Measure(DynamicGraphIndex<Storage>* idx, const std::string& name,
+                    const Dataset& data) {
   ChurnResult r;
   r.name = name;
   const size_t rss_before = CurrentRssBytes();
@@ -109,8 +86,14 @@ ChurnResult Measure(Index* idx, const std::string& name, const Dataset& data) {
   r.rss_growth = CurrentRssBytes() - std::min(CurrentRssBytes(), rss_before);
   r.storage_bytes = idx->storage().memory_bytes();
   r.graph_bytes = idx->graph().memory_bytes();
-  r.qps = ChurnQps(*idx, data);
-  r.recall = ChurnRecall(*idx, data, live);
+  const Matrix<uint32_t> gt = LiveGroundTruth(data, live);
+  SearchOptions options;
+  options.window = kWindow;
+  const SweepPoint pt =
+      MeasureSetting(DynamicView<Storage>(idx), data.queries, &gt, kK, options,
+                     {.best_of = 3, .single_query = true});
+  r.qps = pt.qps;
+  r.recall = pt.recall;
   return r;
 }
 

@@ -12,24 +12,18 @@ using namespace blinkbench;
 namespace {
 
 template <typename Index>
-void Scaling(const Index& idx, const Dataset& data,
-             [[maybe_unused]] const Matrix<uint32_t>& gt,
+void Scaling(const Index& idx, const Dataset& data, const Matrix<uint32_t>& gt,
              const std::vector<size_t>& thread_counts) {
   std::printf("%-16s", idx.storage().encoding_name().c_str());
   SearchOptions p;
   p.window = 40;
-  Matrix<uint32_t> ids(data.queries.rows(), 10);
   double single = 0.0;
   for (size_t t : thread_counts) {
     ThreadPool pool(t);
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      Timer timer;
-      SearchBatch(idx, data.queries, 10, p, ids.data(), nullptr, nullptr,
-                  t > 1 ? &pool : nullptr);
-      best = std::max(best,
-                      static_cast<double>(data.queries.rows()) / timer.Seconds());
-    }
+    const double best =
+        MeasureSetting(idx, data.queries, &gt, 10, p,
+                       {.best_of = 3, .pool = t > 1 ? &pool : nullptr})
+            .qps;
     if (t == thread_counts.front()) single = best;
     std::printf(" %8.0f(%4.1fx)", best, best / single);
   }

@@ -54,18 +54,13 @@ struct Point {
 Point Measure(const VamanaIndex<LvqStorage>& index, MatrixViewF queries,
               const Matrix<uint32_t>& fgt, size_t k,
               const SearchOptions& opts, ThreadPool* pool) {
-  const size_t nq = queries.rows;
-  Matrix<uint32_t> ids(nq, k);
-  double best_seconds = -1.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    Timer t;
-    SearchBatch(index, queries, k, opts, ids.data(), nullptr, nullptr, pool);
-    const double s = t.Seconds();
-    if (best_seconds < 0.0 || s < best_seconds) best_seconds = s;
-  }
+  // Timed by the harness; recall is FilteredRecall's, not the harness's.
+  Matrix<uint32_t> ids;
   Point p;
+  p.qps = MeasureSetting(index, queries, nullptr, k, opts,
+                         {.best_of = 3, .pool = pool}, &ids)
+              .qps;
   p.recall = FilteredRecall(ids, fgt, k);
-  p.qps = best_seconds > 0.0 ? static_cast<double>(nq) / best_seconds : 0.0;
   return p;
 }
 

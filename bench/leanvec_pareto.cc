@@ -59,7 +59,8 @@ FlavorRun RunFlavor(const char* kind_name, const Dataset& data,
   run.name = index.value().name();
   run.curve = RunSweep(index.value().AsSearchIndex(), data.queries, gt,
                        DefaultWindowSweep(), hopts);
-  run.qps_at_target = QpsAtRecall(run.curve, target_recall);
+  const SweepPoint* at = PointAtRecall(run.curve, target_recall);
+  run.qps_at_target = at != nullptr ? at->qps : 0.0;
   return run;
 }
 

@@ -25,7 +25,8 @@ void RunDataset(Dataset data) {
 
   auto f32 = BuildVamanaF32(data.base, data.metric, bp);
   auto pts32 = RunSweep(*f32, data.queries, gt, sweep, opts);
-  const double q32 = QpsAtRecall(pts32, 0.9);
+  const SweepPoint* at32 = PointAtRecall(pts32, 0.9);
+  const double q32 = at32 != nullptr ? at32->qps : 0.0;
   const double m32 = static_cast<double>(f32->memory_bytes());
   const double v32 = static_cast<double>(data.base.cols()) * 4.0;
 
@@ -36,7 +37,8 @@ void RunDataset(Dataset data) {
   auto report = [&](const SearchIndex& idx, double vec_bytes,
                     const char* label) {
     auto pts = RunSweep(idx, data.queries, gt, sweep, opts);
-    const double q = QpsAtRecall(pts, 0.9);
+    const SweepPoint* at = PointAtRecall(pts, 0.9);
+    const double q = at != nullptr ? at->qps : 0.0;
     std::printf("%-10s %7.2fx %5.1fx %5.1fx\n", label,
                 q32 > 0 ? q / q32 : 0.0, v32 / vec_bytes,
                 m32 / static_cast<double>(idx.memory_bytes()));

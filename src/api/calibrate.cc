@@ -7,43 +7,20 @@
 #include <utility>
 #include <vector>
 
-#include "eval/metrics.h"
-#include "util/timer.h"
+#include "eval/harness.h"
 
 namespace blink {
 
 namespace {
 
-// Tunability of one knob after reconciling the request with the index's
-// capabilities. TuneKnob::kOn on a missing capability is an error the
-// caller reports; kAuto silently degrades to "pinned".
-Result<bool> ResolveKnob(TuneKnob knob, bool capable, const char* what) {
-  switch (knob) {
-    case TuneKnob::kOff:
-      return false;
-    case TuneKnob::kAuto:
-      return capable;
-    case TuneKnob::kOn:
-      if (!capable) {
-        return Status::Unsupported(std::string("cannot tune ") + what +
-                                   ": the index lacks the capability");
-      }
-      return true;
-  }
-  return Status::InvalidArgument("bad TuneKnob");
-}
-
-// Measures one configuration over the whole sample. Recall is deterministic
-// (SearchBatch partitions by query, so thread count never changes
-// results); QPS is a single wall-clock reading, indicative only.
+// Measures one configuration over the whole sample, once (MeasureSetting,
+// best of 1). Recall is deterministic (SearchBatch partitions by query, so
+// thread count never changes results); QPS is a single wall-clock reading,
+// indicative only.
 class Measurer {
  public:
   Measurer(const Index& index, const CalibrationTarget& target)
-      : index_(index),
-        target_(target),
-        nq_(target.sample_queries.rows),
-        ids_(nq_, target.k),
-        dists_(nq_ * target.k) {}
+      : index_(index), target_(target) {}
 
   const CalibrationPoint& Measure(const SearchOptions& options) {
     // The probe sequence revisits configurations (the bisection endpoints,
@@ -52,18 +29,14 @@ class Measurer {
     auto it = cache_.find(key);
     if (it != cache_.end()) return it->second;
 
-    BatchStats stats;
-    Timer timer;
-    index_.SearchBatchEx(target_.sample_queries, target_.k, options,
-                         ids_.data(), dists_.data(), &stats, target_.pool);
-    const double secs = timer.Seconds();
-
+    const SweepPoint measured = MeasureSetting(
+        index_.AsSearchIndex(), target_.sample_queries, target_.groundtruth,
+        target_.k, options, {.best_of = 1, .pool = target_.pool});
     CalibrationPoint point;
     point.options = options;
-    point.recall = MeanRecallAtK(ids_, *target_.groundtruth, target_.k);
-    point.dists_per_query =
-        static_cast<double>(stats.distance_computations) / nq_;
-    point.qps = secs > 0.0 ? nq_ / secs : 0.0;
+    point.recall = measured.recall;
+    point.dists_per_query = measured.dists_per_query;
+    point.qps = measured.qps;
     trace_.push_back(point);
     return cache_.emplace(key, point).first->second;
   }
@@ -84,9 +57,6 @@ class Measurer {
 
   const Index& index_;
   const CalibrationTarget& target_;
-  size_t nq_;
-  Matrix<uint32_t> ids_;
-  std::vector<float> dists_;
   std::map<Key, CalibrationPoint> cache_;
   std::vector<CalibrationPoint> trace_;
 };
@@ -126,16 +96,10 @@ Result<CalibrationReport> CalibrateIndex(const Index& index,
   // Only graph kinds answer to `window`; WrapSearchIndex()ed baselines are
   // accepted too (hnsw maps window to ef_search; the flat scans simply
   // plateau, and the plateau either meets the target at window = k or is
-  // reported unreachable).
-  auto tune_shards_or =
-      ResolveKnob(target.tune_shard_probes, (caps & kCapShardProbe) != 0,
-                  "nprobe_shards (shard probing)");
-  if (!tune_shards_or.ok()) return tune_shards_or.status();
-  auto tune_rerank_or = ResolveKnob(
-      target.tune_rerank, (caps & kCapRerank) != 0, "rerank_window (re-rank)");
-  if (!tune_rerank_or.ok()) return tune_rerank_or.status();
-  const bool tune_shards = tune_shards_or.value();
-  const bool tune_rerank = tune_rerank_or.value();
+  // reported unreachable). The other knobs are tuned exactly where the
+  // capabilities declare them.
+  const bool tune_shards = (caps & kCapShardProbe) != 0;
+  const bool tune_rerank = (caps & kCapRerank) != 0;
 
   const uint32_t k32 = static_cast<uint32_t>(target.k);
   const uint32_t max_window = std::max(target.max_window, k32);

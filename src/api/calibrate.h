@@ -14,10 +14,12 @@
 //      rerank_window = k, 2k, 4k, ... < window — the first (cheapest)
 //      depth that meets the target wins; the full window (0) is the
 //      fallback.
-// Every probed configuration is measured with SearchBatchEx (recall against
-// exact ground truth, distance computations per query, indicative QPS); the
-// refinement directions all strictly reduce work, so "first that meets the
-// target" is "cheapest that meets the target".
+// Phases 2 and 3 run exactly where capabilities() declares the knob.
+// Every probed configuration is measured once by MeasureSetting
+// (eval/harness.h: recall against exact ground truth, distance
+// computations per query, indicative QPS); the refinement directions all
+// strictly reduce work, so "first that meets the target" is "cheapest that
+// meets the target".
 #pragma once
 
 #include <vector>
@@ -29,11 +31,6 @@
 
 namespace blink {
 
-/// Whether one knob participates in calibration. kAuto follows the index's
-/// capabilities; kOn demands the knob (Unsupported Status when the index
-/// lacks the capability); kOff pins the seed value.
-enum class TuneKnob { kAuto, kOn, kOff };
-
 /// What to calibrate against. `sample_queries` should be held out from the
 /// traffic the tuned options will serve (the CLI tools split their query
 /// set); `groundtruth` holds the exact k nearest neighbors per sample row.
@@ -43,8 +40,6 @@ struct CalibrationTarget {
   const Matrix<uint32_t>* groundtruth = nullptr;  ///< nq x >= k exact ids
   size_t k = 10;               ///< neighbors per query
   uint32_t max_window = 1024;  ///< give up above this window
-  TuneKnob tune_shard_probes = TuneKnob::kAuto;  ///< nprobe_shards knob
-  TuneKnob tune_rerank = TuneKnob::kAuto;        ///< rerank_window knob
   /// Starting values; knobs the calibration does not own (prefetch,
   /// visited set, IVF nprobe/reorder) pass through unchanged.
   SearchOptions seed;
@@ -69,8 +64,7 @@ struct CalibrationReport {
 
 /// Runs the calibration described above. Errors:
 ///   InvalidArgument — empty/mismatched sample, bad k or target_recall;
-///   Unsupported     — a TuneKnob::kOn knob the index has no capability
-///                     for, or an index that cannot search;
+///   Unsupported     — an index that cannot search;
 ///   OutOfRange      — the target is unreachable at max_window (the
 ///                     message reports the best recall measured).
 Result<CalibrationReport> CalibrateIndex(const Index& index,

@@ -4,9 +4,66 @@
 #include <cstdio>
 
 #include "eval/metrics.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace blink {
+
+SweepPoint MeasureSetting(const SearchIndex& index, MatrixViewF queries,
+                          const Matrix<uint32_t>* truth, size_t k,
+                          const SearchOptions& options,
+                          const MeasureProtocol& protocol,
+                          Matrix<uint32_t>* ids) {
+  const size_t nq = queries.rows;
+  Matrix<uint32_t> own;
+  Matrix<uint32_t>& out = ids != nullptr ? *ids : own;
+  if (out.rows() != nq || out.cols() != k) out = Matrix<uint32_t>(nq, k);
+  // Batch-of-1 protocol: the latency path, one query at a time through
+  // one warm searcher, no batch parallelism.
+  std::unique_ptr<Searcher> searcher =
+      protocol.single_query ? index.MakeSearcher() : nullptr;
+  std::vector<double> micros(protocol.single_query ? nq : 0);
+  std::vector<double> best_micros;
+  BatchStats stats;
+  double best_seconds = -1.0;
+  for (int r = 0; r < std::max(1, protocol.best_of); ++r) {
+    stats = BatchStats{};
+    Timer t;
+    if (searcher != nullptr) {
+      double prev = 0.0;
+      for (size_t qi = 0; qi < nq; ++qi) {
+        searcher->Search(queries.row(qi), k, options, out.row(qi), nullptr,
+                         &stats);
+        const double now = t.Seconds();
+        micros[qi] = (now - prev) * 1e6;
+        prev = now;
+      }
+    } else {
+      SearchBatch(index, queries, k, options, out.data(), nullptr, &stats,
+                  protocol.pool);
+    }
+    const double s = t.Seconds();
+    if (best_seconds < 0.0 || s < best_seconds) {
+      best_seconds = s;
+      best_micros = micros;
+    }
+  }
+  SweepPoint pt;
+  pt.params = options;
+  if (truth != nullptr) pt.recall = MeanRecallAtK(out, *truth, k);
+  if (nq > 0) {
+    const double n = static_cast<double>(nq);
+    pt.qps = best_seconds > 0.0 ? n / best_seconds : 0.0;
+    pt.mean_latency_us = best_seconds * 1e6 / n;
+    pt.dists_per_query = static_cast<double>(stats.distance_computations) / n;
+    pt.hops_per_query = static_cast<double>(stats.hops) / n;
+  }
+  if (!best_micros.empty()) {
+    pt.p50_us = Percentile(best_micros, 50.0);
+    pt.p99_us = Percentile(best_micros, 99.0);
+  }
+  return pt;
+}
 
 std::vector<SweepPoint> RunSweep(const SearchIndex& index, MatrixViewF queries,
                                  const Matrix<uint32_t>& ground_truth,
@@ -14,75 +71,11 @@ std::vector<SweepPoint> RunSweep(const SearchIndex& index, MatrixViewF queries,
                                  const HarnessOptions& opts) {
   std::vector<SweepPoint> points;
   points.reserve(settings.size());
-  const size_t nq = queries.rows;
-  Matrix<uint32_t> ids(nq, opts.k);
-
   for (const SearchOptions& params : settings) {
-    SweepPoint pt;
-    pt.params = params;
-    double best_seconds = -1.0;
-    const int runs = std::max(1, opts.best_of);
-    // Batch-of-1 protocol: the latency path, one query at a time through
-    // one warm searcher, no batch parallelism.
-    std::unique_ptr<Searcher> searcher =
-        opts.single_query ? index.MakeSearcher() : nullptr;
-    for (int r = 0; r < runs; ++r) {
-      Timer t;
-      if (searcher != nullptr) {
-        SearchRows(*searcher, queries, 0, nq, opts.k, params, ids.data(),
-                   nullptr, nullptr);
-      } else {
-        SearchBatch(index, queries, opts.k, params, ids.data(), nullptr,
-                    nullptr, opts.pool);
-      }
-      const double s = t.Seconds();
-      if (best_seconds < 0.0 || s < best_seconds) best_seconds = s;
-    }
-    pt.recall = MeanRecallAtK(ids, ground_truth, opts.k);
-    pt.qps = best_seconds > 0.0 ? static_cast<double>(nq) / best_seconds : 0.0;
-    pt.mean_latency_us =
-        nq > 0 ? best_seconds * 1e6 / static_cast<double>(nq) : 0.0;
-    points.push_back(pt);
+    points.push_back(
+        MeasureSetting(index, queries, &ground_truth, opts.k, params, opts));
   }
   return points;
-}
-
-namespace {
-/// Pareto frontier in (recall asc, qps desc): for interpolation we want the
-/// best qps achievable at each recall level.
-std::vector<SweepPoint> ParetoByRecall(std::span<const SweepPoint> points) {
-  std::vector<SweepPoint> sorted(points.begin(), points.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const SweepPoint& a, const SweepPoint& b) {
-              return a.recall < b.recall;
-            });
-  // Keep points not dominated by a higher-recall, higher-qps point.
-  std::vector<SweepPoint> frontier;
-  double best_qps_right = -1.0;
-  for (size_t i = sorted.size(); i-- > 0;) {
-    if (sorted[i].qps > best_qps_right) {
-      frontier.push_back(sorted[i]);
-      best_qps_right = sorted[i].qps;
-    }
-  }
-  std::reverse(frontier.begin(), frontier.end());  // ascending recall
-  return frontier;
-}
-}  // namespace
-
-double QpsAtRecall(std::span<const SweepPoint> points, double target_recall) {
-  const auto frontier = ParetoByRecall(points);
-  if (frontier.empty()) return 0.0;
-  // Best QPS among points meeting the target: on the frontier, recall
-  // ascends while qps descends, so it is the first point >= target.
-  for (const SweepPoint& p : frontier) {
-    if (p.recall >= target_recall) {
-      // Interpolate against the previous (faster, lower-recall) point for a
-      // smoother estimate when one exists.
-      return p.qps;
-    }
-  }
-  return 0.0;
 }
 
 const SweepPoint* PointAtRecall(std::span<const SweepPoint> points,

@@ -1,7 +1,9 @@
-// QPS/recall sweep harness following the ANN-benchmarks protocol the paper
+// QPS/recall measurement following the ANN-benchmarks protocol the paper
 // adopts (Sec. 6.3): for each runtime setting, run the full query batch
 // (or one query at a time in single-query mode), report the best throughput
-// of `best_of` runs, and pair it with the achieved k-recall@k.
+// of `best_of` runs, and pair it with the achieved k-recall@k. Every QPS,
+// recall and latency figure in the tree (the sweeps, blink_report's rows,
+// Calibrate's probes, the tools) is taken by MeasureSetting below.
 #pragma once
 
 #include <span>
@@ -14,33 +16,54 @@
 
 namespace blink {
 
+/// One measured setting.
 struct SweepPoint {
   SearchOptions params;
-  double recall = 0.0;
-  double qps = 0.0;
-  double mean_latency_us = 0.0;  ///< per-query wall time (single-query mode)
+  double recall = 0.0;           ///< mean k-recall@k (0 without ground truth)
+  double qps = 0.0;              ///< queries over the best run's wall time
+  double mean_latency_us = 0.0;  ///< the best run's wall time per query
+  /// Work per query from BatchStats (0 where the index does not count it).
+  double dists_per_query = 0.0;
+  double hops_per_query = 0.0;
+  /// Per-query latency percentiles of the best run, in single-query mode
+  /// only (a batch run times the batch, not its queries).
+  double p50_us = 0.0;
+  double p99_us = 0.0;
 };
 
-struct HarnessOptions {
-  size_t k = 10;
+/// How one setting is timed.
+struct MeasureProtocol {
   int best_of = 3;            ///< paper reports best of 5 runs
   bool single_query = false;  ///< batch-of-1 protocol (Table 3 right half)
-  ThreadPool* pool = nullptr;
+  ThreadPool* pool = nullptr; ///< batch parallelism; unused in single-query
 };
 
-/// Runs the index over every setting and returns one point per setting.
+struct HarnessOptions : MeasureProtocol {
+  size_t k = 10;
+};
+
+/// The one timing core behind every QPS, recall and latency figure: runs
+/// `options` over the whole query batch `best_of` times and keeps the
+/// fastest run. Batch mode splits the batch over `pool` (SearchBatch);
+/// single-query mode runs one query at a time through one warm searcher
+/// and times each query. Recall is scored against `truth` (nq x >= k,
+/// may be null); the search is deterministic, so the ids and work
+/// counters of any run stand for all. When `ids` is non-null it receives
+/// the result ids (resized to nq x k).
+SweepPoint MeasureSetting(const SearchIndex& index, MatrixViewF queries,
+                          const Matrix<uint32_t>* truth, size_t k,
+                          const SearchOptions& options,
+                          const MeasureProtocol& protocol,
+                          Matrix<uint32_t>* ids = nullptr);
+
+/// MeasureSetting over every setting: one point per setting.
 std::vector<SweepPoint> RunSweep(const SearchIndex& index, MatrixViewF queries,
                                  const Matrix<uint32_t>& ground_truth,
                                  std::span<const SearchOptions> settings,
                                  const HarnessOptions& opts);
 
-/// Best QPS among points with recall >= target; linearly interpolates QPS
-/// between the bracketing points when no measured point reaches the target
-/// exactly. Returns 0 if the target is unreachable.
-double QpsAtRecall(std::span<const SweepPoint> points, double target_recall);
-
-/// Recall of the point whose recall is closest to (and >=) the target;
-/// convenience for table printing.
+/// QPS at recall: the fastest point whose recall is >= the target, or null
+/// when no point reaches it.
 const SweepPoint* PointAtRecall(std::span<const SweepPoint> points,
                                 double target_recall);
 

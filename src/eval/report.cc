@@ -8,9 +8,7 @@
 #include <utility>
 
 #include "api/calibrate.h"
-#include "eval/metrics.h"
-#include "util/stats.h"
-#include "util/timer.h"
+#include "eval/harness.h"
 
 namespace blink {
 namespace json {
@@ -480,40 +478,21 @@ BenchFlavorReport MeasureFlavor(const std::string& name, const Index& index,
   f.primary_dim =
       index.spec().leanvec_dim > 0 ? index.spec().leanvec_dim : index.dim();
 
-  // Batch throughput: best of `best_of` runs (the harness protocol). The
-  // search is deterministic, so stats from the last rep stand for all.
-  Matrix<uint32_t> ids(ne, k);
-  BatchStats stats;
-  double best_seconds = -1.0;
-  for (int rep = 0; rep < std::max(1, config.best_of); ++rep) {
-    stats = BatchStats{};
-    Timer t;
-    index.SearchBatchEx(eval, k, f.options, ids.data(), nullptr, &stats,
-                        config.pool);
-    const double s = t.Seconds();
-    if (best_seconds < 0.0 || s < best_seconds) best_seconds = s;
-  }
-  f.recall = MeanRecallAtK(ids, gt_eval, k);
-  f.qps = best_seconds > 0.0 ? static_cast<double>(ne) / best_seconds : 0.0;
-  f.dists_per_query = ne > 0 ? static_cast<double>(stats.distance_computations) /
-                                   static_cast<double>(ne)
-                             : 0.0;
-
-  // Single-query latency percentiles through a pooled searcher (the serving
-  // path's unit of work).
-  std::unique_ptr<Searcher> searcher = index.MakeSearcher();
-  std::vector<double> micros;
-  micros.reserve(ne);
-  std::vector<uint32_t> one_ids(k);
-  std::vector<float> one_dists(k);
-  for (size_t qi = 0; qi < ne; ++qi) {
-    Timer t;
-    searcher->Search(eval.row(qi), k, f.options, one_ids.data(),
-                     one_dists.data(), nullptr);
-    micros.push_back(t.Micros());
-  }
-  f.p50_us = Percentile(micros, 50.0);
-  f.p99_us = Percentile(micros, 99.0);
+  // Batch throughput: best of `best_of` runs (the harness protocol), then
+  // single-query latency percentiles through one warm searcher (the
+  // serving path's unit of work).
+  const SearchIndex& search = index.AsSearchIndex();
+  const SweepPoint batch =
+      MeasureSetting(search, eval, &gt_eval, k, f.options,
+                     {.best_of = config.best_of, .pool = config.pool});
+  f.recall = batch.recall;
+  f.qps = batch.qps;
+  f.dists_per_query = batch.dists_per_query;
+  const SweepPoint single = MeasureSetting(
+      search, eval, nullptr, k, f.options,
+      {.best_of = 1, .single_query = true});
+  f.p50_us = single.p50_us;
+  f.p99_us = single.p99_us;
   return f;
 }
 

@@ -159,7 +159,13 @@ Result<std::unique_ptr<ShardedIndex>> LoadShardedIndex(
   }
 
   // Shards are static LVQ bundles, copied; the manifest's configuration is
-  // the fallback for a version-1 shard graph.
+  // the fallback for a version-1 shard graph. The manifest holds no graph
+  // degree: it comes from the shard graphs' headers.
+  ShardedBuildParams config;
+  config.partition.num_shards = S;
+  config.graph = actual_bp;
+  config.bits1 = static_cast<int>(bits1);
+  config.bits2 = static_cast<int>(bits2);
   std::vector<std::unique_ptr<ShardedIndex::Shard>> shards(S);
   for (uint64_t s = 0; s < S; ++s) {
     const size_t m = part.shard_to_global[s].size();
@@ -184,12 +190,13 @@ Result<std::unique_ptr<ShardedIndex>> LoadShardedIndex(
       return Status::IOError(prefix +
                              ": shard LVQ encoding disagrees with manifest");
     }
+    config.graph.graph_max_degree = b.params.graph_max_degree;
     shards[s] = std::make_unique<ShardedIndex::Shard>(
         LvqStorage(std::move(ds).value(), b.metric), std::move(b.graph),
         b.params);
   }
   return std::make_unique<ShardedIndex>(std::move(shards), std::move(part),
-                                        actual_metric);
+                                        actual_metric, std::move(config));
 }
 
 }  // namespace blink

@@ -104,10 +104,12 @@ class ShardedIndex::ShardedSearcher : public Searcher {
 // ShardedIndex.
 // ---------------------------------------------------------------------------
 ShardedIndex::ShardedIndex(std::vector<std::unique_ptr<Shard>> shards,
-                           Partition partition, Metric metric)
+                           Partition partition, Metric metric,
+                           ShardedBuildParams config)
     : shards_(std::move(shards)),
       partition_(std::move(partition)),
       metric_(metric),
+      config_(std::move(config)),
       probe_counts_(new std::atomic<uint64_t>[shards_.size()]) {
   for (size_t s = 0; s < shards_.size(); ++s) {
     probe_counts_[s].store(0, std::memory_order_relaxed);
@@ -201,8 +203,8 @@ std::unique_ptr<ShardedIndex> BuildShardedLvq(MatrixViewF data, Metric metric,
     for (size_t s = 0; s < S; ++s) build_shard(s, nullptr);
   }
 
-  auto index = std::make_unique<ShardedIndex>(std::move(shards),
-                                              std::move(partition), metric);
+  auto index = std::make_unique<ShardedIndex>(
+      std::move(shards), std::move(partition), metric, params);
   index->set_build_seconds(timer.Seconds());
   return index;
 }

@@ -42,9 +42,10 @@ class ShardedIndex : public SearchIndex {
   using Shard = VamanaIndex<LvqStorage>;
 
   /// Adopts pre-built shards (the loader's path). `shards[s]` may be null
-  /// only when partition.shard_to_global[s] is empty.
+  /// only when partition.shard_to_global[s] is empty. `config` is what
+  /// every shard was built with; it is kept even when no shard is live.
   ShardedIndex(std::vector<std::unique_ptr<Shard>> shards,
-               Partition partition, Metric metric);
+               Partition partition, Metric metric, ShardedBuildParams config);
 
   std::string name() const override;
   size_t size() const override { return partition_.total_size(); }
@@ -60,22 +61,12 @@ class ShardedIndex : public SearchIndex {
   const Shard* shard(size_t s) const { return shards_[s].get(); }
   const Partition& partition() const { return partition_; }
   Metric metric() const { return metric_; }
-  /// LVQ encoding and graph build params of the shards (from the first
-  /// live shard; every shard is built with the same configuration, and the
-  /// loader checks each against the manifest). Defaults when all shards
-  /// are empty.
-  int bits1() const {
-    return live_shards_.empty() ? ShardedBuildParams{}.bits1
-                                : shards_[live_shards_[0]]->storage().bits1();
-  }
-  int bits2() const {
-    return live_shards_.empty() ? ShardedBuildParams{}.bits2
-                                : shards_[live_shards_[0]]->storage().bits2();
-  }
-  VamanaBuildParams build_params() const {
-    return live_shards_.empty() ? VamanaBuildParams{}
-                                : shards_[live_shards_[0]]->build_params();
-  }
+  /// LVQ encoding and graph build params of the shards: the build's
+  /// configuration, or the manifest's on load (the loader checks each
+  /// shard's encoding against it).
+  int bits1() const { return config_.bits1; }
+  int bits2() const { return config_.bits2; }
+  const VamanaBuildParams& build_params() const { return config_.graph; }
   double build_seconds() const { return build_seconds_; }
   void set_build_seconds(double s) { build_seconds_ = s; }
 
@@ -109,6 +100,7 @@ class ShardedIndex : public SearchIndex {
   std::vector<std::unique_ptr<Shard>> shards_;
   Partition partition_;
   Metric metric_;
+  ShardedBuildParams config_;
   std::vector<uint32_t> live_shards_;  ///< shards with at least one vector
   std::shared_ptr<const MetadataStore> metadata_;  ///< global-id store
   double build_seconds_ = 0.0;

@@ -5,10 +5,14 @@
 // the same recall every run.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <map>
+#include <string>
 
 #include "api/calibrate.h"
 #include "api/index.h"
+#include "simd/distance.h"
 #include "testutil.h"
 
 namespace blink {
@@ -168,28 +172,17 @@ TEST(Calibrate, UnreachableTargetIsOutOfRange) {
 
 // --- capability handling --------------------------------------------------
 
-TEST(Calibrate, TuneOnWithoutCapabilityIsUnsupported) {
+TEST(Calibrate, KnobWithoutCapabilityIsNotTuned) {
   const Fixture& f = SharedFixture();
-  const Index& unsharded = BuiltIndex(IndexKind::kStaticLvq);
-  CalibrationTarget shards = TargetFor(f, 0.9);
-  shards.tune_shard_probes = TuneKnob::kOn;
-  Result<SearchOptions> r1 = unsharded.Calibrate(shards);
-  ASSERT_FALSE(r1.ok());
-  EXPECT_EQ(r1.status().code(), StatusCode::kUnsupported);
-
-  // Full-precision storage has no second level to re-rank with.
+  // Unsharded full-precision storage has no shards to probe and no second
+  // level to re-rank with: neither knob moves, and calibration succeeds.
   IndexSpec spec = SpecFor(IndexKind::kStaticF32, f);
   Result<Index> f32 = Build(spec, f.data.base);
   ASSERT_TRUE(f32.ok());
-  CalibrationTarget rerank = TargetFor(f, 0.9);
-  rerank.tune_rerank = TuneKnob::kOn;
-  Result<SearchOptions> r2 = f32.value().Calibrate(rerank);
-  ASSERT_FALSE(r2.ok());
-  EXPECT_EQ(r2.status().code(), StatusCode::kUnsupported);
-
-  // kAuto on the same index degrades to "pinned" instead of erroring.
   Result<SearchOptions> r3 = f32.value().Calibrate(TargetFor(f, 0.9));
-  EXPECT_TRUE(r3.ok()) << r3.status().ToString();
+  ASSERT_TRUE(r3.ok()) << r3.status().ToString();
+  EXPECT_EQ(r3.value().nprobe_shards, 0u);
+  EXPECT_EQ(r3.value().rerank_window, 0u);
 }
 
 TEST(Calibrate, ShardProbeTuningStaysWithinShardCount) {
@@ -224,6 +217,76 @@ TEST(Calibrate, RejectsBadTargets) {
   shallow_gt.k = f.gt.cols() + 1;
   EXPECT_EQ(index.Calibrate(shallow_gt).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// --- pinned calibration ---------------------------------------------------
+
+/// The calibrated options and every trace step in probe order: the
+/// options, the recall bits and the dists_per_query bits. QPS is timing,
+/// so it is left out.
+std::string TraceText(const CalibrationReport& report) {
+  std::string out;
+  char line[160];
+  auto add_options = [&](const SearchOptions& o) {
+    std::snprintf(line, sizeof(line), "w%u s%u r%d rw%u np%u rk%u", o.window,
+                  o.nprobe_shards, o.rerank ? 1 : 0, o.rerank_window,
+                  o.nprobe, o.reorder_k);
+    out += line;
+  };
+  add_options(report.options);
+  out += "\n";
+  for (const CalibrationPoint& p : report.trace) {
+    uint64_t recall = 0, dists = 0;
+    std::memcpy(&recall, &p.recall, sizeof(recall));
+    std::memcpy(&dists, &p.dists_per_query, sizeof(dists));
+    add_options(p.options);
+    std::snprintf(line, sizeof(line), " %016llx %016llx\n",
+                  static_cast<unsigned long long>(recall),
+                  static_cast<unsigned long long>(dists));
+    out += line;
+  }
+  return out;
+}
+
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 1469598103934665603ull;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// What Calibrate picks and measures on every facade kind: a rewrite of the
+// measurement under Calibrate must probe the same configurations in the
+// same order and measure the same recall and work. On this fixture the
+// words agree under every SIMD backend (BLINK_SIMD=scalar|avx2|avx512).
+TEST(Calibrate, OptionsAndTraceArePinned) {
+  const Fixture& f = SharedFixture();
+  struct Pin {
+    IndexKind kind;
+    uint64_t word;
+  };
+  for (const Pin& pin : {
+           Pin{IndexKind::kStaticF32, 0xe2a82b4798d56deb},
+           Pin{IndexKind::kStaticF16, 0x289b7ac4462d5422},
+           Pin{IndexKind::kStaticLvq, 0x4fce4f36569a921f},
+           Pin{IndexKind::kSharded, 0x17f6f7aebaeffc37},
+           Pin{IndexKind::kDynamicF32, 0x2e04d1b42bad1797},
+           Pin{IndexKind::kDynamicLvq, 0xa543cc8996ff3ac1},
+           Pin{IndexKind::kStaticLeanVec, 0x90f0dafbc9e2cb5b},
+           Pin{IndexKind::kStaticLeanVecLvq, 0x032a59f94967fee7},
+       }) {
+    Result<CalibrationReport> report =
+        CalibrateIndex(BuiltIndex(pin.kind), TargetFor(f, 0.95));
+    ASSERT_TRUE(report.ok()) << KindName(pin.kind) << ": "
+                             << report.status().ToString();
+    const std::string text = TraceText(report.value());
+    EXPECT_EQ(Fnv1a(text), pin.word)
+        << KindName(pin.kind) << " (" << simd::BackendName() << "): 0x"
+        << std::hex << Fnv1a(text) << "\n"
+        << text;
+  }
 }
 
 // --- SearchOptions itself -------------------------------------------------

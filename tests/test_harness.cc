@@ -100,9 +100,11 @@ TEST(Harness, QpsAtRecallPicksFrontier) {
   pts[1].qps = 600;
   pts[2].recall = 0.99;
   pts[2].qps = 200;
-  EXPECT_DOUBLE_EQ(QpsAtRecall(pts, 0.9), 600.0);
-  EXPECT_DOUBLE_EQ(QpsAtRecall(pts, 0.95), 200.0);
-  EXPECT_DOUBLE_EQ(QpsAtRecall(pts, 0.995), 0.0);  // unreachable
+  ASSERT_NE(PointAtRecall(pts, 0.9), nullptr);
+  EXPECT_DOUBLE_EQ(PointAtRecall(pts, 0.9)->qps, 600.0);
+  ASSERT_NE(PointAtRecall(pts, 0.95), nullptr);
+  EXPECT_DOUBLE_EQ(PointAtRecall(pts, 0.95)->qps, 200.0);
+  EXPECT_EQ(PointAtRecall(pts, 0.995), nullptr);  // unreachable
 }
 
 TEST(Harness, QpsAtRecallIgnoresDominatedPoints) {
@@ -113,7 +115,8 @@ TEST(Harness, QpsAtRecallIgnoresDominatedPoints) {
   pts[1].qps = 500;
   pts[2].recall = 0.99;
   pts[2].qps = 100;
-  EXPECT_DOUBLE_EQ(QpsAtRecall(pts, 0.9), 900.0);
+  ASSERT_NE(PointAtRecall(pts, 0.9), nullptr);
+  EXPECT_DOUBLE_EQ(PointAtRecall(pts, 0.9)->qps, 900.0);
 }
 
 TEST(Harness, PointAtRecallReturnsBestQps) {

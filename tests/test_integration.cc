@@ -158,11 +158,11 @@ TEST(Integration, HarnessRanksEncodingsConsistently) {
   auto sweep = WindowSweep({16, 32, 64});
   auto pts32 = RunSweep(*f32, w.data.queries, w.gt, sweep, opts);
   auto pts8 = RunSweep(*lvq, w.data.queries, w.gt, sweep, opts);
-  const double q32 = QpsAtRecall(pts32, 0.85);
-  const double q8 = QpsAtRecall(pts8, 0.85);
-  ASSERT_GT(q32, 0.0);
-  ASSERT_GT(q8, 0.0);
-  EXPECT_GT(q8, q32 * 0.4);
+  const SweepPoint* at32 = PointAtRecall(pts32, 0.85);
+  const SweepPoint* at8 = PointAtRecall(pts8, 0.85);
+  ASSERT_NE(at32, nullptr);
+  ASSERT_NE(at8, nullptr);
+  EXPECT_GT(at8->qps, at32->qps * 0.4);
 }
 
 TEST(Integration, SerializationRoundTripForGeneratedData) {

@@ -288,6 +288,32 @@ TEST_F(ShardedSerializeTest, RoundTripPreservesEmptyShards) {
   EXPECT_EQ(loaded.value()->size(), 3u);
 }
 
+// With no live shard there is no shard to read the configuration from:
+// the index must keep the one it was built with, and the manifest must
+// carry back what it holds (the LVQ levels and the build knobs; the graph
+// degree lives in the shard graph headers only).
+TEST_F(ShardedSerializeTest, AllEmptyIndexKeepsItsConfiguration) {
+  ShardedBuildParams sp;
+  sp.partition.num_shards = 3;
+  sp.partition.method = PartitionMethod::kRoundRobin;
+  sp.graph.graph_max_degree = 20;
+  sp.graph.window_size = 40;
+  sp.bits1 = 4;
+  sp.bits2 = 8;
+  auto built = BuildShardedLvq(MatrixViewF(nullptr, 0, 16), Metric::kL2, sp);
+  ASSERT_EQ(built->size(), 0u);
+  const std::string dir = DirPath("sharded_all_empty");
+  ASSERT_TRUE(SaveShardedIndex(dir, *built).ok());
+  auto loaded = LoadShardedIndex(dir, Metric::kL2, VamanaBuildParams{}, false);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(built->build_params().graph_max_degree, 20u);
+  for (const ShardedIndex* idx : {built.get(), loaded.value().get()}) {
+    EXPECT_EQ(idx->bits1(), 4);
+    EXPECT_EQ(idx->bits2(), 8);
+    EXPECT_EQ(idx->build_params().window_size, 40u);
+  }
+}
+
 TEST_F(ShardedSerializeTest, CorruptManifestRejected) {
   const std::string dir = DirPath("sharded_bad");
   std::filesystem::create_directories(dir);

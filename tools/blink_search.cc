@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -55,27 +54,11 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-/// Consumes every bare `--map` from argv (FlagParser only iterates
-/// `--flag value` pairs); returns true when one was present.
-bool TakeMapFlag(int* argc, char** argv) {
-  bool found = false;
-  int w = 1;
-  for (int r = 1; r < *argc; ++r) {
-    if (std::strcmp(argv[r], "--map") == 0) {
-      found = true;
-    } else {
-      argv[w++] = argv[r];
-    }
-  }
-  *argc = w;
-  return found;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   OpenOptions open_opts;
-  if (TakeMapFlag(&argc, argv)) open_opts.load_mode = LoadMode::kMap;
+  if (tools::TakeMapFlag(&argc, argv)) open_opts.load_mode = LoadMode::kMap;
   if (argc < 3) return Usage(argv[0]);
   const std::string prefix = argv[1];
   const std::string query_path = argv[2];
@@ -261,19 +244,17 @@ int main(int argc, char** argv) {
     s.filter_widen_cap = filter_widen_cap;
   }
 
+  // Best of 5, as the paper measures.
+  const Matrix<uint32_t>* truth = gt.rows() == nq ? &gt : nullptr;
   std::printf("%-8s %-12s %-10s\n", "window", "QPS", gt_path.empty() ? "-" : "recall");
   for (const SearchOptions& params : settings) {
-    const uint32_t w = params.window;
-    double best = 0.0;
-    for (int rep = 0; rep < 5; ++rep) {
-      Timer t;
-      index.value().SearchBatch(queries.value(), k, params, ids.data(), &pool);
-      best = std::max(best, static_cast<double>(nq) / t.Seconds());
-    }
-    if (gt.rows() == nq) {
-      std::printf("%-8u %-12.0f %-10.4f\n", w, best, MeanRecallAtK(ids, gt, k));
+    const SweepPoint pt =
+        MeasureSetting(index.value().AsSearchIndex(), queries.value(), truth,
+                       k, params, {.best_of = 5, .pool = &pool}, &ids);
+    if (truth != nullptr) {
+      std::printf("%-8u %-12.0f %-10.4f\n", params.window, pt.qps, pt.recall);
     } else {
-      std::printf("%-8u %-12.0f %-10s\n", w, best, "-");
+      std::printf("%-8u %-12.0f %-10s\n", params.window, pt.qps, "-");
     }
   }
 

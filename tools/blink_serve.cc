@@ -89,6 +89,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -124,99 +125,129 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-struct ClientResult {
-  std::vector<double> latencies_ms;
-  size_t queries = 0;
-  size_t rejected = 0;  ///< async submissions resolved with a non-kOk outcome
+/// How one closed-loop request went.
+struct Reply {
+  bool sent = true;         ///< false: transport error; the client stops
+  bool answered = false;    ///< the rows hold answers; else rejected
+  uint64_t generation = 0;  ///< serving generation (0 = not reported)
 };
 
-/// One closed-loop measurement: C clients hammering the engine for
-/// `duration` seconds at one SearchOptions setting.
+/// Issues one request for query rows [qi, qi + take) and, when it is
+/// answered, writes their k ids per row to `ids`. Each client owns one
+/// (it may hold that client's connection).
+using Issue = std::function<Reply(size_t qi, size_t take, uint32_t* ids)>;
+
+/// One closed-loop run, summed over the clients. Rejected requests are
+/// counted, never scored: a query the engine or server refused (admission
+/// control, shutdown) must not drag recall down — it was never answered,
+/// wrongly or otherwise.
 struct LoadResult {
-  std::vector<double> latencies_ms;
-  size_t queries = 0;
-  size_t rejected = 0;
+  std::vector<double> latencies_ms;  ///< one per request
+  size_t answered = 0;               ///< queries
+  size_t rejected = 0;               ///< queries
+  size_t transport_errors = 0;
+  uint64_t min_generation = std::numeric_limits<uint64_t>::max();
+  uint64_t max_generation = 0;
   double elapsed = 0.0;
-  double dists_per_query = 0.0;
 };
 
-LoadResult RunLoad(ServingEngine& engine, MatrixViewF queries, size_t k,
-                   const SearchOptions& params, size_t clients, double duration,
-                   bool async_mode, size_t batch, Matrix<uint32_t>* results,
-                   std::vector<char>* answered) {
-  const size_t nq = queries.rows;
-  std::vector<ClientResult> per_client(clients);
+/// The closed-loop driver of every mode: C clients, each with the issuer
+/// `make_issue(c)` returns, cycle through disjoint stripes of the nq
+/// queries `batch` rows per request until `duration` seconds pass or a stop
+/// is requested. An empty issuer (no connection) is one transport error.
+/// Answered rows land in `results` and are marked in `answered`; stripes
+/// are disjoint per client, so there are no concurrent writers.
+LoadResult RunClosedLoop(size_t nq, size_t clients, size_t batch,
+                         double duration,
+                         const std::function<Issue(size_t)>& make_issue,
+                         Matrix<uint32_t>* results,
+                         std::vector<char>* answered) {
+  std::vector<LoadResult> per_client(clients);
   std::vector<std::thread> workers;
   workers.reserve(clients);
-  const ServingCounters before = engine.counters();
   Timer wall;
   for (size_t c = 0; c < clients; ++c) {
     workers.emplace_back([&, c] {
-      ClientResult& out = per_client[c];
+      LoadResult& out = per_client[c];
+      const Issue issue = make_issue(c);
+      if (!issue) {
+        out.transport_errors += 1;
+        return;
+      }
       const size_t lo = nq * c / clients;
       const size_t hi = std::max(lo + 1, nq * (c + 1) / clients);
       size_t qi = lo;
       while (wall.Seconds() < duration && !tools::StopRequested()) {
+        const size_t take = std::min(batch, hi - qi);
         Timer t;
-        if (async_mode) {
-          auto fut = engine.Submit(queries.row(qi), k, params);
-          SearchResult res = fut.get();
-          // A non-kOk outcome (shutdown race) never ran: the row keeps its
-          // previous answer (if any) and the query is tallied as rejected,
-          // not scored against recall.
-          if (res.outcome == SearchOutcome::kOk) {
-            std::copy(res.ids.begin(), res.ids.end(), results->row(qi));
-            (*answered)[qi] = 1;
-            out.queries += 1;
-          } else {
-            out.rejected += 1;
-          }
-          qi = qi + 1 >= hi ? lo : qi + 1;
-        } else {
-          const size_t take = std::min(batch, hi - qi);
-          MatrixViewF slice(queries.row(qi), take, queries.cols);
-          engine.SearchBatch(slice, k, params, results->row(qi));
-          for (size_t r = 0; r < take; ++r) (*answered)[qi + r] = 1;
-          out.queries += take;
-          qi = qi + take >= hi ? lo : qi + take;
+        const Reply reply = issue(qi, take, results->row(qi));
+        if (!reply.sent) {
+          out.transport_errors += 1;
+          break;  // the stream is broken; this client is done
         }
         out.latencies_ms.push_back(t.Millis());
+        out.min_generation = std::min(out.min_generation, reply.generation);
+        out.max_generation = std::max(out.max_generation, reply.generation);
+        if (reply.answered) {
+          std::fill_n(answered->begin() + static_cast<std::ptrdiff_t>(qi),
+                      take, 1);
+          out.answered += take;
+        } else {
+          out.rejected += take;
+        }
+        qi = qi + take >= hi ? lo : qi + take;
       }
     });
   }
   for (auto& w : workers) w.join();
   LoadResult r;
   r.elapsed = wall.Seconds();
-  for (const ClientResult& c : per_client) {
+  for (const LoadResult& c : per_client) {
     r.latencies_ms.insert(r.latencies_ms.end(), c.latencies_ms.begin(),
                           c.latencies_ms.end());
-    r.queries += c.queries;
+    r.answered += c.answered;
     r.rejected += c.rejected;
+    r.transport_errors += c.transport_errors;
+    r.min_generation = std::min(r.min_generation, c.min_generation);
+    r.max_generation = std::max(r.max_generation, c.max_generation);
   }
-  const ServingCounters after = engine.counters();
-  const uint64_t q = after.queries - before.queries;
-  r.dists_per_query =
-      q > 0 ? static_cast<double>(after.distance_computations -
-                                  before.distance_computations) /
-                  static_cast<double>(q)
-            : 0.0;
   return r;
 }
 
-/// Consumes every bare `--map` from argv (FlagParser only iterates
-/// `--flag value` pairs); returns true when one was present.
-bool TakeMapFlag(int* argc, char** argv) {
-  bool found = false;
-  int w = 1;
-  for (int r = 1; r < *argc; ++r) {
-    if (std::strcmp(argv[r], "--map") == 0) {
-      found = true;
-    } else {
-      argv[w++] = argv[r];
-    }
+/// Throughput and request latency of one run.
+void PrintLoad(const LoadResult& r) {
+  std::printf("QPS (answered)    %10.0f\n",
+              r.elapsed > 0 ? static_cast<double>(r.answered) / r.elapsed
+                            : 0.0);
+  if (r.rejected > 0) {
+    std::printf("rejected          %10zu  (excluded from recall)\n",
+                r.rejected);
   }
-  *argc = w;
-  return found;
+  if (r.latencies_ms.empty()) return;
+  std::printf("latency p50       %10.3f ms\n", Percentile(r.latencies_ms, 50));
+  std::printf("latency p90       %10.3f ms\n", Percentile(r.latencies_ms, 90));
+  std::printf("latency p99       %10.3f ms\n", Percentile(r.latencies_ms, 99));
+  std::printf("latency max       %10.3f ms\n",
+              *std::max_element(r.latencies_ms.begin(), r.latencies_ms.end()));
+}
+
+/// Recall over the answered rows only (a rejected query was never
+/// answered, so it cannot count as a miss); nothing without ground truth.
+void PrintRecall(const char* label, const Matrix<uint32_t>& results,
+                 const std::vector<char>& answered,
+                 const Matrix<uint32_t>& truth, size_t k) {
+  const size_t nq = results.rows();
+  if (truth.rows() != nq) return;
+  size_t scored = 0;
+  double sum = 0.0;
+  for (size_t qi = 0; qi < nq; ++qi) {
+    if (!answered[qi]) continue;
+    sum += RecallAtK({results.row(qi), k}, {truth.row(qi), truth.cols()}, k);
+    ++scored;
+  }
+  std::printf("recall@%-2zu%s %10.4f  (over %zu/%zu answered queries)\n", k,
+              *label != '\0' ? label : "         ",
+              scored > 0 ? sum / static_cast<double>(scored) : 0.0, scored, nq);
 }
 
 /// Gaussian query matrix for --index mode (no dataset to draw from).
@@ -253,18 +284,6 @@ struct ConnectConfig {
   std::shared_ptr<const Predicate> filter;
   FilterStrategy filter_strategy = FilterStrategy::kAuto;
   uint32_t filter_widen_cap = 0;
-};
-
-/// Per-client tallies. Rejected requests are counted, never scored: a
-/// query the server refused (admission control / shutdown) must not drag
-/// recall down — it was never answered, wrongly or otherwise.
-struct NetClientResult {
-  std::vector<double> latencies_ms;
-  size_t answered = 0;       ///< queries with a kOk response
-  size_t rejected = 0;       ///< queries in kOverloaded/kShuttingDown replies
-  size_t transport_errors = 0;
-  uint64_t min_generation = std::numeric_limits<uint64_t>::max();
-  uint64_t max_generation = 0;
 };
 
 int RunConnectMode(const ConnectConfig& cfg) {
@@ -362,57 +381,26 @@ int RunConnectMode(const ConnectConfig& cfg) {
   options.filter_strategy = cfg.filter_strategy;
   options.filter_widen_cap = cfg.filter_widen_cap;
 
-  // `answered[qi]` marks rows of `results` holding a scored answer;
-  // stripes are disjoint per client so there are no concurrent writers.
   Matrix<uint32_t> results(nq, cfg.k);
   std::vector<char> answered(nq, 0);
-  std::vector<NetClientResult> per_client(clients);
   std::atomic<bool> stop_load{false};
   Timer wall;
-
-  std::vector<std::thread> workers;
-  workers.reserve(clients);
-  for (size_t c = 0; c < clients; ++c) {
-    workers.emplace_back([&, c] {
-      NetClientResult& out = per_client[c];
-      auto conn = net::BlinkClient::Connect(cfg.host, cfg.port);
-      if (!conn.ok()) {
-        out.transport_errors += 1;
-        return;
-      }
-      net::BlinkClient client = std::move(conn).value();
-      const size_t lo = nq * c / clients;
-      const size_t hi = std::max(lo + 1, nq * (c + 1) / clients);
-      size_t qi = lo;
-      while (wall.Seconds() < cfg.duration && !tools::StopRequested() &&
-             !stop_load.load(std::memory_order_relaxed)) {
-        const size_t take = std::min(cfg.batch, hi - qi);
-        MatrixViewF slice(queries.row(qi), take, queries.cols());
-        net::SearchResponse res;
-        Timer t;
-        Status s = client.Search(slice, static_cast<uint32_t>(cfg.k), options,
-                                 &res);
-        if (!s.ok()) {
-          out.transport_errors += 1;
-          break;  // the stream is broken; this client is done
-        }
-        out.latencies_ms.push_back(t.Millis());
-        out.min_generation = std::min(out.min_generation, res.generation);
-        out.max_generation = std::max(out.max_generation, res.generation);
-        if (res.status == net::WireStatus::kOk) {
-          for (size_t r = 0; r < take; ++r) {
-            std::copy_n(res.ids.data() + r * cfg.k, cfg.k,
-                        results.row(qi + r));
-            answered[qi + r] = 1;
-          }
-          out.answered += take;
-        } else {
-          out.rejected += take;
-        }
-        qi = qi + take >= hi ? lo : qi + take;
-      }
-    });
-  }
+  // Each client opens its own connection and sends B-query requests.
+  auto connect = [&](size_t) -> Issue {
+    auto conn = net::BlinkClient::Connect(cfg.host, cfg.port);
+    if (!conn.ok()) return nullptr;
+    auto client =
+        std::make_shared<net::BlinkClient>(std::move(conn).value());
+    return [&, client](size_t qi, size_t take, uint32_t* ids) {
+      net::SearchResponse res;
+      Status s = client->Search(MatrixViewF(queries.row(qi), take, dim),
+                                static_cast<uint32_t>(cfg.k), options, &res);
+      if (!s.ok()) return Reply{.sent = false};
+      const bool ok = res.status == net::WireStatus::kOk;
+      if (ok) std::copy_n(res.ids.data(), take * cfg.k, ids);
+      return Reply{.answered = ok, .generation = res.generation};
+    };
+  };
 
   // Hot-swap driver: cycles through --swap artifacts on its own
   // connection while the clients hammer the server.
@@ -442,38 +430,17 @@ int RunConnectMode(const ConnectConfig& cfg) {
     });
   }
 
-  for (auto& w : workers) w.join();
+  const LoadResult total = RunClosedLoop(nq, clients, cfg.batch,
+                                         cfg.duration, connect, &results,
+                                         &answered);
   stop_load.store(true);
   if (swapper.joinable()) swapper.join();
-  const double elapsed = wall.Seconds();
-
-  NetClientResult total;
-  total.min_generation = std::numeric_limits<uint64_t>::max();
-  for (const NetClientResult& c : per_client) {
-    total.latencies_ms.insert(total.latencies_ms.end(),
-                              c.latencies_ms.begin(), c.latencies_ms.end());
-    total.answered += c.answered;
-    total.rejected += c.rejected;
-    total.transport_errors += c.transport_errors;
-    total.min_generation = std::min(total.min_generation, c.min_generation);
-    total.max_generation = std::max(total.max_generation, c.max_generation);
-  }
 
   std::printf("\n%zu answered + %zu rejected queries in %.2fs (%zu "
               "requests)\n",
-              total.answered, total.rejected, elapsed,
+              total.answered, total.rejected, total.elapsed,
               total.latencies_ms.size());
-  std::printf("QPS (answered)    %10.0f\n",
-              elapsed > 0 ? static_cast<double>(total.answered) / elapsed
-                          : 0.0);
-  if (!total.latencies_ms.empty()) {
-    std::printf("latency p50       %10.3f ms\n",
-                Percentile(total.latencies_ms, 50));
-    std::printf("latency p90       %10.3f ms\n",
-                Percentile(total.latencies_ms, 90));
-    std::printf("latency p99       %10.3f ms\n",
-                Percentile(total.latencies_ms, 99));
-  }
+  PrintLoad(total);
   if (total.max_generation > 0) {
     std::printf("generations seen  %10llu .. %llu\n",
                 static_cast<unsigned long long>(total.min_generation),
@@ -486,22 +453,7 @@ int RunConnectMode(const ConnectConfig& cfg) {
   if (total.transport_errors > 0) {
     std::fprintf(stderr, "transport errors  %10zu\n", total.transport_errors);
   }
-  if (gt.rows() == nq) {
-    // Recall over answered rows only: a rejected query was never answered,
-    // so it cannot count as a miss.
-    size_t scored = 0;
-    double sum = 0.0;
-    for (size_t qi = 0; qi < nq; ++qi) {
-      if (!answered[qi]) continue;
-      sum += RecallAtK({results.row(qi), cfg.k}, {gt.row(qi), gt.cols()},
-                       cfg.k);
-      ++scored;
-    }
-    std::printf("recall@%-2zu         %10.4f  (over %zu/%zu answered "
-                "queries)\n",
-                cfg.k, scored > 0 ? sum / static_cast<double>(scored) : 0.0,
-                scored, nq);
-  }
+  PrintRecall("", results, answered, gt, cfg.k);
 
   // Server-side view, for cross-checking the loadgen numbers.
   net::StatusTextResponse stats1;
@@ -531,7 +483,7 @@ std::vector<std::string> SplitCsv(const char* value) {
 
 int main(int argc, char** argv) {
   tools::InstallStopHandler();
-  const bool map_mode = TakeMapFlag(&argc, argv);
+  const bool map_mode = tools::TakeMapFlag(&argc, argv);
   ConnectConfig net_cfg;
   std::string connect_addr;
   std::string index_path;
@@ -938,46 +890,40 @@ int main(int argc, char** argv) {
   // --filter prints filtered and unfiltered figures separately.
   auto run_and_report = [&](const char* label, const SearchOptions& params,
                             const Matrix<uint32_t>& truth) {
-    std::vector<char> answered(nq, 0);
-    LoadResult r = RunLoad(*engine, queries, k, params, clients, duration,
-                           async_mode, batch, &results, &answered);
-    const double qps = static_cast<double>(r.queries) / r.elapsed;
-    std::printf("\nwindow %u%s: %zu queries in %.2fs  (%zu requests)\n",
-                params.window, label, r.queries, r.elapsed,
-                r.latencies_ms.size());
-    std::printf("QPS               %10.0f\n", qps);
-    if (r.rejected > 0) {
-      std::printf("rejected          %10zu  (excluded from recall)\n",
-                  r.rejected);
-    }
-    if (!r.latencies_ms.empty()) {
-      std::printf("latency p50       %10.3f ms\n",
-                  Percentile(r.latencies_ms, 50));
-      std::printf("latency p90       %10.3f ms\n",
-                  Percentile(r.latencies_ms, 90));
-      std::printf("latency p99       %10.3f ms\n",
-                  Percentile(r.latencies_ms, 99));
-      std::printf("latency max       %10.3f ms\n",
-                  *std::max_element(r.latencies_ms.begin(),
-                                    r.latencies_ms.end()));
-    }
-    std::printf("dists/query       %10.1f\n", r.dists_per_query);
-    if (truth.rows() == nq) {
-      // Score only answered rows: a query the engine rejected (shutdown
-      // race) was never answered and must not read as a recall miss.
-      size_t scored = 0;
-      double sum = 0.0;
-      for (size_t qi = 0; qi < nq; ++qi) {
-        if (!answered[qi]) continue;
-        sum += RecallAtK({results.row(qi), k}, {truth.row(qi), truth.cols()},
-                         k);
-        ++scored;
+    // sync: each request is one ServingEngine::SearchBatch of B queries.
+    // async: each request Submit()s one query and waits on the future; a
+    // non-kOk outcome (shutdown race) never ran, so it counts as rejected.
+    auto engine_issue = [&](size_t) -> Issue {
+      if (!async_mode) {
+        return [&](size_t qi, size_t take, uint32_t* ids) {
+          const MatrixViewF slice(queries.row(qi), take, queries.cols());
+          engine->SearchBatch(slice, k, params, ids);
+          return Reply{.answered = true};
+        };
       }
-      std::printf("recall@%-2zu%s %10.4f  (over %zu/%zu answered)\n", k,
-                  *label != '\0' ? label : "         ",
-                  scored > 0 ? sum / static_cast<double>(scored) : 0.0,
-                  scored, nq);
-    }
+      return [&](size_t qi, size_t, uint32_t* ids) {
+        SearchResult res = engine->Submit(queries.row(qi), k, params).get();
+        const bool ok = res.outcome == SearchOutcome::kOk;
+        if (ok) std::copy(res.ids.begin(), res.ids.end(), ids);
+        return Reply{.answered = ok};
+      };
+    };
+    std::vector<char> answered(nq, 0);
+    const ServingCounters before = engine->counters();
+    const LoadResult r =
+        RunClosedLoop(nq, clients, async_mode ? 1 : batch, duration,
+                      engine_issue, &results, &answered);
+    const ServingCounters after = engine->counters();
+    const double searched = static_cast<double>(after.queries - before.queries);
+    const double dists = static_cast<double>(after.distance_computations -
+                                             before.distance_computations);
+    std::printf("\nwindow %u%s: %zu queries in %.2fs  (%zu requests)\n",
+                params.window, label, r.answered, r.elapsed,
+                r.latencies_ms.size());
+    PrintLoad(r);
+    std::printf("dists/query       %10.1f\n",
+                searched > 0 ? dists / searched : 0.0);
+    PrintRecall(label, results, answered, truth, k);
   };
   for (const SearchOptions& params : settings) {
     if (tools::StopRequested()) break;

@@ -32,7 +32,6 @@
 //     --max-connections C concurrent connections  (default 256)
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -57,26 +56,10 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-/// Consumes every bare `--map` from argv (FlagParser only iterates
-/// `--flag value` pairs); returns true when one was present.
-bool TakeMapFlag(int* argc, char** argv) {
-  bool found = false;
-  int w = 1;
-  for (int r = 1; r < *argc; ++r) {
-    if (std::strcmp(argv[r], "--map") == 0) {
-      found = true;
-    } else {
-      argv[w++] = argv[r];
-    }
-  }
-  *argc = w;
-  return found;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool map_mode = TakeMapFlag(&argc, argv);
+  const bool map_mode = tools::TakeMapFlag(&argc, argv);
   std::string index_path, host = "127.0.0.1", port_file;
   long long port = 7741;
   size_t n = 20000;

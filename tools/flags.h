@@ -52,6 +52,22 @@ class FlagParser {
   bool dangling_ = false;
 };
 
+/// Consumes every bare `--map` from argv (FlagParser only iterates
+/// `--flag value` pairs); returns true when one was present.
+inline bool TakeMapFlag(int* argc, char** argv) {
+  bool found = false;
+  int w = 1;
+  for (int r = 1; r < *argc; ++r) {
+    if (std::strcmp(argv[r], "--map") == 0) {
+      found = true;
+    } else {
+      argv[w++] = argv[r];
+    }
+  }
+  *argc = w;
+  return found;
+}
+
 /// Strict decimal integer parse: the whole token must be a number in
 /// [min_v, max_v]. Prints a message and returns false otherwise (so
 /// `--lvq garbage` is an error, not silently 0 bits).
